@@ -10,8 +10,8 @@ matrix.
 import numpy as np
 
 from conic_alm import (dist_psd, dist_to_face, eig_sym, exact_penalty,
-                       face_basis, inner, moreau_split, penalty_subgrad,
-                       project_psd)
+                       face_basis, moreau_split, penalty_subgrad, project_psd)
+from conic_alm.symcone import inner
 
 # An indefinite symmetric matrix: one positive and one negative eigenvalue.
 X = np.array([[0.0, 1.0], [1.0, 0.0]])

@@ -23,8 +23,9 @@ from .model import (CertificationError, DualPoint, IneqProblem, IneqResidualSet,
                     apply_Astar, ineq_residuals, kkt_residuals, lasso_instance,
                     maxcut_instance, svm_instance, synth_known_solution, zero_dual)
 from .sdpa import SdpaFormatError, sdpa_read, sdpa_write
+# symcone.inner is not re-exported: it would shadow the conic_alm.inner module.
 from .symcone import (EigDecomp, FaceBasis, dist_psd, dist_to_face, eig_sym,
-                      exact_penalty, face_basis, frob, inner, moreau_split,
+                      exact_penalty, face_basis, frob, moreau_split,
                       penalty_subgrad, project_psd, symmetrize)
 from .theory import (ComplementarityReport, CurveRow, EquivalenceReport,
                      GrowthReport, PreimageReport, check_strict_complementarity,

@@ -14,15 +14,18 @@ Inequality form (variable x, multipliers z >= 0, constraint map g = Gx + h):
     L_r(x, z) = f(x) + (||max(z + r g(x), 0)||^2 - ||z||^2) / (2r)
 
 All three are convex and continuously differentiable in the primal variable;
-the multiplier gradients recover the classical dual update rules. The
-``*_objective`` factories bundle value and gradient into one callable for the
-inner solver so the eigendecomposition is shared between them.
+the multiplier gradients recover the classical dual update rules. Each form
+has one formula: the ``*_objective`` factories bundle value and gradient into
+one callable for the inner solver, so the eigendecomposition is shared
+between them, and ``eval_L_*``/``grad_L_*`` are validated one-liners over
+those callables. The SDP factories bind the flat operator ``p.A_flat`` and
+vec(C) once, so A(X), A*(u) and <C, X> cost one BLAS call each.
 """
 
 import numpy as np
 
 from .model import apply_A, apply_Astar
-from .symcone import check_symmetric, frob, inner, symmetrize
+from .symcone import check_symmetric, frob, inner, project_psd, symmetrize
 
 
 def _check_r(r):
@@ -30,59 +33,55 @@ def _check_r(r):
         raise ValueError("penalty parameter r must be positive")
 
 
-def _psd_part(M):
-    """Projection onto the PSD cone (raw decomposition; called in hot loops)."""
-    lam, Q = np.linalg.eigh(M)
-    return (Q * np.maximum(lam, 0.0)) @ Q.T
+def primal_objective(p, w, r):
+    """Callable X -> (L_r(X, w), grad_X L_r) sharing one eigendecomposition."""
+    _check_r(r)
+    A_flat, C, c, b, y, Z, n = p.A_flat, p.C, p.C.ravel(), p.b, w.y, w.Z, p.n
+    offset = float(y @ y) + inner(Z, Z)
 
+    def value_and_grad(X):
+        x = X.ravel()
+        u = y + r * (b - A_flat @ x)
+        lam, Q = np.linalg.eigh(Z - r * X)
+        pos = np.maximum(lam, 0.0)
+        P = (Q * pos) @ Q.T
+        val = float(c @ x) + (float(u @ u) + float(pos @ pos) - offset) / (2.0 * r)
+        grad = C - (u @ A_flat).reshape(n, n) - P
+        return val, grad
 
-def _primal_pieces(p, X, w, r):
-    u = w.y + r * (p.b - apply_A(p, X))
-    P = _psd_part(symmetrize(w.Z - r * X))
-    return u, P
+    return value_and_grad
 
 
 def eval_L_primal(p, X, w, r):
     """Value of the primal-form augmented Lagrangian at (X, w)."""
-    _check_r(r)
-    X = check_symmetric(X, name="X")
-    u, P = _primal_pieces(p, X, w, r)
-    quad = float(u @ u) + inner(P, P) - float(w.y @ w.y) - inner(w.Z, w.Z)
-    return inner(p.C, X) + quad / (2.0 * r)
+    return primal_objective(p, w, r)(check_symmetric(X, name="X"))[0]
 
 
 def grad_L_primal_X(p, X, w, r):
     """Gradient of L_r in X: C - A*(y + r(b - A(X))) - proj_psd(Z - rX)."""
-    _check_r(r)
-    X = check_symmetric(X, name="X")
-    u, P = _primal_pieces(p, X, w, r)
-    return symmetrize(p.C - apply_Astar(p, u) - P)
+    return symmetrize(primal_objective(p, w, r)(check_symmetric(X, name="X"))[1])
 
 
 def grad_L_primal_w(p, X, w, r):
     """Gradients of L_r in (y, Z): (b - A(X), (proj_psd(Z - rX) - Z) / r)."""
     _check_r(r)
     X = check_symmetric(X, name="X")
-    _, P = _primal_pieces(p, X, w, r)
-    gy = p.b - apply_A(p, X)
-    gZ = (P - w.Z) / r
-    return gy, gZ
+    return p.b - apply_A(p, X), (project_psd(w.Z - r * X) - w.Z) / r
 
 
-def primal_objective(p, w, r):
-    """Callable X -> (L_r(X, w), grad_X L_r) sharing one eigendecomposition."""
+def dual_objective(p, X, r):
+    """Callable y -> (L_r(y, X), grad_y L_r) for the dual-form subproblem."""
     _check_r(r)
-    mats, C, b, y, Z = p.constraint_mats, p.C, p.b, w.y, w.Z
-    offset = float(y @ y) + inner(Z, Z)
+    A_flat, C, b, n = p.A_flat, p.C, p.b, p.n
+    XX = inner(X, X)
 
-    def value_and_grad(X):
-        u = y + r * (b - np.tensordot(mats, X, axes=([1, 2], [0, 1])))
-        lam, Q = np.linalg.eigh(Z - r * X)
+    def value_and_grad(y):
+        M = X - r * (C - (y @ A_flat).reshape(n, n))
+        lam, Q = np.linalg.eigh(M)
         pos = np.maximum(lam, 0.0)
         P = (Q * pos) @ Q.T
-        val = float(np.tensordot(C, X, axes=2)) \
-            + (float(u @ u) + float(pos @ pos) - offset) / (2.0 * r)
-        grad = C - np.tensordot(u, mats, axes=(0, 0)) - P
+        val = -float(b @ y) + (float(pos @ pos) - XX) / (2.0 * r)
+        grad = -b + A_flat @ P.ravel()
         return val, grad
 
     return value_and_grad
@@ -90,48 +89,12 @@ def primal_objective(p, w, r):
 
 def eval_L_dual(p, y, X, r):
     """Value of the dual-form augmented Lagrangian at (y, X)."""
-    _check_r(r)
-    P = _psd_part(symmetrize(X - r * (p.C - apply_Astar(p, y))))
-    return -float(p.b @ y) + (inner(P, P) - inner(X, X)) / (2.0 * r)
+    return dual_objective(p, X, r)(y)[0]
 
 
 def grad_L_dual_y(p, y, X, r):
     """Gradient in y: -b + A(proj_psd(X - r(C - A*(y))))."""
-    _check_r(r)
-    P = _psd_part(symmetrize(X - r * (p.C - apply_Astar(p, y))))
-    return -p.b + apply_A(p, P)
-
-
-def dual_objective(p, X, r):
-    """Callable y -> (L_r(y, X), grad_y L_r) for the dual-form subproblem."""
-    _check_r(r)
-    mats, C, b = p.constraint_mats, p.C, p.b
-    XX = inner(X, X)
-
-    def value_and_grad(y):
-        M = X - r * (C - np.tensordot(y, mats, axes=(0, 0)))
-        lam, Q = np.linalg.eigh(M)
-        pos = np.maximum(lam, 0.0)
-        P = (Q * pos) @ Q.T
-        val = -float(b @ y) + (float(pos @ pos) - XX) / (2.0 * r)
-        grad = -b + np.tensordot(mats, P, axes=([1, 2], [0, 1]))
-        return val, grad
-
-    return value_and_grad
-
-
-def eval_L_ineq(q, x, z, r):
-    """Value of the inequality-form augmented Lagrangian at (x, z)."""
-    _check_r(r)
-    pos = np.maximum(z + r * q.constraints(x), 0.0)
-    return q.objective(x) + (float(pos @ pos) - float(z @ z)) / (2.0 * r)
-
-
-def grad_L_ineq_x(q, x, z, r):
-    """Gradient in x: grad f(x) + G' max(z + r g(x), 0)."""
-    _check_r(r)
-    pos = np.maximum(z + r * q.constraints(x), 0.0)
-    return q.objective_grad(x) + q.G.T @ pos
+    return dual_objective(p, X, r)(y)[1]
 
 
 def ineq_objective(q, z, r):
@@ -146,6 +109,16 @@ def ineq_objective(q, z, r):
         return val, grad
 
     return value_and_grad
+
+
+def eval_L_ineq(q, x, z, r):
+    """Value of the inequality-form augmented Lagrangian at (x, z)."""
+    return ineq_objective(q, z, r)(x)[0]
+
+
+def grad_L_ineq_x(q, x, z, r):
+    """Gradient in x: grad f(x) + G' max(z + r g(x), 0)."""
+    return ineq_objective(q, z, r)(x)[1]
 
 
 def default_diameter(p, X):
@@ -169,7 +142,7 @@ def dual_gap_lower_bound(p, w, X_trial, r, diameter_bound=None, feas_tol=1e-11):
     if diameter_bound is None:
         diameter_bound = default_diameter(p, X_trial)
     u_y = w.y + r * (p.b - apply_A(p, X_trial))
-    u_Z = _psd_part(symmetrize(w.Z - r * X_trial))
+    u_Z = project_psd(w.Z - r * X_trial)
     residual = symmetrize(p.C - apply_Astar(p, u_y) - u_Z)
     res_norm = frob(residual)
     if res_norm <= feas_tol * (1.0 + frob(p.C)):

@@ -9,8 +9,8 @@ per value and a side-by-side CSV of the KKT residual series.
 
 Exit codes: 0 on success/convergence, 2 when the run stopped before reaching
 the residual threshold (partial outputs are still written), 3 on input
-errors. The environment variable ``CONIC_ALM_THREADS`` caps how many bench
-configurations run concurrently.
+errors. Bench configurations run one after another: the solves hold the GIL,
+so running them on threads was measured slower than running them serially.
 
 Traces are deterministic: a summary manifest (instance, config, seed) pins
 the run, and repeated runs produce byte-identical ``trace.csv``. The CSV
@@ -20,11 +20,9 @@ significant digits.
 
 import argparse
 import json
-import os
 import sys
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
@@ -302,23 +300,13 @@ def cmd_bench(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    def run_one(r0):
+    traces = {}
+    for r0 in r_values:
         cfg = AlmConfig(r0=r0, r_growth=args.r_growth, r_max=max(args.r_max, r0),
                         max_outer=args.max_outer, stop_eps3=args.stop_eps3)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            return r0, _run_solver(instance, args.form, cfg)
-
-    max_threads = int(os.environ.get("CONIC_ALM_THREADS", "1") or "1")
-    traces = {}
-    if max_threads > 1 and len(r_values) > 1:
-        with ThreadPoolExecutor(max_workers=min(max_threads, len(r_values))) as pool:
-            for r0, trace in pool.map(run_one, r_values):
-                traces[r0] = trace
-    else:
-        for r0 in r_values:
-            r0, trace = run_one(r0)
-            traces[r0] = trace
+            traces[r0] = _run_solver(instance, args.form, cfg)
     all_ok = True
     for r0, trace in traces.items():
         write_trace_csv(trace, out / f"trace-r{_fmt(r0)}.csv")

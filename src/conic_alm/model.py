@@ -1,13 +1,14 @@
 """Problem data for SDPs and quadratic programs with inequality constraints.
 
 Holds the standard-form SDP triple (C, {A_i}, b) with its linear map and
-adjoint, the KKT residual set used to monitor solver runs, instance
-generators (max-cut relaxation, linear SVM, lasso), and a synthesizer that
-builds SDPs around a KKT-certified optimal triple so that ground truth is
-available without an external solver.
+adjoint (one GEMV each over the flat (m, n*n) view ``SdpProblem.A_flat`` of
+the constraint stack), the KKT residual set used to monitor solver runs,
+instance generators (max-cut relaxation, linear SVM, lasso), and a
+synthesizer that builds SDPs around a KKT-certified optimal triple so that
+ground truth is available without an external solver.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,7 +26,9 @@ CERTIFY_TOL = 1e-10
 class SdpProblem:
     """Standard-form SDP data: minimize <C, X> s.t. <A_i, X> = b_i, X PSD.
 
-    ``constraint_mats`` is stacked with shape (m, n, n). Construction
+    ``constraint_mats`` is stacked with shape (m, n, n) and stored
+    C-contiguous; ``A_flat`` is its (m, n*n) view, row i = vec(A_i), through
+    which A, A* and the trace products are applied. Construction
     symmetry-checks every matrix and verifies the A_i are numerically
     linearly independent.
     """
@@ -34,10 +37,11 @@ class SdpProblem:
     constraint_mats: np.ndarray
     b: np.ndarray
     name: str = "sdp"
+    A_flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         C = check_symmetric(self.C, name="C")
-        mats = np.asarray(self.constraint_mats, dtype=float)
+        mats = np.ascontiguousarray(self.constraint_mats, dtype=float)
         if mats.ndim != 3 or mats.shape[1:] != C.shape:
             raise ValueError(f"constraint matrices must have shape (m, {C.shape[0]}, {C.shape[0]})")
         for i, A in enumerate(mats):
@@ -52,6 +56,7 @@ class SdpProblem:
             raise ValueError("constraint matrices are numerically linearly dependent")
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "constraint_mats", mats)
+        object.__setattr__(self, "A_flat", V)
         object.__setattr__(self, "b", b)
 
     @property
@@ -68,7 +73,7 @@ def apply_A(p, X):
     X = np.asarray(X, dtype=float)
     if X.shape != p.C.shape:
         raise ValueError(f"X must have shape {p.C.shape}, got {X.shape}")
-    return np.tensordot(p.constraint_mats, X, axes=([1, 2], [0, 1]))
+    return p.A_flat @ X.ravel()
 
 
 def apply_Astar(p, y):
@@ -76,7 +81,7 @@ def apply_Astar(p, y):
     y = np.asarray(y, dtype=float)
     if y.shape != (p.m,):
         raise ValueError(f"y must have shape ({p.m},), got {y.shape}")
-    return np.tensordot(y, p.constraint_mats, axes=(0, 0))
+    return (y @ p.A_flat).reshape(p.n, p.n)
 
 
 @dataclass(frozen=True)
@@ -279,9 +284,10 @@ def synth_known_solution(n, m, rank_x, seed, max_retries=20):
             A = symmetrize(rng.standard_normal((n, n)))
             mats.append(A / frob(A))
         mats = np.stack(mats)
+        A_flat = mats.reshape(m, -1)
         y_star = rng.standard_normal(m)
-        C = symmetrize(np.tensordot(y_star, mats, axes=(0, 0)) + z_star)
-        b = np.tensordot(mats, x_star, axes=([1, 2], [0, 1]))
+        C = symmetrize((y_star @ A_flat).reshape(n, n) + z_star)
+        b = A_flat @ x_star.ravel()
         try:
             problem = SdpProblem(C=C, constraint_mats=mats, b=b,
                                  name=f"synth-n{n}-m{m}-r{rank_x}-s{seed}")

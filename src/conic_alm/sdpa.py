@@ -5,8 +5,9 @@ of constraints m, the number of blocks (must be 1), the block structure (a
 single positive n), the m entries of b on one line, and entry lines
 ``matno blkno i j value`` with 1-based upper-triangle indices. matno 0 is the
 cost matrix C (stored directly, no sign flip), matno 1..m the constraint
-matrices. Values are written with 17 significant digits so a write/read round
-trip reproduces the float64 data exactly.
+matrices. Each (matno, i, j) may appear at most once; a repeated entry is
+rejected with both line numbers. Values are written with 17 significant
+digits so a write/read round trip reproduces the float64 data exactly.
 """
 
 import numpy as np
@@ -77,6 +78,7 @@ def sdpa_read(path):
     b = np.array([_parse_float(v, no, "b entry") for v in bvals])
 
     mats = np.zeros((m + 1, n, n))
+    seen = {}
     for no, tok in body[4:]:
         parts = tok.split()
         if len(parts) != 5:
@@ -94,6 +96,10 @@ def sdpa_read(path):
             raise SdpaFormatError(f"index ({i}, {j}) out of range [1, {n}]", no)
         if i > j:
             raise SdpaFormatError(f"lower-triangle index ({i}, {j}); store the upper triangle", no)
+        first = seen.setdefault((matno, i, j), no)
+        if first != no:
+            raise SdpaFormatError(f"duplicate entry for matrix {matno} at ({i}, {j}); "
+                                  f"first given on line {first}", no)
         mats[matno, i - 1, j - 1] = v
         mats[matno, j - 1, i - 1] = v
     C = symmetrize(mats[0])

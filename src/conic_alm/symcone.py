@@ -48,8 +48,12 @@ def frob(M):
 
 
 def inner(A, B):
-    """Trace inner product <A, B>."""
-    return float(np.tensordot(A, B, axes=2))
+    """Trace inner product <A, B> = vec(A) . vec(B)."""
+    A = np.asarray(A)
+    B = np.asarray(B)
+    if A.shape != B.shape:
+        raise ValueError(f"shape mismatch in inner product: {A.shape} vs {B.shape}")
+    return float(A.ravel() @ B.ravel())
 
 
 @dataclass(frozen=True)

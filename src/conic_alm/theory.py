@@ -43,8 +43,7 @@ def _default_gamma(inst):
 
 
 def _gram_solve(p):
-    V = p.constraint_mats.reshape(p.m, -1)
-    gram = V @ V.T
+    gram = p.A_flat @ p.A_flat.T
 
     def solve(rhs):
         return np.linalg.solve(gram, rhs)
@@ -204,9 +203,7 @@ def verify_qg_dual(inst, gamma=None, ball_radius=1.0, samples=2000,
                                   grid_points=len(y_grid)))
 
     rng = np.random.default_rng(seed)
-    V = p.constraint_mats.reshape(p.m, -1)
-    gram = V @ V.T
-    lhs_mat = np.eye(p.m) + gram
+    lhs_mat = np.eye(p.m) + p.A_flat @ p.A_flat.T
     sigma = ball_radius / 3.0
     kept = 0
     while kept < samples:

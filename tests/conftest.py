@@ -3,8 +3,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Property tests draw the same examples on every run and never time out on a
+# loaded machine.
+settings.register_profile("conic-alm", derandomize=True, deadline=None, database=None)
+settings.load_profile("conic-alm")
 
 from conic_alm.fixtures import toy_rank1_instance
 from conic_alm.model import synth_known_solution

@@ -1,7 +1,8 @@
 """Independent oracles the tests check the library against.
 
 Each helper recomputes a quantity by a route the library does not use:
-closed-form 2x2 eigensystems, naive double-loop linear maps, central finite
+closed-form 2x2 eigensystems, naive double-loop linear maps, tensor
+contractions over the (m, n, n) constraint stack, central finite
 differences, brute-force minimization over a parameter grid, and scalar
 closed forms. Expected values frozen in the tests were produced by these.
 """
@@ -39,6 +40,21 @@ def naive_apply_A(mats, X):
             for j in range(X.shape[1]):
                 out[k] += mats[k][i, j] * X[i, j]
     return out
+
+
+def tensordot_apply_A(mats, X):
+    """Constraint map as a contraction of the (m, n, n) stack with X."""
+    return np.tensordot(mats, X, axes=([1, 2], [0, 1]))
+
+
+def tensordot_apply_Astar(mats, y):
+    """Adjoint map as a contraction of y with the (m, n, n) stack."""
+    return np.tensordot(y, mats, axes=(0, 0))
+
+
+def tensordot_inner(A, B):
+    """Trace inner product as a full two-axis contraction."""
+    return float(np.tensordot(A, B, axes=2))
 
 
 def fd_grad_sym(f, X, h=None):

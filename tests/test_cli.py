@@ -180,13 +180,17 @@ class TestBench:
         assert code == 0
         assert (tmp_path / "trace-r1.csv").exists()
 
-    def test_thread_env_respected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CONIC_ALM_THREADS", "2")
+    def test_multi_r_serial_bench_writes_every_trace(self, tmp_path):
         code = run(["bench", "--builtin", "example-d1", "--r-list", "0.5,1,2",
-                    "--stop-eps3", "1e-8", "--out", str(tmp_path)])
+                    "--stop-eps3", "1e-8", "--out", str(tmp_path / "multi")])
         assert code == 0
-        for r in ("0.5", "1", "2"):
-            assert (tmp_path / f"trace-r{r}.csv").exists()
+        assert sorted(f.name for f in (tmp_path / "multi").glob("trace-r*.csv")) == [
+            "trace-r0.5.csv", "trace-r1.csv", "trace-r2.csv"]
+        # each configuration's trace is the one it gets when run on its own
+        assert run(["bench", "--builtin", "example-d1", "--r-list", "1",
+                    "--stop-eps3", "1e-8", "--out", str(tmp_path / "single")]) == 0
+        assert (tmp_path / "multi" / "trace-r1.csv").read_bytes() == \
+            (tmp_path / "single" / "trace-r1.csv").read_bytes()
 
     def test_bad_r_list(self, tmp_path):
         assert run(["bench", "--builtin", "example-d1", "--r-list", "abc",

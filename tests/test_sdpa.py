@@ -2,21 +2,69 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conic_alm.model import synth_known_solution
+from conic_alm.fixtures import maxcut_fixture
+from conic_alm.model import SdpProblem, synth_known_solution
 from conic_alm.sdpa import SdpaFormatError, sdpa_read, sdpa_write
+from conic_alm.symcone import symmetrize
 
 
-def test_round_trip_bitwise(tmp_path):
-    inst = synth_known_solution(n=4, m=5, rank_x=2, seed=11)
-    p = inst.problem
-    path = tmp_path / "p.dat-s"
+def _assert_round_trip(p, path):
     sdpa_write(p, path)
     q = sdpa_read(path)
     assert np.array_equal(p.C, q.C)
     assert np.array_equal(p.constraint_mats, q.constraint_mats)
     assert np.array_equal(p.b, q.b)
+
+
+def test_round_trip_bitwise(tmp_path):
+    inst = synth_known_solution(n=4, m=5, rank_x=2, seed=11)
+    _assert_round_trip(inst.problem, tmp_path / "p.dat-s")
+
+
+@pytest.mark.parametrize("name", ["maxcut-g1-20", "maxcut-g2-20", "maxcut-g3-20"])
+def test_maxcut_round_trip_bitwise(tmp_path, name):
+    _assert_round_trip(maxcut_fixture(name), tmp_path / f"{name}.dat-s")
+
+
+@given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       density=st.sampled_from([0.2, 0.5, 1.0]), exponent=st.integers(-100, 100))
+def test_round_trip_property(tmp_path_factory, n, seed, density, exponent):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, n * (n + 1) // 2 + 1))
+
+    def draw():
+        keep = (rng.random((n, n)) < density) | np.eye(n, dtype=bool)
+        M = rng.standard_normal((n, n)) * keep
+        return symmetrize(M * 10.0 ** exponent)
+
+    try:
+        p = SdpProblem(C=draw(), constraint_mats=np.stack([draw() for _ in range(m)]),
+                       b=rng.standard_normal(m) * 10.0 ** exponent)
+    except ValueError:
+        assume(False)
+    _assert_round_trip(p, tmp_path_factory.mktemp("rt") / "p.dat-s")
+
+
+def test_duplicate_entry_names_both_lines(tmp_path):
+    text = "1\n1\n2\n1\n0 1 1 1 1.0\n1 1 1 2 2.0\n0 1 1 1 3.0\n"
+    path = tmp_path / "dup.dat-s"
+    path.write_text(text)
+    with pytest.raises(SdpaFormatError, match="line 7: duplicate entry.*line 5") as info:
+        sdpa_read(path)
+    assert info.value.line_no == 7
+
+
+def test_same_position_in_different_matrices_is_not_a_duplicate(tmp_path):
+    text = "2\n1\n2\n1 1\n0 1 1 2 1.0\n1 1 1 2 2.0\n2 1 1 2 3.0\n2 1 2 2 1.0\n"
+    path = tmp_path / "ok.dat-s"
+    path.write_text(text)
+    p = sdpa_read(path)
+    assert p.constraint_mats[0, 1, 0] == 2.0
+    assert p.constraint_mats[1, 0, 1] == 3.0
 
 
 def test_hand_written_file_matches_toy_constructor(tmp_path, toy):
