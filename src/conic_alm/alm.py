@@ -1,17 +1,21 @@
-"""Outer augmented Lagrangian drivers and the generic inexact proximal loop.
+"""Outer augmented Lagrangian loop and the generic inexact proximal loop.
 
-Three drivers share the same skeleton: approximately minimize the augmented
-Lagrangian in the primal variable with a certified gap, test the two
-inexactness criteria against the tentative multiplier step, tighten and
-re-solve if needed, then apply the multiplier update
+One loop runs the inexact ALM for all three forms: approximately minimize the
+augmented Lagrangian in the primal variable with a certified gap, test the
+two inexactness criteria against the tentative multiplier step, tighten and
+re-solve if needed, then apply that same step. Each form supplies four
+pieces: its ``auglag.*_objective`` factory, its multiplier update
 
     primal form:      y+ = y + r (b - A(X)),   Z+ = proj_psd(Z - r X)
     dual form:        X+ = proj_psd(X - r (C - A*(y+)))
     inequality form:  z+ = max(z + r g(x+), 0)
 
+a bound on the distance to the subproblem minimizer, and the builder of its
+iteration record and residuals.
+
 The penalty sequence grows geometrically up to a finite cap. When the
 criteria cannot be certified (their targets eventually sink below the
-floating-point floor of the subproblem) the driver keeps the best iterate,
+floating-point floor of the subproblem) the loop keeps the best iterate,
 flags the record, and warns once at the end of the run.
 
 Also here: a generic inexact proximal point loop used to cross-check the
@@ -34,15 +38,19 @@ from .symcone import dist_psd, frob, project_psd, symmetrize
 # Below this threshold a certification target is considered unreachable in
 # double precision and tightening rounds stop.
 _TARGET_FLOOR = 1e-16
+# Solves of one subproblem (the first plus tightenings) before its iterate is
+# accepted uncertified.
+_CERTIFY_ROUNDS = 8
 
 
 @dataclass(frozen=True)
 class AlmConfig:
-    """Outer-loop parameters shared by all three drivers.
+    """Outer-loop parameters shared by all three forms.
 
     The penalty grows as r_{k+1} = min(r_growth * r_k, r_max), keeping the
     sequence bounded; eps_k = eps0 * decay^k and delta_k = delta0 * decay^k
-    are the (summable) inexactness schedules.
+    are the (summable) inexactness schedules. ``inner_budget`` caps the inner
+    iterations of one subproblem over all its tightening rounds.
     """
 
     r0: float = 1.0
@@ -53,9 +61,7 @@ class AlmConfig:
     decay: float = 0.7
     max_outer: int = 500
     stop_eps3: float = 1e-8
-    inner_max_iter: int = 10000
     inner_budget: int = 4000
-    certify_rounds: int = 8
 
     def __post_init__(self):
         if self.r0 <= 0 or self.r_growth < 1 or self.r_max < self.r0:
@@ -76,56 +82,55 @@ class AlmConfig:
 
 
 @dataclass(frozen=True)
-class IterationRecord:
-    """One accepted outer iteration of an SDP-form driver.
+class _OuterRecord:
+    """Fields every form records for one accepted outer iteration."""
+
+    k: int
+    r: float
+    eps_k: float
+    delta_k: float
+    inner_iterations: int
+    gap_certificate: float
+    grad_norm: float
+    certified: bool
+    step_norm: float
+    value: float
+    residuals: object
+    dist_x: float | None = None
+
+    def lookup(self, key):
+        """The record field ``key``, else the residual field of that name."""
+        return getattr(self, key) if hasattr(self, key) else getattr(self.residuals, key)
+
+
+# The iterate fields follow the defaulted dist_x, so they are keyword-only.
+@dataclass(frozen=True, kw_only=True)
+class IterationRecord(_OuterRecord):
+    """One accepted outer iteration of an SDP-form run.
 
     Stores the post-update iterates, the inexactness bookkeeping, and (when a
     certified instance is attached) distances to the known solution before
     and after the multiplier step.
     """
 
-    k: int
     X: np.ndarray
     y: np.ndarray
     Z: np.ndarray
-    r: float
-    eps_k: float
-    delta_k: float
-    inner_iterations: int
-    gap_certificate: float
-    grad_norm: float
-    certified: bool
-    step_norm: float
-    value: float
-    residuals: object
-    dist_x: float | None = None
     dist_w: float | None = None
     dist_w_before: float | None = None
 
 
-@dataclass(frozen=True)
-class IneqIterationRecord:
-    """One accepted outer iteration of the inequality-form driver."""
+@dataclass(frozen=True, kw_only=True)
+class IneqIterationRecord(_OuterRecord):
+    """One accepted outer iteration of an inequality-form run."""
 
-    k: int
     x: np.ndarray
     z: np.ndarray
-    r: float
-    eps_k: float
-    delta_k: float
-    inner_iterations: int
-    gap_certificate: float
-    grad_norm: float
-    certified: bool
-    step_norm: float
-    value: float
-    residuals: object
-    dist_x: float | None = None
 
 
 @dataclass
 class AlmTrace:
-    """Append-only run record for one driver invocation."""
+    """Append-only run record for one solver invocation."""
 
     form: str
     problem_name: str
@@ -137,12 +142,7 @@ class AlmTrace:
 
     def series(self, key):
         """Extract a per-iteration series; looks up residual fields too."""
-        out = []
-        for rec in self.records:
-            if hasattr(rec, key):
-                out.append(getattr(rec, key))
-            else:
-                out.append(getattr(rec.residuals, key))
+        out = [rec.lookup(key) for rec in self.records]
         return np.array([np.nan if v is None else v for v in out])
 
     @property
@@ -150,47 +150,105 @@ class AlmTrace:
         return self.records[-1]
 
 
-def _certified_subsolve(objective, x_start, r, eps_k, delta_k, step_norm_of, cfg,
+def _primal_update(p, w, X, r):
+    """Primal-form multiplier step at X; returns (symmetrized X, w+, ||w+ - w||)."""
+    X = symmetrize(X)
+    y = w.y + r * (p.b - apply_A(p, X))
+    Z = project_psd(symmetrize(w.Z - r * X))
+    step = float(np.sqrt(np.sum((y - w.y) ** 2) + np.sum((Z - w.Z) ** 2)))
+    return X, DualPoint(y=y, Z=Z), step
+
+
+def _dual_update(p, X, y, r):
+    """Dual-form multiplier step at y; returns (y, X+, ||X+ - X||)."""
+    X_new = project_psd(symmetrize(X - r * (p.C - apply_Astar(p, y))))
+    return y, X_new, frob(X_new - X)
+
+
+def _ineq_update(q, z, x, r):
+    """Inequality-form multiplier step at x; returns (x, z+, ||z+ - z||)."""
+    z_new = np.maximum(z + r * q.constraints(x), 0.0)
+    return x, z_new, float(np.linalg.norm(z_new - z))
+
+
+def _certified_subsolve(objective, x_start, r, eps_k, delta_k, update_at, cfg,
                         diameter_of):
     """Solve one subproblem until both criteria hold or the floor is reached.
 
-    ``step_norm_of(minimizer)`` measures the tentative multiplier step used by
-    criterion B; tightening re-solves warm-started from the current iterate.
-    Returns (InnerResult, certified flag, total inner iterations).
+    ``update_at(minimizer)`` is the form's multiplier update, whose step norm
+    criterion B measures; tightening re-solves warm-started from the current
+    iterate. Returns (InnerResult, the last update's (x, w+, step), certified
+    flag, total inner iterations).
     """
     target = eps_k * eps_k / (2.0 * r)
     total_iters = 0
     x = x_start
-    result = None
-    for _ in range(cfg.certify_rounds):
-        remaining = max(cfg.inner_budget - total_iters, 50)
+    for _ in range(_CERTIFY_ROUNDS):
         result = minimize_auglag(objective, x, tol=max(target, _TARGET_FLOOR),
-                                 max_iter=min(cfg.inner_max_iter, remaining),
+                                 max_iter=max(cfg.inner_budget - total_iters, 50),
                                  diameter_bound=diameter_of(x))
         total_iters += result.iterations
         x = result.minimizer
-        step = step_norm_of(x)
-        ok_a = check_criterion_A(result, eps_k, r)
-        ok_b = check_criterion_B(result, delta_k, r, step)
-        if ok_a and ok_b:
-            return result, True, total_iters
+        update = update_at(x)
+        step = update[2]
+        if (check_criterion_A(result, eps_k, r)
+                and check_criterion_B(result, delta_k, r, step)):
+            return result, update, True, total_iters
         if not result.converged or total_iters >= cfg.inner_budget:
             break
         tightened = min(eps_k * eps_k, delta_k * delta_k * step * step) / (2.0 * r)
         if tightened <= _TARGET_FLOOR:
             break
         target = 0.5 * tightened
-    return result, False, total_iters
+    return result, update, False, total_iters
 
 
-def _warn_uncertified(trace):
+def _outer_loop(trace, cfg, p, objective, update, diameter_of, record, x, w):
+    """The inexact ALM shared by every form; appends to ``trace`` and returns it.
+
+    ``objective(p, w, r)`` builds the subproblem in x, ``update(p, w, x, r)``
+    is the multiplier step, ``diameter_of(x)`` bounds the distance from x to
+    the subproblem minimizer, and ``record(x, w, w+, fields)`` builds the
+    iteration record (with its residuals) from the shared ``fields``.
+    """
+    for k in range(cfg.max_outer):
+        r = cfg.penalty(k)
+        eps_k, delta_k = cfg.eps(k), cfg.delta(k)
+        result, (x, w_new, step), certified, iters = _certified_subsolve(
+            objective(p, w, r), x, r, eps_k, delta_k,
+            lambda xc: update(p, w, xc, r), cfg, diameter_of)
+        rec = record(x, w, w_new, dict(
+            k=k, r=r, eps_k=eps_k, delta_k=delta_k, inner_iterations=iters,
+            gap_certificate=result.gap_upper_bound, grad_norm=result.grad_norm,
+            certified=certified, step_norm=step, value=result.value))
+        trace.records.append(rec)
+        w = w_new
+        if rec.residuals.eps3 <= cfg.stop_eps3:
+            trace.converged = True
+            break
     n_bad = sum(1 for rec in trace.records if not rec.certified)
     if n_bad:
         msg = (f"{trace.form} run on {trace.problem_name!r}: {n_bad} of "
                f"{len(trace.records)} outer iterations accepted without certified "
                "inexactness criteria (targets below the attainable gap)")
         trace.warnings.append(msg)
+        # points at the caller of the public solve_*_alm function
         warnings.warn(msg, RuntimeWarning, stacklevel=3)
+    return trace
+
+
+def _sdp_record(p, oracle, X, w, dist_w_before, fields):
+    """IterationRecord of the SDP iterate (X, w), with KKT residuals and,
+    when ``oracle`` pins a unique solution, distances to it."""
+    track_x = oracle is not None and oracle.primal_unique
+    track_w = oracle is not None and oracle.dual_unique
+    p_star = oracle.p_star if oracle else None
+    return IterationRecord(
+        X=X.copy(), y=w.y.copy(), Z=w.Z.copy(),
+        residuals=kkt_residuals(p, X, w, p_star=p_star, d_star=p_star),
+        dist_x=oracle.dist_primal(X) if track_x else None,
+        dist_w=oracle.dist_dual(w) if track_w else None,
+        dist_w_before=dist_w_before, **fields)
 
 
 def solve_primal_alm(p, w0, cfg=None, oracle=None, X0=None):
@@ -207,48 +265,17 @@ def solve_primal_alm(p, w0, cfg=None, oracle=None, X0=None):
         p = p.problem
     if dist_psd(w0.Z) > 1e-9 * (1.0 + frob(w0.Z)):
         raise ValueError("initial Z must be positive semidefinite")
-    y, Z = w0.y.copy(), w0.Z.copy()
     X = np.zeros((p.n, p.n)) if X0 is None else symmetrize(X0)
+    track_w = oracle is not None and oracle.dual_unique
+
+    def record(X, w, w_new, fields):
+        return _sdp_record(p, oracle, X, w_new,
+                           oracle.dist_dual(w) if track_w else None, fields)
+
     trace = AlmTrace(form="primal", problem_name=p.name, config=cfg, start_point=w0)
-    for k in range(cfg.max_outer):
-        r = cfg.penalty(k)
-        eps_k, delta_k = cfg.eps(k), cfg.delta(k)
-        w = DualPoint(y=y, Z=Z)
-        objective = auglag.primal_objective(p, w, r)
-
-        def w_step(Xc, y=y, Z=Z, r=r):
-            y_new = y + r * (p.b - apply_A(p, Xc))
-            Z_new = project_psd(symmetrize(Z - r * Xc))
-            return float(np.sqrt(np.sum((y_new - y) ** 2) + np.sum((Z_new - Z) ** 2)))
-
-        result, certified, iters = _certified_subsolve(
-            objective, X, r, eps_k, delta_k, w_step, cfg,
-            diameter_of=lambda Xc: auglag.default_diameter(p, Xc))
-        X = symmetrize(result.minimizer)
-        y_new = y + r * (p.b - apply_A(p, X))
-        Z_new = project_psd(symmetrize(Z - r * X))
-        step = float(np.sqrt(np.sum((y_new - y) ** 2) + np.sum((Z_new - Z) ** 2)))
-        track_x = oracle is not None and oracle.primal_unique
-        track_w = oracle is not None and oracle.dual_unique
-        dist_w_before = oracle.dist_dual(w) if track_w else None
-        y, Z = y_new, Z_new
-        w_after = DualPoint(y=y, Z=Z)
-        res = kkt_residuals(p, X, w_after,
-                            p_star=oracle.p_star if oracle else None,
-                            d_star=oracle.p_star if oracle else None)
-        trace.records.append(IterationRecord(
-            k=k, X=X.copy(), y=y.copy(), Z=Z.copy(), r=r, eps_k=eps_k, delta_k=delta_k,
-            inner_iterations=iters, gap_certificate=result.gap_upper_bound,
-            grad_norm=result.grad_norm, certified=certified, step_norm=step,
-            value=result.value, residuals=res,
-            dist_x=oracle.dist_primal(X) if track_x else None,
-            dist_w=oracle.dist_dual(w_after) if track_w else None,
-            dist_w_before=dist_w_before))
-        if res.eps3 <= cfg.stop_eps3:
-            trace.converged = True
-            break
-    _warn_uncertified(trace)
-    return trace
+    return _outer_loop(trace, cfg, p, auglag.primal_objective, _primal_update,
+                       lambda Xc: auglag.default_diameter(p, Xc), record, X,
+                       DualPoint(y=w0.y.copy(), Z=w0.Z.copy()))
 
 
 def solve_dual_alm(p, X0, cfg=None, oracle=None, y0=None):
@@ -264,47 +291,19 @@ def solve_dual_alm(p, X0, cfg=None, oracle=None, y0=None):
     X0 = symmetrize(X0)
     if dist_psd(X0) > 1e-9 * (1.0 + frob(X0)):
         raise ValueError("initial X must be positive semidefinite")
-    X = X0.copy()
     y = np.zeros(p.m) if y0 is None else np.asarray(y0, dtype=float).copy()
-    trace = AlmTrace(form="dual", problem_name=p.name, config=cfg, start_point=X0)
     scale = 2.0 * (1.0 + float(np.linalg.norm(p.b)) + frob(p.C))
-    for k in range(cfg.max_outer):
-        r = cfg.penalty(k)
-        eps_k, delta_k = cfg.eps(k), cfg.delta(k)
-        objective = auglag.dual_objective(p, X, r)
+    track_x = oracle is not None and oracle.primal_unique
 
-        def x_step(yc, X=X, r=r):
-            X_new = project_psd(symmetrize(X - r * (p.C - apply_Astar(p, yc))))
-            return frob(X_new - X)
+    def record(y, X, X_new, fields):
+        w = DualPoint(y=y, Z=symmetrize(p.C - apply_Astar(p, y)))
+        return _sdp_record(p, oracle, X_new, w,
+                           oracle.dist_primal(X) if track_x else None, fields)
 
-        result, certified, iters = _certified_subsolve(
-            objective, y, r, eps_k, delta_k, x_step, cfg,
-            diameter_of=lambda yc: scale + 2.0 * float(np.linalg.norm(yc)))
-        y = result.minimizer
-        X_new = project_psd(symmetrize(X - r * (p.C - apply_Astar(p, y))))
-        step = frob(X_new - X)
-        track_x = oracle is not None and oracle.primal_unique
-        track_w = oracle is not None and oracle.dual_unique
-        dist_x_before = oracle.dist_primal(X) if track_x else None
-        X = X_new
-        Z = symmetrize(p.C - apply_Astar(p, y))
-        w_after = DualPoint(y=y, Z=Z)
-        res = kkt_residuals(p, X, w_after,
-                            p_star=oracle.p_star if oracle else None,
-                            d_star=oracle.p_star if oracle else None)
-        trace.records.append(IterationRecord(
-            k=k, X=X.copy(), y=y.copy(), Z=Z.copy(), r=r, eps_k=eps_k, delta_k=delta_k,
-            inner_iterations=iters, gap_certificate=result.gap_upper_bound,
-            grad_norm=result.grad_norm, certified=certified, step_norm=step,
-            value=result.value, residuals=res,
-            dist_x=oracle.dist_primal(X) if track_x else None,
-            dist_w=oracle.dist_dual(w_after) if track_w else None,
-            dist_w_before=dist_x_before))
-        if res.eps3 <= cfg.stop_eps3:
-            trace.converged = True
-            break
-    _warn_uncertified(trace)
-    return trace
+    trace = AlmTrace(form="dual", problem_name=p.name, config=cfg, start_point=X0)
+    return _outer_loop(trace, cfg, p, auglag.dual_objective, _dual_update,
+                       lambda yc: scale + 2.0 * float(np.linalg.norm(yc)), record,
+                       y, X0.copy())
 
 
 def solve_ineq_alm(q, z0, cfg=None, x_star=None, f_star=None, x0=None):
@@ -314,36 +313,19 @@ def solve_ineq_alm(q, z0, cfg=None, x_star=None, f_star=None, x0=None):
     if z.shape != (q.n_constraints,) or np.any(z < 0):
         raise ValueError("z0 must be a nonnegative vector, one entry per constraint")
     x = np.zeros(q.dim) if x0 is None else np.asarray(x0, dtype=float).copy()
-    trace = AlmTrace(form="ineq", problem_name=q.name, config=cfg, start_point=z.copy())
     scale = 2.0 * (1.0 + float(np.linalg.norm(q.c)) + float(np.linalg.norm(q.h)))
-    for k in range(cfg.max_outer):
-        r = cfg.penalty(k)
-        eps_k, delta_k = cfg.eps(k), cfg.delta(k)
-        objective = auglag.ineq_objective(q, z, r)
 
-        def z_step(xc, z=z, r=r):
-            z_new = np.maximum(z + r * q.constraints(xc), 0.0)
-            return float(np.linalg.norm(z_new - z))
+    def record(x, z, z_new, fields):
+        return IneqIterationRecord(
+            x=x.copy(), z=z_new.copy(),
+            residuals=ineq_residuals(q, x, z_new, f_star=f_star),
+            dist_x=float(np.linalg.norm(x - x_star)) if x_star is not None else None,
+            **fields)
 
-        result, certified, iters = _certified_subsolve(
-            objective, x, r, eps_k, delta_k, z_step, cfg,
-            diameter_of=lambda xc: scale + 2.0 * float(np.linalg.norm(xc)))
-        x = result.minimizer
-        z_new = np.maximum(z + r * q.constraints(x), 0.0)
-        step = float(np.linalg.norm(z_new - z))
-        z = z_new
-        res = ineq_residuals(q, x, z, f_star=f_star)
-        trace.records.append(IneqIterationRecord(
-            k=k, x=x.copy(), z=z.copy(), r=r, eps_k=eps_k, delta_k=delta_k,
-            inner_iterations=iters, gap_certificate=result.gap_upper_bound,
-            grad_norm=result.grad_norm, certified=certified, step_norm=step,
-            value=result.value, residuals=res,
-            dist_x=float(np.linalg.norm(x - x_star)) if x_star is not None else None))
-        if res.eps3 <= cfg.stop_eps3:
-            trace.converged = True
-            break
-    _warn_uncertified(trace)
-    return trace
+    trace = AlmTrace(form="ineq", problem_name=q.name, config=cfg, start_point=z.copy())
+    return _outer_loop(trace, cfg, q, auglag.ineq_objective, _ineq_update,
+                       lambda xc: scale + 2.0 * float(np.linalg.norm(xc)), record,
+                       x, z)
 
 
 @dataclass(frozen=True)
@@ -443,11 +425,9 @@ def verify_ppm_alm_link(p, trace, prox_accuracy=1e-10, tighten=0.1,
         tol_ref = max(rec.gap_certificate * tighten, 1e-15)
         ref = minimize_auglag(objective, rec.X, tol=tol_ref, max_iter=inner_max_iter,
                               diameter_bound=auglag.default_diameter(p, rec.X))
-        X_ref = symmetrize(ref.minimizer)
-        y_prox = w_prev.y + r * (p.b - apply_A(p, X_ref))
-        Z_prox = project_psd(symmetrize(w_prev.Z - r * X_ref))
-        dy = rec.y - y_prox
-        dZ = rec.Z - Z_prox
+        _, w_prox, _ = _primal_update(p, w_prev, ref.minimizer, r)
+        dy = rec.y - w_prox.y
+        dZ = rec.Z - w_prox.Z
         lhs = (float(dy @ dy) + float(np.sum(dZ * dZ))) / (2.0 * r)
         root = np.sqrt(rec.gap_certificate) + np.sqrt(ref.gap_upper_bound)
         bound = root * root + prox_accuracy

@@ -64,28 +64,12 @@ def _fmt(v):
     return f"{float(v):.17g}"
 
 
-def _trace_rows(trace):
-    rows = []
-    for rec in trace.records:
-        res = rec.residuals
-        if trace.form == "ineq":
-            rows.append([rec.k, res.feasibility, res.dual_feasibility,
-                         res.stationarity, res.complementarity, res.cost_gap,
-                         res.eps3, rec.r, rec.eps_k, rec.delta_k, rec.dist_x,
-                         rec.inner_iterations, rec.gap_certificate, rec.certified])
-        else:
-            rows.append([rec.k, res.eps1, res.eps2, res.eta1, res.eta2, res.eta3,
-                         res.eta4, res.eta5, res.eps3, rec.r, rec.eps_k, rec.delta_k,
-                         rec.dist_x, rec.dist_w, rec.inner_iterations,
-                         rec.gap_certificate, rec.certified])
-    return rows
-
-
 def write_trace_csv(trace, path):
     columns = _INEQ_COLUMNS if trace.form == "ineq" else _SDP_COLUMNS
     lines = [f"# {TRACE_SCHEMA} form={trace.form}", ",".join(columns)]
-    for row in _trace_rows(trace):
-        lines.append(",".join(_fmt(v) for v in row))
+    keys = ["r" if c == "r_k" else c for c in columns]
+    for rec in trace.records:
+        lines.append(",".join(_fmt(rec.lookup(key)) for key in keys))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -102,17 +86,9 @@ def _fit_or_none(series, floor=1e-12):
 
 
 def write_summary(trace, path, manifest, wall_time):
-    final = trace.final.residuals
-    if trace.form == "ineq":
-        residuals = {"feasibility": final.feasibility,
-                     "dual_feasibility": final.dual_feasibility,
-                     "stationarity": final.stationarity,
-                     "complementarity": final.complementarity,
-                     "cost_gap": final.cost_gap, "eps3": final.eps3}
-    else:
-        residuals = {"eps1": final.eps1, "eps2": final.eps2, "eta1": final.eta1,
-                     "eta2": final.eta2, "eta3": final.eta3, "eta4": final.eta4,
-                     "eta5": final.eta5, "eps3": final.eps3}
+    columns = _INEQ_COLUMNS if trace.form == "ineq" else _SDP_COLUMNS
+    # the residual columns sit between k and eps3
+    residuals = {c: trace.final.lookup(c) for c in columns[1:columns.index("eps3") + 1]}
     rates = {"eps3": _fit_or_none(trace.series("eps3"))}
     dist_w = trace.series("dist_w") if trace.form != "ineq" else np.array([])
     if dist_w.size and np.all(np.isfinite(dist_w)):

@@ -12,6 +12,7 @@ from conic_alm.alm import (AlmConfig, fit_linear_rate, ppm, solve_dual_alm,
                            solve_ineq_alm, solve_primal_alm, truncate_at_floor,
                            verify_ppm_alm_link)
 from conic_alm.auglag import primal_objective
+from conic_alm.fixtures import load_builtin
 from conic_alm.inner import minimize_auglag
 from conic_alm.model import (DualPoint, SdpProblem, apply_A, apply_Astar,
                              svm_instance, synth_known_solution, zero_dual)
@@ -101,24 +102,6 @@ class TestPrimalDriver:
             if rec.certified and rec.delta_k < 1.0:
                 bound = rec.dist_w_before / (1.0 - rec.delta_k)
                 assert rec.step_norm <= bound + 1e-9
-
-    def test_certified_iterations_satisfy_criteria(self):
-        # certification holds while the targets stay above the attainable
-        # floor; the early iterations must all certify and every certified
-        # record must satisfy both criteria literally
-        inst = synth_known_solution(n=4, m=4, rank_x=2, seed=2)
-        trace = quiet(solve_primal_alm, inst, zero_dual(inst.problem),
-                      AlmConfig(max_outer=30))
-        for rec in trace.records:
-            if rec.certified:
-                assert rec.gap_certificate <= rec.eps_k ** 2 / (2 * rec.r)
-                assert rec.gap_certificate <= (rec.delta_k * rec.step_norm) ** 2 / (2 * rec.r)
-        assert all(rec.certified for rec in trace.records[:5])
-
-    def test_warns_on_uncertified_tail(self, toy):
-        with pytest.warns(RuntimeWarning, match="without certified"):
-            solve_primal_alm(toy, zero_dual(toy.problem),
-                             AlmConfig(stop_eps3=1e-12, max_outer=30))
 
     def test_monotone_tightening_near_convergence(self):
         # the shrinking dual step forces ever tighter subproblem targets
@@ -222,6 +205,62 @@ class TestIneqDriver:
             bound = np.linalg.norm(z_prev - rec.z) / rec.r
             assert np.max(viol, initial=0.0) <= bound + 1e-10
             z_prev = rec.z
+
+
+FORMS = ["primal", "dual", "ineq"]
+
+
+def form_run(form):
+    """The solver of one form with its problem and start point: primal and
+    dual on a certified 4x4 SDP, ineq on lasso-random."""
+    if form == "ineq":
+        q = load_builtin("lasso-random")
+        return solve_ineq_alm, q, np.zeros(q.n_constraints)
+    inst = synth_known_solution(n=4, m=4, rank_x=2, seed=2)
+    if form == "primal":
+        return solve_primal_alm, inst, zero_dual(inst.problem)
+    return solve_dual_alm, inst, np.zeros((4, 4))
+
+
+def multiplier(form, point):
+    """The multiplier of a record (or of a start point) as one flat vector."""
+    if form == "primal":
+        return np.concatenate([point.y, point.Z.ravel()])
+    if form == "dual":
+        return (point if isinstance(point, np.ndarray) else point.X).ravel()
+    return point if isinstance(point, np.ndarray) else point.z
+
+
+class TestAllForms:
+    @pytest.mark.parametrize("form", FORMS)
+    def test_certified_iterations_satisfy_criteria(self, form):
+        # certification holds while the targets stay above the attainable
+        # floor; every certified record must satisfy both criteria literally
+        # with the step it recorded, and that step is the distance between
+        # consecutive recorded multipliers
+        solve, problem, start = form_run(form)
+        trace = quiet(solve, problem, start, AlmConfig(max_outer=30))
+        w_prev = multiplier(form, trace.start_point)
+        for rec in trace.records:
+            if rec.certified:
+                assert rec.gap_certificate <= rec.eps_k ** 2 / (2 * rec.r)
+                assert rec.gap_certificate <= (rec.delta_k * rec.step_norm) ** 2 / (2 * rec.r)
+            w = multiplier(form, rec)
+            assert rec.step_norm == pytest.approx(np.linalg.norm(w - w_prev), rel=1e-12)
+            w_prev = w
+        # on lasso-random the fourth iteration does not certify
+        if form != "ineq":
+            assert all(rec.certified for rec in trace.records[:5])
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_warns_on_uncertified_tail(self, form):
+        # the warning points at the caller of the public solve_*_alm function
+        solve, problem, start = form_run(form)
+        with pytest.warns(RuntimeWarning, match="without certified") as caught:
+            solve(problem, start, AlmConfig(stop_eps3=1e-12, max_outer=30))
+        ours = [w for w in caught if "without certified" in str(w.message)]
+        assert len(ours) == 1
+        assert ours[0].filename == __file__
 
 
 class TestPenaltyEffect:

@@ -1,9 +1,11 @@
 """Command-line surface: exit codes, output files, determinism."""
 
 import json
+import warnings
 
 import pytest
 
+from conic_alm import cli
 from conic_alm.cli import main
 from conic_alm.model import synth_known_solution
 from conic_alm.sdpa import sdpa_write
@@ -86,6 +88,52 @@ class TestSolve:
             run(["solve", "--builtin", "synth", "--n", "4", "--m", "5",
                  "--rank-x", "2", "--seed", "3", "--out", str(out)])
         assert (a / "trace.csv").read_bytes() == (b / "trace.csv").read_bytes()
+
+
+def expected_row(form, rec):
+    """The trace.csv row of one record, column by column."""
+    res = rec.residuals
+    if form == "ineq":
+        return [rec.k, res.feasibility, res.dual_feasibility, res.stationarity,
+                res.complementarity, res.cost_gap, res.eps3, rec.r, rec.eps_k,
+                rec.delta_k, rec.dist_x, rec.inner_iterations, rec.gap_certificate,
+                rec.certified]
+    return [rec.k, res.eps1, res.eps2, res.eta1, res.eta2, res.eta3, res.eta4,
+            res.eta5, res.eps3, rec.r, rec.eps_k, rec.delta_k, rec.dist_x,
+            rec.dist_w, rec.inner_iterations, rec.gap_certificate, rec.certified]
+
+
+RESIDUAL_KEYS = {
+    "sdp": ["eps1", "eps2", "eta1", "eta2", "eta3", "eta4", "eta5", "eps3"],
+    "ineq": ["feasibility", "dual_feasibility", "stationarity", "complementarity",
+             "cost_gap", "eps3"],
+}
+
+
+class TestTraceCells:
+    @pytest.mark.parametrize("builtin,form", [("example-d1", "primal"),
+                                              ("example-d1", "dual"),
+                                              ("lasso-random", "ineq")])
+    def test_cells_match_records(self, tmp_path, builtin, form):
+        argv = ["solve", "--builtin", builtin, "--form", form, "--out", str(tmp_path)]
+        run(argv)
+        # the same run in process, for the records behind each row
+        args = cli.build_parser().parse_args(argv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            trace = cli._run_solver(cli._load_instance(args), form,
+                                    cli._config_from_args(args))
+        lines = (tmp_path / "trace.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines[2:]]
+        assert len(rows) == len(trace.records)
+        for row, rec in zip(rows, trace.records):
+            assert row == [cli._fmt(v) for v in expected_row(form, rec)]
+        header = lines[1].split(",")
+        keys = RESIDUAL_KEYS["ineq" if form == "ineq" else "sdp"]
+        assert header[1:header.index("eps3") + 1] == keys
+        final = json.loads((tmp_path / "summary.json").read_text())["final_residuals"]
+        assert list(final) == keys
+        assert final == {key: getattr(trace.final.residuals, key) for key in keys}
 
 
 class TestVerify:
