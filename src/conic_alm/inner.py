@@ -12,6 +12,11 @@ acceptance tests used by the outer loops: criterion A compares it against
 eps_k^2 / (2 r_k) and criterion B against delta_k^2 ||w step||^2 / (2 r_k).
 Both checks are conservative because the certificate overestimates the true
 gap.
+
+The objective must be a deterministic function of the bits of its argument.
+At the floating-point floor a search can halve until ``x - t*g`` rounds to
+``x``; the next search would repeat it bitwise, so such null moves are
+replayed: they count toward ``iterations`` and ``history`` at no evaluation.
 """
 
 from dataclasses import dataclass
@@ -55,6 +60,9 @@ def minimize_auglag(value_and_grad, start, tol, max_iter=10000, diameter_bound=N
     (converged=False) when the gradient norm stops improving, which happens
     once the tolerance sits below the floating-point floor of the problem.
     ``history``, when given a list, receives the accepted objective values.
+    ``value_and_grad`` must be deterministic in the bits of its argument: after
+    a null move (``x - t*g`` rounds to ``x``) later iterations replay it, and
+    count toward ``iterations`` and ``history`` without evaluating.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -74,6 +82,7 @@ def minimize_auglag(value_and_grad, start, tol, max_iter=10000, diameter_bound=N
     f_ref = fx
     since_descent = 0
     it = 0
+    null_move = False
     while it < max_iter:
         gn = _norm(g)
         if gn < best[0]:
@@ -96,6 +105,12 @@ def minimize_auglag(value_and_grad, start, tol, max_iter=10000, diameter_bound=N
             since_descent += 1
             if since_descent > 25:
                 break
+        if null_move:
+            # Same (x, fx, g, step): the search would end in x again.
+            if history is not None:
+                history.append(fx)
+            it += 1
+            continue
         t = step
         x_new = x - t * g
         f_new, g_new = value_and_grad(x_new)
@@ -121,6 +136,7 @@ def minimize_auglag(value_and_grad, start, tol, max_iter=10000, diameter_bound=N
             # spectral step from the last meaningful move; otherwise keep the
             # previous estimate so a sub-ulp move cannot freeze the step
             step = ss / sy
+        null_move = x_new.tobytes() == x.tobytes()
         x, fx, g = x_new, f_new, g_new
         if history is not None:
             history.append(fx)

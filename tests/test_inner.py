@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
-from conic_alm.auglag import primal_objective
+from conic_alm.auglag import (default_diameter, dual_objective, ineq_objective,
+                              primal_objective)
+from conic_alm.fixtures import lasso_fixture
 from conic_alm.inner import (InnerSolveError, check_criterion_A, check_criterion_B,
                              minimize_auglag)
-from conic_alm.model import DualPoint
+from conic_alm.model import DualPoint, synth_known_solution
 from conic_alm.symcone import frob
 
 from conftest import random_sym
+from oracles import minimize_auglag_reference
 
 
 def quadratic_target(T):
@@ -113,6 +116,57 @@ class TestMinimizeAuglag:
         assert not res.converged
         assert res.iterations <= 3
         assert res.gap_upper_bound > 1e-12
+
+
+def floor_subproblem(name, certified5):
+    """(objective, start, diameter) of a subproblem solved to tol=1e-16.
+
+    The primal cases use the C3 shapes n = 3 (seed 100) and n = 6 (seed 103)
+    at r = 1 with perturbed optimal multipliers; all four end at the
+    floating-point floor, where line searches accept null moves.
+    """
+    if name.startswith("primal"):
+        n, m, rank_x, seed = {"primal-n3": (3, 3, 1, 100), "primal-n6": (6, 8, 3, 103)}[name]
+        inst = synth_known_solution(n=n, m=m, rank_x=rank_x, seed=seed)
+        y = inst.y_star + 0.1 * np.random.default_rng(0).standard_normal(m)
+        start = np.zeros((n, n))
+        return (primal_objective(inst.problem, DualPoint(y=y, Z=inst.z_star), 1.0), start,
+                default_diameter(inst.problem, start))
+    if name == "dual-certified5":
+        p = certified5.problem
+        return dual_objective(p, certified5.x_star, 1.0), np.zeros(p.m), 50.0
+    q = lasso_fixture()
+    obj = ineq_objective(q, np.ones(q.n_constraints), 1.0)
+    start = minimize_auglag(obj, np.zeros(q.dim), tol=1e-6, diameter_bound=50.0).minimizer
+    return obj, start, 50.0
+
+
+class TestNullMoveReplay:
+    @pytest.mark.parametrize("name", ["primal-n3", "primal-n6", "dual-certified5",
+                                      "ineq-lasso-random"])
+    def test_bitwise_equal_to_reference(self, name, certified5):
+        obj, start, diameter = floor_subproblem(name, certified5)
+        runs = []
+        for solver in (minimize_auglag_reference, minimize_auglag):
+            calls, history = [], []
+
+            def counted(x):
+                calls.append(None)
+                return obj(x)
+
+            res = solver(counted, start, tol=1e-16, max_iter=400, diameter_bound=diameter,
+                         history=history)
+            runs.append((res, np.array(history), len(calls)))
+        (ref, ref_history, ref_evals), (res, history, evals) = runs
+        assert res.minimizer.tobytes() == ref.minimizer.tobytes()
+        for field in ("value", "grad_norm", "gap_upper_bound", "iterations", "converged"):
+            assert getattr(res, field) == getattr(ref, field), field
+        assert history.tobytes() == ref_history.tobytes()
+        # the two loops differ only in replayed null moves, so fewer
+        # evaluations mean at least one null move was accepted
+        assert evals < ref_evals
+        if name.startswith("primal"):
+            assert 2 * evals <= ref_evals
 
 
 class TestCriteria:
