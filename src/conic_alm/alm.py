@@ -68,6 +68,8 @@ class AlmConfig:
             raise ValueError("need r0 > 0, r_growth >= 1, r_max >= r0")
         if not 0 < self.decay < 1:
             raise ValueError("decay must lie in (0, 1)")
+        if self.eps0 < 0 or self.delta0 < 0:
+            raise ValueError("need eps0 >= 0 and delta0 >= 0")
         if self.stop_eps3 <= 0 or self.max_outer < 1:
             raise ValueError("need stop_eps3 > 0 and max_outer >= 1")
 
@@ -251,21 +253,19 @@ def _sdp_record(p, oracle, X, w, dist_w_before, fields):
         dist_w_before=dist_w_before, **fields)
 
 
-def solve_primal_alm(p, w0, cfg=None, oracle=None, X0=None):
+def solve_primal_alm(p, w0, cfg=None):
     """Inexact ALM on the primal SDP; multipliers w = (y, Z) with Z kept PSD.
 
-    ``oracle`` may be a KnownSolutionInstance for the same problem, in which
-    case distance-to-solution columns are filled in. Terminates when the KKT
-    residual eps3 drops below ``cfg.stop_eps3`` or after ``cfg.max_outer``
-    iterations.
+    ``p`` is an SdpProblem, or a KnownSolutionInstance whose certified
+    solution fills in the distance-to-solution columns; X starts at 0.
+    Terminates when the KKT residual eps3 drops below ``cfg.stop_eps3`` or
+    after ``cfg.max_outer`` iterations.
     """
     cfg = cfg or AlmConfig()
-    if isinstance(p, KnownSolutionInstance):
-        oracle = p if oracle is None else oracle
-        p = p.problem
+    oracle = p if isinstance(p, KnownSolutionInstance) else None
+    p = oracle.problem if oracle else p
     if dist_psd(w0.Z) > 1e-9 * (1.0 + frob(w0.Z)):
         raise ValueError("initial Z must be positive semidefinite")
-    X = np.zeros((p.n, p.n)) if X0 is None else symmetrize(X0)
     track_w = oracle is not None and oracle.dual_unique
 
     def record(X, w, w_new, fields):
@@ -274,24 +274,23 @@ def solve_primal_alm(p, w0, cfg=None, oracle=None, X0=None):
 
     trace = AlmTrace(form="primal", problem_name=p.name, config=cfg, start_point=w0)
     return _outer_loop(trace, cfg, p, auglag.primal_objective, _primal_update,
-                       lambda Xc: auglag.default_diameter(p, Xc), record, X,
-                       DualPoint(y=w0.y.copy(), Z=w0.Z.copy()))
+                       lambda Xc: auglag.default_diameter(p, Xc), record,
+                       np.zeros((p.n, p.n)), DualPoint(y=w0.y.copy(), Z=w0.Z.copy()))
 
 
-def solve_dual_alm(p, X0, cfg=None, oracle=None, y0=None):
+def solve_dual_alm(p, X0, cfg=None):
     """Inexact ALM on the dual SDP; the multiplier X is kept PSD.
 
-    Iterates (y_k, X_k); the slack Z_k = C - A*(y_k) is affine-feasible by
-    construction, so the recorded eta3 residual is always zero.
+    Iterates (y_k, X_k) from (0, X0); the slack Z_k = C - A*(y_k) is
+    affine-feasible by construction, so the recorded eta3 residual is always
+    zero. ``p`` is taken as in :func:`solve_primal_alm`.
     """
     cfg = cfg or AlmConfig()
-    if isinstance(p, KnownSolutionInstance):
-        oracle = p if oracle is None else oracle
-        p = p.problem
+    oracle = p if isinstance(p, KnownSolutionInstance) else None
+    p = oracle.problem if oracle else p
     X0 = symmetrize(X0)
     if dist_psd(X0) > 1e-9 * (1.0 + frob(X0)):
         raise ValueError("initial X must be positive semidefinite")
-    y = np.zeros(p.m) if y0 is None else np.asarray(y0, dtype=float).copy()
     scale = 2.0 * (1.0 + float(np.linalg.norm(p.b)) + frob(p.C))
     track_x = oracle is not None and oracle.primal_unique
 
@@ -303,16 +302,15 @@ def solve_dual_alm(p, X0, cfg=None, oracle=None, y0=None):
     trace = AlmTrace(form="dual", problem_name=p.name, config=cfg, start_point=X0)
     return _outer_loop(trace, cfg, p, auglag.dual_objective, _dual_update,
                        lambda yc: scale + 2.0 * float(np.linalg.norm(yc)), record,
-                       y, X0.copy())
+                       np.zeros(p.m), X0.copy())
 
 
-def solve_ineq_alm(q, z0, cfg=None, x_star=None, f_star=None, x0=None):
-    """Inexact ALM on a convex QP with affine inequality constraints."""
+def solve_ineq_alm(q, z0, cfg=None, x_star=None, f_star=None):
+    """Inexact ALM on a convex QP with affine inequality constraints; x starts at 0."""
     cfg = cfg or AlmConfig()
     z = np.asarray(z0, dtype=float).copy()
     if z.shape != (q.n_constraints,) or np.any(z < 0):
         raise ValueError("z0 must be a nonnegative vector, one entry per constraint")
-    x = np.zeros(q.dim) if x0 is None else np.asarray(x0, dtype=float).copy()
     scale = 2.0 * (1.0 + float(np.linalg.norm(q.c)) + float(np.linalg.norm(q.h)))
 
     def record(x, z, z_new, fields):
@@ -325,7 +323,7 @@ def solve_ineq_alm(q, z0, cfg=None, x_star=None, f_star=None, x0=None):
     trace = AlmTrace(form="ineq", problem_name=q.name, config=cfg, start_point=z.copy())
     return _outer_loop(trace, cfg, q, auglag.ineq_objective, _ineq_update,
                        lambda xc: scale + 2.0 * float(np.linalg.norm(xc)), record,
-                       x, z)
+                       np.zeros(q.dim), z)
 
 
 @dataclass(frozen=True)
@@ -402,16 +400,15 @@ class LinkReport:
         return len(self.violations) == 0
 
 
-def verify_ppm_alm_link(p, trace, prox_accuracy=1e-10, tighten=0.1,
-                        inner_max_iter=20000):
+def verify_ppm_alm_link(p, trace):
     """Check ||w_{k+1} - prox(w_k)||^2 / (2 r_k) against the certified gap.
 
     The reference proximal point is the exact multiplier update at the exact
-    subproblem minimizer; it is approximated by re-solving each subproblem
-    ``tighten`` times tighter than the recorded certificate (warm-started at
-    the recorded iterate). The tolerance composes the recorded certificate,
-    the reference solve's own certificate, and ``prox_accuracy`` slack:
-    lhs <= (sqrt(gap_k) + sqrt(gap_ref))^2 + prox_accuracy.
+    subproblem minimizer; it is approximated by re-solving each subproblem to
+    a tenth of the recorded certificate (at least 1e-15, at most 20000 inner
+    iterations, warm-started at the recorded iterate). The tolerance composes
+    the recorded certificate, the reference solve's own certificate, and a
+    1e-10 slack: lhs <= (sqrt(gap_k) + sqrt(gap_ref))^2 + 1e-10.
     """
     if isinstance(p, KnownSolutionInstance):
         p = p.problem
@@ -422,15 +419,15 @@ def verify_ppm_alm_link(p, trace, prox_accuracy=1e-10, tighten=0.1,
     for rec in trace.records:
         r = rec.r
         objective = auglag.primal_objective(p, w_prev, r)
-        tol_ref = max(rec.gap_certificate * tighten, 1e-15)
-        ref = minimize_auglag(objective, rec.X, tol=tol_ref, max_iter=inner_max_iter,
+        tol_ref = max(rec.gap_certificate * 0.1, 1e-15)
+        ref = minimize_auglag(objective, rec.X, tol=tol_ref, max_iter=20000,
                               diameter_bound=auglag.default_diameter(p, rec.X))
         _, w_prox, _ = _primal_update(p, w_prev, ref.minimizer, r)
         dy = rec.y - w_prox.y
         dZ = rec.Z - w_prox.Z
         lhs = (float(dy @ dy) + float(np.sum(dZ * dZ))) / (2.0 * r)
         root = np.sqrt(rec.gap_certificate) + np.sqrt(ref.gap_upper_bound)
-        bound = root * root + prox_accuracy
+        bound = root * root + 1e-10
         rows.append(LinkRow(k=rec.k, lhs=lhs, bound=float(bound), ok=bool(lhs <= bound)))
         w_prev = DualPoint(y=rec.y, Z=rec.Z)
     violations = tuple(row for row in rows if not row.ok)

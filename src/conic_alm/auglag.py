@@ -126,16 +126,17 @@ def default_diameter(p, X):
     return 2.0 * (1.0 + frob(np.asarray(X)) + float(np.linalg.norm(p.b)) + frob(p.C))
 
 
-def dual_gap_lower_bound(p, w, X_trial, r, diameter_bound=None, feas_tol=1e-11):
+def dual_gap_lower_bound(p, w, X_trial, r, diameter_bound=None):
     """Certified lower bound on min_X L_r(X, w).
 
     Forms the candidate dual point u = (y + r(b - A(X)), proj_psd(Z - rX)).
     Its violation of the dual affine identity C - A*(u_y) - u_Z = 0 equals
-    grad_X L_r(X_trial, w); when that is negligible the Moreau-envelope value
-    g0(u) - ||u - w||^2 / (2r) is returned (a true lower bound since the
-    envelope is a maximum over dual points). Otherwise falls back to the
-    convexity bound L_r(X_trial, w) - ||grad|| * diameter_bound, valid
-    whenever the subproblem minimizer lies within diameter_bound of X_trial.
+    grad_X L_r(X_trial, w); when its norm is at most 1e-11 (1 + ||C||) the
+    Moreau-envelope value g0(u) - ||u - w||^2 / (2r) is returned (a true
+    lower bound since the envelope is a maximum over dual points). Otherwise
+    falls back to the convexity bound L_r(X_trial, w) - ||grad|| *
+    diameter_bound, valid whenever the subproblem minimizer lies within
+    diameter_bound of X_trial.
     """
     _check_r(r)
     X_trial = check_symmetric(X_trial, name="X_trial")
@@ -145,7 +146,7 @@ def dual_gap_lower_bound(p, w, X_trial, r, diameter_bound=None, feas_tol=1e-11):
     u_Z = project_psd(w.Z - r * X_trial)
     residual = symmetrize(p.C - apply_Astar(p, u_y) - u_Z)
     res_norm = frob(residual)
-    if res_norm <= feas_tol * (1.0 + frob(p.C)):
+    if res_norm <= 1e-11 * (1.0 + frob(p.C)):
         g0 = float(p.b @ u_y)
         dy = u_y - w.y
         dZ = u_Z - w.Z

@@ -9,8 +9,10 @@ per value and a side-by-side CSV of the KKT residual series.
 
 Exit codes: 0 on success/convergence, 2 when the run stopped before reaching
 the residual threshold (partial outputs are still written), 3 on input
-errors. Bench configurations run one after another: the solves hold the GIL,
-so running them on threads was measured slower than running them serially.
+errors (numeric values that the solver configuration, the instance
+synthesizer or a verifier rejects included). Bench configurations run one
+after another: the solves hold the GIL, so running them on threads was
+measured slower than running them serially.
 
 Traces are deterministic: a summary manifest (instance, config, seed) pins
 the run, and repeated runs produce byte-identical ``trace.csv``. The CSV
@@ -23,7 +25,7 @@ import json
 import sys
 import time
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +50,10 @@ _SDP_COLUMNS = ["k", "eps1", "eps2", "eta1", "eta2", "eta3", "eta4", "eta5", "ep
 _INEQ_COLUMNS = ["k", "feasibility", "dual_feasibility", "stationarity",
                  "complementarity", "cost_gap", "eps3", "r_k", "eps_k", "delta_k",
                  "dist_x", "inner_iterations", "gap_certificate", "certified"]
+
+
+# ``solve`` exposes every AlmConfig field except the inner budget as a flag.
+_CONFIG_FLAGS = [f for f in fields(AlmConfig) if f.name != "inner_budget"]
 
 
 class InputError(Exception):
@@ -107,10 +113,16 @@ def write_summary(trace, path, manifest, wall_time):
     Path(path).write_text(json.dumps(summary, indent=2, default=float) + "\n")
 
 
+def _config(**values):
+    """AlmConfig from command-line values; a rejected value is an input error."""
+    try:
+        return AlmConfig(**values)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+
+
 def _config_from_args(args):
-    return AlmConfig(r0=args.r0, r_growth=args.r_growth, r_max=args.r_max,
-                     eps0=args.eps0, delta0=args.delta0, decay=args.decay,
-                     max_outer=args.max_outer, stop_eps3=args.stop_eps3)
+    return _config(**{f.name: getattr(args, f.name) for f in _CONFIG_FLAGS})
 
 
 def _load_instance(args):
@@ -128,7 +140,7 @@ def _load_instance(args):
     try:
         return fixtures.load_builtin(name, n=args.n, m=args.m,
                                      rank_x=args.rank_x, seed=args.seed)
-    except KeyError as exc:
+    except (KeyError, ValueError) as exc:
         raise InputError(str(exc)) from exc
 
 
@@ -180,12 +192,8 @@ def _require_certified(instance, what):
     return instance
 
 
-def cmd_verify(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    name = args.verifier
-    report = {}
-    ok = False
+def _run_verifier(name, args):
+    """Run the verifier ``name`` on the parsed arguments; returns (ok, report)."""
     if name == "trace-bound":
         rep = theory.check_trace_bound(samples=args.samples, seed=args.seed)
         ok = len(rep.violated) == 0
@@ -258,6 +266,18 @@ def cmd_verify(args):
             report = {"iterations": len(rep.rows), "violations": len(rep.violations)}
         else:
             raise InputError(f"unknown verifier {name!r}")
+    return ok, report
+
+
+def cmd_verify(args):
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    name = args.verifier
+    try:
+        ok, report = _run_verifier(name, args)
+    except ValueError as exc:
+        # the verifiers reject out-of-range arguments (mu, rho, radius, ...)
+        raise InputError(f"{name}: {exc}") from exc
     report["verifier"] = name
     report["ok"] = ok
     Path(out / "report.json").write_text(json.dumps(report, indent=2, default=float) + "\n")
@@ -273,13 +293,14 @@ def cmd_bench(args):
         raise InputError(f"bad --r-list: {exc}") from exc
     if not r_values:
         raise InputError("--r-list must contain at least one value")
+    configs = {r0: _config(r0=r0, r_growth=args.r_growth, r_max=max(args.r_max, r0),
+                           max_outer=args.max_outer, stop_eps3=args.stop_eps3)
+               for r0 in r_values}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     traces = {}
-    for r0 in r_values:
-        cfg = AlmConfig(r0=r0, r_growth=args.r_growth, r_max=max(args.r_max, r0),
-                        max_outer=args.max_outer, stop_eps3=args.stop_eps3)
+    for r0, cfg in configs.items():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             traces[r0] = _run_solver(instance, args.form, cfg)
@@ -315,14 +336,8 @@ def _add_instance_args(sub):
 
 
 def _add_config_args(sub):
-    sub.add_argument("--r0", type=float, default=1.0)
-    sub.add_argument("--r-growth", type=float, default=1.25, dest="r_growth")
-    sub.add_argument("--r-max", type=float, default=100.0, dest="r_max")
-    sub.add_argument("--eps0", type=float, default=1.0)
-    sub.add_argument("--delta0", type=float, default=0.5)
-    sub.add_argument("--decay", type=float, default=0.7)
-    sub.add_argument("--max-outer", type=int, default=500, dest="max_outer")
-    sub.add_argument("--stop-eps3", type=float, default=1e-8, dest="stop_eps3")
+    for f in _CONFIG_FLAGS:
+        sub.add_argument("--" + f.name.replace("_", "-"), type=f.type, default=f.default)
 
 
 def build_parser():

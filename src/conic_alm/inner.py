@@ -50,15 +50,16 @@ def _norm(v):
 
 
 def minimize_auglag(value_and_grad, start, tol, max_iter=10000, diameter_bound=None,
-                    stall_patience=200, armijo=1e-4, history=None):
+                    history=None):
     """Minimize a smooth convex objective until the certified gap is <= tol.
 
     ``value_and_grad(point) -> (value, gradient)`` with gradient shaped like
     the point (works for vectors and symmetric matrices alike). Descent is
-    enforced every step by halving the trial step; the next step length is
-    re-initialized from the Barzilai-Borwein spectral estimate. Exits early
-    (converged=False) when the gradient norm stops improving, which happens
-    once the tolerance sits below the floating-point floor of the problem.
+    enforced every step by halving the trial step until the Armijo test
+    (constant 1e-4) holds; the next step length is re-initialized from the
+    Barzilai-Borwein spectral estimate. Exits early (converged=False) after
+    200 iterations without a relative 1e-4 gain in gradient norm, which
+    happens once the tolerance sits below the floating-point floor.
     ``history``, when given a list, receives the accepted objective values.
     ``value_and_grad`` must be deterministic in the bits of its argument: after
     a null move (``x - t*g`` rounds to ``x``) later iterations replay it, and
@@ -94,7 +95,7 @@ def minimize_auglag(value_and_grad, start, tol, max_iter=10000, diameter_bound=N
             stall = 0
         else:
             stall += 1
-            if stall > stall_patience:
+            if stall > 200:
                 break
         # Value-resolution floor: no resolvable descent for a whole window
         # means further certification progress is not measurable.
@@ -115,7 +116,7 @@ def minimize_auglag(value_and_grad, start, tol, max_iter=10000, diameter_bound=N
         x_new = x - t * g
         f_new, g_new = value_and_grad(x_new)
         backtracks = 0
-        while not (np.isfinite(f_new) and f_new <= fx - armijo * t * gn * gn) \
+        while not (np.isfinite(f_new) and f_new <= fx - 1e-4 * t * gn * gn) \
                 and backtracks < 60:
             t *= 0.5
             x_new = x - t * g

@@ -187,7 +187,7 @@ class KnownSolutionInstance:
         object.__setattr__(self, "primal_unique", pu)
         object.__setattr__(self, "dual_unique", du)
 
-    def certify(self, tol=CERTIFY_TOL):
+    def certify(self):
         p = self.problem
         checks = {
             "primal affine feasibility": float(np.linalg.norm(apply_A(p, self.x_star) - p.b)),
@@ -198,7 +198,7 @@ class KnownSolutionInstance:
             "primal value": abs(inner(p.C, self.x_star) - self.p_star),
             "dual value": abs(float(p.b @ self.y_star) - self.p_star),
         }
-        bad = {k: v for k, v in checks.items() if v > tol}
+        bad = {k: v for k, v in checks.items() if v > CERTIFY_TOL}
         if bad:
             raise CertificationError(f"certification failed: {bad}")
         return checks
@@ -215,14 +215,14 @@ class KnownSolutionInstance:
         return w.dist(self.w_star)
 
 
-def _numerical_rank(M, tol=1e-8):
+def _numerical_rank(M, tol):
     if M.size == 0:
         return 0
     sv = np.linalg.svd(M, compute_uv=False)
     return int(np.count_nonzero(sv > tol * max(float(sv[0]), 1e-300)))
 
 
-def solution_uniqueness(inst, tol=1e-8):
+def solution_uniqueness(inst):
     """Decide whether the primal and dual solution sets are singletons.
 
     Requires strict complementarity (else returns (False, False): nothing is
@@ -233,8 +233,10 @@ def solution_uniqueness(inst, tol=1e-8):
     keep C - A*(y) on the complementary face iff the blocks of A*(dy)
     touching P1 vanish, so the dual set is a singleton iff
     dy -> (P1' A*(dy) P1, P1' A*(dy) P2) is injective. Both reduce to rank
-    computations on explicit matrices.
+    computations on explicit matrices, with eigenvalues and singular values
+    counted above 1e-8 times the largest.
     """
+    tol = 1e-8
     p = inst.problem
     lam, Q = np.linalg.eigh(inst.x_star - inst.z_star)
     scale = max(float(np.max(np.abs(lam))), 1e-300)
@@ -260,20 +262,21 @@ def solution_uniqueness(inst, tol=1e-8):
     return bool(primal_unique), bool(dual_unique)
 
 
-def synth_known_solution(n, m, rank_x, seed, max_retries=20):
+def synth_known_solution(n, m, rank_x, seed):
     """Synthesize an SDP whose optimal triple is certified by construction.
 
     Draws an orthonormal basis, places X* on rank_x of its columns and Z* on
     the complementary ones (so rank(X*) + rank(Z*) = n and strict
     complementarity holds by design), then draws independent constraint
-    matrices and back-solves b and C from the KKT identities.
+    matrices and back-solves b and C from the KKT identities. Redraws up
+    to 20 times when the constraint matrices come out dependent.
     """
     if not 1 <= rank_x <= n:
         raise ValueError("rank_x must lie in [1, n]")
     if not 1 <= m <= n * (n + 1) // 2:
         raise ValueError("m must lie in [1, n(n+1)/2]")
     rng = np.random.default_rng(seed)
-    for attempt in range(max_retries):
+    for attempt in range(20):
         Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         d1 = rng.uniform(0.5, 1.5, size=rank_x)
         d2 = rng.uniform(0.5, 1.5, size=n - rank_x)
@@ -296,7 +299,7 @@ def synth_known_solution(n, m, rank_x, seed, max_retries=20):
         p_star = inner(C, x_star)
         return KnownSolutionInstance(problem=problem, x_star=x_star, y_star=y_star,
                                      z_star=z_star, p_star=p_star)
-    raise RuntimeError(f"failed to draw independent constraint matrices in {max_retries} tries")
+    raise RuntimeError("failed to draw independent constraint matrices in 20 tries")
 
 
 def maxcut_instance(weights, name="maxcut"):

@@ -18,8 +18,8 @@ import numpy as np
 # canonicalizing eigenvectors.
 _CLUSTER_TOL = 1e-9
 
-# Default relative rank cutoff (standard double-precision choice).
-DEFAULT_RANK_TOL = 1e-8
+# Relative rank cutoff of face_basis (standard double-precision choice).
+_RANK_TOL = 1e-8
 
 
 def symmetrize(M):
@@ -216,8 +216,8 @@ class FaceBasis:
         return self.p1.shape[0]
 
 
-def face_basis(Zbar, rank_tol=DEFAULT_RANK_TOL):
-    """Split eigenvectors of a PSD matrix by eigenvalue > rank_tol * lambda_max.
+def face_basis(Zbar):
+    """Split eigenvectors of a PSD matrix by eigenvalue > 1e-8 * lambda_max.
 
     For Zbar = 0 the rank is 0 and p2 spans everything (the face is the whole
     cone). Rejects matrices that are not PSD within tolerance.
@@ -230,7 +230,7 @@ def face_basis(Zbar, rank_tol=DEFAULT_RANK_TOL):
         raise ValueError(f"Zbar is not PSD (lambda_min = {lam[-1]:.3e})")
     lam_max = max(float(lam[0]), 0.0)
     if lam_max > 0:
-        r = int(np.count_nonzero(lam > rank_tol * lam_max))
+        r = int(np.count_nonzero(lam > _RANK_TOL * lam_max))
     else:
         r = 0
     p1 = dec.eigenvectors[:, :r]

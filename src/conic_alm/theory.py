@@ -278,15 +278,14 @@ class PreimageReport:
         return self.face_failures == 0 and self.off_face_detected == self.off_face_points
 
 
-def verify_penalty_preimage(zbar, rho, samples=50, probes=100, seed=0,
-                            slack=1e-8):
+def verify_penalty_preimage(zbar, rho, samples=50, probes=100, seed=0):
     """Sampled check that the penalty preimage of -zbar is the face of zbar.
 
     For X on the face {p2 B p2' : B PSD}, -zbar must satisfy the subgradient
-    inequality l(Y) >= l(X) + <-zbar, Y - X> at every probe Y; for PSD X off
-    the face (distance > 0.1) some probe must violate it. Probes combine
-    random directions with the face projection of X, which witnesses the
-    violation whenever <zbar, X> > 0. Requires tr(zbar) < rho.
+    inequality l(Y) >= l(X) + <-zbar, Y - X> - 1e-8 at every probe Y; for
+    PSD X off the face (distance > 0.1) some probe must violate it. Probes
+    combine random directions with the face projection of X, which witnesses
+    the violation whenever <zbar, X> > 0. Requires tr(zbar) < rho.
     """
     zbar = check_symmetric(zbar, name="zbar")
     if float(np.trace(zbar)) >= rho:
@@ -299,7 +298,7 @@ def verify_penalty_preimage(zbar, rho, samples=50, probes=100, seed=0,
         return exact_penalty(M, rho) if rho > 0 else 0.0
 
     def holds(X, Y):
-        return l(Y) >= l(X) + _inner(-zbar, Y - X) - slack
+        return l(Y) >= l(X) + _inner(-zbar, Y - X) - 1e-8
 
     def probe_points(X):
         pts = []
@@ -381,12 +380,14 @@ def verify_growth_lemma(xbar, zbar, mu, samples=10000, seed=0, penalty_rho=None)
     lhs_list, dist2_list, violated = [], [], []
     for i in range(samples):
         X = xbar + _sym_noise(rng, n, mu / 3.0)
+        radius = frob(X - xbar)
+        if radius > mu:
+            X = xbar + (X - xbar) * (mu / radius)
         if penalty_rho is None:
+            # projecting onto the cone keeps X in the ball (xbar is PSD)
             X = project_psd(X)
             lhs = _inner(zbar, X)
         else:
-            if frob(X - xbar) > mu:
-                X = xbar + (X - xbar) * (mu / frob(X - xbar))
             lhs = exact_penalty(X, penalty_rho) + _inner(zbar, X)
         d2 = dist_to_face(X, face) ** 2
         lhs_list.append(lhs)
@@ -439,8 +440,12 @@ class ComplementarityReport:
         return self.rank_x + self.rank_z == self.n
 
 
-def check_strict_complementarity(x, z, tol=1e-8):
-    """Rank-sum strict complementarity test for a complementary PSD pair."""
+def check_strict_complementarity(x, z):
+    """Rank-sum strict complementarity test for a complementary PSD pair.
+
+    PSD membership, <x, z> = 0 and the ranks are judged at a relative 1e-8.
+    """
+    tol = 1e-8
     x = check_symmetric(x, name="x")
     z = check_symmetric(z, name="z")
     scale = 1.0 + frob(x) + frob(z)
@@ -474,40 +479,40 @@ def _project_capped_simplex(v, beta):
     return np.maximum(v - theta, 0.0)
 
 
-def _prox_spectral_penalty(V, tau, rho):
-    """Proximal map of tau * rho * max(0, lambda_max(-.)) via eigenvalues."""
+def _prox_spectral_penalty(V, rho):
+    """Proximal map of rho * max(0, lambda_max(-.)) via eigenvalues."""
     dec = eig_sym(V)
-    shift = _project_capped_simplex(-dec.eigenvalues, tau * rho)
+    shift = _project_capped_simplex(-dec.eigenvalues, rho)
     lam = dec.eigenvalues + shift
     return symmetrize((dec.eigenvectors * lam) @ dec.eigenvectors.T)
 
 
-def minimize_penalized_affine(p, rho, tau=1.0, tol=1e-12, max_iter=50000,
-                              stop_below=None):
+def minimize_penalized_affine(p, rho, stop_below=None):
     """Minimize <C, X> + rho max(0, lambda_max(-X)) over the affine set A(X) = b.
 
-    Douglas-Rachford splitting between the linear-plus-affine-indicator part
-    (prox: shifted affine projection) and the spectral penalty (prox: capped
-    simplex shift of the eigenvalues). Both proximal maps are exact, so the
-    nonsmooth penalty needs no smoothing. ``stop_below`` aborts early once the
-    value sinks under it (the under-penalized problem can be unbounded, and
-    detecting the drop is all a negative control needs). Returns
-    (minimizer, value).
+    Douglas-Rachford splitting (unit step) between the linear-plus-affine-
+    indicator part (prox: shifted affine projection) and the spectral penalty
+    (prox: capped simplex shift of the eigenvalues). Both proximal maps are
+    exact, so the nonsmooth penalty needs no smoothing. Stops at a splitting
+    gap of 1e-12 (1 + ||X||) or after 50000 iterations. ``stop_below``
+    aborts early once the value sinks under it (the under-penalized problem
+    can be unbounded, and detecting the drop is all a negative control
+    needs). Returns (minimizer, value).
     """
     solve = _gram_solve(p)
     s = _project_affine(p, np.zeros((p.n, p.n)), solve)
     x = s
-    for it in range(max_iter):
-        x = _project_affine(p, s - tau * p.C, solve)
-        z = _prox_spectral_penalty(symmetrize(2.0 * x - s), tau, rho)
+    for it in range(50000):
+        x = _project_affine(p, s - p.C, solve)
+        z = _prox_spectral_penalty(symmetrize(2.0 * x - s), rho)
         gap = frob(z - x)
         s = symmetrize(s + z - x)
-        if gap <= tol * (1.0 + frob(x)):
+        if gap <= 1e-12 * (1.0 + frob(x)):
             break
         if stop_below is not None and it % 50 == 0:
             if _inner(p.C, x) + exact_penalty(x, rho) < stop_below:
                 break
-    x = _project_affine(p, s - tau * p.C, solve)
+    x = _project_affine(p, s - p.C, solve)
     value = _inner(p.C, x) + exact_penalty(x, rho)
     return x, value
 
@@ -542,8 +547,7 @@ class EquivalenceReport:
                 or self.subthreshold_dist > 1e-3)
 
 
-def exact_penalty_equivalence(inst, rho, check_subthreshold=True, tol=1e-12,
-                              max_iter=50000):
+def exact_penalty_equivalence(inst, rho, check_subthreshold=True):
     """Verify the penalized problem reproduces the solution iff rho is large.
 
     With rho > tr(z_star) the affine-constrained penalized minimizer must
@@ -559,16 +563,14 @@ def exact_penalty_equivalence(inst, rho, check_subthreshold=True, tol=1e-12,
                          "minimizer against x_star and needs a unique primal "
                          "solution")
     p = inst.problem
-    x_hat, value = minimize_penalized_affine(p, rho, tol=tol, max_iter=max_iter)
+    x_hat, value = minimize_penalized_affine(p, rho)
     dist = frob(x_hat - inst.x_star)
     gap = value - inst.p_star
     sub_rho = sub_dist = sub_gap = None
     if check_subthreshold and threshold > 0:
         sub_rho = threshold / 2.0
         floor = inst.p_star - 0.01 * (1.0 + abs(inst.p_star))
-        x_sub, v_sub = minimize_penalized_affine(p, sub_rho, tol=tol,
-                                                 max_iter=max_iter,
-                                                 stop_below=floor)
+        x_sub, v_sub = minimize_penalized_affine(p, sub_rho, stop_below=floor)
         sub_dist = frob(x_sub - inst.x_star)
         sub_gap = v_sub - inst.p_star
     return EquivalenceReport(rho=rho, dist_to_solution=dist, value_gap=gap,

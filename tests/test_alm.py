@@ -114,6 +114,25 @@ class TestPrimalDriver:
         assert all(b < a for a, b in zip(targets[1:], targets[2:]))
 
 
+class TestGroundTruth:
+    @pytest.mark.parametrize("form", ["primal", "dual"])
+    def test_distances_only_with_known_solution(self, form):
+        # ground truth enters as the instance itself and leaves the iterates alone
+        inst = synth_known_solution(n=4, m=4, rank_x=2, seed=2)
+        assert inst.primal_unique and inst.dual_unique
+        solve, start = ((solve_primal_alm, zero_dual(inst.problem)) if form == "primal"
+                        else (solve_dual_alm, np.zeros((4, 4))))
+        cfg = AlmConfig(max_outer=5)
+        known = quiet(solve, inst, start, cfg)
+        bare = quiet(solve, inst.problem, start, cfg)
+        assert len(known.records) == len(bare.records) == 5
+        for a, b in zip(known.records, bare.records):
+            assert a.dist_x is not None and a.dist_w is not None
+            assert a.dist_w_before is not None
+            assert b.dist_x is None and b.dist_w is None and b.dist_w_before is None
+            assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
+
+
 class TestDualDriver:
     def test_toy_instance(self, toy):
         cfg = AlmConfig(stop_eps3=1e-10, max_outer=200)
@@ -410,6 +429,12 @@ class TestConfig:
             AlmConfig(decay=1.0)
         with pytest.raises(ValueError):
             AlmConfig(r_max=0.5, r0=1.0)
+
+    @pytest.mark.parametrize("name", ["eps0", "delta0"])
+    def test_rejects_negative_schedule_start(self, name):
+        # a negative start would only fail inside the first criterion check
+        with pytest.raises(ValueError, match=name):
+            AlmConfig(**{name: -0.5})
 
     def test_penalty_schedule_capped(self):
         cfg = AlmConfig(r0=1.0, r_growth=2.0, r_max=5.0)

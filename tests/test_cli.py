@@ -6,6 +6,7 @@ import warnings
 import pytest
 
 from conic_alm import cli
+from conic_alm.alm import AlmConfig
 from conic_alm.cli import main
 from conic_alm.model import synth_known_solution
 from conic_alm.sdpa import sdpa_write
@@ -108,6 +109,26 @@ RESIDUAL_KEYS = {
     "ineq": ["feasibility", "dual_feasibility", "stationarity", "complementarity",
              "cost_gap", "eps3"],
 }
+
+
+class TestInputErrors:
+    def test_solve_defaults_build_default_config(self):
+        args = cli.build_parser().parse_args(["solve", "--builtin", "example-d1"])
+        assert cli._config_from_args(args) == AlmConfig()
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--builtin", "example-d1", "--r0", "-1"],
+        ["solve", "--builtin", "example-d1", "--max-outer", "0"],
+        ["solve", "--builtin", "example-d1", "--eps0", "-1"],
+        ["solve", "--builtin", "example-d1", "--delta0", "-0.5"],
+        ["bench", "--builtin", "example-d1", "--r-list", "1", "--r-growth", "0.5"],
+        ["solve", "--builtin", "synth", "--n", "3", "--m", "50"],
+        ["verify", "growth-lemma", "--builtin", "example-d1", "--mu", "-1"],
+        ["verify", "qg-dual", "--builtin", "example-d1", "--penalty", "--rho", "1"],
+    ], ids=["r0", "max-outer", "eps0", "delta0", "r-growth", "synth-m", "mu", "rho"])
+    def test_invalid_value_exits_3(self, argv, tmp_path, capsys):
+        assert run(argv + ["--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestTraceCells:

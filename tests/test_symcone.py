@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conic_alm.symcone import (dist_psd, dist_to_face, eig_sym, exact_penalty,
@@ -256,3 +258,31 @@ class TestMoreauSplit:
             assert abs(inner(P, N)) <= tol
             assert np.linalg.eigvalsh(P)[0] >= -1e-10 * (1.0 + frob(X))
             assert np.linalg.eigvalsh(N)[0] >= -1e-10 * (1.0 + frob(X))
+
+
+@st.composite
+def sym_pairs(draw):
+    """Two symmetric matrices of one size and scale, at a drawn distance apart."""
+    n = draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    X = random_sym(rng, n, scale)
+    Y = X + random_sym(rng, n, scale * 10.0 ** draw(st.integers(-8, 1)))
+    return X, Y
+
+
+class TestProperties:
+    @given(sym_pairs())
+    def test_project_psd_nonexpansive_and_idempotent(self, pair):
+        X, Y = pair
+        tol = 1e-13 * (1.0 + frob(X) + frob(Y))
+        P, Q = project_psd(X), project_psd(Y)
+        assert frob(P - Q) <= frob(X - Y) + tol
+        assert frob(project_psd(P) - P) <= tol
+
+    @given(sym_pairs())
+    def test_moreau_split_orthogonal(self, pair):
+        X, _ = pair
+        P, N = moreau_split(X)
+        assert frob(X - (P - N)) <= 1e-13 * (1.0 + frob(X))
+        assert abs(inner(P, N)) <= 1e-13 * (1.0 + frob(X) ** 2)

@@ -4,6 +4,7 @@ control for each (hypothesis violated => detectable failure)."""
 import numpy as np
 import pytest
 
+from conic_alm import theory
 from conic_alm.model import synth_known_solution
 from conic_alm.symcone import exact_penalty, face_basis, frob, project_psd, symmetrize
 from conic_alm.theory import (check_strict_complementarity, check_trace_bound,
@@ -191,6 +192,22 @@ class TestGrowthLemma:
             rep = verify_growth_lemma(xbar, zbar, mu=1.0, samples=1500,
                                       seed=trial)
             assert len(rep.violated) == 0
+
+    @pytest.mark.parametrize("shape", [(4, 5, 2, 300), (5, 6, 2, 401)])
+    def test_indicator_samples_stay_in_ball(self, monkeypatch, shape):
+        # the explicit constant is proven on the ball of radius mu around xbar
+        inst = synth_known_solution(*shape)
+        seen = []
+
+        def recording_project_psd(X):
+            seen.append(X)
+            return project_psd(X)
+
+        monkeypatch.setattr(theory, "project_psd", recording_project_psd)
+        rep = verify_growth_lemma(inst.x_star, inst.z_star, mu=1.0, samples=2000,
+                                  seed=0)
+        assert len(seen) == 2000 and len(rep.violated) == 0
+        assert max(frob(X - inst.x_star) for X in seen) <= 1.0 + 1e-12
 
     def test_rejects_noncomplementary(self):
         with pytest.raises(ValueError, match="complementary"):
