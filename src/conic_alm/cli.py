@@ -185,87 +185,77 @@ def cmd_solve(args):
     return EXIT_OK if trace.converged else EXIT_NOT_CONVERGED
 
 
-def _require_certified(instance, what):
-    if not isinstance(instance, KnownSolutionInstance):
-        raise InputError(f"{what} needs an instance with a certified solution "
-                         "(example-d1 or synth)")
-    return instance
-
-
 def _run_verifier(name, args):
     """Run the verifier ``name`` on the parsed arguments; returns (ok, report)."""
+    if name not in ("trace-bound", "no-sharp-growth"):
+        inst = _load_instance(args)
+        if not isinstance(inst, KnownSolutionInstance):
+            raise InputError(f"{name} needs an instance with a certified solution "
+                             "(example-d1 or synth)")
     if name == "trace-bound":
         rep = theory.check_trace_bound(samples=args.samples, seed=args.seed)
         ok = len(rep.violated) == 0
         report = {"violations": len(rep.violated), "samples": rep.sampled_points}
     elif name == "no-sharp-growth":
+        if args.grid_points < 1:
+            raise InputError(f"--grid-points must be at least 1, got {args.grid_points}")
         grid = np.linspace(0.0, 0.9, args.grid_points)
         rows = theory.no_sharp_growth_curve(grid, rho=args.rho or 4.0)
         errs = [abs(r.penalty_value - r.closed_form) for r in rows]
         ok = max(errs) <= 1e-10
         report = {"max_closed_form_error": max(errs),
                   "ratios": [r.ratio_upper_bound for r in rows]}
-    else:
-        instance = _load_instance(args)
-        if name == "growth-lemma":
-            inst = _require_certified(instance, name)
-            rep = theory.verify_growth_lemma(inst.x_star, inst.z_star, mu=args.mu,
-                                             samples=args.samples, seed=args.seed)
-            ok = len(rep.violated) == 0
-            report = {"kappa": rep.params["kappa"], "min_ratio": rep.min_ratio,
-                      "violations": len(rep.violated), "samples": rep.sampled_points}
-        elif name in ("qg-primal", "eb-primal", "qg-dual"):
-            inst = _require_certified(instance, name)
-            kwargs = dict(samples=args.samples, seed=args.seed,
-                          ball_radius=args.radius)
-            if name == "qg-primal":
-                rep = theory.verify_qg_primal(inst, gamma=args.gamma,
-                                              use_penalty=args.penalty,
-                                              rho=args.rho, **kwargs)
-            elif name == "eb-primal":
-                rep = theory.verify_eb_primal(inst, gamma=args.gamma,
-                                              alpha=args.alpha, **kwargs)
-            else:
-                y_grid = fixtures.GRIDS.get(args.grid) if args.grid else None
-                if args.grid and y_grid is None:
-                    raise InputError(f"unknown grid {args.grid!r}")
-                rep = theory.verify_qg_dual(inst, gamma=args.gamma,
-                                            use_penalty=args.penalty,
-                                            rho=args.rho, y_grid=y_grid, **kwargs)
-            ok = len(rep.violated) == 0
-            report = {"min_ratio": rep.min_ratio, "violations": len(rep.violated),
-                      "samples": rep.sampled_points, "params": rep.params}
-        elif name == "penalty-preimage":
-            inst = _require_certified(instance, name)
-            rho = args.rho or float(np.trace(inst.z_star)) + 1.0
-            rep = theory.verify_penalty_preimage(inst.z_star, rho,
-                                                 samples=args.samples // 100 or 20,
-                                                 seed=args.seed)
-            ok = rep.ok
-            report = asdict(rep)
-        elif name == "exact-penalty":
-            inst = _require_certified(instance, name)
-            rho = args.rho or 1.1 * float(np.trace(inst.z_star)) + 0.1
-            rep = theory.exact_penalty_equivalence(inst, rho)
-            ok = rep.equivalent and rep.subthreshold_detected in (True, None)
-            report = asdict(rep)
-        elif name == "strict-complementarity":
-            inst = _require_certified(instance, name)
-            rep = theory.check_strict_complementarity(inst.x_star, inst.z_star)
-            ok = rep.holds
-            report = {"rank_x": rep.rank_x, "rank_z": rep.rank_z, "n": rep.n,
-                      "holds": rep.holds}
-        elif name == "ppm-alm-link":
-            inst = _require_certified(instance, name)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                trace = solve_primal_alm(inst, zero_dual(inst.problem),
-                                         AlmConfig(max_outer=args.max_outer))
-            rep = verify_ppm_alm_link(inst.problem, trace)
-            ok = rep.ok
-            report = {"iterations": len(rep.rows), "violations": len(rep.violations)}
+    elif name == "growth-lemma":
+        rep = theory.verify_growth_lemma(inst.x_star, inst.z_star, mu=args.mu,
+                                         samples=args.samples, seed=args.seed)
+        ok = len(rep.violated) == 0
+        report = {"kappa": rep.params["kappa"], "min_ratio": rep.min_ratio,
+                  "violations": len(rep.violated), "samples": rep.sampled_points}
+    elif name in ("qg-primal", "eb-primal", "qg-dual"):
+        kwargs = dict(samples=args.samples, seed=args.seed,
+                      ball_radius=args.radius)
+        if name == "qg-primal":
+            rep = theory.verify_qg_primal(inst, gamma=args.gamma,
+                                          use_penalty=args.penalty,
+                                          rho=args.rho, **kwargs)
+        elif name == "eb-primal":
+            rep = theory.verify_eb_primal(inst, gamma=args.gamma,
+                                          alpha=args.alpha, **kwargs)
         else:
-            raise InputError(f"unknown verifier {name!r}")
+            y_grid = fixtures.GRIDS.get(args.grid) if args.grid else None
+            if args.grid and y_grid is None:
+                raise InputError(f"unknown grid {args.grid!r}")
+            rep = theory.verify_qg_dual(inst, gamma=args.gamma,
+                                        use_penalty=args.penalty,
+                                        rho=args.rho, y_grid=y_grid, **kwargs)
+        ok = len(rep.violated) == 0
+        report = {"min_ratio": rep.min_ratio, "violations": len(rep.violated),
+                  "samples": rep.sampled_points, "params": rep.params}
+    elif name == "penalty-preimage":
+        rho = args.rho or float(np.trace(inst.z_star)) + 1.0
+        rep = theory.verify_penalty_preimage(inst.z_star, rho,
+                                             samples=args.samples // 100 or 20,
+                                             seed=args.seed)
+        ok = rep.ok
+        report = asdict(rep)
+    elif name == "exact-penalty":
+        rho = args.rho or 1.1 * float(np.trace(inst.z_star)) + 0.1
+        rep = theory.exact_penalty_equivalence(inst, rho)
+        ok = rep.equivalent and rep.subthreshold_detected in (True, None)
+        report = asdict(rep)
+    elif name == "strict-complementarity":
+        rep = theory.check_strict_complementarity(inst.x_star, inst.z_star)
+        ok = rep.holds
+        report = {"rank_x": rep.rank_x, "rank_z": rep.rank_z, "n": rep.n,
+                  "holds": rep.holds}
+    elif name == "ppm-alm-link":
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            trace = solve_primal_alm(inst, zero_dual(inst.problem),
+                                     AlmConfig(max_outer=args.max_outer))
+        rep = verify_ppm_alm_link(inst.problem, trace)
+        ok = rep.ok
+        report = {"iterations": len(rep.rows), "violations": len(rep.violations)}
     return ok, report
 
 
@@ -391,10 +381,7 @@ def main(argv=None):
     handlers = {"solve": cmd_solve, "verify": cmd_verify, "bench": cmd_bench}
     try:
         return handlers[args.command](args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (SdpaFormatError, FileNotFoundError) as exc:
+    except (InputError, SdpaFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -10,7 +10,11 @@ rank-sum strict complementarity test, and the equivalence of the penalized
 and cone-constrained problems above the trace threshold.
 
 Verifiers report counts and extremal ratios instead of asserting; tests and
-the command line decide what counts as failure. All sampling is seeded.
+the command line decide what counts as failure. All sampling is seeded and
+needs samples >= 1. The quadratic growth and error bound verifiers perturb
+the solution by noise of scale ball_radius / 3, keep the points within
+ball_radius > 0 of it, and give up with a ValueError after 100 draws per
+requested sample, or after 2000 draws when none has landed.
 """
 
 from dataclasses import dataclass
@@ -60,16 +64,43 @@ def _sym_noise(rng, n, sigma):
     return symmetrize(rng.standard_normal((n, n))) * sigma
 
 
-def _ratio_report(lhs_list, dist2_list, params):
+def _ratio_report(lhs_list, dist2_list, params, violated=None):
     lhs = np.asarray(lhs_list)
     dist2 = np.asarray(dist2_list)
-    scale = 1.0 + np.abs(lhs) + dist2
-    violated = tuple(int(i) for i in np.nonzero(lhs < -1e-10 * scale)[0])
+    if violated is None:  # a left-hand side negative beyond rounding
+        violated = lambda lhs, dist2: lhs < -1e-10 * (1.0 + np.abs(lhs) + dist2)
     mask = dist2 > 1e-12
     ratios = lhs[mask] / dist2[mask]
     min_ratio = float(ratios.min()) if ratios.size else float("inf")
     return GrowthReport(sampled_points=int(lhs.size), min_ratio=min_ratio,
-                        violated=violated, params=params)
+                        violated=tuple(int(i) for i in np.nonzero(violated(lhs, dist2))[0]),
+                        params=params)
+
+
+def _check_samples(samples):
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+
+
+def _ball_report(samples, ball_radius, seed, draw, lhs_of, params):
+    """Ball sampler (contract in the module docstring): ``draw(rng, sigma)`` gives a
+    point and its squared distance to the solution, ``lhs_of(point)`` the lhs."""
+    _check_samples(samples)
+    if ball_radius <= 0:
+        raise ValueError(f"ball_radius must be positive, got {ball_radius}")
+    rng = np.random.default_rng(seed)
+    lhs_list, dist2_list = [], []
+    for i in range(100 * samples):
+        point, dist2 = draw(rng, ball_radius / 3.0)
+        if np.sqrt(dist2) <= ball_radius:
+            lhs_list.append(lhs_of(point))
+            dist2_list.append(dist2)
+            if len(lhs_list) == samples:
+                return _ratio_report(lhs_list, dist2_list, params)
+        elif i == 1999 and not lhs_list:
+            break  # the ball is out of reach
+    raise ValueError(f"only {len(lhs_list)} of {i + 1} draws landed within ball_radius "
+                     f"{ball_radius:g} of the solution; {samples} needed")
 
 
 def verify_qg_primal(inst, gamma=None, ball_radius=1.0, samples=2000,
@@ -93,30 +124,24 @@ def verify_qg_primal(inst, gamma=None, ball_radius=1.0, samples=2000,
     if use_penalty:
         if rho is None or rho <= float(np.trace(inst.z_star)) + 1e-9:
             raise ValueError("penalty variant needs rho > tr(z_star)")
-    if ball_radius <= 0:
-        raise ValueError("ball_radius must be positive")
-    rng = np.random.default_rng(seed)
     solve = _gram_solve(p)
-    sigma = ball_radius / 3.0
-    lhs_list, dist2_list = [], []
-    kept = 0
-    while kept < samples:
+
+    def draw(rng, sigma):
         X = inst.x_star + _sym_noise(rng, p.n, sigma)
         X = _project_affine(p, X, solve)
         if not use_penalty:
             X = project_psd(X)
-        if frob(X - inst.x_star) > ball_radius:
-            continue
-        kept += 1
+        return X, frob(X - inst.x_star) ** 2
+
+    def lhs_of(X):
         value = _inner(p.C, X)
         if use_penalty:
             value += exact_penalty(X, rho)
-        lhs = value - inst.p_star + gamma * float(np.linalg.norm(apply_A(p, X) - p.b))
-        lhs_list.append(lhs)
-        dist2_list.append(frob(X - inst.x_star) ** 2)
-    return _ratio_report(lhs_list, dist2_list,
-                         dict(gamma=gamma, ball_radius=ball_radius,
-                              use_penalty=use_penalty, rho=rho, seed=seed))
+        return value - inst.p_star + gamma * float(np.linalg.norm(apply_A(p, X) - p.b))
+
+    return _ball_report(samples, ball_radius, seed, draw, lhs_of,
+                        dict(gamma=gamma, ball_radius=ball_radius,
+                             use_penalty=use_penalty, rho=rho, seed=seed))
 
 
 def verify_eb_primal(inst, gamma=None, alpha=None, ball_radius=1.0, samples=2000,
@@ -134,23 +159,19 @@ def verify_eb_primal(inst, gamma=None, alpha=None, ball_radius=1.0, samples=2000
         gamma = _default_gamma(inst)
     if alpha is None:
         alpha = _default_gamma(inst)
-    rng = np.random.default_rng(seed)
-    sigma = ball_radius / 3.0
-    lhs_list, dist2_list = [], []
-    kept = 0
-    while kept < samples:
+
+    def draw(rng, sigma):
         X = inst.x_star + _sym_noise(rng, p.n, sigma)
-        if frob(X - inst.x_star) > ball_radius:
-            continue
-        kept += 1
-        lhs = (_inner(p.C, X) - inst.p_star
-               + gamma * float(np.linalg.norm(apply_A(p, X) - p.b))
-               + alpha * dist_psd(X))
-        lhs_list.append(lhs)
-        dist2_list.append(frob(X - inst.x_star) ** 2)
-    return _ratio_report(lhs_list, dist2_list,
-                         dict(gamma=gamma, alpha=alpha, ball_radius=ball_radius,
-                              seed=seed))
+        return X, frob(X - inst.x_star) ** 2
+
+    def lhs_of(X):
+        return (_inner(p.C, X) - inst.p_star
+                + gamma * float(np.linalg.norm(apply_A(p, X) - p.b))
+                + alpha * dist_psd(X))
+
+    return _ball_report(samples, ball_radius, seed, draw, lhs_of,
+                        dict(gamma=gamma, alpha=alpha, ball_radius=ball_radius,
+                             seed=seed))
 
 
 def verify_qg_dual(inst, gamma=None, ball_radius=1.0, samples=2000,
@@ -179,7 +200,6 @@ def verify_qg_dual(inst, gamma=None, ball_radius=1.0, samples=2000,
         if rho is None or rho <= float(np.trace(inst.x_star)) + 1e-9:
             raise ValueError("penalty variant needs rho > tr(x_star)")
     d_star = inst.p_star
-    lhs_list, dist2_list = [], []
 
     def dual_value(y, Z):
         value = -float(p.b @ y)
@@ -190,6 +210,7 @@ def verify_qg_dual(inst, gamma=None, ball_radius=1.0, samples=2000,
     if y_grid is not None:
         if p.m != 2:
             raise ValueError("y_grid sampling needs a problem with m = 2")
+        lhs_list, dist2_list = [], []
         for y1 in y_grid:
             for y2 in y_grid:
                 y = np.array([float(y1), float(y2)])
@@ -202,11 +223,9 @@ def verify_qg_dual(inst, gamma=None, ball_radius=1.0, samples=2000,
                              dict(gamma=gamma, use_penalty=use_penalty, rho=rho,
                                   grid_points=len(y_grid)))
 
-    rng = np.random.default_rng(seed)
     lhs_mat = np.eye(p.m) + p.A_flat @ p.A_flat.T
-    sigma = ball_radius / 3.0
-    kept = 0
-    while kept < samples:
+
+    def draw(rng, sigma):
         y = inst.y_star + rng.standard_normal(p.m) * sigma
         Z = inst.z_star + _sym_noise(rng, p.n, sigma)
         # least-squares correction onto the dual affine set Z = C - A*(y)
@@ -214,17 +233,15 @@ def verify_qg_dual(inst, gamma=None, ball_radius=1.0, samples=2000,
         Z = symmetrize(p.C - apply_Astar(p, y))
         if not use_penalty:
             Z = project_psd(Z)
-        dist2 = float(np.sum((y - inst.y_star) ** 2)) + frob(Z - inst.z_star) ** 2
-        if np.sqrt(dist2) > ball_radius:
-            continue
-        kept += 1
-        lhs = (dual_value(y, Z) + d_star
-               + gamma * frob(p.C - apply_Astar(p, y) - Z))
-        lhs_list.append(lhs)
-        dist2_list.append(dist2)
-    return _ratio_report(lhs_list, dist2_list,
-                         dict(gamma=gamma, ball_radius=ball_radius,
-                              use_penalty=use_penalty, rho=rho, seed=seed))
+        return (y, Z), float(np.sum((y - inst.y_star) ** 2)) + frob(Z - inst.z_star) ** 2
+
+    def lhs_of(point):
+        y, Z = point
+        return dual_value(y, Z) + d_star + gamma * frob(p.C - apply_Astar(p, y) - Z)
+
+    return _ball_report(samples, ball_radius, seed, draw, lhs_of,
+                        dict(gamma=gamma, ball_radius=ball_radius,
+                             use_penalty=use_penalty, rho=rho, seed=seed))
 
 
 @dataclass(frozen=True)
@@ -290,6 +307,7 @@ def verify_penalty_preimage(zbar, rho, samples=50, probes=100, seed=0):
     zbar = check_symmetric(zbar, name="zbar")
     if float(np.trace(zbar)) >= rho:
         raise ValueError("the preimage identity needs tr(zbar) < rho")
+    _check_samples(samples)
     n = zbar.shape[0]
     face = face_basis(zbar)
     rng = np.random.default_rng(seed)
@@ -362,6 +380,7 @@ def verify_growth_lemma(xbar, zbar, mu, samples=10000, seed=0, penalty_rho=None)
         raise ValueError("xbar and zbar must be complementary (<xbar, zbar> = 0)")
     if mu <= 0:
         raise ValueError("mu must be positive")
+    _check_samples(samples)
     n = xbar.shape[0]
     face = face_basis(zbar)
     kappa = face.lambda1_min / (3.0 * mu + 2.0 * frob(xbar))
@@ -377,8 +396,8 @@ def verify_growth_lemma(xbar, zbar, mu, samples=10000, seed=0, penalty_rho=None)
         kappa_used = kappa
     rng = np.random.default_rng(seed)
     tol = 1e-10 * scale * (1.0 + mu) ** 2
-    lhs_list, dist2_list, violated = [], [], []
-    for i in range(samples):
+    lhs_list, dist2_list = [], []
+    for _ in range(samples):
         X = xbar + _sym_noise(rng, n, mu / 3.0)
         radius = frob(X - xbar)
         if radius > mu:
@@ -386,21 +405,13 @@ def verify_growth_lemma(xbar, zbar, mu, samples=10000, seed=0, penalty_rho=None)
         if penalty_rho is None:
             # projecting onto the cone keeps X in the ball (xbar is PSD)
             X = project_psd(X)
-            lhs = _inner(zbar, X)
+            lhs_list.append(_inner(zbar, X))
         else:
-            lhs = exact_penalty(X, penalty_rho) + _inner(zbar, X)
-        d2 = dist_to_face(X, face) ** 2
-        lhs_list.append(lhs)
-        dist2_list.append(d2)
-        if lhs + tol < kappa_used * d2:
-            violated.append(i)
-    mask = np.asarray(dist2_list) > 1e-12
-    ratios = np.asarray(lhs_list)[mask] / np.asarray(dist2_list)[mask]
-    min_ratio = float(ratios.min()) if ratios.size else float("inf")
-    return GrowthReport(sampled_points=samples, min_ratio=min_ratio,
-                        violated=tuple(violated),
-                        params=dict(kappa=kappa_used, mu=mu, seed=seed,
-                                    penalty_rho=penalty_rho))
+            lhs_list.append(exact_penalty(X, penalty_rho) + _inner(zbar, X))
+        dist2_list.append(dist_to_face(X, face) ** 2)
+    return _ratio_report(lhs_list, dist2_list,
+                         dict(kappa=kappa_used, mu=mu, seed=seed, penalty_rho=penalty_rho),
+                         violated=lambda lhs, dist2: lhs + tol < kappa_used * dist2)
 
 
 def check_trace_bound(samples=10000, n_range=(2, 8), seed=0):
@@ -409,6 +420,7 @@ def check_trace_bound(samples=10000, n_range=(2, 8), seed=0):
     Draws PSD matrices M = R R', splits them as [[A, B], [B', D]] at a random
     position, and counts violations beyond 1e-10 (1 + ||M||^2).
     """
+    _check_samples(samples)
     rng = np.random.default_rng(seed)
     lo, hi = n_range
     violated = []

@@ -4,13 +4,18 @@ Each helper recomputes a quantity by a route the library does not use:
 closed-form 2x2 eigensystems, naive double-loop linear maps, tensor
 contractions over the (m, n, n) constraint stack, central finite
 differences, brute-force minimization over a parameter grid, scalar closed
-forms, and an inner solver that evaluates every line search. Expected values
-frozen in the tests were produced by these.
+forms, an inner solver that evaluates every line search, and growth verifiers
+that each keep their own rejection loop. Expected values frozen in the tests
+were produced by these.
 """
 
 import numpy as np
 
 from conic_alm.inner import InnerResult, InnerSolveError, _norm
+from conic_alm.model import apply_A, apply_Astar, inner as _inner
+from conic_alm.symcone import dist_psd, exact_penalty, frob, project_psd, symmetrize
+from conic_alm.theory import (_default_gamma, _gram_solve, _project_affine, _ratio_report,
+                              _sym_noise)
 
 
 def eig2x2(M):
@@ -212,3 +217,122 @@ def minimize_auglag_reference(value_and_grad, start, tol, max_iter=10000,
     gap = gn * diameter_bound
     return InnerResult(minimizer=x, gap_upper_bound=gap, grad_norm=gn,
                        iterations=it, converged=bool(gap <= tol), value=fx)
+
+
+# The growth verifiers as they were before they shared one ball sampler: each
+# keeps its own unbounded rejection loop. The library's verify_qg_primal,
+# verify_eb_primal and verify_qg_dual (sampled branch) must return equal
+# reports. verify_qg_dual_reference leaves out the y_grid branch, which does
+# not sample.
+
+
+def verify_qg_primal_reference(inst, gamma=None, ball_radius=1.0, samples=2000,
+                               use_penalty=False, rho=None, seed=0):
+    p = inst.problem
+    if not inst.primal_unique:
+        raise ValueError("growth checks need an instance with a unique primal "
+                         "solution (distance to the solution set is measured "
+                         "against x_star)")
+    if gamma is None:
+        gamma = _default_gamma(inst)
+    if use_penalty:
+        if rho is None or rho <= float(np.trace(inst.z_star)) + 1e-9:
+            raise ValueError("penalty variant needs rho > tr(z_star)")
+    if ball_radius <= 0:
+        raise ValueError("ball_radius must be positive")
+    rng = np.random.default_rng(seed)
+    solve = _gram_solve(p)
+    sigma = ball_radius / 3.0
+    lhs_list, dist2_list = [], []
+    kept = 0
+    while kept < samples:
+        X = inst.x_star + _sym_noise(rng, p.n, sigma)
+        X = _project_affine(p, X, solve)
+        if not use_penalty:
+            X = project_psd(X)
+        if frob(X - inst.x_star) > ball_radius:
+            continue
+        kept += 1
+        value = _inner(p.C, X)
+        if use_penalty:
+            value += exact_penalty(X, rho)
+        lhs = value - inst.p_star + gamma * float(np.linalg.norm(apply_A(p, X) - p.b))
+        lhs_list.append(lhs)
+        dist2_list.append(frob(X - inst.x_star) ** 2)
+    return _ratio_report(lhs_list, dist2_list,
+                         dict(gamma=gamma, ball_radius=ball_radius,
+                              use_penalty=use_penalty, rho=rho, seed=seed))
+
+
+def verify_eb_primal_reference(inst, gamma=None, alpha=None, ball_radius=1.0,
+                               samples=2000, seed=0):
+    p = inst.problem
+    if not inst.primal_unique:
+        raise ValueError("growth checks need an instance with a unique primal "
+                         "solution")
+    if gamma is None:
+        gamma = _default_gamma(inst)
+    if alpha is None:
+        alpha = _default_gamma(inst)
+    rng = np.random.default_rng(seed)
+    sigma = ball_radius / 3.0
+    lhs_list, dist2_list = [], []
+    kept = 0
+    while kept < samples:
+        X = inst.x_star + _sym_noise(rng, p.n, sigma)
+        if frob(X - inst.x_star) > ball_radius:
+            continue
+        kept += 1
+        lhs = (_inner(p.C, X) - inst.p_star
+               + gamma * float(np.linalg.norm(apply_A(p, X) - p.b))
+               + alpha * dist_psd(X))
+        lhs_list.append(lhs)
+        dist2_list.append(frob(X - inst.x_star) ** 2)
+    return _ratio_report(lhs_list, dist2_list,
+                         dict(gamma=gamma, alpha=alpha, ball_radius=ball_radius,
+                              seed=seed))
+
+
+def verify_qg_dual_reference(inst, gamma=None, ball_radius=1.0, samples=2000,
+                             use_penalty=False, rho=None, seed=0):
+    p = inst.problem
+    if not inst.dual_unique:
+        raise ValueError("dual growth checks need an instance with a unique "
+                         "dual solution")
+    if gamma is None:
+        gamma = 2.0 * (1.0 + float(np.linalg.norm(inst.y_star)) + frob(inst.z_star))
+    if use_penalty:
+        if rho is None or rho <= float(np.trace(inst.x_star)) + 1e-9:
+            raise ValueError("penalty variant needs rho > tr(x_star)")
+    d_star = inst.p_star
+    lhs_list, dist2_list = [], []
+
+    def dual_value(y, Z):
+        value = -float(p.b @ y)
+        if use_penalty:
+            value += exact_penalty(Z, rho)
+        return value
+
+    rng = np.random.default_rng(seed)
+    lhs_mat = np.eye(p.m) + p.A_flat @ p.A_flat.T
+    sigma = ball_radius / 3.0
+    kept = 0
+    while kept < samples:
+        y = inst.y_star + rng.standard_normal(p.m) * sigma
+        Z = inst.z_star + _sym_noise(rng, p.n, sigma)
+        # least-squares correction onto the dual affine set Z = C - A*(y)
+        y = np.linalg.solve(lhs_mat, y + apply_A(p, p.C - Z))
+        Z = symmetrize(p.C - apply_Astar(p, y))
+        if not use_penalty:
+            Z = project_psd(Z)
+        dist2 = float(np.sum((y - inst.y_star) ** 2)) + frob(Z - inst.z_star) ** 2
+        if np.sqrt(dist2) > ball_radius:
+            continue
+        kept += 1
+        lhs = (dual_value(y, Z) + d_star
+               + gamma * frob(p.C - apply_Astar(p, y) - Z))
+        lhs_list.append(lhs)
+        dist2_list.append(dist2)
+    return _ratio_report(lhs_list, dist2_list,
+                         dict(gamma=gamma, ball_radius=ball_radius,
+                              use_penalty=use_penalty, rho=rho, seed=seed))

@@ -1,7 +1,11 @@
 """Command-line surface: exit codes, output files, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,8 @@ from conic_alm.alm import AlmConfig
 from conic_alm.cli import main
 from conic_alm.model import synth_known_solution
 from conic_alm.sdpa import sdpa_write
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(args):
@@ -116,19 +122,59 @@ class TestInputErrors:
         args = cli.build_parser().parse_args(["solve", "--builtin", "example-d1"])
         assert cli._config_from_args(args) == AlmConfig()
 
-    @pytest.mark.parametrize("argv", [
-        ["solve", "--builtin", "example-d1", "--r0", "-1"],
-        ["solve", "--builtin", "example-d1", "--max-outer", "0"],
-        ["solve", "--builtin", "example-d1", "--eps0", "-1"],
-        ["solve", "--builtin", "example-d1", "--delta0", "-0.5"],
-        ["bench", "--builtin", "example-d1", "--r-list", "1", "--r-growth", "0.5"],
-        ["solve", "--builtin", "synth", "--n", "3", "--m", "50"],
-        ["verify", "growth-lemma", "--builtin", "example-d1", "--mu", "-1"],
-        ["verify", "qg-dual", "--builtin", "example-d1", "--penalty", "--rho", "1"],
-    ], ids=["r0", "max-outer", "eps0", "delta0", "r-growth", "synth-m", "mu", "rho"])
-    def test_invalid_value_exits_3(self, argv, tmp_path, capsys):
+    @pytest.mark.parametrize("argv,names", [
+        pytest.param(["solve", "--builtin", "example-d1", "--r0", "-1"], "r0", id="r0"),
+        pytest.param(["solve", "--builtin", "example-d1", "--max-outer", "0"], "max_outer",
+                     id="max-outer"),
+        pytest.param(["solve", "--builtin", "example-d1", "--eps0", "-1"], "eps0", id="eps0"),
+        pytest.param(["solve", "--builtin", "example-d1", "--delta0", "-0.5"], "delta0",
+                     id="delta0"),
+        pytest.param(["bench", "--builtin", "example-d1", "--r-list", "1", "--r-growth", "0.5"],
+                     "r_growth", id="r-growth"),
+        pytest.param(["solve", "--builtin", "synth", "--n", "3", "--m", "50"], "m must",
+                     id="synth-m"),
+        pytest.param(["verify", "growth-lemma", "--builtin", "example-d1", "--mu", "-1"], "mu",
+                     id="mu"),
+        pytest.param(["verify", "qg-dual", "--builtin", "example-d1", "--penalty", "--rho", "1"],
+                     "rho", id="rho"),
+        pytest.param(["verify", "trace-bound", "--samples", "-5"], "samples",
+                     id="trace-bound-samples"),
+        pytest.param(["verify", "growth-lemma", "--builtin", "example-d1", "--samples", "0"],
+                     "samples", id="growth-lemma-samples"),
+        pytest.param(["verify", "qg-primal", "--builtin", "example-d1", "--samples", "-1"],
+                     "samples", id="qg-primal-samples"),
+        # the preimage check runs on --samples // 100 face points
+        pytest.param(["verify", "penalty-preimage", "--builtin", "example-d1",
+                      "--samples", "-300"], "samples", id="penalty-preimage-samples"),
+        pytest.param(["verify", "eb-primal", "--builtin", "example-d1", "--radius", "0"],
+                     "ball_radius", id="eb-primal-radius"),
+        pytest.param(["verify", "no-sharp-growth", "--grid-points", "0"], "--grid-points",
+                     id="grid-points"),
+        pytest.param(["verify", "no-sharp-growth", "--grid-points", "-2"], "--grid-points",
+                     id="grid-points-negative"),
+    ])
+    def test_invalid_value_exits_3(self, argv, names, tmp_path, capsys):
         assert run(argv + ["--out", str(tmp_path)]) == 3
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and names in err
+
+    # Without the ball sampler's draw cap each of these would loop forever; a
+    # child process lets the timeout stop it.
+    @pytest.mark.parametrize("argv", [
+        ["qg-dual", "--builtin", "example-d1", "--radius", "0"],
+        ["eb-primal", "--builtin", "synth", "--n", "8", "--m", "10", "--rank-x", "3",
+         "--seed", "1", "--samples", "10"],
+        ["qg-primal", "--builtin", "example-d1", "--radius", "1e-20"],
+    ], ids=["qg-dual-radius-0", "eb-primal-out-of-reach", "qg-primal-radius-1e-20"])
+    def test_unreachable_ball_exits_3(self, argv, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        done = subprocess.run([sys.executable, "-m", "conic_alm.cli", "verify", *argv,
+                               "--out", str(tmp_path)], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 3
+        assert done.stderr.startswith("error: ") and "ball_radius" in done.stderr
 
 
 class TestTraceCells:

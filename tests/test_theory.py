@@ -12,7 +12,9 @@ from conic_alm.theory import (check_strict_complementarity, check_trace_bound,
                               no_sharp_growth_curve, verify_eb_primal,
                               verify_growth_lemma, verify_penalty_preimage,
                               verify_qg_dual, verify_qg_primal)
-from conic_alm.fixtures import GRIDS
+from conic_alm.fixtures import GRIDS, toy_rank1_instance
+from oracles import (verify_eb_primal_reference, verify_qg_dual_reference,
+                     verify_qg_primal_reference)
 
 
 class TestQgPrimal:
@@ -95,6 +97,82 @@ class TestQgDual:
             verify_qg_dual(certified5, y_grid=np.linspace(-1, 1, 5))
 
 
+class TestBallSampler:
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("variant", ["qg-primal", "qg-primal-penalty", "eb-primal",
+                                         "qg-dual", "qg-dual-penalty"])
+    @pytest.mark.parametrize("shape", [None, (4, 5, 2, 300), (5, 6, 2, 401)],
+                             ids=["toy", "n4", "n5"])
+    def test_matches_parent_loops(self, shape, variant, seed):
+        # the verifiers as they were before they shared one sampler
+        inst = toy_rank1_instance() if shape is None else synth_known_solution(*shape)
+        kwargs = dict(samples=300, seed=seed)
+        if variant == "qg-primal-penalty":
+            kwargs.update(use_penalty=True, rho=float(np.trace(inst.z_star)) + 1.0)
+        if variant == "qg-dual-penalty":
+            kwargs.update(use_penalty=True, rho=float(np.trace(inst.x_star)) + 1.0)
+        fn, reference = {
+            "qg-primal": (verify_qg_primal, verify_qg_primal_reference),
+            "eb-primal": (verify_eb_primal, verify_eb_primal_reference),
+            "qg-dual": (verify_qg_dual, verify_qg_dual_reference),
+        }[variant.removesuffix("-penalty")]
+        rep, ref = fn(inst, **kwargs), reference(inst, **kwargs)
+        assert rep.sampled_points == ref.sampled_points == 300
+        assert rep.min_ratio.hex() == ref.min_ratio.hex()
+        assert rep.violated == ref.violated
+        assert list(rep.params.items()) == list(ref.params.items())
+
+    @pytest.mark.parametrize("verifier", [verify_qg_primal, verify_eb_primal,
+                                          verify_qg_dual])
+    def test_rejects_bad_arguments(self, toy, verifier):
+        for samples in (0, -1):
+            with pytest.raises(ValueError, match="samples must be at least 1"):
+                verifier(toy, samples=samples)
+        for radius in (0.0, -1.0):
+            with pytest.raises(ValueError, match="ball_radius must be positive"):
+                verifier(toy, ball_radius=radius)
+
+    @staticmethod
+    def counting_draw(lands_every):
+        # landing draws sit on the sphere of radius 1.5, which counts as inside
+        calls = []
+
+        def draw(rng, sigma):
+            calls.append(sigma)
+            return None, (2.25 if len(calls) % lands_every == 0 else 2.2500001)
+
+        return draw, calls
+
+    def test_draw_cap(self):
+        # 100 draws per requested sample: a 1-in-100 landing rate just fits
+        draw, calls = self.counting_draw(100)
+        rep = theory._ball_report(30, 1.5, 0, draw, lambda point: 1.0, {})
+        assert rep.sampled_points == 30 and len(calls) == 3000
+        assert set(calls) == {0.5}
+        draw, calls = self.counting_draw(101)
+        with pytest.raises(ValueError, match="only 29 of 3000 draws .* ball_radius 1.5"):
+            theory._ball_report(30, 1.5, 0, draw, lambda point: 1.0, {})
+        assert len(calls) == 3000
+
+    def test_gives_up_when_nothing_lands(self):
+        draw, calls = self.counting_draw(2001)
+        with pytest.raises(ValueError, match="only 0 of 2000 draws"):
+            theory._ball_report(1000, 1.5, 0, draw, lambda point: 1.0, {})
+        assert len(calls) == 2000
+        # one landing point is enough to keep drawing up to the cap
+        draw, calls = self.counting_draw(1999)
+        with pytest.raises(ValueError, match="only 10 of 20000 draws"):
+            theory._ball_report(200, 1.5, 0, draw, lambda point: 1.0, {})
+
+    def test_unreachable_radius(self, toy):
+        # the affine correction moves every draw by more than 1e-20
+        with pytest.raises(ValueError, match="only 0 of 2000 draws .* ball_radius 1e-20"):
+            verify_qg_primal(toy, ball_radius=1e-20)
+        inst = synth_known_solution(n=8, m=10, rank_x=3, seed=1)
+        with pytest.raises(ValueError, match="only 0 of 1000 draws .* ball_radius 1"):
+            verify_eb_primal(inst, samples=10, seed=0)
+
+
 class TestNoSharpGrowth:
     def test_curve_matches_closed_form(self):
         grid = np.arange(0.0, 1.0, 0.1)
@@ -150,6 +228,10 @@ class TestPenaltyPreimage:
     def test_rejects_threshold_violation(self, toy):
         with pytest.raises(ValueError, match="tr"):
             verify_penalty_preimage(toy.z_star, rho=1.5)
+
+    def test_rejects_nonpositive_samples(self, toy):
+        with pytest.raises(ValueError, match="samples must be at least 1, got -3"):
+            verify_penalty_preimage(toy.z_star, rho=4.0, samples=-3)
 
     def test_negative_control_oversized_trace(self):
         # with tr(zbar) >= rho the identity's hypothesis fails: -zbar is not
@@ -213,6 +295,10 @@ class TestGrowthLemma:
         with pytest.raises(ValueError, match="complementary"):
             verify_growth_lemma(np.eye(2), np.eye(2), mu=1.0, samples=10)
 
+    def test_rejects_nonpositive_samples(self, toy):
+        with pytest.raises(ValueError, match="samples must be at least 1, got 0"):
+            verify_growth_lemma(toy.x_star, toy.z_star, mu=1.0, samples=0)
+
     def test_penalty_variant_explicit_constant(self, toy):
         # penalty form on unprojected samples in the ball, with the proof's
         # kappa = min((rho - tr) / (2 n mu), kappa_indicator / 2)
@@ -254,6 +340,10 @@ class TestTraceBound:
     def test_population(self):
         rep = check_trace_bound(samples=3000, n_range=(2, 8), seed=9)
         assert len(rep.violated) == 0
+
+    def test_rejects_nonpositive_samples(self):
+        with pytest.raises(ValueError, match="samples must be at least 1, got -5"):
+            check_trace_bound(samples=-5)
 
     def test_rank_one_equality(self):
         # [[1, 1], [1, 1]]: ||D||_op tr(A) = 1 = ||B||^2
