@@ -11,7 +11,11 @@ pieces: its ``auglag.*_objective`` factory, its multiplier update
     inequality form:  z+ = max(z + r g(x+), 0)
 
 a bound on the distance to the subproblem minimizer, and the builder of its
-iteration record and residuals.
+iteration record and residuals. The inequality form also supplies
+``auglag.ineq_hessian``: its piecewise-quadratic subproblem is solved by
+damped Newton steps, which fall back to a gradient step when the Newton
+direction is not a descent direction. The SDP forms run Barzilai-Borwein
+gradient descent.
 
 The penalty sequence grows geometrically up to a finite cap. When the
 criteria cannot be certified (their targets eventually sink below the
@@ -174,13 +178,14 @@ def _ineq_update(q, z, x, r):
 
 
 def _certified_subsolve(objective, x_start, r, eps_k, delta_k, update_at, cfg,
-                        diameter_of):
+                        diameter_of, hessian=None):
     """Solve one subproblem until both criteria hold or the floor is reached.
 
     ``update_at(minimizer)`` is the form's multiplier update, whose step norm
     criterion B measures; tightening re-solves warm-started from the current
-    iterate. Returns (InnerResult, the last update's (x, w+, step), certified
-    flag, total inner iterations).
+    iterate; ``hessian``, when given, makes the inner steps Newton steps.
+    Returns (InnerResult, the last update's (x, w+, step), certified flag,
+    total inner iterations).
     """
     target = eps_k * eps_k / (2.0 * r)
     total_iters = 0
@@ -188,7 +193,7 @@ def _certified_subsolve(objective, x_start, r, eps_k, delta_k, update_at, cfg,
     for _ in range(_CERTIFY_ROUNDS):
         result = minimize_auglag(objective, x, tol=max(target, _TARGET_FLOOR),
                                  max_iter=max(cfg.inner_budget - total_iters, 50),
-                                 diameter_bound=diameter_of(x))
+                                 diameter_bound=diameter_of(x), hessian=hessian)
         total_iters += result.iterations
         x = result.minimizer
         update = update_at(x)
@@ -205,20 +210,23 @@ def _certified_subsolve(objective, x_start, r, eps_k, delta_k, update_at, cfg,
     return result, update, False, total_iters
 
 
-def _outer_loop(trace, cfg, p, objective, update, diameter_of, record, x, w):
+def _outer_loop(trace, cfg, p, objective, update, diameter_of, record, x, w,
+                hessian=None):
     """The inexact ALM shared by every form; appends to ``trace`` and returns it.
 
     ``objective(p, w, r)`` builds the subproblem in x, ``update(p, w, x, r)``
     is the multiplier step, ``diameter_of(x)`` bounds the distance from x to
     the subproblem minimizer, and ``record(x, w, w+, fields)`` builds the
     iteration record (with its residuals) from the shared ``fields``.
+    ``hessian(p, w, r)``, when given, builds the subproblem's Hessian in x.
     """
     for k in range(cfg.max_outer):
         r = cfg.penalty(k)
         eps_k, delta_k = cfg.eps(k), cfg.delta(k)
         result, (x, w_new, step), certified, iters = _certified_subsolve(
             objective(p, w, r), x, r, eps_k, delta_k,
-            lambda xc: update(p, w, xc, r), cfg, diameter_of)
+            lambda xc: update(p, w, xc, r), cfg, diameter_of,
+            hessian(p, w, r) if hessian is not None else None)
         rec = record(x, w, w_new, dict(
             k=k, r=r, eps_k=eps_k, delta_k=delta_k, inner_iterations=iters,
             gap_certificate=result.gap_upper_bound, grad_norm=result.grad_norm,
@@ -306,7 +314,11 @@ def solve_dual_alm(p, X0, cfg=None):
 
 
 def solve_ineq_alm(q, z0, cfg=None, x_star=None, f_star=None):
-    """Inexact ALM on a convex QP with affine inequality constraints; x starts at 0."""
+    """Inexact ALM on a convex QP with affine inequality constraints; x starts at 0.
+
+    Subproblems are solved by Newton steps on the generalized Hessian
+    ``auglag.ineq_hessian``.
+    """
     cfg = cfg or AlmConfig()
     z = np.asarray(z0, dtype=float).copy()
     if z.shape != (q.n_constraints,) or np.any(z < 0):
@@ -323,7 +335,7 @@ def solve_ineq_alm(q, z0, cfg=None, x_star=None, f_star=None):
     trace = AlmTrace(form="ineq", problem_name=q.name, config=cfg, start_point=z.copy())
     return _outer_loop(trace, cfg, q, auglag.ineq_objective, _ineq_update,
                        lambda xc: scale + 2.0 * float(np.linalg.norm(xc)), record,
-                       np.zeros(q.dim), z)
+                       np.zeros(q.dim), z, hessian=auglag.ineq_hessian)
 
 
 @dataclass(frozen=True)

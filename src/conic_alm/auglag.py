@@ -14,8 +14,10 @@ Inequality form (variable x, multipliers z >= 0, constraint map g = Gx + h):
     L_r(x, z) = f(x) + (||max(z + r g(x), 0)||^2 - ||z||^2) / (2r)
 
 All three are convex and continuously differentiable in the primal variable;
-the multiplier gradients recover the classical dual update rules. Each form
-has one formula: the ``*_objective`` factories bundle value and gradient into
+the multiplier gradients recover the classical dual update rules. The
+inequality form is piecewise quadratic in x, and ``ineq_hessian`` returns its
+generalized Hessian for the inner solver's Newton steps. Each form has one
+formula: the ``*_objective`` factories bundle value and gradient into
 one callable for the inner solver, so the eigendecomposition is shared
 between them, and ``eval_L_*``/``grad_L_*`` are validated one-liners over
 those callables. The SDP factories bind the flat operator ``p.A_flat`` and
@@ -109,6 +111,22 @@ def ineq_objective(q, z, r):
         return val, grad
 
     return value_and_grad
+
+
+def ineq_hessian(q, z, r):
+    """Callable x -> Q + r G_A' G_A, a generalized Hessian of L_r(., z) at x.
+
+    A is the active set {i : z_i + r g_i(x) > 0}. L_r(., z) is piecewise
+    quadratic with this Hessian on each piece, so Newton steps on it form a
+    finite active-set method.
+    """
+    _check_r(r)
+
+    def hessian(x):
+        G_A = q.G[z + r * q.constraints(x) > 0.0]
+        return q.Q + r * (G_A.T @ G_A)
+
+    return hessian
 
 
 def eval_L_ineq(q, x, z, r):

@@ -234,7 +234,7 @@ def _run_verifier(name, args):
     elif name == "penalty-preimage":
         rho = args.rho or float(np.trace(inst.z_star)) + 1.0
         rep = theory.verify_penalty_preimage(inst.z_star, rho,
-                                             samples=args.samples // 100 or 20,
+                                             samples=-(-args.samples // 100),
                                              seed=args.seed)
         ok = rep.ok
         report = asdict(rep)
@@ -349,7 +349,9 @@ def build_parser():
         "penalty-preimage", "exact-penalty", "strict-complementarity",
         "no-sharp-growth", "ppm-alm-link"])
     _add_instance_args(verify)
-    verify.add_argument("--samples", type=int, default=2000)
+    verify.add_argument("--samples", type=int, default=2000,
+                        help="sampled points (penalty-preimage: one face point per 100, "
+                             "rounded up)")
     verify.add_argument("--mu", type=float, default=1.0)
     verify.add_argument("--gamma", type=float, default=None)
     verify.add_argument("--alpha", type=float, default=None)

@@ -1,8 +1,15 @@
 """Certified approximate minimization of smooth convex subproblems.
 
 Gradient descent with Barzilai-Borwein step initialization and a backtracking
-line search that guarantees monotone descent. The optimality certificate is
-the convexity bound
+line search that guarantees monotone descent. When the caller supplies a
+(generalized) Hessian H, each step is a damped Newton step instead: it solves
+(H + ridge I) d = g with a ridge of 1e-12 (1 + max |diag H|), which keeps a
+singular H solvable, tries the unit step along -d and backtracks on the same
+Armijo test with g.d in place of ||g||^2. If g.d is not positive and finite,
+that step is the gradient step with the Barzilai-Borwein length. On a
+piecewise-quadratic objective Newton is a finite active-set method (as in
+SSNAL, Li, Sun & Toh 2018). Either way the optimality certificate is the
+convexity bound
 
     L(x) - min L <= ||grad L(x)|| * D
 
@@ -14,7 +21,7 @@ Both checks are conservative because the certificate overestimates the true
 gap.
 
 The objective must be a deterministic function of the bits of its argument.
-At the floating-point floor a search can halve until ``x - t*g`` rounds to
+At the floating-point floor a search can halve until ``x - t*d`` rounds to
 ``x``; the next search would repeat it bitwise, so such null moves are
 replayed: they count toward ``iterations`` and ``history`` at no evaluation.
 """
@@ -50,7 +57,7 @@ def _norm(v):
 
 
 def minimize_auglag(value_and_grad, start, tol, max_iter=10000, diameter_bound=None,
-                    history=None):
+                    history=None, *, hessian=None):
     """Minimize a smooth convex objective until the certified gap is <= tol.
 
     ``value_and_grad(point) -> (value, gradient)`` with gradient shaped like
@@ -61,9 +68,13 @@ def minimize_auglag(value_and_grad, start, tol, max_iter=10000, diameter_bound=N
     200 iterations without a relative 1e-4 gain in gradient norm, which
     happens once the tolerance sits below the floating-point floor.
     ``history``, when given a list, receives the accepted objective values.
-    ``value_and_grad`` must be deterministic in the bits of its argument: after
-    a null move (``x - t*g`` rounds to ``x``) later iterations replay it, and
-    count toward ``iterations`` and ``history`` without evaluating.
+    ``hessian(point) -> H``, when given, returns a symmetric positive
+    semidefinite (generalized) Hessian of the vector objective at the point,
+    and each step becomes a damped Newton step (see the module docstring).
+    ``value_and_grad`` and ``hessian`` must be deterministic in the bits of
+    their argument: after a null move (``x - t*d`` rounds to ``x``) later
+    iterations replay it, and count toward ``iterations`` and ``history``
+    without evaluating.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -107,19 +118,30 @@ def minimize_auglag(value_and_grad, start, tol, max_iter=10000, diameter_bound=N
             if since_descent > 25:
                 break
         if null_move:
-            # Same (x, fx, g, step): the search would end in x again.
+            # Same (x, fx, g, step) and, for Newton, the same H(x): the
+            # search would end in x again.
             if history is not None:
                 history.append(fx)
             it += 1
             continue
-        t = step
-        x_new = x - t * g
+        # The Armijo decrease 1e-4 t g.d is written 1e-4 t slope ||g|| with
+        # slope = g.d / ||g||, so the gradient step (slope = ||g||) rounds it
+        # exactly as 1e-4 t ||g|| ||g||
+        d, slope, t = g, gn, step
+        if hessian is not None:
+            H = hessian(x)
+            ridge = 1e-12 * (1.0 + float(np.max(np.abs(np.diag(H)))))
+            d_newton = np.linalg.solve(H + ridge * np.eye(H.shape[0]), g)
+            gd = float(np.vdot(g, d_newton).real)
+            if gd > 0 and np.isfinite(gd):
+                d, slope, t = d_newton, gd / gn, 1.0
+        x_new = x - t * d
         f_new, g_new = value_and_grad(x_new)
         backtracks = 0
-        while not (np.isfinite(f_new) and f_new <= fx - 1e-4 * t * gn * gn) \
+        while not (np.isfinite(f_new) and f_new <= fx - 1e-4 * t * slope * gn) \
                 and backtracks < 60:
             t *= 0.5
-            x_new = x - t * g
+            x_new = x - t * d
             f_new, g_new = value_and_grad(x_new)
             backtracks += 1
         if not np.isfinite(f_new) or not np.all(np.isfinite(g_new)):

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -13,7 +14,7 @@ settings.register_profile("conic-alm", derandomize=True, deadline=None, database
 settings.load_profile("conic-alm")
 
 from conic_alm.fixtures import toy_rank1_instance
-from conic_alm.model import synth_known_solution
+from conic_alm.model import lasso_instance, svm_instance, synth_known_solution
 from conic_alm.symcone import symmetrize
 
 
@@ -36,3 +37,21 @@ def rng():
 
 def random_sym(rng, n, scale=1.0):
     return symmetrize(rng.standard_normal((n, n))) * scale
+
+
+@st.composite
+def ineq_subproblems(draw):
+    """A random svm or lasso QP, multipliers z >= 0 (all zero in some draws),
+    a penalty r in [0.1, 100] and a generator for points."""
+    rows, d = draw(st.integers(1, 30)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((rows, d))
+    if draw(st.booleans()):
+        q = svm_instance(A, rng.choice([-1.0, 1.0], rows), lam=1.0)
+    else:
+        q = lasso_instance(A, rng.standard_normal(rows), 1.0)
+    z = np.maximum(rng.standard_normal(q.n_constraints), 0.0)
+    if draw(st.booleans()):
+        z = np.zeros(q.n_constraints)
+    r = 10.0 ** draw(st.floats(-1.0, 2.0))
+    return q, z, r, rng

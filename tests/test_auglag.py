@@ -3,16 +3,18 @@ closed-form saddle identities."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
 from numpy.testing import assert_allclose
 
 from conic_alm.auglag import (dual_gap_lower_bound, eval_L_dual, eval_L_ineq,
                               eval_L_primal, grad_L_dual_y, grad_L_ineq_x,
-                              grad_L_primal_X, grad_L_primal_w, primal_objective)
+                              grad_L_primal_X, grad_L_primal_w, ineq_hessian,
+                              ineq_objective, primal_objective)
 from conic_alm.inner import minimize_auglag
 from conic_alm.model import DualPoint, apply_A, svm_instance
 from conic_alm.symcone import frob, inner, symmetrize
 
-from conftest import random_sym
+from conftest import ineq_subproblems, random_sym
 from oracles import fd_grad_sym, fd_grad_vec
 
 
@@ -180,6 +182,24 @@ class TestIneqForm:
             g = grad_L_ineq_x(q, x, z, r)
             fd = fd_grad_vec(lambda v: eval_L_ineq(q, v, z, r), x)
             assert np.linalg.norm(g - fd) <= 1e-5 * (1.0 + np.linalg.norm(fd))
+
+    @given(ineq_subproblems())
+    def test_hessian_matches_gradient_differences(self, case):
+        # away from the kinks z + r g(x) = 0 the gradient is affine, so its
+        # central differences equal the Hessian up to rounding, provided the
+        # step does not reach a kink
+        q, z, r, rng = case
+        x = rng.standard_normal(q.dim)
+        margin = float(np.min(np.abs(z + r * q.constraints(x)), initial=np.inf))
+        assume(margin >= 1e-6)
+        H = ineq_hessian(q, z, r)(x)
+        h = min(1e-3, 0.5 * margin / (r * float(np.max(np.abs(q.G)))))
+        grad = ineq_objective(q, z, r)
+        fd = np.column_stack([(grad(x + h * e)[1] - grad(x - h * e)[1]) / (2.0 * h)
+                              for e in np.eye(q.dim)])
+        assert np.max(np.abs(fd - H)) <= 1e-6 * np.max(np.abs(H))
+        assert H.tobytes() == H.T.tobytes()
+        assert np.linalg.eigvalsh(H)[0] >= -1e-12 * np.max(np.abs(H))
 
 
 class TestMoreauEnvelopeOrdering:

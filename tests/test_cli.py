@@ -143,9 +143,11 @@ class TestInputErrors:
                      "samples", id="growth-lemma-samples"),
         pytest.param(["verify", "qg-primal", "--builtin", "example-d1", "--samples", "-1"],
                      "samples", id="qg-primal-samples"),
-        # the preimage check runs on --samples // 100 face points
+        # the preimage check runs on --samples / 100 face points, rounded up
         pytest.param(["verify", "penalty-preimage", "--builtin", "example-d1",
                       "--samples", "-300"], "samples", id="penalty-preimage-samples"),
+        pytest.param(["verify", "penalty-preimage", "--builtin", "example-d1",
+                      "--samples", "0"], "samples", id="penalty-preimage-samples-0"),
         pytest.param(["verify", "eb-primal", "--builtin", "example-d1", "--radius", "0"],
                      "ball_radius", id="eb-primal-radius"),
         pytest.param(["verify", "no-sharp-growth", "--grid-points", "0"], "--grid-points",
@@ -232,6 +234,16 @@ class TestVerify:
     def test_no_sharp_growth(self, tmp_path):
         code = run(["verify", "no-sharp-growth", "--out", str(tmp_path)])
         assert code == 0
+
+    @pytest.mark.parametrize("samples,face_points", [("99", 1), ("100", 1), ("101", 2),
+                                                      ("2000", 20)])
+    def test_penalty_preimage_face_points(self, samples, face_points, tmp_path):
+        # one face point per 100 samples, rounded up, so the count is monotone
+        code = run(["verify", "penalty-preimage", "--builtin", "example-d1",
+                    "--samples", samples, "--out", str(tmp_path)])
+        assert code == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["face_points"] == report["off_face_points"] == face_points
 
     def test_strict_complementarity(self, tmp_path):
         code = run(["verify", "strict-complementarity", "--builtin", "example-d1",

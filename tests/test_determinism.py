@@ -1,9 +1,10 @@
-"""Bitwise determinism of the subproblem objectives and of ``eig_sym``.
+"""Bitwise determinism of the subproblem objectives, the inequality-form
+Hessian and ``eig_sym``.
 
 The inner solver replays a null move (a step that rounds back to the same
-point) instead of re-evaluating it, which is exact only if each objective is
-a function of the bits of its argument, not of where those bits sit in
-memory. Each property evaluates a point as a fresh copy and as a view that
+point) instead of re-evaluating it, which is exact only if each objective
+(and, for Newton steps, each Hessian) is a function of the bits of its
+argument, not of where those bits sit in memory. Each property evaluates a point as a fresh copy and as a view that
 starts a few elements into a larger buffer, and compares the bits.
 """
 
@@ -11,9 +12,11 @@ import numpy as np
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conic_alm.auglag import dual_objective, ineq_objective, primal_objective
+from conic_alm.auglag import dual_objective, ineq_hessian, ineq_objective, primal_objective
 from conic_alm.model import DualPoint, SdpProblem, lasso_instance
 from conic_alm.symcone import eig_sym, symmetrize
+
+from conftest import ineq_subproblems
 
 
 def relocated(x, offset):
@@ -80,6 +83,15 @@ def test_dual_objective_depends_only_on_bits(case):
 def test_ineq_objective_depends_only_on_bits(case):
     q, x, z, r, offset = case
     assert_same_bits(ineq_objective(q, z, r), x, offset)
+
+
+@given(ineq_subproblems(), st.integers(1, 7))
+def test_ineq_hessian_depends_only_on_bits(case, offset):
+    # the Newton direction comes from H(x), so replaying a null move needs it
+    q, z, r, rng = case
+    x = rng.standard_normal(q.dim)
+    hessian = ineq_hessian(q, z, r)
+    assert hessian(x.copy()).tobytes() == hessian(relocated(x, offset)).tobytes()
 
 
 @given(st.integers(1, 10), st.integers(0, 2**32 - 1), st.booleans(), st.integers(1, 7))
