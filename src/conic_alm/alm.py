@@ -74,8 +74,8 @@ class AlmConfig:
             raise ValueError("decay must lie in (0, 1)")
         if self.eps0 < 0 or self.delta0 < 0:
             raise ValueError("need eps0 >= 0 and delta0 >= 0")
-        if self.stop_eps3 <= 0 or self.max_outer < 1:
-            raise ValueError("need stop_eps3 > 0 and max_outer >= 1")
+        if self.stop_eps3 <= 0 or self.max_outer < 1 or self.inner_budget < 1:
+            raise ValueError("need stop_eps3 > 0, max_outer >= 1 and inner_budget >= 1")
 
     def penalty(self, k):
         return min(self.r0 * self.r_growth ** k, self.r_max)

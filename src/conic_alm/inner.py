@@ -20,10 +20,11 @@ eps_k^2 / (2 r_k) and criterion B against delta_k^2 ||w step||^2 / (2 r_k).
 Both checks are conservative because the certificate overestimates the true
 gap.
 
-The objective must be a deterministic function of the bits of its argument.
-At the floating-point floor a search can halve until ``x - t*d`` rounds to
-``x``; the next search would repeat it bitwise, so such null moves are
-replayed: they count toward ``iterations`` and ``history`` at no evaluation.
+The loop has four exits: the certificate reaches the tolerance; no
+resolvable descent in the value for 25 iterations (the value floor); the
+line search cannot move x, because it found no descent or because
+``x - t*d`` rounds to ``x`` (a null move: x, its value, gradient and step
+length stay as they were); and ``max_iter``.
 """
 
 from dataclasses import dataclass
@@ -64,17 +65,13 @@ def minimize_auglag(value_and_grad, start, tol, max_iter=10000, diameter_bound=N
     the point (works for vectors and symmetric matrices alike). Descent is
     enforced every step by halving the trial step until the Armijo test
     (constant 1e-4) holds; the next step length is re-initialized from the
-    Barzilai-Borwein spectral estimate. Exits early (converged=False) after
-    200 iterations without a relative 1e-4 gain in gradient norm, which
-    happens once the tolerance sits below the floating-point floor.
-    ``history``, when given a list, receives the accepted objective values.
+    Barzilai-Borwein spectral estimate. Stops at the first of the four exits
+    in the module docstring; all but the tolerance give converged=False.
+    ``iterations`` counts accepted moves only, and ``history``, when given a
+    list, receives the start value and the value after each of them.
     ``hessian(point) -> H``, when given, returns a symmetric positive
     semidefinite (generalized) Hessian of the vector objective at the point,
     and each step becomes a damped Newton step (see the module docstring).
-    ``value_and_grad`` and ``hessian`` must be deterministic in the bits of
-    their argument: after a null move (``x - t*d`` rounds to ``x``) later
-    iterations replay it, and count toward ``iterations`` and ``history``
-    without evaluating.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -89,25 +86,15 @@ def minimize_auglag(value_and_grad, start, tol, max_iter=10000, diameter_bound=N
                               f"(value={fx!r})")
     step = 1.0
     best = (_norm(g), x.copy(), fx)
-    stall_ref = np.inf
-    stall = 0
     f_ref = fx
     since_descent = 0
     it = 0
-    null_move = False
     while it < max_iter:
         gn = _norm(g)
         if gn < best[0]:
             best = (gn, x.copy(), fx)
         if gn * diameter_bound <= tol:
             break
-        if gn < stall_ref * (1.0 - 1e-4):
-            stall_ref = gn
-            stall = 0
-        else:
-            stall += 1
-            if stall > 200:
-                break
         # Value-resolution floor: no resolvable descent for a whole window
         # means further certification progress is not measurable.
         if f_ref - fx > 1e-14 * (1.0 + abs(f_ref)):
@@ -117,13 +104,6 @@ def minimize_auglag(value_and_grad, start, tol, max_iter=10000, diameter_bound=N
             since_descent += 1
             if since_descent > 25:
                 break
-        if null_move:
-            # Same (x, fx, g, step) and, for Newton, the same H(x): the
-            # search would end in x again.
-            if history is not None:
-                history.append(fx)
-            it += 1
-            continue
         # The Armijo decrease 1e-4 t g.d is written 1e-4 t slope ||g|| with
         # slope = g.d / ||g||, so the gradient step (slope = ||g||) rounds it
         # exactly as 1e-4 t ||g|| ||g||
@@ -147,8 +127,8 @@ def minimize_auglag(value_and_grad, start, tol, max_iter=10000, diameter_bound=N
         if not np.isfinite(f_new) or not np.all(np.isfinite(g_new)):
             raise InnerSolveError(f"objective returned non-finite values at iteration {it} "
                                   f"(value={f_new!r})")
-        if f_new > fx:
-            # Line search exhausted without descent: the value floor.
+        if f_new > fx or x_new.tobytes() == x.tobytes():
+            # The search cannot move x: no descent, or x - t*d rounds to x.
             break
         s = x_new - x
         dg = g_new - g
@@ -159,7 +139,6 @@ def minimize_auglag(value_and_grad, start, tol, max_iter=10000, diameter_bound=N
             # spectral step from the last meaningful move; otherwise keep the
             # previous estimate so a sub-ulp move cannot freeze the step
             step = ss / sy
-        null_move = x_new.tobytes() == x.tobytes()
         x, fx, g = x_new, f_new, g_new
         if history is not None:
             history.append(fx)

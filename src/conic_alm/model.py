@@ -49,6 +49,8 @@ class SdpProblem:
         b = np.asarray(self.b, dtype=float)
         if b.shape != (mats.shape[0],):
             raise ValueError("b length must match the number of constraint matrices")
+        if not np.all(np.isfinite(b)):
+            raise ValueError("b contains non-finite entries")
         V = mats.reshape(mats.shape[0], -1)
         gram = V @ V.T
         ev = np.linalg.eigvalsh(gram)
@@ -247,18 +249,11 @@ def solution_uniqueness(inst):
     order = np.argsort(lam)[::-1]
     P1 = Q[:, order[:r]]
     P2 = Q[:, order[r:]]
-    if r == 0:
-        primal_unique = True  # the face of z_star is {0}
-    else:
-        M = np.stack([(P1.T @ A @ P1).ravel() for A in p.constraint_mats])
-        primal_unique = _numerical_rank(M, tol) == r * (r + 1) // 2
-    rows = []
-    for A in p.constraint_mats:
-        top = (P1.T @ A @ P1).ravel()
-        cross = np.sqrt(2.0) * (P1.T @ A @ P2).ravel()
-        rows.append(np.concatenate([top, cross]))
-    N = np.stack(rows)
-    dual_unique = _numerical_rank(N, tol) == p.m
+    top = np.stack([(P1.T @ A @ P1).ravel() for A in p.constraint_mats])
+    cross = np.stack([np.sqrt(2.0) * (P1.T @ A @ P2).ravel() for A in p.constraint_mats])
+    # with r = 0 the face of z_star is {0}
+    primal_unique = r == 0 or _numerical_rank(top, tol) == r * (r + 1) // 2
+    dual_unique = _numerical_rank(np.hstack([top, cross]), tol) == p.m
     return bool(primal_unique), bool(dual_unique)
 
 

@@ -119,6 +119,9 @@ def _parse_int(tok, line_no, what):
 
 def _parse_float(tok, line_no, what):
     try:
-        return float(tok)
+        v = float(tok)
     except ValueError:
         raise SdpaFormatError(f"could not parse {what} from {tok!r}", line_no) from None
+    if not np.isfinite(v):
+        raise SdpaFormatError(f"{what} {tok!r} is not finite", line_no)
+    return v

@@ -35,6 +35,13 @@ def rng():
     return np.random.default_rng(12345)
 
 
+# SDPA files with one non-finite number (in b, in a matrix entry) and its line.
+NONFINITE_SDPA = [
+    pytest.param("2\n1\n2\n1 inf\n1 1 1 1 1.0\n2 1 2 2 1.0\n", 4, id="b-inf"),
+    pytest.param("1\n1\n2\n1\n0 1 1 2 nan\n1 1 1 1 1.0\n", 5, id="value-nan"),
+]
+
+
 def random_sym(rng, n, scale=1.0):
     return symmetrize(rng.standard_normal((n, n))) * scale
 

@@ -135,6 +135,9 @@ def soft_threshold(v, t):
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
+# The library's loop stops at the first null move; this one searches again
+# from the same state, so the two agree in every result field but
+# ``iterations`` (test_inner.py::TestNullMoveReplay).
 def minimize_auglag_reference(value_and_grad, start, tol, max_iter=10000,
                               diameter_bound=None, stall_patience=200, armijo=1e-4,
                               history=None):

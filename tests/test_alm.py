@@ -436,6 +436,9 @@ class TestConfig:
             AlmConfig(decay=1.0)
         with pytest.raises(ValueError):
             AlmConfig(r_max=0.5, r0=1.0)
+        for budget in (0, -5):
+            with pytest.raises(ValueError, match="inner_budget"):
+                AlmConfig(inner_budget=budget)
 
     @pytest.mark.parametrize("name", ["eps0", "delta0"])
     def test_rejects_negative_schedule_start(self, name):

@@ -4,14 +4,15 @@ closed-form saddle identities."""
 import numpy as np
 import pytest
 from hypothesis import assume, given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conic_alm.auglag import (dual_gap_lower_bound, eval_L_dual, eval_L_ineq,
-                              eval_L_primal, grad_L_dual_y, grad_L_ineq_x,
-                              grad_L_primal_X, grad_L_primal_w, ineq_hessian,
-                              ineq_objective, primal_objective)
+from conic_alm.auglag import (dual_gap_lower_bound, dual_objective, eval_L_dual,
+                              eval_L_ineq, eval_L_primal, grad_L_dual_y,
+                              grad_L_ineq_x, grad_L_primal_X, grad_L_primal_w,
+                              ineq_hessian, ineq_objective, primal_objective)
 from conic_alm.inner import minimize_auglag
-from conic_alm.model import DualPoint, apply_A, svm_instance
+from conic_alm.model import DualPoint, apply_A, svm_instance, synth_known_solution
 from conic_alm.symcone import frob, inner, symmetrize
 
 from conftest import ineq_subproblems, random_sym
@@ -151,6 +152,36 @@ class TestDualForm:
             g = grad_L_dual_y(p, y, X, r)
             fd = fd_grad_vec(lambda v: eval_L_dual(p, v, X, r), y)
             assert np.linalg.norm(g - fd) <= 1e-5 * (1.0 + np.linalg.norm(fd))
+
+
+@st.composite
+def certified_subproblems(draw):
+    """A random certified SDP (n in 2..6), a penalty r in [0.1, 10] and a
+    generator for points and multipliers."""
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(1, n * (n + 1) // 2))
+    rank_x = draw(st.integers(1, n))
+    inst = synth_known_solution(n=n, m=m, rank_x=rank_x, seed=draw(st.integers(0, 2**16)))
+    r = 10.0 ** draw(st.floats(-1.0, 1.0))
+    return inst.problem, r, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+class TestObjectivesAgainstFiniteDifferences:
+    @given(certified_subproblems())
+    def test_primal_objective(self, case):
+        p, r, rng = case
+        obj = primal_objective(p, rand_dual(rng, p), r)
+        X = random_sym(rng, p.n)
+        fd = fd_grad_sym(lambda M: obj(symmetrize(M))[0], X)
+        assert frob(obj(X)[1] - fd) <= 1e-5 * (1.0 + frob(fd))
+
+    @given(certified_subproblems())
+    def test_dual_objective(self, case):
+        p, r, rng = case
+        obj = dual_objective(p, random_sym(rng, p.n), r)
+        y = rng.standard_normal(p.m)
+        fd = fd_grad_vec(lambda v: obj(v)[0], y)
+        assert np.linalg.norm(obj(y)[1] - fd) <= 1e-5 * (1.0 + np.linalg.norm(fd))
 
 
 class TestIneqForm:

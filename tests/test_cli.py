@@ -15,6 +15,8 @@ from conic_alm.cli import main
 from conic_alm.model import synth_known_solution
 from conic_alm.sdpa import sdpa_write
 
+from conftest import NONFINITE_SDPA
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -159,6 +161,14 @@ class TestInputErrors:
         assert run(argv + ["--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and names in err
+
+    @pytest.mark.parametrize("text,line", NONFINITE_SDPA)
+    def test_nonfinite_sdpa_exits_3(self, text, line, tmp_path, capsys):
+        path = tmp_path / "nonfinite.dat-s"
+        path.write_text(text)
+        assert run(["solve", "--sdpa", str(path), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"line {line}: " in err
 
     # Without the ball sampler's draw cap each of these would loop forever; a
     # child process lets the timeout stop it.

@@ -1,11 +1,12 @@
 """Bitwise determinism of the subproblem objectives, the inequality-form
 Hessian and ``eig_sym``.
 
-The inner solver replays a null move (a step that rounds back to the same
-point) instead of re-evaluating it, which is exact only if each objective
-(and, for Newton steps, each Hessian) is a function of the bits of its
-argument, not of where those bits sit in memory. Each property evaluates a point as a fresh copy and as a view that
-starts a few elements into a larger buffer, and compares the bits.
+A solve must write the same ``trace.csv`` on every run. That holds only if
+each objective (and, for Newton steps, each Hessian) is a function of the
+bits of its argument, not of where those bits sit in memory, which can
+differ from run to run. Each property evaluates a point as a fresh copy and
+as a view that starts a few elements into a larger buffer, and compares the
+bits.
 """
 
 import numpy as np
@@ -87,7 +88,8 @@ def test_ineq_objective_depends_only_on_bits(case):
 
 @given(ineq_subproblems(), st.integers(1, 7))
 def test_ineq_hessian_depends_only_on_bits(case, offset):
-    # the Newton direction comes from H(x), so replaying a null move needs it
+    # the Newton direction comes from H(x), so a run-to-run identical trace
+    # needs it
     q, z, r, rng = case
     x = rng.standard_normal(q.dim)
     hessian = ineq_hessian(q, z, r)

@@ -27,6 +27,12 @@ class TestSdpProblem:
             SdpProblem(C=np.array([[1.0, 2.0], [0.0, 1.0]]), constraint_mats=mats,
                        b=np.array([1.0]))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_nonfinite_b(self, bad):
+        with pytest.raises(ValueError, match="b contains non-finite"):
+            SdpProblem(C=np.eye(2), constraint_mats=np.eye(2)[None, :, :],
+                       b=np.array([bad]))
+
     def test_dimensions(self, toy):
         assert toy.problem.n == 2
         assert toy.problem.m == 2

@@ -11,6 +11,8 @@ from conic_alm.model import SdpProblem, synth_known_solution
 from conic_alm.sdpa import SdpaFormatError, sdpa_read, sdpa_write
 from conic_alm.symcone import symmetrize
 
+from conftest import NONFINITE_SDPA
+
 
 def _assert_round_trip(p, path):
     sdpa_write(p, path)
@@ -130,6 +132,14 @@ def test_malformed_value_reports_line(tmp_path):
     path = tmp_path / "val.dat-s"
     path.write_text(text)
     with pytest.raises(SdpaFormatError, match="line 5"):
+        sdpa_read(path)
+
+
+@pytest.mark.parametrize("text,line", NONFINITE_SDPA)
+def test_nonfinite_value_reports_line(tmp_path, text, line):
+    path = tmp_path / "nonfinite.dat-s"
+    path.write_text(text)
+    with pytest.raises(SdpaFormatError, match=f"line {line}: .* is not finite"):
         sdpa_read(path)
 
 
