@@ -3,19 +3,18 @@
 One loop runs the inexact ALM for all three forms: approximately minimize the
 augmented Lagrangian in the primal variable with a certified gap, test the
 two inexactness criteria against the tentative multiplier step, tighten and
-re-solve if needed, then apply that same step. Each form supplies four
-pieces: its ``auglag.*_objective`` factory, its multiplier update
+re-solve if needed, then apply that same step. Each form supplies five
+pieces: its ``auglag.*_objective`` factory, its ``auglag.*_hessian``
+factory of Newton solves, its multiplier update
 
     primal form:      y+ = y + r (b - A(X)),   Z+ = proj_psd(Z - r X)
     dual form:        X+ = proj_psd(X - r (C - A*(y+)))
     inequality form:  z+ = max(z + r g(x+), 0)
 
 a bound on the distance to the subproblem minimizer, and the builder of its
-iteration record and residuals. The inequality form also supplies
-``auglag.ineq_hessian``: its piecewise-quadratic subproblem is solved by
-damped Newton steps, which fall back to a gradient step when the Newton
-direction is not a descent direction. The SDP forms run Barzilai-Borwein
-gradient descent.
+iteration record and residuals. Every subproblem is solved by damped
+(semismooth) Newton steps, which fall back to a gradient step when the
+Newton direction is not a descent direction.
 
 The penalty sequence grows geometrically up to a finite cap. When the
 criteria cannot be certified (their targets eventually sink below the
@@ -177,13 +176,13 @@ def _ineq_update(q, z, x, r):
     return x, z_new, float(np.linalg.norm(z_new - z))
 
 
-def _certified_subsolve(objective, x_start, r, eps_k, delta_k, update_at, cfg,
-                        diameter_of, hessian=None):
+def _certified_subsolve(objective, hessian, x_start, r, eps_k, delta_k, update_at, cfg,
+                        diameter_of):
     """Solve one subproblem until both criteria hold or the floor is reached.
 
     ``update_at(minimizer)`` is the form's multiplier update, whose step norm
     criterion B measures; tightening re-solves warm-started from the current
-    iterate; ``hessian``, when given, makes the inner steps Newton steps.
+    iterate; ``hessian`` is the subproblem's Newton solve.
     Returns (InnerResult, the last update's (x, w+, step), certified flag,
     total inner iterations).
     """
@@ -210,23 +209,21 @@ def _certified_subsolve(objective, x_start, r, eps_k, delta_k, update_at, cfg,
     return result, update, False, total_iters
 
 
-def _outer_loop(trace, cfg, p, objective, update, diameter_of, record, x, w,
-                hessian=None):
+def _outer_loop(trace, cfg, p, objective, hessian, update, diameter_of, record, x, w):
     """The inexact ALM shared by every form; appends to ``trace`` and returns it.
 
-    ``objective(p, w, r)`` builds the subproblem in x, ``update(p, w, x, r)``
-    is the multiplier step, ``diameter_of(x)`` bounds the distance from x to
-    the subproblem minimizer, and ``record(x, w, w+, fields)`` builds the
-    iteration record (with its residuals) from the shared ``fields``.
-    ``hessian(p, w, r)``, when given, builds the subproblem's Hessian in x.
+    ``objective(p, w, r)`` builds the subproblem in x and ``hessian(p, w, r)``
+    its Newton solve, ``update(p, w, x, r)`` is the multiplier step,
+    ``diameter_of(x)`` bounds the distance from x to the subproblem
+    minimizer, and ``record(x, w, w+, fields)`` builds the iteration record
+    (with its residuals) from the shared ``fields``.
     """
     for k in range(cfg.max_outer):
         r = cfg.penalty(k)
         eps_k, delta_k = cfg.eps(k), cfg.delta(k)
         result, (x, w_new, step), certified, iters = _certified_subsolve(
-            objective(p, w, r), x, r, eps_k, delta_k,
-            lambda xc: update(p, w, xc, r), cfg, diameter_of,
-            hessian(p, w, r) if hessian is not None else None)
+            objective(p, w, r), hessian(p, w, r), x, r, eps_k, delta_k,
+            lambda xc: update(p, w, xc, r), cfg, diameter_of)
         rec = record(x, w, w_new, dict(
             k=k, r=r, eps_k=eps_k, delta_k=delta_k, inner_iterations=iters,
             gap_certificate=result.gap_upper_bound, grad_norm=result.grad_norm,
@@ -281,8 +278,8 @@ def solve_primal_alm(p, w0, cfg=None):
                            oracle.dist_dual(w) if track_w else None, fields)
 
     trace = AlmTrace(form="primal", problem_name=p.name, config=cfg, start_point=w0)
-    return _outer_loop(trace, cfg, p, auglag.primal_objective, _primal_update,
-                       lambda Xc: auglag.default_diameter(p, Xc), record,
+    return _outer_loop(trace, cfg, p, auglag.primal_objective, auglag.primal_hessian,
+                       _primal_update, lambda Xc: auglag.default_diameter(p, Xc), record,
                        np.zeros((p.n, p.n)), DualPoint(y=w0.y.copy(), Z=w0.Z.copy()))
 
 
@@ -308,9 +305,9 @@ def solve_dual_alm(p, X0, cfg=None):
                            oracle.dist_primal(X) if track_x else None, fields)
 
     trace = AlmTrace(form="dual", problem_name=p.name, config=cfg, start_point=X0)
-    return _outer_loop(trace, cfg, p, auglag.dual_objective, _dual_update,
-                       lambda yc: scale + 2.0 * float(np.linalg.norm(yc)), record,
-                       np.zeros(p.m), X0.copy())
+    return _outer_loop(trace, cfg, p, auglag.dual_objective, auglag.dual_hessian,
+                       _dual_update, lambda yc: scale + 2.0 * float(np.linalg.norm(yc)),
+                       record, np.zeros(p.m), X0.copy())
 
 
 def solve_ineq_alm(q, z0, cfg=None, x_star=None, f_star=None):
@@ -333,9 +330,9 @@ def solve_ineq_alm(q, z0, cfg=None, x_star=None, f_star=None):
             **fields)
 
     trace = AlmTrace(form="ineq", problem_name=q.name, config=cfg, start_point=z.copy())
-    return _outer_loop(trace, cfg, q, auglag.ineq_objective, _ineq_update,
-                       lambda xc: scale + 2.0 * float(np.linalg.norm(xc)), record,
-                       np.zeros(q.dim), z, hessian=auglag.ineq_hessian)
+    return _outer_loop(trace, cfg, q, auglag.ineq_objective, auglag.ineq_hessian,
+                       _ineq_update, lambda xc: scale + 2.0 * float(np.linalg.norm(xc)),
+                       record, np.zeros(q.dim), z)
 
 
 @dataclass(frozen=True)
@@ -433,7 +430,8 @@ def verify_ppm_alm_link(p, trace):
         objective = auglag.primal_objective(p, w_prev, r)
         tol_ref = max(rec.gap_certificate * 0.1, 1e-15)
         ref = minimize_auglag(objective, rec.X, tol=tol_ref, max_iter=20000,
-                              diameter_bound=auglag.default_diameter(p, rec.X))
+                              diameter_bound=auglag.default_diameter(p, rec.X),
+                              hessian=auglag.primal_hessian(p, w_prev, r))
         _, w_prox, _ = _primal_update(p, w_prev, ref.minimizer, r)
         dy = rec.y - w_prox.y
         dZ = rec.Z - w_prox.Z

@@ -14,14 +14,20 @@ Inequality form (variable x, multipliers z >= 0, constraint map g = Gx + h):
     L_r(x, z) = f(x) + (||max(z + r g(x), 0)||^2 - ||z||^2) / (2r)
 
 All three are convex and continuously differentiable in the primal variable;
-the multiplier gradients recover the classical dual update rules. The
-inequality form is piecewise quadratic in x, and ``ineq_hessian`` returns its
-generalized Hessian for the inner solver's Newton steps. Each form has one
-formula: the ``*_objective`` factories bundle value and gradient into
-one callable for the inner solver, so the eigendecomposition is shared
-between them, and ``eval_L_*``/``grad_L_*`` are validated one-liners over
-those callables. The SDP factories bind the flat operator ``p.A_flat`` and
-vec(C) once, so A(X), A*(u) and <C, X> cost one BLAS call each.
+the multiplier gradients recover the classical dual update rules. Each
+form has one formula: the ``*_objective`` factories bundle value and
+gradient into one callable for the inner solver, so the eigendecomposition
+is shared between them, and ``eval_L_*``/``grad_L_*`` are validated
+one-liners over those callables. The SDP factories bind the flat operator
+``p.A_flat`` and vec(C) once, so A(X), A*(u) and <C, X> cost one BLAS call
+each.
+
+The ``*_hessian`` factories give the inner solver's Newton steps: each
+returns x -> (g -> d), a solve of a regularized generalized Hessian system
+at x. The gradients are semismooth: the inequality form is piecewise
+quadratic, and the SDP forms differentiate proj_psd through the
+divided-difference matrix Omega of its eigendecomposition (SDPNAL, Zhao,
+Sun & Toh 2010).
 """
 
 import numpy as np
@@ -89,6 +95,99 @@ def dual_objective(p, X, r):
     return value_and_grad
 
 
+def _omega(lam):
+    """Divided differences of max(., 0) at the eigenvalues ``lam``.
+
+    Omega_ij = (max(l_i, 0) - max(l_j, 0)) / (l_i - l_j), with 1 on ties of
+    positive and 0 on ties of nonpositive eigenvalues; written as
+    (max(l_i, 0) + max(l_j, 0)) / (|l_i| + |l_j|), which needs no tie test.
+    With the eigenvectors Q of M, H -> Q (Omega o Q'HQ) Q' is an element of
+    the generalized Jacobian of proj_psd at M.
+    """
+    pos = np.maximum(lam, 0.0)
+    size = np.abs(lam)
+    num = pos[:, None] + pos[None, :]
+    den = size[:, None] + size[None, :]
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+
+
+def _rotated(p, Q):
+    """The stack of Q' A_i Q, one flattened matrix per row."""
+    return (Q.T @ p.constraint_mats @ Q).reshape(p.m, -1)
+
+
+def _ridged_solve(H):
+    """Solve g -> (H + ridge I)^-1 g, ridge = 1e-12 (1 + max |diag H|)."""
+    ridge = 1e-12 * (1.0 + float(np.max(np.abs(np.diag(H)))))
+    H = H + ridge * np.eye(H.shape[0])
+    return lambda g: np.linalg.solve(H, g)
+
+
+def primal_hessian(p, w, r):
+    """Callable X -> Newton solve of the primal-form subproblem at X.
+
+    The solve maps G to D with (r A*A + r Pi'(Z - rX) + rho I) D = G and
+    rho = r min(1, ||G||), floored at the ridge of the other forms with
+    max |diag H| bounded by r (1 + max_j ||A e_j||^2). In the eigenbasis Q
+    of Z - rX the last two terms act entrywise as F = r Omega + rho, so
+    Woodbury leaves one m x m system, I / r + R diag(1 / vec F) R' with row
+    i of R the flattened Q' A_i Q. The n^2 x n^2 Hessian is never formed;
+    one solve costs O(m n^3 + m^2 n^2).
+    """
+    _check_r(r)
+    Z, m, n = w.Z, p.m, p.n
+    # below this rho, I / r is lost to rounding in the m x m system, which
+    # can then be exactly singular
+    ridge = 1e-12 * (1.0 + r * (1.0 + float(np.max(np.sum(p.A_flat ** 2, axis=0)))))
+
+    def hessian(X):
+        lam, Q = np.linalg.eigh(Z - r * X)
+        rot = _rotated(p, Q)
+        omega = r * _omega(lam).ravel()
+
+        def solve(G):
+            F = omega + max(r * min(1.0, frob(G)), ridge)
+            scaled = rot / F
+            K = np.eye(m) / r + scaled @ rot.T
+
+            def woodbury(rhs):
+                return (rhs - np.linalg.solve(K, scaled @ rhs) @ rot) / F
+
+            G_rot = (Q.T @ G @ Q).ravel()
+            D_rot = woodbury(G_rot)
+            # iterative refinement: for small rho the Woodbury solve loses
+            # digits to cancellation
+            for _ in range(2):
+                D_rot = D_rot + woodbury(G_rot - F * D_rot - r * ((rot @ D_rot) @ rot))
+            D_rot = D_rot.reshape(n, n)
+            # the exact D is symmetric; dividing by a small rho amplifies the
+            # rounding of the rotated stack into a visible antisymmetric part
+            return symmetrize(Q @ D_rot @ Q.T)
+
+        return solve
+
+    return hessian
+
+
+def dual_hessian(p, X, r):
+    """Callable y -> Newton solve of the dual-form subproblem at y.
+
+    The generalized Hessian r A Pi'(M) A* at M = X - r(C - A*(y)) is the
+    m x m matrix r R diag(vec Omega) R', with row i of R the flattened
+    Q' A_i Q in the eigenbasis Q of M; it is solved with the ridge of
+    ``ineq_hessian``.
+    """
+    _check_r(r)
+    A_flat, C, n = p.A_flat, p.C, p.n
+
+    def hessian(y):
+        lam, Q = np.linalg.eigh(X - r * (C - (y @ A_flat).reshape(n, n)))
+        rot = _rotated(p, Q)
+        return _ridged_solve(r * ((rot * _omega(lam).ravel()) @ rot.T))
+
+    return hessian
+
+
 def eval_L_dual(p, y, X, r):
     """Value of the dual-form augmented Lagrangian at (y, X)."""
     return dual_objective(p, X, r)(y)[0]
@@ -114,17 +213,18 @@ def ineq_objective(q, z, r):
 
 
 def ineq_hessian(q, z, r):
-    """Callable x -> Q + r G_A' G_A, a generalized Hessian of L_r(., z) at x.
+    """Callable x -> Newton solve of L_r(., z) at x (see the module docstring).
 
-    A is the active set {i : z_i + r g_i(x) > 0}. L_r(., z) is piecewise
-    quadratic with this Hessian on each piece, so Newton steps on it form a
-    finite active-set method.
+    The generalized Hessian is Q + r G_A' G_A over the active set
+    A = {i : z_i + r g_i(x) > 0}. L_r(., z) is piecewise quadratic with this
+    Hessian on each piece, so Newton steps on it form a finite active-set
+    method.
     """
     _check_r(r)
 
     def hessian(x):
         G_A = q.G[z + r * q.constraints(x) > 0.0]
-        return q.Q + r * (G_A.T @ G_A)
+        return _ridged_solve(q.Q + r * (G_A.T @ G_A))
 
     return hessian
 

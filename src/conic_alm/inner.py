@@ -1,15 +1,19 @@
 """Certified approximate minimization of smooth convex subproblems.
 
-Gradient descent with Barzilai-Borwein step initialization and a backtracking
-line search that guarantees monotone descent. When the caller supplies a
-(generalized) Hessian H, each step is a damped Newton step instead: it solves
-(H + ridge I) d = g with a ridge of 1e-12 (1 + max |diag H|), which keeps a
-singular H solvable, tries the unit step along -d and backtracks on the same
-Armijo test with g.d in place of ||g||^2. If g.d is not positive and finite,
-that step is the gradient step with the Barzilai-Borwein length. On a
-piecewise-quadratic objective Newton is a finite active-set method (as in
-SSNAL, Li, Sun & Toh 2018). Either way the optimality certificate is the
-convexity bound
+Gradient descent with Barzilai-Borwein step initialization and a monotone
+backtracking line search, or, when the caller supplies a Newton solve,
+damped Newton steps. ``hessian(x)`` returns a solve g -> d of a regularized
+generalized Hessian system at x (``auglag.*_hessian``); each step tries the
+unit step along -d and backtracks on the same Armijo test with g.d in place
+of ||g||^2. If g.d is not positive and finite, that step is the gradient
+step with the Barzilai-Borwein length. A Newton step is also accepted at the
+value floor: when its value is within 1e-14 (1 + |f|) of f, the Armijo test
+cannot resolve a decrease, and the step is taken if it cuts ||g|| by a
+relative 1e-4, so Newton solves are monotone only up to the value's
+rounding. On a piecewise-quadratic objective Newton is a finite active-set
+method (as in SSNAL, Li, Sun & Toh 2018); on the SDP forms it is the
+semismooth Newton method of SDPNAL (Zhao, Sun & Toh 2010). Either way the
+optimality certificate is the convexity bound
 
     L(x) - min L <= ||grad L(x)|| * D
 
@@ -22,7 +26,7 @@ gap.
 
 The loop has four exits: the certificate reaches the tolerance; no
 resolvable descent in the value for 25 iterations (the value floor); the
-line search cannot move x, because it found no descent or because
+line search cannot move x, because it found no acceptable step or because
 ``x - t*d`` rounds to ``x`` (a null move: x, its value, gradient and step
 length stay as they were); and ``max_iter``.
 """
@@ -62,16 +66,16 @@ def minimize_auglag(value_and_grad, start, tol, max_iter=10000, diameter_bound=N
     """Minimize a smooth convex objective until the certified gap is <= tol.
 
     ``value_and_grad(point) -> (value, gradient)`` with gradient shaped like
-    the point (works for vectors and symmetric matrices alike). Descent is
-    enforced every step by halving the trial step until the Armijo test
-    (constant 1e-4) holds; the next step length is re-initialized from the
-    Barzilai-Borwein spectral estimate. Stops at the first of the four exits
-    in the module docstring; all but the tolerance give converged=False.
-    ``iterations`` counts accepted moves only, and ``history``, when given a
-    list, receives the start value and the value after each of them.
-    ``hessian(point) -> H``, when given, returns a symmetric positive
-    semidefinite (generalized) Hessian of the vector objective at the point,
-    and each step becomes a damped Newton step (see the module docstring).
+    the point (works for vectors and symmetric matrices alike). Each step
+    halves the trial step until the Armijo test (constant 1e-4) holds; the
+    next gradient step length is re-initialized from the Barzilai-Borwein
+    spectral estimate. Stops at the first of the four exits in the module
+    docstring; all but the tolerance give converged=False. ``iterations``
+    counts accepted moves only, and ``history``, when given a list, receives
+    the start value and the value after each of them. ``hessian(point)``,
+    when given, returns a solve ``g -> d`` with a positive definite
+    (regularized generalized) Hessian at the point, and each step becomes a
+    damped Newton step (see the module docstring).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -107,27 +111,30 @@ def minimize_auglag(value_and_grad, start, tol, max_iter=10000, diameter_bound=N
         # The Armijo decrease 1e-4 t g.d is written 1e-4 t slope ||g|| with
         # slope = g.d / ||g||, so the gradient step (slope = ||g||) rounds it
         # exactly as 1e-4 t ||g|| ||g||
-        d, slope, t = g, gn, step
+        d, slope, t, f_cap = g, gn, step, -np.inf
         if hessian is not None:
-            H = hessian(x)
-            ridge = 1e-12 * (1.0 + float(np.max(np.abs(np.diag(H)))))
-            d_newton = np.linalg.solve(H + ridge * np.eye(H.shape[0]), g)
+            d_newton = hessian(x)(g)
             gd = float(np.vdot(g, d_newton).real)
             if gd > 0 and np.isfinite(gd):
                 d, slope, t = d_newton, gd / gn, 1.0
-        x_new = x - t * d
-        f_new, g_new = value_and_grad(x_new)
+                f_cap = fx + 1e-14 * (1.0 + abs(fx))
         backtracks = 0
-        while not (np.isfinite(f_new) and f_new <= fx - 1e-4 * t * slope * gn) \
-                and backtracks < 60:
-            t *= 0.5
+        while True:
             x_new = x - t * d
             f_new, g_new = value_and_grad(x_new)
+            finite = np.isfinite(f_new)
+            # value floor: a Newton step that moves the value by less than
+            # its rounding is accepted when it cuts ||g||
+            floor_move = finite and f_new <= f_cap and _norm(g_new) <= (1.0 - 1e-4) * gn
+            if ((finite and f_new <= fx - 1e-4 * t * slope * gn) or floor_move
+                    or backtracks == 60):
+                break
+            t *= 0.5
             backtracks += 1
         if not np.isfinite(f_new) or not np.all(np.isfinite(g_new)):
             raise InnerSolveError(f"objective returned non-finite values at iteration {it} "
                                   f"(value={f_new!r})")
-        if f_new > fx or x_new.tobytes() == x.tobytes():
+        if (f_new > fx and not floor_move) or x_new.tobytes() == x.tobytes():
             # The search cannot move x: no descent, or x - t*d rounds to x.
             break
         s = x_new - x

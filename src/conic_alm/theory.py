@@ -12,9 +12,11 @@ and cone-constrained problems above the trace threshold.
 Verifiers report counts and extremal ratios instead of asserting; tests and
 the command line decide what counts as failure. All sampling is seeded and
 needs samples >= 1. The quadratic growth and error bound verifiers perturb
-the solution by noise of scale ball_radius / 3, keep the points within
-ball_radius > 0 of it, and give up with a ValueError after 100 draws per
-requested sample, or after 2000 draws when none has landed.
+the solution by noise of scale ball_radius / 3 (the error bound verifier
+rescales it so that its root-mean-square norm is 3/4 of ball_radius at every
+dimension), keep the points within ball_radius > 0 of it, and give up with a
+ValueError after 100 draws per requested sample, or after 2000 draws when
+none has landed.
 """
 
 from dataclasses import dataclass
@@ -159,9 +161,13 @@ def verify_eb_primal(inst, gamma=None, alpha=None, ball_radius=1.0, samples=2000
         gamma = _default_gamma(inst)
     if alpha is None:
         alpha = _default_gamma(inst)
+    # Noise of entry scale sigma has E ||noise||_F^2 = sigma^2 n (n + 1) / 2;
+    # rescaled, its root-mean-square norm is 3/4 of ball_radius at every n
+    # (at scale sigma almost no draw lands in the ball from n = 8 on).
+    scale = 2.25 / np.sqrt(p.n * (p.n + 1) / 2.0)
 
     def draw(rng, sigma):
-        X = inst.x_star + _sym_noise(rng, p.n, sigma)
+        X = inst.x_star + _sym_noise(rng, p.n, scale * sigma)
         return X, frob(X - inst.x_star) ** 2
 
     def lhs_of(X):

@@ -4,9 +4,10 @@ Each helper recomputes a quantity by a route the library does not use:
 closed-form 2x2 eigensystems, naive double-loop linear maps, tensor
 contractions over the (m, n, n) constraint stack, central finite
 differences, brute-force minimization over a parameter grid, scalar closed
-forms, an inner solver that evaluates every line search, and growth verifiers
-that each keep their own rejection loop. Expected values frozen in the tests
-were produced by these.
+forms, an inner solver that evaluates every line search, growth verifiers
+that each keep their own rejection loop, and generalized Hessians formed as
+explicit matrices (Kronecker products over the eigenbasis for the SDP
+forms). Expected values frozen in the tests were produced by these.
 """
 
 import numpy as np
@@ -99,6 +100,49 @@ def fd_grad_vec(f, x, h=None):
         e[i] = h
         g[i] = (f(x + e) - f(x - e)) / (2.0 * h)
     return g
+
+
+def divided_differences(lam):
+    """Divided differences of max(., 0), pair by pair: 1 on ties of positive
+    eigenvalues and 0 on ties of nonpositive ones."""
+    pos = np.maximum(lam, 0.0)
+    n = lam.size
+    omega = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            if lam[i] == lam[j]:
+                omega[i, j] = 1.0 if lam[i] > 0 else 0.0
+            else:
+                omega[i, j] = (pos[i] - pos[j]) / (lam[i] - lam[j])
+    return omega
+
+
+def psd_projection_jacobian(M):
+    """The n^2 x n^2 matrix (Q kron Q) diag(vec Omega) (Q kron Q)' of the
+    generalized Jacobian of proj_psd at M, acting on row-major vec."""
+    lam, Q = np.linalg.eigh(M)
+    K = np.kron(Q, Q)
+    return (K * divided_differences(lam).ravel()) @ K.T
+
+
+def primal_hessian_matrix(p, w, r, X):
+    """r A'A + r Pi'(Z - rX) of the primal-form subproblem, n^2 x n^2."""
+    return r * p.A_flat.T @ p.A_flat + r * psd_projection_jacobian(w.Z - r * X)
+
+
+def dual_hessian_matrix(p, X, r, y):
+    """r A Pi'(X - r(C - A*(y))) A* of the dual-form subproblem, m x m."""
+    M = X - r * (p.C - apply_Astar(p, y))
+    return r * p.A_flat @ psd_projection_jacobian(M) @ p.A_flat.T
+
+
+def ineq_hessian_matrix(q, z, r, x):
+    """Q + r G_A' G_A over the active rows z + r g(x) > 0, one row at a time."""
+    H = np.array(q.Q, dtype=float)
+    for zi, gi, row in zip(z, q.constraints(x), q.G):
+        if zi + r * gi > 0:
+            H = H + r * np.outer(row, row)
+    return H
 
 
 def brute_force_face_dist(X, p2, grid):
@@ -278,7 +322,9 @@ def verify_eb_primal_reference(inst, gamma=None, alpha=None, ball_radius=1.0,
     if alpha is None:
         alpha = _default_gamma(inst)
     rng = np.random.default_rng(seed)
-    sigma = ball_radius / 3.0
+    # root-mean-square ||noise||_F = 3/4 ball_radius at every n, rounded as
+    # the library rounds it
+    sigma = ball_radius / 3.0 * (2.25 / np.sqrt(p.n * (p.n + 1) / 2.0))
     lhs_list, dist2_list = [], []
     kept = 0
     while kept < samples:

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from conic_alm.alm import (AlmConfig, fit_linear_rate, ppm, solve_dual_alm,
                            solve_ineq_alm, solve_primal_alm, truncate_at_floor,
                            verify_ppm_alm_link)
+from conic_alm import auglag
 from conic_alm.auglag import primal_objective
 from conic_alm.fixtures import load_builtin
 from conic_alm.inner import minimize_auglag
@@ -287,6 +288,31 @@ class TestAllForms:
         ours = [w for w in caught if "without certified" in str(w.message)]
         assert len(ours) == 1
         assert ours[0].filename == __file__
+
+
+class TestNewtonSteps:
+    @pytest.mark.parametrize("name,form", [
+        ("svm-random", "ineq"), ("lasso-random", "ineq"),
+        *[(f"maxcut-g{i}-20", form) for i in (1, 2, 3) for form in ("primal", "dual")]])
+    def test_evaluations_per_step(self, name, form, monkeypatch):
+        # damped Newton steps take the unit step or one halving on almost
+        # every step, also where the value stops resolving descent (gradient
+        # steps need up to 12 evaluations per step on these runs)
+        evals = []
+        factory = getattr(auglag, f"{form}_objective")
+
+        def counted_factory(*args):
+            value_and_grad = factory(*args)
+            return lambda x: evals.append(None) or value_and_grad(x)
+
+        monkeypatch.setattr(auglag, f"{form}_objective", counted_factory)
+        problem = load_builtin(name)
+        solve, start = {"primal": (solve_primal_alm, zero_dual),
+                        "dual": (solve_dual_alm, lambda p: np.zeros((p.n, p.n))),
+                        "ineq": (solve_ineq_alm, lambda q: np.zeros(q.n_constraints))}[form]
+        trace = quiet(solve, problem, start(problem), AlmConfig(stop_eps3=1e-5))
+        assert trace.converged
+        assert len(evals) <= 2 * sum(rec.inner_iterations for rec in trace.records)
 
 
 class TestPenaltyEffect:

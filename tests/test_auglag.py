@@ -7,21 +7,39 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conic_alm.auglag import (dual_gap_lower_bound, dual_objective, eval_L_dual,
-                              eval_L_ineq, eval_L_primal, grad_L_dual_y,
+from conic_alm.auglag import (dual_gap_lower_bound, dual_hessian, dual_objective,
+                              eval_L_dual, eval_L_ineq, eval_L_primal, grad_L_dual_y,
                               grad_L_ineq_x, grad_L_primal_X, grad_L_primal_w,
-                              ineq_hessian, ineq_objective, primal_objective)
+                              ineq_hessian, ineq_objective, primal_hessian,
+                              primal_objective)
 from conic_alm.inner import minimize_auglag
 from conic_alm.model import DualPoint, apply_A, svm_instance, synth_known_solution
 from conic_alm.symcone import frob, inner, symmetrize
 
 from conftest import ineq_subproblems, random_sym
-from oracles import fd_grad_sym, fd_grad_vec
+from oracles import (dual_hessian_matrix, fd_grad_sym, fd_grad_vec, ineq_hessian_matrix,
+                     primal_hessian_matrix)
 
 
 def rand_dual(rng, p, scale=1.0):
     return DualPoint(y=rng.standard_normal(p.m) * scale,
                      Z=random_sym(rng, p.n, scale))
+
+
+def assert_solves(K, d, g, rtol=1e-9):
+    """d solves K d = g with normwise backward error at most rtol."""
+    residual = np.linalg.norm(K @ d - g)
+    assert residual <= rtol * (np.linalg.norm(K, 2) * np.linalg.norm(d) + np.linalg.norm(g))
+
+
+def ridge(H):
+    return 1e-12 * (1.0 + np.max(np.abs(np.diag(H))))
+
+
+def spectral_margin(lam):
+    """Smallest distance between two eigenvalues or from one to 0."""
+    pts = np.append(lam, 0.0)
+    return float(np.min(np.abs(pts[:, None] - pts[None, :]) + np.diag(np.full(pts.size, np.inf))))
 
 
 class TestPrimalValue:
@@ -155,10 +173,10 @@ class TestDualForm:
 
 
 @st.composite
-def certified_subproblems(draw):
-    """A random certified SDP (n in 2..6), a penalty r in [0.1, 10] and a
-    generator for points and multipliers."""
-    n = draw(st.integers(2, 6))
+def certified_subproblems(draw, max_n=6):
+    """A random certified SDP (n in 2..max_n), a penalty r in [0.1, 10] and
+    a generator for points and multipliers."""
+    n = draw(st.integers(2, max_n))
     m = draw(st.integers(1, n * (n + 1) // 2))
     rank_x = draw(st.integers(1, n))
     inst = synth_known_solution(n=n, m=m, rank_x=rank_x, seed=draw(st.integers(0, 2**16)))
@@ -182,6 +200,59 @@ class TestObjectivesAgainstFiniteDifferences:
         y = rng.standard_normal(p.m)
         fd = fd_grad_vec(lambda v: obj(v)[0], y)
         assert np.linalg.norm(obj(y)[1] - fd) <= 1e-5 * (1.0 + np.linalg.norm(fd))
+
+
+class TestSdpNewtonSolves:
+    """The Newton solves against the explicit Kronecker-form Hessians."""
+
+    @given(certified_subproblems(max_n=4), st.floats(-16.0, 2.0))
+    def test_primal_solve(self, case, log_scale):
+        # rho = r min(1, ||G||) takes both branches and meets its floor over
+        # the drawn scales
+        p, r, rng = case
+        w, X = rand_dual(rng, p), random_sym(rng, p.n)
+        G = random_sym(rng, p.n, 10.0 ** log_scale)
+        D = primal_hessian(p, w, r)(X)(G)
+        assert D.tobytes() == D.T.tobytes()
+        floor = 1e-12 * (1.0 + r * (1.0 + np.max(np.sum(p.A_flat ** 2, axis=0))))
+        rho = max(r * min(1.0, frob(G)), floor)
+        K = primal_hessian_matrix(p, w, r, X) + rho * np.eye(p.n * p.n)
+        assert_solves(K, D.ravel(), G.ravel())
+
+    @given(certified_subproblems(max_n=4), st.floats(-16.0, 2.0))
+    def test_dual_solve(self, case, log_scale):
+        p, r, rng = case
+        X, y = random_sym(rng, p.n), rng.standard_normal(p.m)
+        g = rng.standard_normal(p.m) * 10.0 ** log_scale
+        d = dual_hessian(p, X, r)(y)(g)
+        H = dual_hessian_matrix(p, X, r, y)
+        assert_solves(H + ridge(H) * np.eye(p.m), d, g)
+
+    @given(certified_subproblems(max_n=4))
+    def test_primal_hessian_matches_gradient_differences(self, case):
+        # away from eigenvalue ties and from 0, proj_psd is smooth and the
+        # gradient's central differences give H v up to O(h^2)
+        p, r, rng = case
+        w, X, V = rand_dual(rng, p), random_sym(rng, p.n), random_sym(rng, p.n)
+        margin = spectral_margin(np.linalg.eigvalsh(w.Z - r * X))
+        assume(margin >= 1e-2)
+        h = 1e-4 * margin / (r * frob(V))
+        obj = primal_objective(p, w, r)
+        fd = ((obj(X + h * V)[1] - obj(X - h * V)[1]) / (2.0 * h)).ravel()
+        Hv = primal_hessian_matrix(p, w, r, X) @ V.ravel()
+        assert np.linalg.norm(fd - Hv) <= 1e-6 * (1.0 + np.linalg.norm(Hv))
+
+    @given(certified_subproblems(max_n=4))
+    def test_dual_hessian_matches_gradient_differences(self, case):
+        p, r, rng = case
+        X, y, v = random_sym(rng, p.n), rng.standard_normal(p.m), rng.standard_normal(p.m)
+        margin = spectral_margin(np.linalg.eigvalsh(X - r * (p.C - (y @ p.A_flat).reshape(p.n, p.n))))
+        assume(margin >= 1e-2)
+        h = 1e-4 * margin / (r * frob((v @ p.A_flat).reshape(p.n, p.n)))
+        obj = dual_objective(p, X, r)
+        fd = (obj(y + h * v)[1] - obj(y - h * v)[1]) / (2.0 * h)
+        Hv = dual_hessian_matrix(p, X, r, y) @ v
+        assert np.linalg.norm(fd - Hv) <= 1e-6 * (1.0 + np.linalg.norm(Hv))
 
 
 class TestIneqForm:
@@ -223,14 +294,14 @@ class TestIneqForm:
         x = rng.standard_normal(q.dim)
         margin = float(np.min(np.abs(z + r * q.constraints(x)), initial=np.inf))
         assume(margin >= 1e-6)
-        H = ineq_hessian(q, z, r)(x)
+        H = ineq_hessian_matrix(q, z, r, x)
         h = min(1e-3, 0.5 * margin / (r * float(np.max(np.abs(q.G)))))
         grad = ineq_objective(q, z, r)
         fd = np.column_stack([(grad(x + h * e)[1] - grad(x - h * e)[1]) / (2.0 * h)
                               for e in np.eye(q.dim)])
         assert np.max(np.abs(fd - H)) <= 1e-6 * np.max(np.abs(H))
-        assert H.tobytes() == H.T.tobytes()
-        assert np.linalg.eigvalsh(H)[0] >= -1e-12 * np.max(np.abs(H))
+        g = grad(x)[1]
+        assert_solves(H + ridge(H) * np.eye(q.dim), ineq_hessian(q, z, r)(x)(g), g)
 
 
 class TestMoreauEnvelopeOrdering:

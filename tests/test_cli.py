@@ -174,10 +174,8 @@ class TestInputErrors:
     # child process lets the timeout stop it.
     @pytest.mark.parametrize("argv", [
         ["qg-dual", "--builtin", "example-d1", "--radius", "0"],
-        ["eb-primal", "--builtin", "synth", "--n", "8", "--m", "10", "--rank-x", "3",
-         "--seed", "1", "--samples", "10"],
         ["qg-primal", "--builtin", "example-d1", "--radius", "1e-20"],
-    ], ids=["qg-dual-radius-0", "eb-primal-out-of-reach", "qg-primal-radius-1e-20"])
+    ], ids=["qg-dual-radius-0", "qg-primal-radius-1e-20"])
     def test_unreachable_ball_exits_3(self, argv, tmp_path):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -254,6 +252,14 @@ class TestVerify:
         assert code == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["face_points"] == report["off_face_points"] == face_points
+
+    def test_eb_primal_synth_n8(self, tmp_path):
+        # the unit ball used to be out of the sampler's reach from n = 8 on
+        code = run(["verify", "eb-primal", "--builtin", "synth", "--n", "8", "--m", "10",
+                    "--rank-x", "3", "--seed", "1", "--samples", "10", "--out", str(tmp_path)])
+        assert code == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["samples"] == 10 and report["ok"]
 
     def test_strict_complementarity(self, tmp_path):
         code = run(["verify", "strict-complementarity", "--builtin", "example-d1",

@@ -1,19 +1,19 @@
-"""Bitwise determinism of the subproblem objectives, the inequality-form
-Hessian and ``eig_sym``.
+"""Bitwise determinism of the subproblem objectives, their Newton solves
+and ``eig_sym``.
 
 A solve must write the same ``trace.csv`` on every run. That holds only if
-each objective (and, for Newton steps, each Hessian) is a function of the
-bits of its argument, not of where those bits sit in memory, which can
-differ from run to run. Each property evaluates a point as a fresh copy and
-as a view that starts a few elements into a larger buffer, and compares the
-bits.
+each objective and each Newton solve is a function of the bits of its
+argument, not of where those bits sit in memory, which can differ from run
+to run. Each property evaluates a point as a fresh copy and as a view that
+starts a few elements into a larger buffer, and compares the bits.
 """
 
 import numpy as np
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conic_alm.auglag import dual_objective, ineq_hessian, ineq_objective, primal_objective
+from conic_alm.auglag import (dual_hessian, dual_objective, ineq_hessian, ineq_objective,
+                              primal_hessian, primal_objective)
 from conic_alm.model import DualPoint, SdpProblem, lasso_instance
 from conic_alm.symcone import eig_sym, symmetrize
 
@@ -34,6 +34,12 @@ def bits(value, grad):
 
 def assert_same_bits(objective, x, offset):
     assert bits(*objective(x.copy())) == bits(*objective(relocated(x, offset)))
+
+
+def assert_same_solve(hessian, x, g, offset):
+    # the Newton direction is hessian(x)(g), so a run-to-run identical trace
+    # needs it
+    assert hessian(x.copy())(g).tobytes() == hessian(relocated(x, offset))(g).tobytes()
 
 
 @st.composite
@@ -88,12 +94,22 @@ def test_ineq_objective_depends_only_on_bits(case):
 
 @given(ineq_subproblems(), st.integers(1, 7))
 def test_ineq_hessian_depends_only_on_bits(case, offset):
-    # the Newton direction comes from H(x), so a run-to-run identical trace
-    # needs it
     q, z, r, rng = case
     x = rng.standard_normal(q.dim)
-    hessian = ineq_hessian(q, z, r)
-    assert hessian(x.copy()).tobytes() == hessian(relocated(x, offset)).tobytes()
+    assert_same_solve(ineq_hessian(q, z, r), x, ineq_objective(q, z, r)(x)[1], offset)
+
+
+@given(sdp_cases())
+def test_primal_hessian_depends_only_on_bits(case):
+    p, X, Z, y, r, offset = case
+    w = DualPoint(y=y, Z=Z)
+    assert_same_solve(primal_hessian(p, w, r), X, primal_objective(p, w, r)(X)[1], offset)
+
+
+@given(sdp_cases())
+def test_dual_hessian_depends_only_on_bits(case):
+    p, X, _, y, r, offset = case
+    assert_same_solve(dual_hessian(p, X, r), y, dual_objective(p, X, r)(y)[1], offset)
 
 
 @given(st.integers(1, 10), st.integers(0, 2**32 - 1), st.booleans(), st.integers(1, 7))

@@ -199,17 +199,46 @@ class TestNewton:
         assert res.grad_norm <= 1e-9
 
     def test_falls_back_to_gradient_steps(self):
-        # a Hessian whose Newton direction ascends (g.d < 0) is never used:
+        # a Newton solve whose direction ascends (g.d < 0) is never used:
         # every step is the gradient step, bit for bit
         q = lasso_fixture()
         obj = ineq_objective(q, np.ones(q.n_constraints), 10.0)
         runs = []
-        for hessian in (None, lambda x: -np.eye(x.size)):
+        for hessian in (None, lambda x: np.negative):
             history = []
             res = minimize_auglag(obj, np.zeros(q.dim), tol=1e-12, diameter_bound=50.0,
                                   max_iter=300, history=history, hessian=hessian)
             runs.append((res.minimizer.tobytes(), res.iterations, np.array(history).tobytes()))
         assert runs[0] == runs[1]
+
+
+    def test_accepts_newton_steps_at_the_value_floor(self):
+        # the value rises by 3e-15, below its rounding, while the unit
+        # Newton step zeroes the gradient: Armijo rejects it, the value-floor
+        # test accepts it; gradient steps get no such test and only move x
+        # by the few ulps whose change in value Armijo cannot resolve
+        def obj(x):
+            return 1.0 - 1e-15 * float(x @ x), x.copy()
+
+        runs = {}
+        for name, hessian in (("newton", lambda x: lambda g: g), ("gradient", None)):
+            calls = []
+            res = minimize_auglag(lambda x: calls.append(None) or obj(x), np.ones(3),
+                                  tol=1e-12, diameter_bound=1.0, hessian=hessian)
+            runs[name] = (res, len(calls))
+        (newton, newton_evals), (gradient, gradient_evals) = runs["newton"], runs["gradient"]
+        assert newton.converged and newton.iterations == 1 and newton_evals == 2
+        assert not gradient.converged and gradient.grad_norm > 1.7 and gradient_evals > 60
+
+    def test_value_floor_needs_a_gradient_cut(self):
+        # a Newton step that rounds the value but cuts ||g|| by less than a
+        # relative 1e-4 is rejected like any other
+        def obj(x):
+            return 1.0 - 1e-15 * float(x @ x), x.copy()
+
+        res = minimize_auglag(obj, np.ones(3), tol=1e-12, diameter_bound=1.0,
+                              hessian=lambda x: lambda g: 1e-5 * g)
+        assert not res.converged and res.grad_norm > 1.7
 
 
 class TestCriteria:
