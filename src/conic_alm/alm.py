@@ -3,9 +3,9 @@
 One loop runs the inexact ALM for all three forms: approximately minimize the
 augmented Lagrangian in the primal variable with a certified gap, test the
 two inexactness criteria against the tentative multiplier step, tighten and
-re-solve if needed, then apply that same step. Each form supplies five
-pieces: its ``auglag.*_objective`` factory, its ``auglag.*_hessian``
-factory of Newton solves, its multiplier update
+re-solve if needed, then apply that same step. Each form supplies four
+pieces: its ``auglag.*_objective`` factory, whose subproblem oracle returns
+value, gradient and Newton solve together, its multiplier update
 
     primal form:      y+ = y + r (b - A(X)),   Z+ = proj_psd(Z - r X)
     dual form:        X+ = proj_psd(X - r (C - A*(y+)))
@@ -28,7 +28,7 @@ least-squares estimator of empirical linear convergence rates.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -67,6 +67,9 @@ class AlmConfig:
     inner_budget: int = 4000
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type is float and not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if self.r0 <= 0 or self.r_growth < 1 or self.r_max < self.r0:
             raise ValueError("need r0 > 0, r_growth >= 1, r_max >= r0")
         if not 0 < self.decay < 1:
@@ -176,15 +179,13 @@ def _ineq_update(q, z, x, r):
     return x, z_new, float(np.linalg.norm(z_new - z))
 
 
-def _certified_subsolve(objective, hessian, x_start, r, eps_k, delta_k, update_at, cfg,
-                        diameter_of):
+def _certified_subsolve(objective, x_start, r, eps_k, delta_k, update_at, cfg, diameter_of):
     """Solve one subproblem until both criteria hold or the floor is reached.
 
     ``update_at(minimizer)`` is the form's multiplier update, whose step norm
     criterion B measures; tightening re-solves warm-started from the current
-    iterate; ``hessian`` is the subproblem's Newton solve.
-    Returns (InnerResult, the last update's (x, w+, step), certified flag,
-    total inner iterations).
+    iterate. Returns (InnerResult, the last update's (x, w+, step),
+    certified flag, total inner iterations).
     """
     target = eps_k * eps_k / (2.0 * r)
     total_iters = 0
@@ -192,7 +193,7 @@ def _certified_subsolve(objective, hessian, x_start, r, eps_k, delta_k, update_a
     for _ in range(_CERTIFY_ROUNDS):
         result = minimize_auglag(objective, x, tol=max(target, _TARGET_FLOOR),
                                  max_iter=max(cfg.inner_budget - total_iters, 50),
-                                 diameter_bound=diameter_of(x), hessian=hessian)
+                                 diameter_bound=diameter_of(x))
         total_iters += result.iterations
         x = result.minimizer
         update = update_at(x)
@@ -209,20 +210,20 @@ def _certified_subsolve(objective, hessian, x_start, r, eps_k, delta_k, update_a
     return result, update, False, total_iters
 
 
-def _outer_loop(trace, cfg, p, objective, hessian, update, diameter_of, record, x, w):
+def _outer_loop(trace, cfg, p, objective, update, diameter_of, record, x, w):
     """The inexact ALM shared by every form; appends to ``trace`` and returns it.
 
-    ``objective(p, w, r)`` builds the subproblem in x and ``hessian(p, w, r)``
-    its Newton solve, ``update(p, w, x, r)`` is the multiplier step,
-    ``diameter_of(x)`` bounds the distance from x to the subproblem
-    minimizer, and ``record(x, w, w+, fields)`` builds the iteration record
-    (with its residuals) from the shared ``fields``.
+    ``objective(p, w, r)`` builds the subproblem oracle in x,
+    ``update(p, w, x, r)`` is the multiplier step, ``diameter_of(x)`` bounds
+    the distance from x to the subproblem minimizer, and
+    ``record(x, w, w+, fields)`` builds the iteration record (with its
+    residuals) from the shared ``fields``.
     """
     for k in range(cfg.max_outer):
         r = cfg.penalty(k)
         eps_k, delta_k = cfg.eps(k), cfg.delta(k)
         result, (x, w_new, step), certified, iters = _certified_subsolve(
-            objective(p, w, r), hessian(p, w, r), x, r, eps_k, delta_k,
+            objective(p, w, r), x, r, eps_k, delta_k,
             lambda xc: update(p, w, xc, r), cfg, diameter_of)
         rec = record(x, w, w_new, dict(
             k=k, r=r, eps_k=eps_k, delta_k=delta_k, inner_iterations=iters,
@@ -278,8 +279,8 @@ def solve_primal_alm(p, w0, cfg=None):
                            oracle.dist_dual(w) if track_w else None, fields)
 
     trace = AlmTrace(form="primal", problem_name=p.name, config=cfg, start_point=w0)
-    return _outer_loop(trace, cfg, p, auglag.primal_objective, auglag.primal_hessian,
-                       _primal_update, lambda Xc: auglag.default_diameter(p, Xc), record,
+    return _outer_loop(trace, cfg, p, auglag.primal_objective, _primal_update,
+                       lambda Xc: auglag.default_diameter(p, Xc), record,
                        np.zeros((p.n, p.n)), DualPoint(y=w0.y.copy(), Z=w0.Z.copy()))
 
 
@@ -305,17 +306,13 @@ def solve_dual_alm(p, X0, cfg=None):
                            oracle.dist_primal(X) if track_x else None, fields)
 
     trace = AlmTrace(form="dual", problem_name=p.name, config=cfg, start_point=X0)
-    return _outer_loop(trace, cfg, p, auglag.dual_objective, auglag.dual_hessian,
-                       _dual_update, lambda yc: scale + 2.0 * float(np.linalg.norm(yc)),
+    return _outer_loop(trace, cfg, p, auglag.dual_objective, _dual_update,
+                       lambda yc: scale + 2.0 * float(np.linalg.norm(yc)),
                        record, np.zeros(p.m), X0.copy())
 
 
 def solve_ineq_alm(q, z0, cfg=None, x_star=None, f_star=None):
-    """Inexact ALM on a convex QP with affine inequality constraints; x starts at 0.
-
-    Subproblems are solved by Newton steps on the generalized Hessian
-    ``auglag.ineq_hessian``.
-    """
+    """Inexact ALM on a convex QP with affine inequality constraints; x starts at 0."""
     cfg = cfg or AlmConfig()
     z = np.asarray(z0, dtype=float).copy()
     if z.shape != (q.n_constraints,) or np.any(z < 0):
@@ -330,8 +327,8 @@ def solve_ineq_alm(q, z0, cfg=None, x_star=None, f_star=None):
             **fields)
 
     trace = AlmTrace(form="ineq", problem_name=q.name, config=cfg, start_point=z.copy())
-    return _outer_loop(trace, cfg, q, auglag.ineq_objective, auglag.ineq_hessian,
-                       _ineq_update, lambda xc: scale + 2.0 * float(np.linalg.norm(xc)),
+    return _outer_loop(trace, cfg, q, auglag.ineq_objective, _ineq_update,
+                       lambda xc: scale + 2.0 * float(np.linalg.norm(xc)),
                        record, np.zeros(q.dim), z)
 
 
@@ -427,11 +424,9 @@ def verify_ppm_alm_link(p, trace):
     w_prev = trace.start_point
     for rec in trace.records:
         r = rec.r
-        objective = auglag.primal_objective(p, w_prev, r)
         tol_ref = max(rec.gap_certificate * 0.1, 1e-15)
-        ref = minimize_auglag(objective, rec.X, tol=tol_ref, max_iter=20000,
-                              diameter_bound=auglag.default_diameter(p, rec.X),
-                              hessian=auglag.primal_hessian(p, w_prev, r))
+        ref = minimize_auglag(auglag.primal_objective(p, w_prev, r), rec.X, tol=tol_ref,
+                              max_iter=20000, diameter_bound=auglag.default_diameter(p, rec.X))
         _, w_prox, _ = _primal_update(p, w_prev, ref.minimizer, r)
         dy = rec.y - w_prox.y
         dZ = rec.Z - w_prox.Z

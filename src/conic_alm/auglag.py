@@ -14,18 +14,18 @@ Inequality form (variable x, multipliers z >= 0, constraint map g = Gx + h):
     L_r(x, z) = f(x) + (||max(z + r g(x), 0)||^2 - ||z||^2) / (2r)
 
 All three are convex and continuously differentiable in the primal variable;
-the multiplier gradients recover the classical dual update rules. Each
-form has one formula: the ``*_objective`` factories bundle value and
-gradient into one callable for the inner solver, so the eigendecomposition
-is shared between them, and ``eval_L_*``/``grad_L_*`` are validated
-one-liners over those callables. The SDP factories bind the flat operator
+the multiplier gradients recover the classical dual update rules. Each form
+has one formula, its ``*_objective`` factory, whose callable x -> (value,
+gradient, solve) is all the inner solver needs; ``eval_L_*``/``grad_L_*``
+are validated one-liners over it. The SDP factories bind the flat operator
 ``p.A_flat`` and vec(C) once, so A(X), A*(u) and <C, X> cost one BLAS call
 each.
 
-The ``*_hessian`` factories give the inner solver's Newton steps: each
-returns x -> (g -> d), a solve of a regularized generalized Hessian system
-at x. The gradients are semismooth: the inequality form is piecewise
-quadratic, and the SDP forms differentiate proj_psd through the
+The solve g -> d of a regularized generalized Hessian system at x gives the
+inner solver's Newton step. It reuses the value's eigendecomposition (or
+active set) and works only when called, so a rejected line-search trial
+pays for none of it. The gradients are semismooth: the inequality form is
+piecewise quadratic, and the SDP forms differentiate proj_psd through the
 divided-difference matrix Omega of its eigendecomposition (SDPNAL, Zhao,
 Sun & Toh 2010).
 """
@@ -37,17 +37,21 @@ from .symcone import check_symmetric, frob, inner, project_psd, symmetrize
 
 
 def _check_r(r):
-    if r <= 0:
+    if not r > 0:
         raise ValueError("penalty parameter r must be positive")
 
 
 def primal_objective(p, w, r):
-    """Callable X -> (L_r(X, w), grad_X L_r) sharing one eigendecomposition."""
+    """Callable X -> (L_r(X, w), grad_X L_r, Newton solve at X) sharing one
+    eigendecomposition; the solve is :func:`_primal_solve`."""
     _check_r(r)
     A_flat, C, c, b, y, Z, n = p.A_flat, p.C, p.C.ravel(), p.b, w.y, w.Z, p.n
     offset = float(y @ y) + inner(Z, Z)
+    # below this rho, I / r is lost to rounding in the m x m system, which
+    # can then be exactly singular
+    ridge = 1e-12 * (1.0 + r * (1.0 + float(np.max(np.sum(A_flat ** 2, axis=0)))))
 
-    def value_and_grad(X):
+    def oracle(X):
         x = X.ravel()
         u = y + r * (b - A_flat @ x)
         lam, Q = np.linalg.eigh(Z - r * X)
@@ -55,9 +59,9 @@ def primal_objective(p, w, r):
         P = (Q * pos) @ Q.T
         val = float(c @ x) + (float(u @ u) + float(pos @ pos) - offset) / (2.0 * r)
         grad = C - (u @ A_flat).reshape(n, n) - P
-        return val, grad
+        return val, grad, lambda G: _primal_solve(p, r, ridge, lam, Q, G)
 
-    return value_and_grad
+    return oracle
 
 
 def eval_L_primal(p, X, w, r):
@@ -78,21 +82,30 @@ def grad_L_primal_w(p, X, w, r):
 
 
 def dual_objective(p, X, r):
-    """Callable y -> (L_r(y, X), grad_y L_r) for the dual-form subproblem."""
+    """Callable y -> (L_r(y, X), grad_y L_r, Newton solve at y).
+
+    The solve's generalized Hessian r A Pi'(M) A* at M = X - r(C - A*(y)) is
+    r R diag(vec Omega) R', row i of R the flattened Q' A_i Q, Q from eigh(M).
+    """
     _check_r(r)
     A_flat, C, b, n = p.A_flat, p.C, p.b, p.n
     XX = inner(X, X)
 
-    def value_and_grad(y):
+    def oracle(y):
         M = X - r * (C - (y @ A_flat).reshape(n, n))
         lam, Q = np.linalg.eigh(M)
         pos = np.maximum(lam, 0.0)
         P = (Q * pos) @ Q.T
         val = -float(b @ y) + (float(pos @ pos) - XX) / (2.0 * r)
         grad = -b + A_flat @ P.ravel()
-        return val, grad
 
-    return value_and_grad
+        def solve(g):
+            rot = _rotated(p, Q)
+            return _ridged_solve(r * ((rot * _omega(lam).ravel()) @ rot.T), g)
+
+        return val, grad, solve
+
+    return oracle
 
 
 def _omega(lam):
@@ -116,76 +129,41 @@ def _rotated(p, Q):
     return (Q.T @ p.constraint_mats @ Q).reshape(p.m, -1)
 
 
-def _ridged_solve(H):
-    """Solve g -> (H + ridge I)^-1 g, ridge = 1e-12 (1 + max |diag H|)."""
+def _ridged_solve(H, g):
+    """Solve (H + ridge I) d = g, ridge = 1e-12 (1 + max |diag H|)."""
     ridge = 1e-12 * (1.0 + float(np.max(np.abs(np.diag(H)))))
-    H = H + ridge * np.eye(H.shape[0])
-    return lambda g: np.linalg.solve(H, g)
+    return np.linalg.solve(H + ridge * np.eye(H.shape[0]), g)
 
 
-def primal_hessian(p, w, r):
-    """Callable X -> Newton solve of the primal-form subproblem at X.
+def _primal_solve(p, r, ridge, lam, Q, G):
+    """Newton solve of the primal-form subproblem, Z - rX = Q diag(lam) Q'.
 
-    The solve maps G to D with (r A*A + r Pi'(Z - rX) + rho I) D = G and
-    rho = r min(1, ||G||), floored at the ridge of the other forms with
-    max |diag H| bounded by r (1 + max_j ||A e_j||^2). In the eigenbasis Q
-    of Z - rX the last two terms act entrywise as F = r Omega + rho, so
+    Maps G to D with (r A*A + r Pi'(Z - rX) + rho I) D = G and
+    rho = r min(1, ||G||), floored at ``ridge``: the ridge of the other
+    forms with max |diag H| bounded by r (1 + max_j ||A e_j||^2). In the
+    eigenbasis Q the last two terms act entrywise as F = r Omega + rho, so
     Woodbury leaves one m x m system, I / r + R diag(1 / vec F) R' with row
     i of R the flattened Q' A_i Q. The n^2 x n^2 Hessian is never formed;
     one solve costs O(m n^3 + m^2 n^2).
     """
-    _check_r(r)
-    Z, m, n = w.Z, p.m, p.n
-    # below this rho, I / r is lost to rounding in the m x m system, which
-    # can then be exactly singular
-    ridge = 1e-12 * (1.0 + r * (1.0 + float(np.max(np.sum(p.A_flat ** 2, axis=0)))))
+    rot = _rotated(p, Q)
+    F = r * _omega(lam).ravel() + max(r * min(1.0, frob(G)), ridge)
+    scaled = rot / F
+    K = np.eye(p.m) / r + scaled @ rot.T
 
-    def hessian(X):
-        lam, Q = np.linalg.eigh(Z - r * X)
-        rot = _rotated(p, Q)
-        omega = r * _omega(lam).ravel()
+    def woodbury(rhs):
+        return (rhs - np.linalg.solve(K, scaled @ rhs) @ rot) / F
 
-        def solve(G):
-            F = omega + max(r * min(1.0, frob(G)), ridge)
-            scaled = rot / F
-            K = np.eye(m) / r + scaled @ rot.T
-
-            def woodbury(rhs):
-                return (rhs - np.linalg.solve(K, scaled @ rhs) @ rot) / F
-
-            G_rot = (Q.T @ G @ Q).ravel()
-            D_rot = woodbury(G_rot)
-            # iterative refinement: for small rho the Woodbury solve loses
-            # digits to cancellation
-            for _ in range(2):
-                D_rot = D_rot + woodbury(G_rot - F * D_rot - r * ((rot @ D_rot) @ rot))
-            D_rot = D_rot.reshape(n, n)
-            # the exact D is symmetric; dividing by a small rho amplifies the
-            # rounding of the rotated stack into a visible antisymmetric part
-            return symmetrize(Q @ D_rot @ Q.T)
-
-        return solve
-
-    return hessian
-
-
-def dual_hessian(p, X, r):
-    """Callable y -> Newton solve of the dual-form subproblem at y.
-
-    The generalized Hessian r A Pi'(M) A* at M = X - r(C - A*(y)) is the
-    m x m matrix r R diag(vec Omega) R', with row i of R the flattened
-    Q' A_i Q in the eigenbasis Q of M; it is solved with the ridge of
-    ``ineq_hessian``.
-    """
-    _check_r(r)
-    A_flat, C, n = p.A_flat, p.C, p.n
-
-    def hessian(y):
-        lam, Q = np.linalg.eigh(X - r * (C - (y @ A_flat).reshape(n, n)))
-        rot = _rotated(p, Q)
-        return _ridged_solve(r * ((rot * _omega(lam).ravel()) @ rot.T))
-
-    return hessian
+    G_rot = (Q.T @ G @ Q).ravel()
+    D_rot = woodbury(G_rot)
+    # iterative refinement: for small rho the Woodbury solve loses digits to
+    # cancellation
+    for _ in range(2):
+        D_rot = D_rot + woodbury(G_rot - F * D_rot - r * ((rot @ D_rot) @ rot))
+    D_rot = D_rot.reshape(p.n, p.n)
+    # the exact D is symmetric; dividing by a small rho amplifies the
+    # rounding of the rotated stack into a visible antisymmetric part
+    return symmetrize(Q @ D_rot @ Q.T)
 
 
 def eval_L_dual(p, y, X, r):
@@ -199,34 +177,27 @@ def grad_L_dual_y(p, y, X, r):
 
 
 def ineq_objective(q, z, r):
-    """Callable x -> (L_r(x, z), grad_x L_r) for the inequality subproblem."""
+    """Callable x -> (L_r(x, z), grad_x L_r, Newton solve at x).
+
+    The solve's generalized Hessian is Q + r G_A' G_A over the active set
+    A = {i : z_i + r g_i(x) > 0}; L_r(., z) is quadratic on each active set,
+    so Newton steps on it form a finite active-set method.
+    """
     _check_r(r)
     zz = float(z @ z)
 
-    def value_and_grad(x):
+    def oracle(x):
         pos = np.maximum(z + r * q.constraints(x), 0.0)
         val = q.objective(x) + (float(pos @ pos) - zz) / (2.0 * r)
         grad = q.objective_grad(x) + q.G.T @ pos
-        return val, grad
 
-    return value_and_grad
+        def solve(g):
+            G_A = q.G[pos > 0.0]
+            return _ridged_solve(q.Q + r * (G_A.T @ G_A), g)
 
+        return val, grad, solve
 
-def ineq_hessian(q, z, r):
-    """Callable x -> Newton solve of L_r(., z) at x (see the module docstring).
-
-    The generalized Hessian is Q + r G_A' G_A over the active set
-    A = {i : z_i + r g_i(x) > 0}. L_r(., z) is piecewise quadratic with this
-    Hessian on each piece, so Newton steps on it form a finite active-set
-    method.
-    """
-    _check_r(r)
-
-    def hessian(x):
-        G_A = q.G[z + r * q.constraints(x) > 0.0]
-        return _ridged_solve(q.Q + r * (G_A.T @ G_A))
-
-    return hessian
+    return oracle
 
 
 def eval_L_ineq(q, x, z, r):

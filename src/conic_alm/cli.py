@@ -283,6 +283,9 @@ def cmd_bench(args):
         raise InputError(f"bad --r-list: {exc}") from exc
     if not r_values:
         raise InputError("--r-list must contain at least one value")
+    repeated = sorted({r0 for r0 in r_values if r_values.count(r0) > 1})
+    if repeated:
+        raise InputError(f"--r-list repeats {', '.join(f'{r0:g}' for r0 in repeated)}")
     configs = {r0: _config(r0=r0, r_growth=args.r_growth, r_max=max(args.r_max, r0),
                            max_outer=args.max_outer, stop_eps3=args.stop_eps3)
                for r0 in r_values}

@@ -1,18 +1,19 @@
 """Certified approximate minimization of smooth convex subproblems.
 
-Gradient descent with Barzilai-Borwein step initialization and a monotone
-backtracking line search, or, when the caller supplies a Newton solve,
-damped Newton steps. ``hessian(x)`` returns a solve g -> d of a regularized
-generalized Hessian system at x (``auglag.*_hessian``); each step tries the
-unit step along -d and backtracks on the same Armijo test with g.d in place
-of ||g||^2. If g.d is not positive and finite, that step is the gradient
-step with the Barzilai-Borwein length. A Newton step is also accepted at the
-value floor: when its value is within 1e-14 (1 + |f|) of f, the Armijo test
-cannot resolve a decrease, and the step is taken if it cuts ||g|| by a
-relative 1e-4, so Newton solves are monotone only up to the value's
-rounding. On a piecewise-quadratic objective Newton is a finite active-set
-method (as in SSNAL, Li, Sun & Toh 2018); on the SDP forms it is the
-semismooth Newton method of SDPNAL (Zhao, Sun & Toh 2010). Either way the
+Damped Newton steps, or gradient descent with Barzilai-Borwein step
+initialization, under one monotone backtracking line search. The objective
+returns, with its value and gradient at x, a solve g -> d of a regularized
+generalized Hessian system at x (``auglag.*_objective``), or None. Each step
+uses the solve that came back with the current iterate: it tries the unit
+step along -d and backtracks on the same Armijo test with g.d in place of
+||g||^2. If there is no solve, or g.d is not positive and finite, that step
+is the gradient step with the Barzilai-Borwein length. A Newton step is also
+accepted at the value floor: when its value is within 1e-14 (1 + |f|) of f,
+the Armijo test cannot resolve a decrease, and the step is taken if it cuts
+||g|| by a relative 1e-4, so Newton solves are monotone only up to the
+value's rounding. On a piecewise-quadratic objective Newton is a finite
+active-set method (as in SSNAL, Li, Sun & Toh 2018); on the SDP forms it is
+the semismooth Newton method of SDPNAL (Zhao, Sun & Toh 2010). Either way the
 optimality certificate is the convexity bound
 
     L(x) - min L <= ||grad L(x)|| * D
@@ -61,28 +62,27 @@ def _norm(v):
     return float(np.sqrt(np.vdot(v, v).real))
 
 
-def minimize_auglag(value_and_grad, start, tol, max_iter=10000, diameter_bound=None,
-                    history=None, *, hessian=None):
+def minimize_auglag(oracle, start, tol, max_iter=10000, diameter_bound=None, history=None):
     """Minimize a smooth convex objective until the certified gap is <= tol.
 
-    ``value_and_grad(point) -> (value, gradient)`` with gradient shaped like
-    the point (works for vectors and symmetric matrices alike). Each step
-    halves the trial step until the Armijo test (constant 1e-4) holds; the
-    next gradient step length is re-initialized from the Barzilai-Borwein
-    spectral estimate. Stops at the first of the four exits in the module
-    docstring; all but the tolerance give converged=False. ``iterations``
-    counts accepted moves only, and ``history``, when given a list, receives
-    the start value and the value after each of them. ``hessian(point)``,
-    when given, returns a solve ``g -> d`` with a positive definite
-    (regularized generalized) Hessian at the point, and each step becomes a
-    damped Newton step (see the module docstring).
+    ``oracle(point) -> (value, gradient, solve)`` with gradient shaped like
+    the point (works for vectors and symmetric matrices alike); ``solve`` is
+    None or maps ``g -> d`` with a positive definite (regularized
+    generalized) Hessian at the point, and runs only for the start point
+    and accepted points, at most once each. Each step halves the trial step
+    until the Armijo test (constant 1e-4) holds; the next gradient step
+    length is re-initialized from the Barzilai-Borwein spectral estimate.
+    Stops at the first of the four exits in the module docstring; all but
+    the tolerance give converged=False. ``iterations`` counts accepted moves
+    only, and ``history``, when given a list, receives the start value and
+    the value after each of them.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if diameter_bound is None or diameter_bound <= 0:
         raise ValueError("diameter_bound must be positive")
     x = np.array(start, dtype=float)
-    fx, g = value_and_grad(x)
+    fx, g, solve = oracle(x)
     if history is not None:
         history.append(fx)
     if not np.isfinite(fx) or not np.all(np.isfinite(g)):
@@ -112,8 +112,8 @@ def minimize_auglag(value_and_grad, start, tol, max_iter=10000, diameter_bound=N
         # slope = g.d / ||g||, so the gradient step (slope = ||g||) rounds it
         # exactly as 1e-4 t ||g|| ||g||
         d, slope, t, f_cap = g, gn, step, -np.inf
-        if hessian is not None:
-            d_newton = hessian(x)(g)
+        if solve is not None:
+            d_newton = solve(g)
             gd = float(np.vdot(g, d_newton).real)
             if gd > 0 and np.isfinite(gd):
                 d, slope, t = d_newton, gd / gn, 1.0
@@ -121,7 +121,7 @@ def minimize_auglag(value_and_grad, start, tol, max_iter=10000, diameter_bound=N
         backtracks = 0
         while True:
             x_new = x - t * d
-            f_new, g_new = value_and_grad(x_new)
+            f_new, g_new, solve_new = oracle(x_new)
             finite = np.isfinite(f_new)
             # value floor: a Newton step that moves the value by less than
             # its rounding is accepted when it cuts ||g||
@@ -146,7 +146,7 @@ def minimize_auglag(value_and_grad, start, tol, max_iter=10000, diameter_bound=N
             # spectral step from the last meaningful move; otherwise keep the
             # previous estimate so a sub-ulp move cannot freeze the step
             step = ss / sy
-        x, fx, g = x_new, f_new, g_new
+        x, fx, g, solve = x_new, f_new, g_new, solve_new
         if history is not None:
             history.append(fx)
         it += 1

@@ -315,6 +315,16 @@ class TestNewtonSteps:
         assert len(evals) <= 2 * sum(rec.inner_iterations for rec in trace.records)
 
 
+class TestAlmConfig:
+    @pytest.mark.parametrize("name", ["r0", "r_growth", "r_max", "eps0", "delta0", "decay",
+                                      "stop_eps3"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_float_field(self, name, value):
+        # every check after this one is a comparison, which NaN passes
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            AlmConfig(**{name: value})
+
+
 class TestPenaltyEffect:
     def test_larger_r_improves_early_feasibility(self):
         # larger penalties push affine feasibility down faster early on

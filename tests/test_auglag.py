@@ -7,10 +7,9 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conic_alm.auglag import (dual_gap_lower_bound, dual_hessian, dual_objective,
-                              eval_L_dual, eval_L_ineq, eval_L_primal, grad_L_dual_y,
-                              grad_L_ineq_x, grad_L_primal_X, grad_L_primal_w,
-                              ineq_hessian, ineq_objective, primal_hessian,
+from conic_alm.auglag import (dual_gap_lower_bound, dual_objective, eval_L_dual,
+                              eval_L_ineq, eval_L_primal, grad_L_dual_y, grad_L_ineq_x,
+                              grad_L_primal_X, grad_L_primal_w, ineq_objective,
                               primal_objective)
 from conic_alm.inner import minimize_auglag
 from conic_alm.model import DualPoint, apply_A, svm_instance, synth_known_solution
@@ -65,8 +64,10 @@ class TestPrimalValue:
         assert eval_L_primal(p, X, w0, 1.0) == pytest.approx(expected, abs=1e-10)
 
     def test_rejects_bad_r(self, toy):
-        with pytest.raises(ValueError):
-            eval_L_primal(toy.problem, toy.x_star, toy.w_star, 0.0)
+        # NaN fails r > 0 without satisfying r <= 0
+        for r in (0.0, np.nan):
+            with pytest.raises(ValueError):
+                eval_L_primal(toy.problem, toy.x_star, toy.w_star, r)
 
     def test_convexity_in_X(self, rng, certified5):
         p = certified5.problem
@@ -212,7 +213,7 @@ class TestSdpNewtonSolves:
         p, r, rng = case
         w, X = rand_dual(rng, p), random_sym(rng, p.n)
         G = random_sym(rng, p.n, 10.0 ** log_scale)
-        D = primal_hessian(p, w, r)(X)(G)
+        D = primal_objective(p, w, r)(X)[2](G)
         assert D.tobytes() == D.T.tobytes()
         floor = 1e-12 * (1.0 + r * (1.0 + np.max(np.sum(p.A_flat ** 2, axis=0))))
         rho = max(r * min(1.0, frob(G)), floor)
@@ -224,7 +225,7 @@ class TestSdpNewtonSolves:
         p, r, rng = case
         X, y = random_sym(rng, p.n), rng.standard_normal(p.m)
         g = rng.standard_normal(p.m) * 10.0 ** log_scale
-        d = dual_hessian(p, X, r)(y)(g)
+        d = dual_objective(p, X, r)(y)[2](g)
         H = dual_hessian_matrix(p, X, r, y)
         assert_solves(H + ridge(H) * np.eye(p.m), d, g)
 
@@ -301,7 +302,7 @@ class TestIneqForm:
                               for e in np.eye(q.dim)])
         assert np.max(np.abs(fd - H)) <= 1e-6 * np.max(np.abs(H))
         g = grad(x)[1]
-        assert_solves(H + ridge(H) * np.eye(q.dim), ineq_hessian(q, z, r)(x)(g), g)
+        assert_solves(H + ridge(H) * np.eye(q.dim), grad(x)[2](g), g)
 
 
 class TestMoreauEnvelopeOrdering:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conic_alm import cli
+from conic_alm import cli, fixtures
 from conic_alm.alm import AlmConfig
 from conic_alm.cli import main
 from conic_alm.model import synth_known_solution
@@ -92,11 +92,18 @@ class TestSolve:
         assert (tmp_path / "trace.csv").exists()  # partial trace written
 
     def test_deterministic_traces(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        for out in (a, b):
-            run(["solve", "--builtin", "synth", "--n", "4", "--m", "5",
-                 "--rank-x", "2", "--seed", "3", "--out", str(out)])
-        assert (a / "trace.csv").read_bytes() == (b / "trace.csv").read_bytes()
+        # every builtin in every form it supports, and one other synth draw
+        cases = [["--builtin", name, "--form", form, "--stop-eps3", "1e-5"]
+                 for name in fixtures.SDP_BUILTINS for form in ("primal", "dual")]
+        cases += [["--builtin", name, "--form", "ineq", "--stop-eps3", "1e-5"]
+                  for name in fixtures.INEQ_BUILTINS]
+        cases.append(["--builtin", "synth", "--n", "4", "--m", "5", "--rank-x", "2",
+                      "--seed", "3"])
+        for i, argv in enumerate(cases):
+            a, b = tmp_path / f"{i}a", tmp_path / f"{i}b"
+            for out in (a, b):
+                run(["solve", *argv, "--out", str(out)])
+            assert (a / "trace.csv").read_bytes() == (b / "trace.csv").read_bytes(), argv
 
 
 def expected_row(form, rec):
@@ -133,6 +140,22 @@ class TestInputErrors:
                      id="delta0"),
         pytest.param(["bench", "--builtin", "example-d1", "--r-list", "1", "--r-growth", "0.5"],
                      "r_growth", id="r-growth"),
+        # NaN passes every comparison, so each float field checks finiteness
+        pytest.param(["solve", "--builtin", "example-d1", "--r0", "nan"], "r0", id="r0-nan"),
+        pytest.param(["solve", "--builtin", "example-d1", "--eps0", "nan"], "eps0",
+                     id="eps0-nan"),
+        pytest.param(["solve", "--builtin", "example-d1", "--delta0", "nan"], "delta0",
+                     id="delta0-nan"),
+        pytest.param(["solve", "--builtin", "example-d1", "--stop-eps3", "nan"], "stop_eps3",
+                     id="stop-eps3-nan"),
+        pytest.param(["solve", "--builtin", "example-d1", "--r-max", "nan"], "r_max",
+                     id="r-max-nan"),
+        pytest.param(["solve", "--builtin", "example-d1", "--decay", "nan"], "decay",
+                     id="decay-nan"),
+        pytest.param(["solve", "--builtin", "example-d1", "--r-growth", "inf"], "r_growth",
+                     id="r-growth-inf"),
+        pytest.param(["bench", "--builtin", "example-d1", "--r-list", "nan"], "r0",
+                     id="r-list-nan"),
         pytest.param(["solve", "--builtin", "synth", "--n", "3", "--m", "50"], "m must",
                      id="synth-m"),
         pytest.param(["verify", "growth-lemma", "--builtin", "example-d1", "--mu", "-1"], "mu",
@@ -338,3 +361,10 @@ class TestBench:
     def test_bad_r_list(self, tmp_path):
         assert run(["bench", "--builtin", "example-d1", "--r-list", "abc",
                     "--out", str(tmp_path)]) == 3
+
+    def test_repeated_r_list(self, tmp_path, capsys):
+        # 1 and 1.0 are one penalty: one solve, two comparison columns
+        assert run(["bench", "--builtin", "example-d1", "--r-list", "2,1,1.0",
+                    "--out", str(tmp_path / "out")]) == 3
+        assert "--r-list repeats 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from conic_alm.auglag import (default_diameter, dual_objective, ineq_hessian,
-                              ineq_objective, primal_objective)
+from conic_alm.auglag import (default_diameter, dual_objective, ineq_objective,
+                              primal_objective)
 from conic_alm.fixtures import lasso_fixture
 from conic_alm.inner import (InnerSolveError, check_criterion_A, check_criterion_B,
                              minimize_auglag)
@@ -19,8 +19,13 @@ from oracles import minimize_auglag_reference
 def quadratic_target(T):
     def value_and_grad(X):
         d = X - T
-        return 0.5 * float(np.sum(d * d)), d
+        return 0.5 * float(np.sum(d * d)), d, None
     return value_and_grad
+
+
+def gradient_only(objective):
+    """``objective`` without its Newton solves, for the gradient-step path."""
+    return lambda x: (*objective(x)[:2], None)
 
 
 class TestMinimizeAuglag:
@@ -38,9 +43,9 @@ class TestMinimizeAuglag:
         values_and_bounds = []
 
         def spy(X):
-            v, g = obj(X)
+            v, g, solve = obj(X)
             values_and_bounds.append((v, frob(g) * 20.0))
-            return v, g
+            return v, g, solve
 
         minimize_auglag(spy, np.zeros((4, 4)), tol=1e-8, diameter_bound=20.0)
         for v, bound in values_and_bounds:
@@ -84,7 +89,7 @@ class TestMinimizeAuglag:
 
     def test_nonfinite_abort(self):
         def bad(X):
-            return np.inf, np.zeros_like(X)
+            return np.inf, np.zeros_like(X), None
 
         with pytest.raises(InnerSolveError):
             minimize_auglag(bad, np.zeros((2, 2)), tol=1e-6, diameter_bound=1.0)
@@ -102,7 +107,7 @@ class TestMinimizeAuglag:
 
         def obj(X):
             d = W * (X - T)
-            return 0.5 * float(np.sum(d * (X - T))), d
+            return 0.5 * float(np.sum(d * (X - T))), d, None
 
         res = minimize_auglag(obj, np.zeros((3, 3)), tol=1e-30,
                               diameter_bound=10.0, max_iter=5000)
@@ -124,20 +129,21 @@ def floor_subproblem(name, certified5):
 
     The primal cases use the C3 shapes n = 3 (seed 100) and n = 6 (seed 103)
     at r = 1 with perturbed optimal multipliers; all four end at the
-    floating-point floor, where a line search ends in a null move.
+    floating-point floor, where a line search ends in a null move. The
+    objective is gradient-only: the reference takes gradient steps alone.
     """
     if name.startswith("primal"):
         n, m, rank_x, seed = {"primal-n3": (3, 3, 1, 100), "primal-n6": (6, 8, 3, 103)}[name]
         inst = synth_known_solution(n=n, m=m, rank_x=rank_x, seed=seed)
         y = inst.y_star + 0.1 * np.random.default_rng(0).standard_normal(m)
         start = np.zeros((n, n))
-        return (primal_objective(inst.problem, DualPoint(y=y, Z=inst.z_star), 1.0), start,
-                default_diameter(inst.problem, start))
+        obj = primal_objective(inst.problem, DualPoint(y=y, Z=inst.z_star), 1.0)
+        return gradient_only(obj), start, default_diameter(inst.problem, start)
     if name == "dual-certified5":
         p = certified5.problem
-        return dual_objective(p, certified5.x_star, 1.0), np.zeros(p.m), 50.0
+        return gradient_only(dual_objective(p, certified5.x_star, 1.0)), np.zeros(p.m), 50.0
     q = lasso_fixture()
-    obj = ineq_objective(q, np.ones(q.n_constraints), 1.0)
+    obj = gradient_only(ineq_objective(q, np.ones(q.n_constraints), 1.0))
     start = minimize_auglag(obj, np.zeros(q.dim), tol=1e-6, diameter_bound=50.0).minimizer
     return obj, start, 50.0
 
@@ -155,12 +161,13 @@ class TestNullMoveReplay:
     def test_bitwise_equal_to_reference(self, name, certified5):
         obj, start, diameter = floor_subproblem(name, certified5)
         runs = []
-        for solver in (minimize_auglag_reference, minimize_auglag):
+        # the reference takes (value, gradient), the library a third element
+        for solver, arity in ((minimize_auglag_reference, 2), (minimize_auglag, 3)):
             calls, history = [], []
 
             def counted(x):
                 calls.append(None)
-                return obj(x)
+                return obj(x)[:arity]
 
             res = solver(counted, start, tol=1e-16, max_iter=400, diameter_bound=diameter,
                          history=history)
@@ -180,7 +187,7 @@ class TestNullMoveReplay:
         # constant gradient, unbounded below: every step descends by the same
         # amount and ||g|| never shrinks, so only max_iter ends the loop
         c = np.array([1.0, -2.0, 0.5])
-        res = minimize_auglag(lambda x: (float(c @ x), c.copy()), np.zeros(3), tol=1e-8,
+        res = minimize_auglag(lambda x: (float(c @ x), c.copy(), None), np.zeros(3), tol=1e-8,
                               max_iter=300, diameter_bound=1.0)
         assert not res.converged
         assert res.iterations == 300
@@ -194,8 +201,7 @@ class TestNewton:
         # steps, where gradient descent needs thousands at r = 100
         q, z, r, rng = case
         res = minimize_auglag(ineq_objective(q, z, r), rng.standard_normal(q.dim),
-                              tol=1e-9, diameter_bound=1.0, max_iter=50,
-                              hessian=ineq_hessian(q, z, r))
+                              tol=1e-9, diameter_bound=1.0, max_iter=50)
         assert res.grad_norm <= 1e-9
 
     def test_falls_back_to_gradient_steps(self):
@@ -204,10 +210,11 @@ class TestNewton:
         q = lasso_fixture()
         obj = ineq_objective(q, np.ones(q.n_constraints), 10.0)
         runs = []
-        for hessian in (None, lambda x: np.negative):
+        for solve in (None, np.negative):
             history = []
-            res = minimize_auglag(obj, np.zeros(q.dim), tol=1e-12, diameter_bound=50.0,
-                                  max_iter=300, history=history, hessian=hessian)
+            res = minimize_auglag(lambda x: (*obj(x)[:2], solve), np.zeros(q.dim),
+                                  tol=1e-12, diameter_bound=50.0, max_iter=300,
+                                  history=history)
             runs.append((res.minimizer.tobytes(), res.iterations, np.array(history).tobytes()))
         assert runs[0] == runs[1]
 
@@ -217,27 +224,59 @@ class TestNewton:
         # Newton step zeroes the gradient: Armijo rejects it, the value-floor
         # test accepts it; gradient steps get no such test and only move x
         # by the few ulps whose change in value Armijo cannot resolve
-        def obj(x):
-            return 1.0 - 1e-15 * float(x @ x), x.copy()
-
         runs = {}
-        for name, hessian in (("newton", lambda x: lambda g: g), ("gradient", None)):
+        for name, solve in (("newton", lambda g: g), ("gradient", None)):
             calls = []
-            res = minimize_auglag(lambda x: calls.append(None) or obj(x), np.ones(3),
-                                  tol=1e-12, diameter_bound=1.0, hessian=hessian)
+
+            def obj(x):
+                calls.append(None)
+                return 1.0 - 1e-15 * float(x @ x), x.copy(), solve
+
+            res = minimize_auglag(obj, np.ones(3), tol=1e-12, diameter_bound=1.0)
             runs[name] = (res, len(calls))
         (newton, newton_evals), (gradient, gradient_evals) = runs["newton"], runs["gradient"]
         assert newton.converged and newton.iterations == 1 and newton_evals == 2
         assert not gradient.converged and gradient.grad_norm > 1.7 and gradient_evals > 60
 
+    def test_calls_only_the_solve_of_the_current_iterate(self):
+        # each solve is tagged with the evaluation that returned it; scaling
+        # the direction by 4 makes unit steps overshoot, so line searches
+        # reject trial points whose solves must never run
+        q = lasso_fixture()
+        obj = ineq_objective(q, np.ones(q.n_constraints), 10.0)
+        values, events = [], []
+
+        def spy(x):
+            value, grad, solve = obj(x)
+            tag = len(values)
+            values.append(value)
+            events.append(("eval", tag))
+
+            def tagged(g):
+                events.append(("solve", tag))
+                return 4.0 * solve(g)
+
+            return value, grad, tagged
+
+        history = []
+        minimize_auglag(spy, np.zeros(q.dim), tol=1e-9, diameter_bound=50.0,
+                        history=history)
+        calls = [i for i, event in enumerate(events) if event[0] == "solve"]
+        tags = [events[i][1] for i in calls]
+        assert len(values) > len(history) >= 3
+        # every solve runs right after its own point was evaluated and
+        # accepted, once per accepted point and in order
+        assert all(events[i - 1] == ("eval", events[i][1]) for i in calls)
+        assert [values[tag] for tag in tags] == history[:len(tags)]
+        assert len(tags) >= len(history) - 1
+
     def test_value_floor_needs_a_gradient_cut(self):
         # a Newton step that rounds the value but cuts ||g|| by less than a
         # relative 1e-4 is rejected like any other
         def obj(x):
-            return 1.0 - 1e-15 * float(x @ x), x.copy()
+            return 1.0 - 1e-15 * float(x @ x), x.copy(), lambda g: 1e-5 * g
 
-        res = minimize_auglag(obj, np.ones(3), tol=1e-12, diameter_bound=1.0,
-                              hessian=lambda x: lambda g: 1e-5 * g)
+        res = minimize_auglag(obj, np.ones(3), tol=1e-12, diameter_bound=1.0)
         assert not res.converged and res.grad_norm > 1.7
 
 
