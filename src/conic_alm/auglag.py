@@ -27,7 +27,8 @@ active set) and works only when called, so a rejected line-search trial
 pays for none of it. The gradients are semismooth: the inequality form is
 piecewise quadratic, and the SDP forms differentiate proj_psd through the
 divided-difference matrix Omega of its eigendecomposition (SDPNAL, Zhao,
-Sun & Toh 2010).
+Sun & Toh 2010). The primal form's singular Hessian is regularized by the
+Levenberg-Marquardt law of Fan & Yuan (Computing 2005).
 """
 
 import numpy as np
@@ -50,6 +51,7 @@ def primal_objective(p, w, r):
     # below this rho, I / r is lost to rounding in the m x m system, which
     # can then be exactly singular
     ridge = 1e-12 * (1.0 + r * (1.0 + float(np.max(np.sum(A_flat ** 2, axis=0)))))
+    scale = 1.0 + frob(C)
 
     def oracle(X):
         x = X.ravel()
@@ -59,7 +61,7 @@ def primal_objective(p, w, r):
         P = (Q * pos) @ Q.T
         val = float(c @ x) + (float(u @ u) + float(pos @ pos) - offset) / (2.0 * r)
         grad = C - (u @ A_flat).reshape(n, n) - P
-        return val, grad, lambda G: _primal_solve(p, r, ridge, lam, Q, G)
+        return val, grad, lambda G: _primal_solve(p, r, ridge, scale, lam, Q, G)
 
     return oracle
 
@@ -135,19 +137,24 @@ def _ridged_solve(H, g):
     return np.linalg.solve(H + ridge * np.eye(H.shape[0]), g)
 
 
-def _primal_solve(p, r, ridge, lam, Q, G):
+def _primal_solve(p, r, ridge, scale, lam, Q, G):
     """Newton solve of the primal-form subproblem, Z - rX = Q diag(lam) Q'.
 
-    Maps G to D with (r A*A + r Pi'(Z - rX) + rho I) D = G and
-    rho = r min(1, ||G||), floored at ``ridge``: the ridge of the other
-    forms with max |diag H| bounded by r (1 + max_j ||A e_j||^2). In the
-    eigenbasis Q the last two terms act entrywise as F = r Omega + rho, so
-    Woodbury leaves one m x m system, I / r + R diag(1 / vec F) R' with row
-    i of R the flattened Q' A_i Q. The n^2 x n^2 Hessian is never formed;
-    one solve costs O(m n^3 + m^2 n^2).
+    Maps G to D with (r A*A + r Pi'(Z - rX) + rho I) D = G. G is the
+    dual-affine residual C - A*(u_y) - u_Z of the dual candidate and
+    nu = ||G|| / scale, scale = 1 + ||C||, its relative size (as in eta3).
+    rho = r min(1, nu)^2 is the Levenberg-Marquardt law of Fan & Yuan
+    (Computing 2005), fast under a local error bound, which strict
+    complementarity gives the primal SDP. rho is floored at ``ridge``: the
+    ridge of the other forms with max |diag H| bounded by
+    r (1 + max_j ||A e_j||^2). In the eigenbasis Q the last two terms act
+    entrywise as F = r Omega + rho, so Woodbury leaves one m x m system,
+    I / r + R diag(1 / vec F) R' with row i of R the flattened Q' A_i Q.
+    The n^2 x n^2 Hessian is never formed; one solve costs
+    O(m n^3 + m^2 n^2).
     """
     rot = _rotated(p, Q)
-    F = r * _omega(lam).ravel() + max(r * min(1.0, frob(G)), ridge)
+    F = r * _omega(lam).ravel() + max(r * min(1.0, frob(G) / scale) ** 2, ridge)
     scaled = rot / F
     K = np.eye(p.m) / r + scaled @ rot.T
 

@@ -314,6 +314,19 @@ class TestNewtonSteps:
         assert trace.converged
         assert len(evals) <= 2 * sum(rec.inner_iterations for rec in trace.records)
 
+    @pytest.mark.parametrize("name,outer", [("maxcut-g1-20", 13), ("maxcut-g2-20", 14),
+                                            ("maxcut-g3-20", 13)])
+    def test_primal_steps(self, name, outer):
+        # a regularization that does not shrink with the relative residual
+        # crawls on the first subproblems: rho = r min(1, ||G||) took 140,
+        # 146 and 124 steps here, the law rho = r min(1, nu)^2 takes 63
+        problem = load_builtin(name)
+        trace = quiet(solve_primal_alm, problem, zero_dual(problem),
+                      AlmConfig(stop_eps3=1e-5))
+        assert len(trace.records) == outer
+        assert trace.records[-1].residuals.eps3 <= 1e-5
+        assert sum(rec.inner_iterations for rec in trace.records) <= 90
+
 
 class TestAlmConfig:
     @pytest.mark.parametrize("name", ["r0", "r_growth", "r_max", "eps0", "delta0", "decay",

@@ -208,15 +208,15 @@ class TestSdpNewtonSolves:
 
     @given(certified_subproblems(max_n=4), st.floats(-16.0, 2.0))
     def test_primal_solve(self, case, log_scale):
-        # rho = r min(1, ||G||) takes both branches and meets its floor over
-        # the drawn scales
+        # rho = r min(1, ||G|| / (1 + ||C||))^2 takes both branches and meets
+        # its floor over the drawn scales
         p, r, rng = case
         w, X = rand_dual(rng, p), random_sym(rng, p.n)
         G = random_sym(rng, p.n, 10.0 ** log_scale)
         D = primal_objective(p, w, r)(X)[2](G)
         assert D.tobytes() == D.T.tobytes()
         floor = 1e-12 * (1.0 + r * (1.0 + np.max(np.sum(p.A_flat ** 2, axis=0))))
-        rho = max(r * min(1.0, frob(G)), floor)
+        rho = max(r * min(1.0, frob(G) / (1.0 + frob(p.C))) ** 2, floor)
         K = primal_hessian_matrix(p, w, r, X) + rho * np.eye(p.n * p.n)
         assert_solves(K, D.ravel(), G.ravel())
 
