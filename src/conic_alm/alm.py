@@ -13,8 +13,7 @@ value, gradient and Newton solve together, its multiplier update
 
 a bound on the distance to the subproblem minimizer, and the builder of its
 iteration record and residuals. Every subproblem is solved by damped
-(semismooth) Newton steps, which fall back to a gradient step when the
-Newton direction is not a descent direction.
+(semismooth) Newton steps with the solve that the form's oracle returns.
 
 The penalty sequence grows geometrically up to a finite cap. When the
 criteria cannot be certified (their targets eventually sink below the

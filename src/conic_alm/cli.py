@@ -200,7 +200,7 @@ def _run_verifier(name, args):
         if args.grid_points < 1:
             raise InputError(f"--grid-points must be at least 1, got {args.grid_points}")
         grid = np.linspace(0.0, 0.9, args.grid_points)
-        rows = theory.no_sharp_growth_curve(grid, rho=args.rho or 4.0)
+        rows = theory.no_sharp_growth_curve(grid, rho=4.0 if args.rho is None else args.rho)
         errs = [abs(r.penalty_value - r.closed_form) for r in rows]
         ok = max(errs) <= 1e-10
         report = {"max_closed_form_error": max(errs),
@@ -232,14 +232,14 @@ def _run_verifier(name, args):
         report = {"min_ratio": rep.min_ratio, "violations": len(rep.violated),
                   "samples": rep.sampled_points, "params": rep.params}
     elif name == "penalty-preimage":
-        rho = args.rho or float(np.trace(inst.z_star)) + 1.0
+        rho = float(np.trace(inst.z_star)) + 1.0 if args.rho is None else args.rho
         rep = theory.verify_penalty_preimage(inst.z_star, rho,
                                              samples=-(-args.samples // 100),
                                              seed=args.seed)
         ok = rep.ok
         report = asdict(rep)
     elif name == "exact-penalty":
-        rho = args.rho or 1.1 * float(np.trace(inst.z_star)) + 0.1
+        rho = 1.1 * float(np.trace(inst.z_star)) + 0.1 if args.rho is None else args.rho
         rep = theory.exact_penalty_equivalence(inst, rho)
         ok = rep.equivalent and rep.subthreshold_detected in (True, None)
         report = asdict(rep)

@@ -1,19 +1,18 @@
 """Certified approximate minimization of smooth convex subproblems.
 
-Damped Newton steps, or gradient descent with Barzilai-Borwein step
-initialization, under one monotone backtracking line search. The objective
+Damped Newton steps under a monotone backtracking line search. The objective
 returns, with its value and gradient at x, a solve g -> d of a regularized
-generalized Hessian system at x (``auglag.*_objective``), or None. Each step
-uses the solve that came back with the current iterate: it tries the unit
-step along -d and backtracks on the same Armijo test with g.d in place of
-||g||^2. If there is no solve, or g.d is not positive and finite, that step
-is the gradient step with the Barzilai-Borwein length. A Newton step is also
+generalized Hessian system at x (``auglag.*_objective``). Each step uses the
+solve that came back with the current iterate: it tries the unit step along
+-d and backtracks on the Armijo test with g.d in place of ||g||^2. If g.d is
+not positive and finite, the step is a plain gradient step from the same
+unit length, which no objective of this package takes. A Newton step is also
 accepted at the value floor: when its value is within 1e-14 (1 + |f|) of f,
 the Armijo test cannot resolve a decrease, and the step is taken if it cuts
-||g|| by a relative 1e-4, so Newton solves are monotone only up to the
-value's rounding. On a piecewise-quadratic objective Newton is a finite
-active-set method (as in SSNAL, Li, Sun & Toh 2018); on the SDP forms it is
-the semismooth Newton method of SDPNAL (Zhao, Sun & Toh 2010). Either way the
+||g|| by a relative 1e-4, so solves are monotone only up to the value's
+rounding. On a piecewise-quadratic objective Newton is a finite active-set
+method (as in SSNAL, Li, Sun & Toh 2018); on the SDP forms it is the
+semismooth Newton method of SDPNAL (Zhao, Sun & Toh 2010). Either way the
 optimality certificate is the convexity bound
 
     L(x) - min L <= ||grad L(x)|| * D
@@ -28,8 +27,8 @@ gap.
 The loop has four exits: the certificate reaches the tolerance; no
 resolvable descent in the value for 25 iterations (the value floor); the
 line search cannot move x, because it found no acceptable step or because
-``x - t*d`` rounds to ``x`` (a null move: x, its value, gradient and step
-length stay as they were); and ``max_iter``.
+``x - t*d`` rounds to ``x`` (a null move: x, its value and gradient stay as
+they were); and ``max_iter``.
 """
 
 from dataclasses import dataclass
@@ -62,33 +61,27 @@ def _norm(v):
     return float(np.sqrt(np.vdot(v, v).real))
 
 
-def minimize_auglag(oracle, start, tol, max_iter=10000, diameter_bound=None, history=None):
+def minimize_auglag(oracle, start, tol, max_iter=10000, diameter_bound=None):
     """Minimize a smooth convex objective until the certified gap is <= tol.
 
     ``oracle(point) -> (value, gradient, solve)`` with gradient shaped like
-    the point (works for vectors and symmetric matrices alike); ``solve`` is
-    None or maps ``g -> d`` with a positive definite (regularized
-    generalized) Hessian at the point, and runs only for the start point
-    and accepted points, at most once each. Each step halves the trial step
-    until the Armijo test (constant 1e-4) holds; the next gradient step
-    length is re-initialized from the Barzilai-Borwein spectral estimate.
-    Stops at the first of the four exits in the module docstring; all but
-    the tolerance give converged=False. ``iterations`` counts accepted moves
-    only, and ``history``, when given a list, receives the start value and
-    the value after each of them.
+    the point (works for vectors and symmetric matrices alike); ``solve``
+    maps ``g -> d`` with a positive definite (regularized generalized)
+    Hessian at the point, and runs only for the start point and accepted
+    points, at most once each. Each step halves the trial step from t = 1
+    until the Armijo test (constant 1e-4) holds, at most 60 times. Stops at
+    the first of the four exits in the module docstring; all but the
+    tolerance give converged=False. ``iterations`` counts accepted moves.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
-    if diameter_bound is None or diameter_bound <= 0:
-        raise ValueError("diameter_bound must be positive")
+    if diameter_bound is None or not 0 < diameter_bound < np.inf:
+        raise ValueError("diameter_bound must be positive and finite")
     x = np.array(start, dtype=float)
     fx, g, solve = oracle(x)
-    if history is not None:
-        history.append(fx)
     if not np.isfinite(fx) or not np.all(np.isfinite(g)):
         raise InnerSolveError(f"objective returned non-finite values at the start point "
                               f"(value={fx!r})")
-    step = 1.0
     best = (_norm(g), x.copy(), fx)
     f_ref = fx
     since_descent = 0
@@ -109,16 +102,16 @@ def minimize_auglag(oracle, start, tol, max_iter=10000, diameter_bound=None, his
             if since_descent > 25:
                 break
         # The Armijo decrease 1e-4 t g.d is written 1e-4 t slope ||g|| with
-        # slope = g.d / ||g||, so the gradient step (slope = ||g||) rounds it
-        # exactly as 1e-4 t ||g|| ||g||
-        d, slope, t, f_cap = g, gn, step, -np.inf
-        if solve is not None:
-            d_newton = solve(g)
-            gd = float(np.vdot(g, d_newton).real)
-            if gd > 0 and np.isfinite(gd):
-                d, slope, t = d_newton, gd / gn, 1.0
-                f_cap = fx + 1e-14 * (1.0 + abs(fx))
-        backtracks = 0
+        # slope = g.d / ||g||; its rounding is part of every recorded run
+        d = solve(g)
+        gd = float(np.vdot(g, d).real)
+        if gd > 0 and np.isfinite(gd):
+            slope, f_cap = gd / gn, fx + 1e-14 * (1.0 + abs(fx))
+        else:
+            # the solve does not descend: take the gradient step, with no
+            # value-floor acceptance
+            d, slope, f_cap = g, gn, -np.inf
+        t, backtracks = 1.0, 0
         while True:
             x_new = x - t * d
             f_new, g_new, solve_new = oracle(x_new)
@@ -137,18 +130,7 @@ def minimize_auglag(oracle, start, tol, max_iter=10000, diameter_bound=None, his
         if (f_new > fx and not floor_move) or x_new.tobytes() == x.tobytes():
             # The search cannot move x: no descent, or x - t*d rounds to x.
             break
-        s = x_new - x
-        dg = g_new - g
-        sy = float(np.vdot(s, dg).real)
-        ss = float(np.vdot(s, s).real)
-        meaningful = ss > (1e-13 * (1.0 + _norm(x))) ** 2
-        if sy > 0 and meaningful and np.isfinite(sy):
-            # spectral step from the last meaningful move; otherwise keep the
-            # previous estimate so a sub-ulp move cannot freeze the step
-            step = ss / sy
         x, fx, g, solve = x_new, f_new, g_new, solve_new
-        if history is not None:
-            history.append(fx)
         it += 1
     gn, x, fx = best if best[0] < _norm(g) else (_norm(g), x, fx)
     gap = gn * diameter_bound
@@ -158,13 +140,13 @@ def minimize_auglag(oracle, start, tol, max_iter=10000, diameter_bound=None, his
 
 def check_criterion_A(result, eps_k, r_k):
     """Summable-inexactness test: certified gap <= eps_k^2 / (2 r_k)."""
-    if eps_k < 0 or r_k <= 0:
+    if not (eps_k >= 0 and r_k > 0):
         raise ValueError("need eps_k >= 0 and r_k > 0")
     return result.gap_upper_bound <= eps_k * eps_k / (2.0 * r_k)
 
 
 def check_criterion_B(result, delta_k, r_k, w_step_norm):
     """Relative inexactness test: certified gap <= delta_k^2 ||w step||^2 / (2 r_k)."""
-    if delta_k < 0 or r_k <= 0 or w_step_norm < 0:
+    if not (delta_k >= 0 and r_k > 0 and w_step_norm >= 0):
         raise ValueError("need delta_k >= 0, r_k > 0, and w_step_norm >= 0")
     return result.gap_upper_bound <= delta_k * delta_k * w_step_norm * w_step_norm / (2.0 * r_k)

@@ -4,15 +4,13 @@ Each helper recomputes a quantity by a route the library does not use:
 closed-form 2x2 eigensystems, naive double-loop linear maps, tensor
 contractions over the (m, n, n) constraint stack, central finite
 differences, brute-force minimization over a parameter grid, scalar closed
-forms, an inner solver that evaluates every line search, growth verifiers
-that each keep their own rejection loop, and generalized Hessians formed as
-explicit matrices (Kronecker products over the eigenbasis for the SDP
-forms). Expected values frozen in the tests were produced by these.
+forms, growth verifiers that each keep their own rejection loop, and
+generalized Hessians formed as explicit matrices (Kronecker products over
+the eigenbasis for the SDP forms). Expected values frozen in the tests were produced by these.
 """
 
 import numpy as np
 
-from conic_alm.inner import InnerResult, InnerSolveError, _norm
 from conic_alm.model import apply_A, apply_Astar, inner as _inner
 from conic_alm.symcone import dist_psd, exact_penalty, frob, project_psd, symmetrize
 from conic_alm.theory import (_default_gamma, _gram_solve, _project_affine, _ratio_report,
@@ -177,93 +175,6 @@ def brute_force_face_dist(X, p2, grid):
 
 def soft_threshold(v, t):
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
-
-
-# The library's loop stops at the first null move; this one searches again
-# from the same state, so the two agree in every result field but
-# ``iterations`` (test_inner.py::TestNullMoveReplay).
-def minimize_auglag_reference(value_and_grad, start, tol, max_iter=10000,
-                              diameter_bound=None, stall_patience=200, armijo=1e-4,
-                              history=None):
-    """The inner solver loop without null-move replay.
-
-    Every iteration runs its own line search, so an accepted null move
-    (``x - t*g`` rounding to ``x``) is searched again on the next iteration.
-    The library's ``minimize_auglag`` must return bitwise the same result.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if diameter_bound is None or diameter_bound <= 0:
-        raise ValueError("diameter_bound must be positive")
-    x = np.array(start, dtype=float)
-    fx, g = value_and_grad(x)
-    if history is not None:
-        history.append(fx)
-    if not np.isfinite(fx) or not np.all(np.isfinite(g)):
-        raise InnerSolveError(f"objective returned non-finite values at the start point "
-                              f"(value={fx!r})")
-    step = 1.0
-    best = (_norm(g), x.copy(), fx)
-    stall_ref = np.inf
-    stall = 0
-    f_ref = fx
-    since_descent = 0
-    it = 0
-    while it < max_iter:
-        gn = _norm(g)
-        if gn < best[0]:
-            best = (gn, x.copy(), fx)
-        if gn * diameter_bound <= tol:
-            break
-        if gn < stall_ref * (1.0 - 1e-4):
-            stall_ref = gn
-            stall = 0
-        else:
-            stall += 1
-            if stall > stall_patience:
-                break
-        # Value-resolution floor: no resolvable descent for a whole window
-        # means further certification progress is not measurable.
-        if f_ref - fx > 1e-14 * (1.0 + abs(f_ref)):
-            f_ref = fx
-            since_descent = 0
-        else:
-            since_descent += 1
-            if since_descent > 25:
-                break
-        t = step
-        x_new = x - t * g
-        f_new, g_new = value_and_grad(x_new)
-        backtracks = 0
-        while not (np.isfinite(f_new) and f_new <= fx - armijo * t * gn * gn) \
-                and backtracks < 60:
-            t *= 0.5
-            x_new = x - t * g
-            f_new, g_new = value_and_grad(x_new)
-            backtracks += 1
-        if not np.isfinite(f_new) or not np.all(np.isfinite(g_new)):
-            raise InnerSolveError(f"objective returned non-finite values at iteration {it} "
-                                  f"(value={f_new!r})")
-        if f_new > fx:
-            # Line search exhausted without descent: the value floor.
-            break
-        s = x_new - x
-        dg = g_new - g
-        sy = float(np.vdot(s, dg).real)
-        ss = float(np.vdot(s, s).real)
-        meaningful = ss > (1e-13 * (1.0 + _norm(x))) ** 2
-        if sy > 0 and meaningful and np.isfinite(sy):
-            # spectral step from the last meaningful move; otherwise keep the
-            # previous estimate so a sub-ulp move cannot freeze the step
-            step = ss / sy
-        x, fx, g = x_new, f_new, g_new
-        if history is not None:
-            history.append(fx)
-        it += 1
-    gn, x, fx = best if best[0] < _norm(g) else (_norm(g), x, fx)
-    gap = gn * diameter_bound
-    return InnerResult(minimizer=x, gap_upper_bound=gap, grad_norm=gn,
-                       iterations=it, converged=bool(gap <= tol), value=fx)
 
 
 # The growth verifiers as they were before they shared one ball sampler: each

@@ -296,14 +296,27 @@ class TestNewtonSteps:
         *[(f"maxcut-g{i}-20", form) for i in (1, 2, 3) for form in ("primal", "dual")]])
     def test_evaluations_per_step(self, name, form, monkeypatch):
         # damped Newton steps take the unit step or one halving on almost
-        # every step, also where the value stops resolving descent (gradient
-        # steps need up to 12 evaluations per step on these runs)
-        evals = []
+        # every step, also where the value stops resolving descent; every
+        # solve descends (g.d > 0), so the inner solver's gradient-step guard
+        # never runs on the library's own objectives
+        evals, slopes = [], []
         factory = getattr(auglag, f"{form}_objective")
 
         def counted_factory(*args):
             value_and_grad = factory(*args)
-            return lambda x: evals.append(None) or value_and_grad(x)
+
+            def oracle(x):
+                evals.append(None)
+                value, grad, solve = value_and_grad(x)
+
+                def spied(g):
+                    d = solve(g)
+                    slopes.append(float(np.vdot(g, d).real))
+                    return d
+
+                return value, grad, spied
+
+            return oracle
 
         monkeypatch.setattr(auglag, f"{form}_objective", counted_factory)
         problem = load_builtin(name)
@@ -313,6 +326,7 @@ class TestNewtonSteps:
         trace = quiet(solve, problem, start(problem), AlmConfig(stop_eps3=1e-5))
         assert trace.converged
         assert len(evals) <= 2 * sum(rec.inner_iterations for rec in trace.records)
+        assert slopes and all(np.isfinite(slope) and slope > 0 for slope in slopes)
 
     @pytest.mark.parametrize("name,outer", [("maxcut-g1-20", 13), ("maxcut-g2-20", 14),
                                             ("maxcut-g3-20", 13)])

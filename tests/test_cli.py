@@ -162,6 +162,13 @@ class TestInputErrors:
                      id="mu"),
         pytest.param(["verify", "qg-dual", "--builtin", "example-d1", "--penalty", "--rho", "1"],
                      "rho", id="rho"),
+        # --rho 0 reaches the verifiers instead of falling back to the default
+        pytest.param(["verify", "no-sharp-growth", "--rho", "0"], "rho",
+                     id="no-sharp-growth-rho-0"),
+        pytest.param(["verify", "penalty-preimage", "--builtin", "example-d1", "--rho", "0"],
+                     "rho", id="penalty-preimage-rho-0"),
+        pytest.param(["verify", "exact-penalty", "--builtin", "example-d1", "--rho", "0"],
+                     "rho", id="exact-penalty-rho-0"),
         pytest.param(["verify", "trace-bound", "--samples", "-5"], "samples",
                      id="trace-bound-samples"),
         pytest.param(["verify", "growth-lemma", "--builtin", "example-d1", "--samples", "0"],

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from conic_alm.auglag import (default_diameter, dual_objective, ineq_objective,
-                              primal_objective)
+from conic_alm.auglag import default_diameter, ineq_objective, primal_objective
 from conic_alm.fixtures import lasso_fixture
 from conic_alm.inner import (InnerSolveError, check_criterion_A, check_criterion_B,
                              minimize_auglag)
@@ -13,19 +12,14 @@ from conic_alm.model import DualPoint, synth_known_solution
 from conic_alm.symcone import frob
 
 from conftest import ineq_subproblems, random_sym
-from oracles import minimize_auglag_reference
 
 
 def quadratic_target(T):
+    """0.5 ||X - T||^2 with its exact Newton solve (the Hessian is I)."""
     def value_and_grad(X):
         d = X - T
-        return 0.5 * float(np.sum(d * d)), d, None
+        return 0.5 * float(np.sum(d * d)), d, lambda g: g
     return value_and_grad
-
-
-def gradient_only(objective):
-    """``objective`` without its Newton solves, for the gradient-step path."""
-    return lambda x: (*objective(x)[:2], None)
 
 
 class TestMinimizeAuglag:
@@ -56,10 +50,18 @@ class TestMinimizeAuglag:
         p = certified5.problem
         for _ in range(10):
             w = DualPoint(y=rng.standard_normal(p.m), Z=random_sym(rng, p.n))
+            obj = primal_objective(p, w, 1.0)
             values = []
-            res = minimize_auglag(primal_objective(p, w, 1.0), np.zeros((p.n, p.n)),
-                                  tol=1e-5, diameter_bound=50.0, history=values)
+
+            def spy(X):
+                # a solve runs once per accepted point (and the start point),
+                # so the solve calls give the values along the accepted path
+                value, grad, solve = obj(X)
+                return value, grad, lambda g: values.append(value) or solve(g)
+
+            res = minimize_auglag(spy, np.zeros((p.n, p.n)), tol=1e-5, diameter_bound=50.0)
             assert res.converged
+            assert len(values) >= 2
             diffs = np.diff(values)
             assert np.all(diffs <= 1e-12)
 
@@ -89,15 +91,24 @@ class TestMinimizeAuglag:
 
     def test_nonfinite_abort(self):
         def bad(X):
-            return np.inf, np.zeros_like(X), None
+            return np.inf, np.zeros_like(X), lambda g: g
 
         with pytest.raises(InnerSolveError):
             minimize_auglag(bad, np.zeros((2, 2)), tol=1e-6, diameter_bound=1.0)
 
     def test_requires_diameter(self):
-        with pytest.raises(ValueError):
-            minimize_auglag(quadratic_target(np.zeros((2, 2))), np.zeros((2, 2)),
-                            tol=1e-6, diameter_bound=None)
+        # a NaN or infinite diameter would give a NaN certificate
+        for diameter in (None, 0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="diameter_bound"):
+                minimize_auglag(quadratic_target(np.zeros((2, 2))), np.zeros((2, 2)),
+                                tol=1e-6, diameter_bound=diameter)
+
+    def test_requires_positive_tol(self):
+        # with tol = NaN even the exact minimizer would not count as converged
+        for tol in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="tol"):
+                minimize_auglag(quadratic_target(np.zeros((2, 2))), np.zeros((2, 2)),
+                                tol=tol, diameter_bound=1.0)
 
     def test_convergence_flag_matches_certificate(self, rng):
         # the reported flag must agree with the certificate arithmetic,
@@ -107,7 +118,7 @@ class TestMinimizeAuglag:
 
         def obj(X):
             d = W * (X - T)
-            return 0.5 * float(np.sum(d * (X - T))), d, None
+            return 0.5 * float(np.sum(d * (X - T))), d, lambda g: g / W
 
         res = minimize_auglag(obj, np.zeros((3, 3)), tol=1e-30,
                               diameter_bound=10.0, max_iter=5000)
@@ -124,71 +135,41 @@ class TestMinimizeAuglag:
         assert res.gap_upper_bound > 1e-12
 
 
-def floor_subproblem(name, certified5):
-    """(objective, start, diameter) of a subproblem solved to tol=1e-16.
-
-    The primal cases use the C3 shapes n = 3 (seed 100) and n = 6 (seed 103)
-    at r = 1 with perturbed optimal multipliers; all four end at the
-    floating-point floor, where a line search ends in a null move. The
-    objective is gradient-only: the reference takes gradient steps alone.
-    """
-    if name.startswith("primal"):
-        n, m, rank_x, seed = {"primal-n3": (3, 3, 1, 100), "primal-n6": (6, 8, 3, 103)}[name]
-        inst = synth_known_solution(n=n, m=m, rank_x=rank_x, seed=seed)
-        y = inst.y_star + 0.1 * np.random.default_rng(0).standard_normal(m)
-        start = np.zeros((n, n))
-        obj = primal_objective(inst.problem, DualPoint(y=y, Z=inst.z_star), 1.0)
-        return gradient_only(obj), start, default_diameter(inst.problem, start)
-    if name == "dual-certified5":
-        p = certified5.problem
-        return gradient_only(dual_objective(p, certified5.x_star, 1.0)), np.zeros(p.m), 50.0
-    q = lasso_fixture()
-    obj = gradient_only(ineq_objective(q, np.ones(q.n_constraints), 1.0))
-    start = minimize_auglag(obj, np.zeros(q.dim), tol=1e-6, diameter_bound=50.0).minimizer
-    return obj, start, 50.0
-
-
 class TestNullMoveReplay:
-    """A null move ends the solve; the reference searches again from the same x.
+    """A null move ends the solve: searching again from the same x replays it."""
 
-    The reference runs the search that produced the null move again and
-    again until its value-floor window closes, so it only adds iterations
-    with the same value and x.
-    """
+    def test_newton_null_move_ends_the_solve(self):
+        # the C3 shape n = 3 (seed 100) at r = 1 with perturbed optimal
+        # multipliers, solved to tol = 1e-16: Newton reaches the floating-point
+        # floor, where the last search halves until x - t*d rounds to x
+        inst = synth_known_solution(n=3, m=3, rank_x=1, seed=100)
+        y = inst.y_star + 0.1 * np.random.default_rng(0).standard_normal(3)
+        obj = primal_objective(inst.problem, DualPoint(y=y, Z=inst.z_star), 1.0)
+        start = np.zeros((3, 3))
+        events = []
 
-    @pytest.mark.parametrize("name", ["primal-n3", "primal-n6", "dual-certified5",
-                                      "ineq-lasso-random"])
-    def test_bitwise_equal_to_reference(self, name, certified5):
-        obj, start, diameter = floor_subproblem(name, certified5)
-        runs = []
-        # the reference takes (value, gradient), the library a third element
-        for solver, arity in ((minimize_auglag_reference, 2), (minimize_auglag, 3)):
-            calls, history = [], []
+        def spy(X):
+            value, grad, solve = obj(X)
+            events.append(("eval", X.tobytes()))
+            point = X.tobytes()
+            return value, grad, lambda g: events.append(("solve", point)) or solve(g)
 
-            def counted(x):
-                calls.append(None)
-                return obj(x)[:arity]
-
-            res = solver(counted, start, tol=1e-16, max_iter=400, diameter_bound=diameter,
-                         history=history)
-            runs.append((res, np.array(history), len(calls)))
-        (ref, ref_history, ref_evals), (res, history, evals) = runs
-        assert res.minimizer.tobytes() == ref.minimizer.tobytes()
-        for field in ("value", "grad_norm", "gap_upper_bound", "converged"):
-            assert getattr(res, field) == getattr(ref, field), field
-        assert not res.converged
-        assert history.tobytes() == ref_history[:len(history)].tobytes()
-        assert np.all(ref_history[len(history):] == history[-1])
-        assert res.iterations == len(history) - 1
-        assert res.iterations < ref.iterations
-        assert evals < ref_evals
+        res = minimize_auglag(spy, start, tol=1e-16, max_iter=400,
+                              diameter_bound=default_diameter(inst.problem, start))
+        solves = [point for kind, point in events if kind == "solve"]
+        assert not res.converged and res.grad_norm < 1e-14
+        # one solve at the start and at each accepted point
+        assert 5 <= res.iterations == len(solves) - 1 < 400
+        # the last evaluation is the null move onto the last accepted x
+        assert events[-1] == ("eval", solves[-1])
+        assert events[-2][0] == "eval"
 
     def test_linear_objective_runs_to_max_iter(self):
         # constant gradient, unbounded below: every step descends by the same
         # amount and ||g|| never shrinks, so only max_iter ends the loop
         c = np.array([1.0, -2.0, 0.5])
-        res = minimize_auglag(lambda x: (float(c @ x), c.copy(), None), np.zeros(3), tol=1e-8,
-                              max_iter=300, diameter_bound=1.0)
+        res = minimize_auglag(lambda x: (float(c @ x), c.copy(), lambda g: g), np.zeros(3),
+                              tol=1e-8, max_iter=300, diameter_bound=1.0)
         assert not res.converged
         assert res.iterations == 300
 
@@ -205,19 +186,30 @@ class TestNewton:
         assert res.grad_norm <= 1e-9
 
     def test_falls_back_to_gradient_steps(self):
-        # a Newton solve whose direction ascends (g.d < 0) is never used:
-        # every step is the gradient step, bit for bit
+        # a solve whose direction ascends (g.d < 0) is never used: every
+        # trial point is x - 2^-j g, bit for bit, with the search from t = 1
         q = lasso_fixture()
         obj = ineq_objective(q, np.ones(q.n_constraints), 10.0)
-        runs = []
-        for solve in (None, np.negative):
-            history = []
-            res = minimize_auglag(lambda x: (*obj(x)[:2], solve), np.zeros(q.dim),
-                                  tol=1e-12, diameter_bound=50.0, max_iter=300,
-                                  history=history)
-            runs.append((res.minimizer.tobytes(), res.iterations, np.array(history).tobytes()))
-        assert runs[0] == runs[1]
+        events = []
 
+        def spy(x):
+            value, grad, _ = obj(x)
+            events.append(("eval", x.copy()))
+            point = x.copy()
+            return value, grad, lambda g: events.append(("solve", point, g.copy())) or -g
+
+        res = minimize_auglag(spy, np.zeros(q.dim), tol=1e-12, diameter_bound=50.0,
+                              max_iter=300)
+        trials = []
+        for event in events[1:]:
+            if event[0] == "solve":
+                _, x, g = event
+                j = 0
+            else:
+                trials.append(j)
+                assert event[1].tobytes() == (x - 0.5 ** j * g).tobytes()
+                j += 1
+        assert res.iterations >= 10 and max(trials) >= 1
 
     def test_accepts_newton_steps_at_the_value_floor(self):
         # the value rises by 3e-15, below its rounding, while the unit
@@ -225,7 +217,7 @@ class TestNewton:
         # test accepts it; gradient steps get no such test and only move x
         # by the few ulps whose change in value Armijo cannot resolve
         runs = {}
-        for name, solve in (("newton", lambda g: g), ("gradient", None)):
+        for name, solve in (("newton", lambda g: g), ("gradient", np.negative)):
             calls = []
 
             def obj(x):
@@ -258,17 +250,18 @@ class TestNewton:
 
             return value, grad, tagged
 
-        history = []
-        minimize_auglag(spy, np.zeros(q.dim), tol=1e-9, diameter_bound=50.0,
-                        history=history)
+        res = minimize_auglag(spy, np.zeros(q.dim), tol=1e-9, diameter_bound=50.0)
         calls = [i for i, event in enumerate(events) if event[0] == "solve"]
         tags = [events[i][1] for i in calls]
-        assert len(values) > len(history) >= 3
+        assert len(values) > len(tags) >= 3
         # every solve runs right after its own point was evaluated and
-        # accepted, once per accepted point and in order
+        # accepted, once per accepted point and in order, from the start
+        # point on; only the last accepted point may go without one
         assert all(events[i - 1] == ("eval", events[i][1]) for i in calls)
-        assert [values[tag] for tag in tags] == history[:len(tags)]
-        assert len(tags) >= len(history) - 1
+        assert tags[0] == 0 and tags == sorted(set(tags))
+        assert len(tags) in (res.iterations, res.iterations + 1)
+        # the solved points are the accepted path, so their values descend
+        assert all(values[b] <= values[a] for a, b in zip(tags, tags[1:]))
 
     def test_value_floor_needs_a_gradient_cut(self):
         # a Newton step that rounds the value but cuts ||g|| by less than a
@@ -304,10 +297,14 @@ class TestCriteria:
 
     def test_rejects_bad_args(self):
         res = _result(gap=0.0)
-        with pytest.raises(ValueError):
-            check_criterion_A(res, -1.0, 1.0)
-        with pytest.raises(ValueError):
-            check_criterion_B(res, 0.1, 0.0, 1.0)
+        # NaN fails every comparison, so each check must be written to fail on it
+        for args in ((-1.0, 1.0), (np.nan, 1.0), (1.0, 0.0), (1.0, np.nan)):
+            with pytest.raises(ValueError):
+                check_criterion_A(res, *args)
+        for args in ((-0.1, 1.0, 1.0), (np.nan, 1.0, 1.0), (0.1, 0.0, 1.0),
+                     (0.1, np.nan, 1.0), (0.1, 1.0, -1.0), (0.1, 1.0, np.nan)):
+            with pytest.raises(ValueError):
+                check_criterion_B(res, *args)
 
 
 def _result(gap):
