@@ -33,7 +33,7 @@ Levenberg-Marquardt law of Fan & Yuan (Computing 2005).
 
 import numpy as np
 
-from .model import apply_A, apply_Astar
+from .model import apply_A, apply_Astar, rotated
 from .symcone import check_symmetric, frob, inner, project_psd, symmetrize
 
 
@@ -102,7 +102,7 @@ def dual_objective(p, X, r):
         grad = -b + A_flat @ P.ravel()
 
         def solve(g):
-            rot = _rotated(p, Q)
+            rot = rotated(p, Q)
             return _ridged_solve(r * ((rot * _omega(lam).ravel()) @ rot.T), g)
 
         return val, grad, solve
@@ -124,11 +124,6 @@ def _omega(lam):
     num = pos[:, None] + pos[None, :]
     den = size[:, None] + size[None, :]
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
-
-
-def _rotated(p, Q):
-    """The stack of Q' A_i Q, one flattened matrix per row."""
-    return (Q.T @ p.constraint_mats @ Q).reshape(p.m, -1)
 
 
 def _ridged_solve(H, g):
@@ -153,7 +148,7 @@ def _primal_solve(p, r, ridge, scale, lam, Q, G):
     The n^2 x n^2 Hessian is never formed; one solve costs
     O(m n^3 + m^2 n^2).
     """
-    rot = _rotated(p, Q)
+    rot = rotated(p, Q)
     F = r * _omega(lam).ravel() + max(r * min(1.0, frob(G) / scale) ** 2, ridge)
     scaled = rot / F
     K = np.eye(p.m) / r + scaled @ rot.T

@@ -1,9 +1,9 @@
 """Problem data for SDPs and quadratic programs with inequality constraints.
 
-Holds the standard-form SDP triple (C, {A_i}, b) with its linear map and
-adjoint (one GEMV each over the flat (m, n*n) view ``SdpProblem.A_flat`` of
-the constraint stack), the KKT residual set used to monitor solver runs,
-instance generators (max-cut relaxation, linear SVM, lasso), and a
+Holds the standard-form SDP triple (C, {A_i}, b) with its linear map,
+adjoint (one GEMV each over the flat (m, n*n) view ``SdpProblem.A_flat``)
+and rotated stack Q' A_i Q, the KKT residual set used to monitor solver
+runs, instance generators (max-cut relaxation, linear SVM, lasso), and a
 synthesizer that builds SDPs around a KKT-certified optimal triple so that
 ground truth is available without an external solver.
 """
@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symcone import check_symmetric, dist_psd, frob, inner, symmetrize
+from .symcone import (check_symmetric, dist_psd, eig_sym, frob, inner, signed_ranks,
+                      symmetrize)
 
 # Relative threshold on the Gram spectrum of vec(A_i) below which the
 # constraint matrices are declared dependent (the linear map must stay onto).
@@ -84,6 +85,11 @@ def apply_Astar(p, y):
     if y.shape != (p.m,):
         raise ValueError(f"y must have shape ({p.m},), got {y.shape}")
     return (y @ p.A_flat).reshape(p.n, p.n)
+
+
+def rotated(p, Q):
+    """The stack of Q' A_i Q for an n x n matrix Q, one flattened matrix per row."""
+    return (Q.T @ p.constraint_mats @ Q).reshape(p.m, -1)
 
 
 @dataclass(frozen=True)
@@ -217,44 +223,34 @@ class KnownSolutionInstance:
         return w.dist(self.w_star)
 
 
-def _numerical_rank(M, tol):
-    if M.size == 0:
-        return 0
-    sv = np.linalg.svd(M, compute_uv=False)
-    return int(np.count_nonzero(sv > tol * max(float(sv[0]), 1e-300)))
-
-
 def solution_uniqueness(inst):
     """Decide whether the primal and dual solution sets are singletons.
 
     Requires strict complementarity (else returns (False, False): nothing is
-    certified). With [P1 P2] the shared eigenbasis splitting range(x_star)
-    from range(z_star), the primal solutions are exactly the PSD matrices
-    P1 B P1' satisfying the affine constraints, so the set is {x_star} iff
-    B -> A(P1 B P1') is injective on symmetric B. Dual multiplier moves dy
-    keep C - A*(y) on the complementary face iff the blocks of A*(dy)
-    touching P1 vanish, so the dual set is a singleton iff
-    dy -> (P1' A*(dy) P1, P1' A*(dy) P2) is injective. Both reduce to rank
-    computations on explicit matrices, with eigenvalues and singular values
-    counted above 1e-8 times the largest.
+    certified), decided as in ``check_strict_complementarity`` by
+    :func:`signed_ranks` on the joint spectrum of x_star - z_star. With
+    [P1 P2] its eigenbasis, splitting range(x_star) from range(z_star), the
+    primal solutions are exactly the PSD matrices P1 B P1' satisfying the
+    affine constraints, so the set is {x_star} iff B -> A(P1 B P1') is
+    injective on symmetric B. Dual multiplier moves dy keep C - A*(y) on the
+    complementary face iff the blocks of A*(dy) touching P1 vanish, so the
+    dual set is a singleton iff dy -> (P1' A*(dy) P1, P1' A*(dy) P2) is
+    injective. Both blocks are slices of the rotated stack [P1 P2]' A_i
+    [P1 P2], and both ranks count singular values with the same rule.
     """
-    tol = 1e-8
     p = inst.problem
-    lam, Q = np.linalg.eigh(inst.x_star - inst.z_star)
-    scale = max(float(np.max(np.abs(lam))), 1e-300)
-    r = int(np.count_nonzero(lam > tol * scale))
-    s = int(np.count_nonzero(lam < -tol * scale))
+    dec = eig_sym(inst.x_star - inst.z_star)
+    r, s = signed_ranks(dec.eigenvalues)
     if r + s != p.n:
         return False, False
-    order = np.argsort(lam)[::-1]
-    P1 = Q[:, order[:r]]
-    P2 = Q[:, order[r:]]
-    top = np.stack([(P1.T @ A @ P1).ravel() for A in p.constraint_mats])
-    cross = np.stack([np.sqrt(2.0) * (P1.T @ A @ P2).ravel() for A in p.constraint_mats])
-    # with r = 0 the face of z_star is {0}
-    primal_unique = r == 0 or _numerical_rank(top, tol) == r * (r + 1) // 2
-    dual_unique = _numerical_rank(np.hstack([top, cross]), tol) == p.m
-    return bool(primal_unique), bool(dual_unique)
+    rot = rotated(p, dec.eigenvectors).reshape(p.m, p.n, p.n)
+    top = rot[:, :r, :r].reshape(p.m, -1)
+    cross = np.sqrt(2.0) * rot[:, :r, r:].reshape(p.m, -1)
+    rank = lambda M: signed_ranks(np.linalg.svd(M, compute_uv=False))[0]
+    # with r = 0 the face of z_star is {0}, and every dy keeps z_star on it
+    primal_unique = r == 0 or rank(top) == r * (r + 1) // 2
+    dual_unique = r > 0 and rank(np.hstack([top, cross])) == p.m
+    return primal_unique, dual_unique
 
 
 def synth_known_solution(n, m, rank_x, seed):

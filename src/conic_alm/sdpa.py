@@ -30,13 +30,10 @@ def sdpa_write(p, path):
     """Write problem p to path in the single-block SDPA subset."""
     lines = [f'"problem {p.name}', str(p.m), "1", str(p.n)]
     lines.append(" ".join(_fmt(v) for v in p.b))
-    mats = [p.C] + [p.constraint_mats[i] for i in range(p.m)]
-    for matno, M in enumerate(mats):
-        for i in range(p.n):
-            for j in range(i, p.n):
-                v = M[i, j]
-                if v != 0.0:
-                    lines.append(f"{matno} 1 {i + 1} {j + 1} {_fmt(v)}")
+    # nonzeros of the upper triangles in (matno, i, j) order, C first
+    upper = np.triu(np.concatenate([p.C[None], p.constraint_mats]))
+    lines += [f"{matno} 1 {i + 1} {j + 1} {_fmt(upper[matno, i, j])}"
+              for matno, i, j in zip(*np.nonzero(upper))]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -18,7 +18,7 @@ import numpy as np
 # canonicalizing eigenvectors.
 _CLUSTER_TOL = 1e-9
 
-# Relative rank cutoff of face_basis (standard double-precision choice).
+# Relative rank cutoff of signed_ranks (standard double-precision choice).
 _RANK_TOL = 1e-8
 
 
@@ -162,13 +162,25 @@ def moreau_split(X):
     return P, N
 
 
+def signed_ranks(lam):
+    """Counts of entries above _RANK_TOL * max|lam| and below its negative.
+
+    The package's one rank rule. On the joint spectrum of x - z of a
+    complementary pair it gives (rank x, rank z) at one common scale, as in
+    Alizadeh, Haeberly & Overton (Math. Prog. 1997).
+    """
+    lam = np.asarray(lam, dtype=float)
+    cut = _RANK_TOL * float(np.max(np.abs(lam), initial=0.0))
+    return int(np.count_nonzero(lam > cut)), int(np.count_nonzero(lam < -cut))
+
+
 def exact_penalty(X, rho):
     """Eigenvalue exact penalty rho * max(0, lambda_max(-X)).
 
     Zero exactly on the PSD cone, positive outside, and dominated by
     rho * dist_psd(X) since max(0, lambda_max(-X)) <= dist(X, PSD cone).
     """
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError("penalty parameter rho must be positive")
     X = check_symmetric(X)
     lam_min = float(np.linalg.eigvalsh(X)[0])
@@ -217,8 +229,9 @@ class FaceBasis:
 
 
 def face_basis(Zbar):
-    """Split eigenvectors of a PSD matrix by eigenvalue > 1e-8 * lambda_max.
+    """Split the eigenvectors of a PSD matrix at its numerical rank.
 
+    The rank is the positive count of :func:`signed_ranks` on the spectrum.
     For Zbar = 0 the rank is 0 and p2 spans everything (the face is the whole
     cone). Rejects matrices that are not PSD within tolerance.
     """
@@ -228,11 +241,7 @@ def face_basis(Zbar):
     scale = 1.0 + frob(Zbar)
     if lam[-1] < -1e-9 * scale:
         raise ValueError(f"Zbar is not PSD (lambda_min = {lam[-1]:.3e})")
-    lam_max = max(float(lam[0]), 0.0)
-    if lam_max > 0:
-        r = int(np.count_nonzero(lam > _RANK_TOL * lam_max))
-    else:
-        r = 0
+    r = signed_ranks(lam)[0]
     p1 = dec.eigenvectors[:, :r]
     p2 = dec.eigenvectors[:, r:]
     lam1_min = float(lam[r - 1]) if r > 0 else 0.0

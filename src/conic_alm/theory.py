@@ -25,7 +25,7 @@ import numpy as np
 
 from .model import apply_A, apply_Astar, inner as _inner
 from .symcone import (check_symmetric, dist_psd, dist_to_face, eig_sym, exact_penalty,
-                      face_basis, frob, project_psd, symmetrize)
+                      face_basis, frob, project_psd, signed_ranks, symmetrize)
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class GrowthReport:
     ``min_ratio`` is the smallest (left-hand side) / (squared distance)
     over points with squared distance above 1e-12; it is the empirical growth
     constant. ``violated`` lists sample indices whose left-hand side came out
-    negative beyond rounding, which a valid inequality never produces.
+    negative beyond rounding, or NaN, which a valid inequality never produces.
     """
 
     sampled_points: int
@@ -69,8 +69,8 @@ def _sym_noise(rng, n, sigma):
 def _ratio_report(lhs_list, dist2_list, params, violated=None):
     lhs = np.asarray(lhs_list)
     dist2 = np.asarray(dist2_list)
-    if violated is None:  # a left-hand side negative beyond rounding
-        violated = lambda lhs, dist2: lhs < -1e-10 * (1.0 + np.abs(lhs) + dist2)
+    if violated is None:  # a left-hand side negative beyond rounding, or NaN
+        violated = lambda lhs, dist2: ~(lhs >= -1e-10 * (1.0 + np.abs(lhs) + dist2))
     mask = dist2 > 1e-12
     ratios = lhs[mask] / dist2[mask]
     min_ratio = float(ratios.min()) if ratios.size else float("inf")
@@ -84,11 +84,17 @@ def _check_samples(samples):
         raise ValueError(f"samples must be at least 1, got {samples}")
 
 
+def _check_finite(**params):
+    for name, value in params.items():
+        if value is not None and not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _ball_report(samples, ball_radius, seed, draw, lhs_of, params):
     """Ball sampler (contract in the module docstring): ``draw(rng, sigma)`` gives a
     point and its squared distance to the solution, ``lhs_of(point)`` the lhs."""
     _check_samples(samples)
-    if ball_radius <= 0:
+    if not ball_radius > 0:
         raise ValueError(f"ball_radius must be positive, got {ball_radius}")
     rng = np.random.default_rng(seed)
     lhs_list, dist2_list = [], []
@@ -121,11 +127,11 @@ def verify_qg_primal(inst, gamma=None, ball_radius=1.0, samples=2000,
         raise ValueError("growth checks need an instance with a unique primal "
                          "solution (distance to the solution set is measured "
                          "against x_star)")
+    _check_finite(gamma=gamma)
     if gamma is None:
         gamma = _default_gamma(inst)
-    if use_penalty:
-        if rho is None or rho <= float(np.trace(inst.z_star)) + 1e-9:
-            raise ValueError("penalty variant needs rho > tr(z_star)")
+    if use_penalty and (rho is None or not rho > float(np.trace(inst.z_star)) + 1e-9):
+        raise ValueError("penalty variant needs rho > tr(z_star)")
     solve = _gram_solve(p)
 
     def draw(rng, sigma):
@@ -157,6 +163,7 @@ def verify_eb_primal(inst, gamma=None, alpha=None, ball_radius=1.0, samples=2000
     if not inst.primal_unique:
         raise ValueError("growth checks need an instance with a unique primal "
                          "solution")
+    _check_finite(gamma=gamma, alpha=alpha)
     if gamma is None:
         gamma = _default_gamma(inst)
     if alpha is None:
@@ -200,11 +207,11 @@ def verify_qg_dual(inst, gamma=None, ball_radius=1.0, samples=2000,
     if not inst.dual_unique:
         raise ValueError("dual growth checks need an instance with a unique "
                          "dual solution")
+    _check_finite(gamma=gamma)
     if gamma is None:
         gamma = 2.0 * (1.0 + float(np.linalg.norm(inst.y_star)) + frob(inst.z_star))
-    if use_penalty:
-        if rho is None or rho <= float(np.trace(inst.x_star)) + 1e-9:
-            raise ValueError("penalty variant needs rho > tr(x_star)")
+    if use_penalty and (rho is None or not rho > float(np.trace(inst.x_star)) + 1e-9):
+        raise ValueError("penalty variant needs rho > tr(x_star)")
     d_star = inst.p_star
 
     def dual_value(y, Z):
@@ -311,7 +318,7 @@ def verify_penalty_preimage(zbar, rho, samples=50, probes=100, seed=0):
     the violation whenever <zbar, X> > 0. Requires tr(zbar) < rho.
     """
     zbar = check_symmetric(zbar, name="zbar")
-    if float(np.trace(zbar)) >= rho:
+    if not rho > float(np.trace(zbar)):
         raise ValueError("the preimage identity needs tr(zbar) < rho")
     _check_samples(samples)
     n = zbar.shape[0]
@@ -384,14 +391,14 @@ def verify_growth_lemma(xbar, zbar, mu, samples=10000, seed=0, penalty_rho=None)
         raise ValueError("xbar and zbar must be positive semidefinite")
     if abs(_inner(xbar, zbar)) > 1e-10 * scale:
         raise ValueError("xbar and zbar must be complementary (<xbar, zbar> = 0)")
-    if mu <= 0:
+    if not mu > 0:
         raise ValueError("mu must be positive")
     _check_samples(samples)
     n = xbar.shape[0]
     face = face_basis(zbar)
     kappa = face.lambda1_min / (3.0 * mu + 2.0 * frob(xbar))
     if penalty_rho is not None:
-        if penalty_rho <= float(np.trace(zbar)):
+        if not penalty_rho > float(np.trace(zbar)):
             raise ValueError("penalty variant needs penalty_rho > tr(zbar)")
         if face.rank == 0:
             kappa_used = penalty_rho / (n * mu)
@@ -417,7 +424,7 @@ def verify_growth_lemma(xbar, zbar, mu, samples=10000, seed=0, penalty_rho=None)
         dist2_list.append(dist_to_face(X, face) ** 2)
     return _ratio_report(lhs_list, dist2_list,
                          dict(kappa=kappa_used, mu=mu, seed=seed, penalty_rho=penalty_rho),
-                         violated=lambda lhs, dist2: lhs + tol < kappa_used * dist2)
+                         violated=lambda lhs, dist2: ~(lhs + tol >= kappa_used * dist2))
 
 
 def check_trace_bound(samples=10000, n_range=(2, 8), seed=0):
@@ -461,7 +468,10 @@ class ComplementarityReport:
 def check_strict_complementarity(x, z):
     """Rank-sum strict complementarity test for a complementary PSD pair.
 
-    PSD membership, <x, z> = 0 and the ranks are judged at a relative 1e-8.
+    PSD membership and <x, z> = 0 are judged at a relative 1e-8. The ranks
+    are the counts of :func:`~conic_alm.symcone.signed_ranks` on the joint
+    spectrum of x - z, so both are cut at the same scale, max|lambda(x - z)|,
+    by the rule ``solution_uniqueness`` applies to a certified pair.
     """
     tol = 1e-8
     x = check_symmetric(x, name="x")
@@ -471,16 +481,8 @@ def check_strict_complementarity(x, z):
         raise ValueError("x and z must be PSD within tolerance")
     if abs(_inner(x, z)) > tol * scale:
         raise ValueError("x and z must satisfy <x, z> = 0 within tolerance")
-
-    def num_rank(M):
-        lam = eig_sym(M).eigenvalues
-        top = max(float(lam[0]), 0.0)
-        if top == 0.0:
-            return 0
-        return int(np.count_nonzero(lam > tol * top))
-
-    return ComplementarityReport(rank_x=num_rank(x), rank_z=num_rank(z),
-                                 n=x.shape[0])
+    rank_x, rank_z = signed_ranks(np.linalg.eigvalsh(x - z))
+    return ComplementarityReport(rank_x=rank_x, rank_z=rank_z, n=x.shape[0])
 
 
 def _project_capped_simplex(v, beta):
@@ -574,7 +576,7 @@ def exact_penalty_equivalence(inst, rho, check_subthreshold=True):
     detectable failure mode of an under-sized penalty.
     """
     threshold = float(np.trace(inst.z_star))
-    if rho <= threshold:
+    if not rho > threshold:
         raise ValueError(f"need rho > tr(z_star) = {threshold:.6g}")
     if not inst.primal_unique:
         raise ValueError("the equivalence check compares the penalized "

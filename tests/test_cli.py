@@ -184,6 +184,25 @@ class TestInputErrors:
                      "ball_radius", id="eb-primal-radius"),
         pytest.param(["verify", "no-sharp-growth", "--grid-points", "0"], "--grid-points",
                      id="grid-points"),
+        # NaN fails every comparison, so the verifiers test "not rho > threshold"
+        pytest.param(["verify", "qg-primal", "--builtin", "example-d1", "--penalty",
+                      "--rho", "nan"], "rho", id="qg-primal-rho-nan"),
+        pytest.param(["verify", "qg-dual", "--builtin", "example-d1", "--penalty",
+                      "--rho", "nan"], "rho", id="qg-dual-rho-nan"),
+        pytest.param(["verify", "qg-primal", "--builtin", "example-d1", "--gamma", "nan",
+                      "--samples", "10"], "gamma", id="qg-primal-gamma-nan"),
+        pytest.param(["verify", "eb-primal", "--builtin", "example-d1", "--alpha", "nan",
+                      "--samples", "10"], "alpha", id="eb-primal-alpha-nan"),
+        pytest.param(["verify", "no-sharp-growth", "--rho", "nan"], "rho",
+                     id="no-sharp-growth-rho-nan"),
+        pytest.param(["verify", "penalty-preimage", "--builtin", "example-d1", "--rho", "nan"],
+                     "rho", id="penalty-preimage-rho-nan"),
+        pytest.param(["verify", "exact-penalty", "--builtin", "example-d1", "--rho", "nan"],
+                     "rho", id="exact-penalty-rho-nan"),
+        pytest.param(["verify", "growth-lemma", "--builtin", "example-d1", "--mu", "nan"], "mu",
+                     id="growth-lemma-mu-nan"),
+        pytest.param(["verify", "qg-primal", "--builtin", "example-d1", "--radius", "nan"],
+                     "ball_radius", id="qg-primal-radius-nan"),
         pytest.param(["verify", "no-sharp-growth", "--grid-points", "-2"], "--grid-points",
                      id="grid-points-negative"),
     ])

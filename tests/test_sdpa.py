@@ -69,6 +69,21 @@ def test_same_position_in_different_matrices_is_not_a_duplicate(tmp_path):
     assert p.constraint_mats[1, 0, 1] == 3.0
 
 
+def test_write_example_d1_bytes(tmp_path, toy):
+    # frozen writer output: header, b, then the nonzero upper-triangle
+    # entries of C, A_1, ..., A_m in row-major order
+    path = tmp_path / "d1.dat-s"
+    sdpa_write(toy.problem, path)
+    assert path.read_text() == ('"problem example-d1\n'
+                                "2\n1\n2\n"
+                                "1 1\n"
+                                "0 1 1 1 1\n"
+                                "0 1 1 2 -1\n"
+                                "0 1 2 2 1\n"
+                                "1 1 1 1 1\n"
+                                "2 1 2 2 1\n")
+
+
 def test_hand_written_file_matches_toy_constructor(tmp_path, toy):
     text = '"2x2 instance with rank-one solutions\n' \
            "2\n1\n2\n" \

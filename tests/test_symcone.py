@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from conic_alm.symcone import (dist_psd, dist_to_face, eig_sym, exact_penalty,
                                face_basis, frob, inner, moreau_split,
-                               penalty_subgrad, project_psd, symmetrize)
+                               penalty_subgrad, project_psd, signed_ranks, symmetrize)
 
 from conftest import random_sym
 from oracles import brute_force_face_dist, eig2x2, project_psd_2x2
@@ -152,6 +152,17 @@ class TestPenaltySubgrad:
             for _ in range(200):
                 Y = random_sym(rng, n, scale=2.0)
                 assert l(Y) >= lX + inner(G, Y - X) - 1e-8
+
+
+class TestSignedRanks:
+    def test_cut_is_relative_to_the_largest_magnitude(self):
+        assert signed_ranks([2.0, 1e-7, 1e-9, 0.0, -1e-9, -0.5]) == (2, 1)
+        # the cut scales with max|lam|, whichever its sign
+        assert signed_ranks([1e-9, -1.0]) == (0, 1)
+
+    def test_zero_and_empty(self):
+        assert signed_ranks(np.zeros(3)) == (0, 0)
+        assert signed_ranks(np.zeros(0)) == (0, 0)
 
 
 class TestFaceBasis:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conic_alm import theory
-from conic_alm.model import synth_known_solution
+from conic_alm.model import KnownSolutionInstance, SdpProblem, synth_known_solution
 from conic_alm.symcone import exact_penalty, face_basis, frob, project_psd, symmetrize
 from conic_alm.theory import (check_strict_complementarity, check_trace_bound,
                               exact_penalty_equivalence, minimize_penalized_affine,
@@ -379,6 +379,12 @@ class TestTraceBound:
         assert lhs < rhs
 
 
+def test_nan_left_hand_side_is_violated():
+    # NaN fails every comparison, so a test written as lhs < bound would pass it
+    rep = theory._ratio_report([np.nan, 1.0, -1.0], [0.5, 0.5, 0.5], {})
+    assert rep.violated == (0, 2)
+
+
 class TestStrictComplementarity:
     def test_toy(self, toy):
         rep = check_strict_complementarity(toy.x_star, toy.z_star)
@@ -398,6 +404,18 @@ class TestStrictComplementarity:
             check_strict_complementarity(np.diag([1.0, -1.0]), np.zeros((2, 2)))
         with pytest.raises(ValueError):
             check_strict_complementarity(np.eye(2), np.eye(2))
+
+    @pytest.mark.parametrize("eps", [1e-10, 1e-9, 1e-7, 1e-5])
+    def test_agrees_with_solution_uniqueness(self, eps):
+        # x* = diag(1, 0), y* = 0, C = z* = diag(0, eps): below the relative
+        # rank cut of the joint spectrum, z* has numerical rank 0 for both
+        mats = np.stack([np.diag([1.0, 0.0]), np.array([[0.0, 1.0], [1.0, 0.0]])])
+        z = np.diag([0.0, eps])
+        inst = KnownSolutionInstance(
+            problem=SdpProblem(C=z, constraint_mats=mats, b=np.array([1.0, 0.0])),
+            x_star=np.diag([1.0, 0.0]), y_star=np.zeros(2), z_star=z, p_star=0.0)
+        rep = check_strict_complementarity(inst.x_star, inst.z_star)
+        assert rep.holds == inst.primal_unique == inst.dual_unique == (eps > 1e-8)
 
 
 class TestExactPenaltyEquivalence:
