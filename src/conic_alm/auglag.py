@@ -17,9 +17,9 @@ All three are convex and continuously differentiable in the primal variable;
 the multiplier gradients recover the classical dual update rules. Each form
 has one formula, its ``*_objective`` factory, whose callable x -> (value,
 gradient, solve) is all the inner solver needs; ``eval_L_*``/``grad_L_*``
-are validated one-liners over it. The SDP factories bind the flat operator
-``p.A_flat`` and vec(C) once, so A(X), A*(u) and <C, X> cost one BLAS call
-each.
+are validated one-liners over it. The SDP factories bind the problem's
+constraint operator ``p.operator`` (dense or sparse, see ``model``) and
+vec(C) once.
 
 The solve g -> d of a regularized generalized Hessian system at x gives the
 inner solver's Newton step. It reuses the value's eigendecomposition (or
@@ -29,11 +29,18 @@ piecewise quadratic, and the SDP forms differentiate proj_psd through the
 divided-difference matrix Omega of its eigendecomposition (SDPNAL, Zhao,
 Sun & Toh 2010). The primal form's singular Hessian is regularized by the
 Levenberg-Marquardt law of Fan & Yuan (Computing 2005).
+
+On a dense operator the Newton matrices come from the full rotated stack
+R (row i = vec(Q' A_i Q)), O(m n^3 + m^2 n^2) per solve. On a sparse one
+they use only the rows of Q' A_i Q that Omega does not make zero (dual) or
+constant (primal), as in SDPNAL+ (Yang, Sun & Toh 2015): with k such rows,
+O(nnz k n + m^2 k n) per solve, and k = rank X* near a strictly
+complementary solution.
 """
 
 import numpy as np
 
-from .model import apply_A, apply_Astar, rotated
+from .model import SparseOperator, apply_A, apply_Astar
 from .symcone import check_symmetric, frob, inner, project_psd, symmetrize
 
 
@@ -44,24 +51,26 @@ def _check_r(r):
 
 def primal_objective(p, w, r):
     """Callable X -> (L_r(X, w), grad_X L_r, Newton solve at X) sharing one
-    eigendecomposition; the solve is :func:`_primal_solve`."""
+    eigendecomposition; the solve is :func:`_primal_solve`, or
+    :func:`_primal_solve_sparse` on a sparse operator."""
     _check_r(r)
-    A_flat, C, c, b, y, Z, n = p.A_flat, p.C, p.C.ravel(), p.b, w.y, w.Z, p.n
+    op, C, c, b, y, Z = p.operator, p.C, p.C.ravel(), p.b, w.y, w.Z
+    apply, adjoint = op.apply, op.adjoint
+    newton = _primal_solve_sparse if isinstance(op, SparseOperator) else _primal_solve
     offset = float(y @ y) + inner(Z, Z)
     # below this rho, I / r is lost to rounding in the m x m system, which
     # can then be exactly singular
-    ridge = 1e-12 * (1.0 + r * (1.0 + float(np.max(np.sum(A_flat ** 2, axis=0)))))
+    ridge = 1e-12 * (1.0 + r * (1.0 + op.max_col_norm2()))
     scale = 1.0 + frob(C)
 
     def oracle(X):
-        x = X.ravel()
-        u = y + r * (b - A_flat @ x)
+        u = y + r * (b - apply(X))
         lam, Q = np.linalg.eigh(Z - r * X)
         pos = np.maximum(lam, 0.0)
         P = (Q * pos) @ Q.T
-        val = float(c @ x) + (float(u @ u) + float(pos @ pos) - offset) / (2.0 * r)
-        grad = C - (u @ A_flat).reshape(n, n) - P
-        return val, grad, lambda G: _primal_solve(p, r, ridge, scale, lam, Q, G)
+        val = float(c @ X.ravel()) + (float(u @ u) + float(pos @ pos) - offset) / (2.0 * r)
+        grad = C - adjoint(u) - P
+        return val, grad, lambda G: newton(p, r, _lm_rho(r, ridge, scale, G), lam, Q, G)
 
     return oracle
 
@@ -90,24 +99,42 @@ def dual_objective(p, X, r):
     r R diag(vec Omega) R', row i of R the flattened Q' A_i Q, Q from eigh(M).
     """
     _check_r(r)
-    A_flat, C, b, n = p.A_flat, p.C, p.b, p.n
+    op, C, b = p.operator, p.C, p.b
+    apply, adjoint = op.apply, op.adjoint
+    newton = _dual_solve_sparse if isinstance(op, SparseOperator) else _dual_solve
     XX = inner(X, X)
 
     def oracle(y):
-        M = X - r * (C - (y @ A_flat).reshape(n, n))
+        M = X - r * (C - adjoint(y))
         lam, Q = np.linalg.eigh(M)
         pos = np.maximum(lam, 0.0)
         P = (Q * pos) @ Q.T
         val = -float(b @ y) + (float(pos @ pos) - XX) / (2.0 * r)
-        grad = -b + A_flat @ P.ravel()
-
-        def solve(g):
-            rot = rotated(p, Q)
-            return _ridged_solve(r * ((rot * _omega(lam).ravel()) @ rot.T), g)
-
-        return val, grad, solve
+        grad = -b + apply(P)
+        return val, grad, lambda g: newton(p, r, lam, Q, g)
 
     return oracle
+
+
+def _dual_solve(p, r, lam, Q, g):
+    """Solve (r R diag(vec Omega) R' + ridge I) d = g over the full stack R."""
+    rot = p.operator.rotated(Q)
+    return _ridged_solve(r * ((rot * _omega(lam).ravel()) @ rot.T), g)
+
+
+def _dual_solve_sparse(p, r, lam, Q, g):
+    """:func:`_dual_solve` from the rows alpha = {lam > 0} of each Q' A_i Q.
+
+    Omega vanishes outside the alpha rows and columns, so
+    R diag(vec Omega) R' = R_a diag(w) R_a' with R_a the alpha rows of the
+    stack, w = Omega[alpha, :], and the alpha x beta weights doubled to
+    stand for their beta x alpha mirror images.
+    """
+    alpha = lam > 0.0
+    w = _omega(lam)[alpha]
+    w[:, ~alpha] *= 2.0
+    rot = p.operator.rotated(Q, alpha)
+    return _ridged_solve(r * ((rot * w.ravel()) @ rot.T), g)
 
 
 def _omega(lam):
@@ -132,37 +159,82 @@ def _ridged_solve(H, g):
     return np.linalg.solve(H + ridge * np.eye(H.shape[0]), g)
 
 
-def _primal_solve(p, r, ridge, scale, lam, Q, G):
-    """Newton solve of the primal-form subproblem, Z - rX = Q diag(lam) Q'.
+def _lm_rho(r, ridge, scale, G):
+    """Regularization rho of the primal Newton system at residual G.
 
-    Maps G to D with (r A*A + r Pi'(Z - rX) + rho I) D = G. G is the
-    dual-affine residual C - A*(u_y) - u_Z of the dual candidate and
-    nu = ||G|| / scale, scale = 1 + ||C||, its relative size (as in eta3).
-    rho = r min(1, nu)^2 is the Levenberg-Marquardt law of Fan & Yuan
+    G is the dual-affine residual C - A*(u_y) - u_Z of the dual candidate
+    and nu = ||G|| / scale, scale = 1 + ||C||, its relative size (as in
+    eta3). rho = r min(1, nu)^2 is the Levenberg-Marquardt law of Fan & Yuan
     (Computing 2005), fast under a local error bound, which strict
     complementarity gives the primal SDP. rho is floored at ``ridge``: the
     ridge of the other forms with max |diag H| bounded by
-    r (1 + max_j ||A e_j||^2). In the eigenbasis Q the last two terms act
-    entrywise as F = r Omega + rho, so Woodbury leaves one m x m system,
+    r (1 + max_j ||A e_j||^2).
+    """
+    return max(r * min(1.0, frob(G) / scale) ** 2, ridge)
+
+
+def _primal_solve(p, r, rho, lam, Q, G):
+    """Newton solve of the primal-form subproblem, Z - rX = Q diag(lam) Q'.
+
+    Maps G to D with (r A*A + r Pi'(Z - rX) + rho I) D = G, rho from
+    :func:`_lm_rho`. In the eigenbasis Q the last two terms act entrywise
+    as F = r Omega + rho, so Woodbury leaves one m x m system,
     I / r + R diag(1 / vec F) R' with row i of R the flattened Q' A_i Q.
     The n^2 x n^2 Hessian is never formed; one solve costs
     O(m n^3 + m^2 n^2).
     """
-    rot = rotated(p, Q)
-    F = r * _omega(lam).ravel() + max(r * min(1.0, frob(G) / scale) ** 2, ridge)
+    rot = p.operator.rotated(Q)
+    F = r * _omega(lam).ravel() + rho
     scaled = rot / F
     K = np.eye(p.m) / r + scaled @ rot.T
 
     def woodbury(rhs):
         return (rhs - np.linalg.solve(K, scaled @ rhs) @ rot) / F
 
-    G_rot = (Q.T @ G @ Q).ravel()
+    D_rot = _refine(woodbury, lambda D: r * ((rot @ D) @ rot), F, (Q.T @ G @ Q).ravel())
+    return _unrotate(Q, D_rot.reshape(p.n, p.n))
+
+
+def _primal_solve_sparse(p, r, rho, lam, Q, G):
+    """:func:`_primal_solve` from the rows beta = {lam <= 0} of each Q' A_i Q.
+
+    Omega is 1 on alpha x alpha, so 1 / F there is the constant 1 / (r + rho),
+    and R diag(1 / vec F) R' = Gram / (r + rho) + R_b diag(w) R_b' with R_b
+    the beta rows of the stack and w = 1 / F - 1 / (r + rho) on them, the
+    beta x alpha weights doubled for their mirror images. Every weight is
+    >= 0, so no term cancels another. R V is applied as A(Q V Q') and
+    R' z as Q' A*(z) Q, so no m x n^2 stack is formed.
+    """
+    op = p.operator
+    F = r * _omega(lam) + rho
+    beta = lam <= 0.0
+    w = 1.0 / F[beta] - 1.0 / (r + rho)
+    w[:, ~beta] *= 2.0
+    rot = op.rotated(Q, beta)
+    K = np.eye(p.m) / r + op.gram / (r + rho) + (rot * w.ravel()) @ rot.T
+
+    def R(V):
+        return op.apply(Q @ V @ Q.T)
+
+    def R_t(z):
+        return Q.T @ op.adjoint(z) @ Q
+
+    def woodbury(rhs):
+        return (rhs - R_t(np.linalg.solve(K, R(rhs / F)))) / F
+
+    return _unrotate(Q, _refine(woodbury, lambda D: r * R_t(R(D)), F, Q.T @ G @ Q))
+
+
+def _refine(woodbury, normal, F, G_rot):
+    """Woodbury solve of (F + normal) D = G_rot with two refinement steps:
+    for small rho the Woodbury solve loses digits to cancellation."""
     D_rot = woodbury(G_rot)
-    # iterative refinement: for small rho the Woodbury solve loses digits to
-    # cancellation
     for _ in range(2):
-        D_rot = D_rot + woodbury(G_rot - F * D_rot - r * ((rot @ D_rot) @ rot))
-    D_rot = D_rot.reshape(p.n, p.n)
+        D_rot = D_rot + woodbury(G_rot - F * D_rot - normal(D_rot))
+    return D_rot
+
+
+def _unrotate(Q, D_rot):
     # the exact D is symmetric; dividing by a small rho amplifies the
     # rounding of the rotated stack into a visible antisymmetric part
     return symmetrize(Q @ D_rot @ Q.T)

@@ -1,11 +1,12 @@
 """Problem data for SDPs and quadratic programs with inequality constraints.
 
-Holds the standard-form SDP triple (C, {A_i}, b) with its linear map,
-adjoint (one GEMV each over the flat (m, n*n) view ``SdpProblem.A_flat``)
-and rotated stack Q' A_i Q, the KKT residual set used to monitor solver
-runs, instance generators (max-cut relaxation, linear SVM, lasso), and a
-synthesizer that builds SDPs around a KKT-certified optimal triple so that
-ground truth is available without an external solver.
+Holds the standard-form SDP triple (C, {A_i}, b) with its constraint
+operator (the linear map A, its adjoint, the rotated rows vec(Q' A_i Q) and
+the Gram matrix A A*, kept dense or as COO nonzeros as the data calls for),
+the KKT residual set used to monitor solver runs, instance generators
+(max-cut relaxation, linear SVM, lasso), and a synthesizer that builds SDPs
+around a KKT-certified optimal triple so that ground truth is available
+without an external solver.
 """
 
 from dataclasses import dataclass, field
@@ -23,15 +24,88 @@ INDEPENDENCE_TOL = 1e-10
 CERTIFY_TOL = 1e-10
 
 
+class DenseOperator:
+    """Constraint operator over the flat (m, n*n) view of the stacked A_i.
+
+    Row i of ``flat`` is vec(A_i): A(X) and A*(y) cost one GEMV each,
+    O(m n^2), and the rotated rows one batched product, O(m n^3).
+    """
+
+    def __init__(self, mats, gram):
+        self.mats = mats
+        self.flat = mats.reshape(mats.shape[0], -1)
+        self.gram = gram
+
+    def apply(self, X):
+        return self.flat @ X.ravel()
+
+    def adjoint(self, y):
+        n = self.mats.shape[1]
+        return (y @ self.flat).reshape(n, n)
+
+    def rotated(self, Q, rows=None):
+        """Row i is vec(Q[:, rows]' A_i Q); all of Q' A_i Q when rows is None."""
+        left = Q if rows is None else Q[:, rows]
+        return (left.T @ self.mats @ Q).reshape(self.mats.shape[0], -1)
+
+    def max_col_norm2(self):
+        """max_j ||A e_j||^2 over the n^2 coordinate matrices e_j."""
+        return float(np.max(np.sum(self.flat ** 2, axis=0)))
+
+
+class SparseOperator:
+    """Constraint operator over the nonzeros of the A_i, in COO form.
+
+    Entry t is A_{k_t}[row_t, col_t] = val_t, both triangles stored, in
+    matrix-major order. A(X) and A*(y) cost O(nnz + n^2), and the rotated
+    rows O(nnz |rows| n): nonzero t adds val_t Q[row_t, rows] (x)
+    Q[col_t, :] to row k_t. For max-cut (A_i = e_i e_i') that outer product
+    is the whole row, bitwise equal to the dense operator's.
+    """
+
+    def __init__(self, mats, gram):
+        self.m, self.n = mats.shape[:2]
+        # np.nonzero of a 3-d array is ten times slower than of a flat mask
+        idx = np.flatnonzero(mats != 0.0)
+        self.k, rest = np.divmod(idx, self.n * self.n)
+        self.row, self.col = np.divmod(rest, self.n)
+        self.val = mats.ravel()[idx]
+        self.gram = gram
+        # first nonzero of each matrix; no A_i is zero, since they are independent
+        self.starts = np.flatnonzero(np.diff(self.k, prepend=-1))
+
+    def apply(self, X):
+        return np.bincount(self.k, weights=self.val * X[self.row, self.col],
+                           minlength=self.m)
+
+    def adjoint(self, y):
+        n = self.n
+        return np.bincount(self.row * n + self.col, weights=y[self.k] * self.val,
+                           minlength=n * n).reshape(n, n)
+
+    def rotated(self, Q, rows=None):
+        """Row i is vec(Q[:, rows]' A_i Q); all of Q' A_i Q when rows is None."""
+        left = Q if rows is None else Q[:, rows]
+        terms = (self.val[:, None] * left[self.row])[:, :, None] * Q[self.col][:, None, :]
+        terms = terms.reshape(self.k.size, -1)
+        return terms if self.k.size == self.m else np.add.reduceat(terms, self.starts)
+
+    def max_col_norm2(self):
+        return float(np.max(np.bincount(self.row * self.n + self.col,
+                                        weights=self.val ** 2)))
+
+
 @dataclass(frozen=True)
 class SdpProblem:
     """Standard-form SDP data: minimize <C, X> s.t. <A_i, X> = b_i, X PSD.
 
     ``constraint_mats`` is stacked with shape (m, n, n) and stored
-    C-contiguous; ``A_flat`` is its (m, n*n) view, row i = vec(A_i), through
-    which A, A* and the trace products are applied. Construction
-    symmetry-checks every matrix and verifies the A_i are numerically
-    linearly independent.
+    C-contiguous; ``A_flat`` is its (m, n*n) view, row i = vec(A_i).
+    Construction symmetry-checks every matrix, verifies the A_i are
+    numerically linearly independent, and keeps the Gram matrix of that
+    check in ``operator``: a :class:`SparseOperator` when the A_i have at
+    most m n nonzeros in all (max-cut has n), else a
+    :class:`DenseOperator`.
     """
 
     C: np.ndarray
@@ -39,6 +113,8 @@ class SdpProblem:
     b: np.ndarray
     name: str = "sdp"
     A_flat: np.ndarray = field(init=False, repr=False, compare=False)
+    operator: DenseOperator | SparseOperator = field(init=False, repr=False,
+                                                     compare=False)
 
     def __post_init__(self):
         C = check_symmetric(self.C, name="C")
@@ -57,9 +133,12 @@ class SdpProblem:
         ev = np.linalg.eigvalsh(gram)
         if ev[0] <= INDEPENDENCE_TOL * max(ev[-1], 1e-300):
             raise ValueError("constraint matrices are numerically linearly dependent")
+        sparse = np.count_nonzero(mats != 0.0) <= mats.shape[0] * mats.shape[1]
+        operator = (SparseOperator if sparse else DenseOperator)(mats, gram)
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "constraint_mats", mats)
         object.__setattr__(self, "A_flat", V)
+        object.__setattr__(self, "operator", operator)
         object.__setattr__(self, "b", b)
 
     @property
@@ -76,7 +155,7 @@ def apply_A(p, X):
     X = np.asarray(X, dtype=float)
     if X.shape != p.C.shape:
         raise ValueError(f"X must have shape {p.C.shape}, got {X.shape}")
-    return p.A_flat @ X.ravel()
+    return p.operator.apply(X)
 
 
 def apply_Astar(p, y):
@@ -84,12 +163,7 @@ def apply_Astar(p, y):
     y = np.asarray(y, dtype=float)
     if y.shape != (p.m,):
         raise ValueError(f"y must have shape ({p.m},), got {y.shape}")
-    return (y @ p.A_flat).reshape(p.n, p.n)
-
-
-def rotated(p, Q):
-    """The stack of Q' A_i Q for an n x n matrix Q, one flattened matrix per row."""
-    return (Q.T @ p.constraint_mats @ Q).reshape(p.m, -1)
+    return p.operator.adjoint(y)
 
 
 @dataclass(frozen=True)
@@ -243,7 +317,7 @@ def solution_uniqueness(inst):
     r, s = signed_ranks(dec.eigenvalues)
     if r + s != p.n:
         return False, False
-    rot = rotated(p, dec.eigenvectors).reshape(p.m, p.n, p.n)
+    rot = p.operator.rotated(dec.eigenvectors).reshape(p.m, p.n, p.n)
     top = rot[:, :r, :r].reshape(p.m, -1)
     cross = np.sqrt(2.0) * rot[:, :r, r:].reshape(p.m, -1)
     rank = lambda M: signed_ranks(np.linalg.svd(M, compute_uv=False))[0]

@@ -5,7 +5,9 @@ of constraints m, the number of blocks (must be 1), the block structure (a
 single positive n), the m entries of b on one line, and entry lines
 ``matno blkno i j value`` with 1-based upper-triangle indices. matno 0 is the
 cost matrix C (stored directly, no sign flip), matno 1..m the constraint
-matrices. Each (matno, i, j) may appear at most once; a repeated entry is
+matrices. A first line ``"problem NAME``, as written by :func:`sdpa_write`,
+names the problem; without it the problem is named ``sdpa``. Each
+(matno, i, j) may appear at most once; a repeated entry is
 rejected with both line numbers. Values are written with 17 significant
 digits so a write/read round trip reproduces the float64 data exactly.
 """
@@ -100,7 +102,14 @@ def sdpa_read(path):
         mats[matno, i - 1, j - 1] = v
         mats[matno, j - 1, i - 1] = v
     C = symmetrize(mats[0])
-    return SdpProblem(C=C, constraint_mats=mats[1:], b=b, name="sdpa")
+    return SdpProblem(C=C, constraint_mats=mats[1:], b=b, name=_header_name(raw[0]))
+
+
+def _header_name(first_line):
+    """NAME from a ``"problem NAME`` first line, else ``sdpa``."""
+    tag = '"problem '
+    name = first_line[len(tag):].strip() if first_line.startswith(tag) else ""
+    return name or "sdpa"
 
 
 def _fmt(v):

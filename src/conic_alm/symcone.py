@@ -194,7 +194,7 @@ def penalty_subgrad(X, rho):
     boundary), and the rank-one extreme point -rho * p p^T otherwise, where p
     is the deterministic unit eigenvector for the smallest eigenvalue of X.
     """
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError("penalty parameter rho must be positive")
     dec = eig_sym(X)
     lam_min = dec.eigenvalues[-1]

@@ -49,7 +49,7 @@ def _default_gamma(inst):
 
 
 def _gram_solve(p):
-    gram = p.A_flat @ p.A_flat.T
+    gram = p.operator.gram
 
     def solve(rhs):
         return np.linalg.solve(gram, rhs)
@@ -236,7 +236,7 @@ def verify_qg_dual(inst, gamma=None, ball_radius=1.0, samples=2000,
                              dict(gamma=gamma, use_penalty=use_penalty, rho=rho,
                                   grid_points=len(y_grid)))
 
-    lhs_mat = np.eye(p.m) + p.A_flat @ p.A_flat.T
+    lhs_mat = np.eye(p.m) + p.operator.gram
 
     def draw(rng, sigma):
         y = inst.y_star + rng.standard_normal(p.m) * sigma

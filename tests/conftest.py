@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import assume, settings
 from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -14,7 +14,8 @@ settings.register_profile("conic-alm", derandomize=True, deadline=None, database
 settings.load_profile("conic-alm")
 
 from conic_alm.fixtures import toy_rank1_instance
-from conic_alm.model import lasso_instance, svm_instance, synth_known_solution
+from conic_alm.model import (SdpProblem, lasso_instance, maxcut_instance, svm_instance,
+                             synth_known_solution)
 from conic_alm.symcone import symmetrize
 
 
@@ -62,3 +63,39 @@ def ineq_subproblems(draw):
         z = np.zeros(q.n_constraints)
     r = 10.0 ** draw(st.floats(-1.0, 2.0))
     return q, z, r, rng
+
+
+@st.composite
+def sparse_sdps(draw, max_n=7):
+    """A max-cut relaxation or a random SDP whose A_i have 1 to 3 nonzeros.
+
+    Each random A_i owns one upper-triangle position (so the stack is
+    independent for generic values) and may add more, on or off the
+    diagonal, up to its drawn nonzero count; an off-diagonal position holds
+    two nonzeros. Values span a drawn power of ten.
+    """
+    n = draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        W = np.triu(rng.random((n, n)) < draw(st.sampled_from([0.2, 0.5, 1.0])), 1)
+        W = W * rng.integers(1, 4, size=(n, n))
+        return maxcut_instance((W + W.T).astype(float))
+    upper = list(zip(*np.triu_indices(n)))
+    m = draw(st.integers(1, len(upper)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    mats = np.zeros((m, n, n))
+    nonzeros = lambda i, j: 1 if i == j else 2
+    for A, anchor in zip(mats, rng.permutation(len(upper))[:m]):
+        i, j = upper[anchor]
+        A[i, j] = A[j, i] = rng.standard_normal() * scale
+        budget = int(rng.integers(1, 4)) - nonzeros(i, j)
+        for pos in rng.permutation(len(upper)):
+            i, j = upper[pos]
+            if A[i, j] == 0.0 and nonzeros(i, j) <= budget:
+                A[i, j] = A[j, i] = rng.standard_normal() * scale
+                budget -= nonzeros(i, j)
+    try:
+        return SdpProblem(C=random_sym(rng, n), constraint_mats=mats,
+                          b=rng.standard_normal(m))
+    except ValueError:
+        assume(False)

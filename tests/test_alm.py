@@ -15,9 +15,9 @@ from conic_alm import auglag
 from conic_alm.auglag import primal_objective
 from conic_alm.fixtures import load_builtin
 from conic_alm.inner import minimize_auglag
-from conic_alm.model import (DualPoint, SdpProblem, apply_A, apply_Astar,
+from conic_alm.model import (DualPoint, SdpProblem, apply_A, apply_Astar, maxcut_instance,
                              svm_instance, synth_known_solution, zero_dual)
-from conic_alm.symcone import dist_psd, frob, project_psd, symmetrize
+from conic_alm.symcone import dist_psd, frob, inner, project_psd, symmetrize
 
 from oracles import soft_threshold
 
@@ -340,6 +340,24 @@ class TestNewtonSteps:
         assert len(trace.records) == outer
         assert trace.records[-1].residuals.eps3 <= 1e-5
         assert sum(rec.inner_iterations for rec in trace.records) <= 90
+
+    def test_maxcut_80_vertices(self):
+        # the scaling point: a unit-weight graph on 80 vertices at the 6 %
+        # edge density of Gset G1, where the Newton systems use only the
+        # rank X* block of the rotated stack
+        n = 80
+        rng = np.random.default_rng(10)
+        iu = np.triu_indices(n, 1)
+        pick = rng.choice(iu[0].size, size=round(0.06 * iu[0].size), replace=False)
+        W = np.zeros((n, n))
+        W[iu[0][pick], iu[1][pick]] = 1.0
+        p = maxcut_instance(W + W.T)
+        cfg = AlmConfig(stop_eps3=1e-5)
+        primal = quiet(solve_primal_alm, p, zero_dual(p), cfg)
+        dual = quiet(solve_dual_alm, p, np.zeros((n, n)), cfg)
+        assert primal.converged and dual.converged
+        value = inner(p.C, primal.final.X)
+        assert inner(p.C, dual.final.X) == pytest.approx(value, rel=1e-4)
 
 
 class TestAlmConfig:

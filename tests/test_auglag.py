@@ -12,10 +12,11 @@ from conic_alm.auglag import (dual_gap_lower_bound, dual_objective, eval_L_dual,
                               grad_L_primal_X, grad_L_primal_w, ineq_objective,
                               primal_objective)
 from conic_alm.inner import minimize_auglag
-from conic_alm.model import DualPoint, apply_A, svm_instance, synth_known_solution
+from conic_alm.model import (DualPoint, SparseOperator, apply_A, apply_Astar, svm_instance,
+                             synth_known_solution)
 from conic_alm.symcone import frob, inner, symmetrize
 
-from conftest import ineq_subproblems, random_sym
+from conftest import ineq_subproblems, random_sym, sparse_sdps
 from oracles import (dual_hessian_matrix, fd_grad_sym, fd_grad_vec, ineq_hessian_matrix,
                      primal_hessian_matrix)
 
@@ -203,6 +204,50 @@ class TestObjectivesAgainstFiniteDifferences:
         assert np.linalg.norm(obj(y)[1] - fd) <= 1e-5 * (1.0 + np.linalg.norm(fd))
 
 
+@st.composite
+def sparse_subproblems(draw, max_n=5):
+    """A sparse-operator SDP from ``sparse_sdps``, r as in certified_subproblems."""
+    p = draw(sparse_sdps(max_n=max_n))
+    assume(isinstance(p.operator, SparseOperator))
+    r = 10.0 ** draw(st.floats(-1.0, 1.0))
+    return p, r, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+def spectrum_matrix(rng, n, spectrum):
+    """A symmetric matrix whose eigenvalues are all > 0 ("positive") or all < 0."""
+    B = rng.standard_normal((n, n))
+    S = symmetrize(B @ B.T) + 0.1 * np.eye(n)
+    return S if spectrum == "positive" else -S
+
+
+def check_primal_solve(p, r, rng, log_scale, spectrum="mixed"):
+    # Z - rX has the drawn spectrum; with spectrum "mixed", Z is a plain draw
+    w, X = rand_dual(rng, p), random_sym(rng, p.n)
+    if spectrum != "mixed":
+        w = DualPoint(y=w.y, Z=symmetrize(r * X + spectrum_matrix(rng, p.n, spectrum)))
+    G = random_sym(rng, p.n, 10.0 ** log_scale)
+    D = primal_objective(p, w, r)(X)[2](G)
+    assert D.tobytes() == D.T.tobytes()
+    floor = 1e-12 * (1.0 + r * (1.0 + np.max(np.sum(p.A_flat ** 2, axis=0))))
+    rho = max(r * min(1.0, frob(G) / (1.0 + frob(p.C))) ** 2, floor)
+    K = primal_hessian_matrix(p, w, r, X) + rho * np.eye(p.n * p.n)
+    assert_solves(K, D.ravel(), G.ravel())
+
+
+def check_dual_solve(p, r, rng, log_scale, spectrum="mixed"):
+    # X - r(C - A*(y)) has the drawn spectrum; with "mixed", X is a plain draw
+    X, y = random_sym(rng, p.n), rng.standard_normal(p.m)
+    if spectrum != "mixed":
+        X = symmetrize(r * (p.C - apply_Astar(p, y)) + spectrum_matrix(rng, p.n, spectrum))
+    g = rng.standard_normal(p.m) * 10.0 ** log_scale
+    d = dual_objective(p, X, r)(y)[2](g)
+    H = dual_hessian_matrix(p, X, r, y)
+    assert_solves(H + ridge(H) * np.eye(p.m), d, g)
+
+
+SPECTRA = st.sampled_from(["mixed", "positive", "nonpositive"])
+
+
 class TestSdpNewtonSolves:
     """The Newton solves against the explicit Kronecker-form Hessians."""
 
@@ -210,24 +255,22 @@ class TestSdpNewtonSolves:
     def test_primal_solve(self, case, log_scale):
         # rho = r min(1, ||G|| / (1 + ||C||))^2 takes both branches and meets
         # its floor over the drawn scales
-        p, r, rng = case
-        w, X = rand_dual(rng, p), random_sym(rng, p.n)
-        G = random_sym(rng, p.n, 10.0 ** log_scale)
-        D = primal_objective(p, w, r)(X)[2](G)
-        assert D.tobytes() == D.T.tobytes()
-        floor = 1e-12 * (1.0 + r * (1.0 + np.max(np.sum(p.A_flat ** 2, axis=0))))
-        rho = max(r * min(1.0, frob(G) / (1.0 + frob(p.C))) ** 2, floor)
-        K = primal_hessian_matrix(p, w, r, X) + rho * np.eye(p.n * p.n)
-        assert_solves(K, D.ravel(), G.ravel())
+        check_primal_solve(*case, log_scale)
 
     @given(certified_subproblems(max_n=4), st.floats(-16.0, 2.0))
     def test_dual_solve(self, case, log_scale):
-        p, r, rng = case
-        X, y = random_sym(rng, p.n), rng.standard_normal(p.m)
-        g = rng.standard_normal(p.m) * 10.0 ** log_scale
-        d = dual_objective(p, X, r)(y)[2](g)
-        H = dual_hessian_matrix(p, X, r, y)
-        assert_solves(H + ridge(H) * np.eye(p.m), d, g)
+        check_dual_solve(*case, log_scale)
+
+    # on a sparse operator the solves use only the rows of Q' A_i Q in one
+    # eigenvalue block; all-positive and all-nonpositive spectra make that
+    # block empty or full
+    @given(sparse_subproblems(), st.floats(-16.0, 2.0), SPECTRA)
+    def test_primal_solve_sparse(self, case, log_scale, spectrum):
+        check_primal_solve(*case, log_scale, spectrum)
+
+    @given(sparse_subproblems(), st.floats(-16.0, 2.0), SPECTRA)
+    def test_dual_solve_sparse(self, case, log_scale, spectrum):
+        check_dual_solve(*case, log_scale, spectrum)
 
     @given(certified_subproblems(max_n=4))
     def test_primal_hessian_matches_gradient_differences(self, case):

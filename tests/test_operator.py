@@ -1,4 +1,5 @@
-"""Property tests of the flat constraint operator A, its adjoint and the trace product."""
+"""Property tests of the constraint operators (A, its adjoint, the rotated
+rows vec(Q' A_i Q) and the Gram matrix) and of the trace product."""
 
 import numpy as np
 import pytest
@@ -6,9 +7,12 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conic_alm.model import SdpProblem, apply_A, apply_Astar
+from conic_alm.fixtures import maxcut_fixture
+from conic_alm.model import (DenseOperator, SdpProblem, SparseOperator, apply_A, apply_Astar,
+                             maxcut_instance, synth_known_solution)
 from conic_alm.symcone import frob, inner, symmetrize
 
+from conftest import sparse_sdps
 from oracles import (naive_apply_A, tensordot_apply_A, tensordot_apply_Astar,
                      tensordot_inner)
 
@@ -76,6 +80,71 @@ def test_flat_operator_is_a_view(case):
     assert p.constraint_mats.flags.c_contiguous
     for i, A in enumerate(p.constraint_mats):
         assert np.array_equal(p.A_flat[i], A.ravel())
+
+
+def both_operators(p):
+    return (SparseOperator(p.constraint_mats, p.operator.gram),
+            DenseOperator(p.constraint_mats, p.operator.gram))
+
+
+def random_orthogonal(rng, n):
+    return np.linalg.qr(rng.standard_normal((n, n)))[0]
+
+
+@given(sparse_sdps(), st.integers(0, 2**32 - 1))
+def test_sparse_operator_matches_dense(p, seed):
+    sparse, dense = both_operators(p)
+    rng = np.random.default_rng(seed)
+    X, y = rng.standard_normal((p.n, p.n)), rng.standard_normal(p.m)
+    norm_A = frob(p.A_flat)
+    assert_allclose(sparse.apply(X), dense.apply(X), rtol=REL, atol=REL * norm_A * frob(X))
+    assert_allclose(sparse.adjoint(y), dense.adjoint(y), rtol=REL,
+                    atol=REL * norm_A * float(np.linalg.norm(y)))
+    assert sparse.max_col_norm2() == pytest.approx(dense.max_col_norm2(), rel=REL)
+    # the rotated rows for a random block of Q, the empty one and all of Q
+    Q = random_orthogonal(rng, p.n)
+    for rows in (rng.random(p.n) < 0.5, np.zeros(p.n, bool), None):
+        rot = sparse.rotated(Q, rows)
+        assert rot.shape == dense.rotated(Q, rows).shape
+        assert_allclose(rot, dense.rotated(Q, rows), rtol=REL, atol=REL * norm_A)
+    # a block of rows is that slice of the full stack
+    full = sparse.rotated(Q)
+    block = rng.random(p.n) < 0.5
+    assert np.array_equal(sparse.rotated(Q, block),
+                          full.reshape(p.m, p.n, p.n)[:, block].reshape(p.m, -1))
+    # Q is orthogonal, so the rotated rows keep the Gram matrix A A*
+    gram = p.A_flat @ p.A_flat.T
+    assert np.array_equal(p.operator.gram, gram)
+    assert_allclose(full @ full.T, gram, rtol=REL, atol=10 * REL * np.max(np.abs(gram)))
+
+
+@given(st.integers(1, 30), st.integers(0, 2**32 - 1))
+def test_maxcut_rotated_stack_is_bitwise_dense(n, seed):
+    rng = np.random.default_rng(seed)
+    W = np.triu(rng.random((n, n)) < 0.3, 1).astype(float)
+    p = maxcut_instance(W + W.T)
+    sparse, dense = both_operators(p)
+    Q = random_orthogonal(rng, n)
+    X = symmetrize(rng.standard_normal((n, n)))
+    y = rng.standard_normal(n)
+    assert np.array_equal(sparse.rotated(Q), dense.rotated(Q))
+    assert np.array_equal(sparse.apply(X), dense.apply(X))
+    assert np.array_equal(sparse.adjoint(y), dense.adjoint(y))
+
+
+def test_selection_rule():
+    # sparse when the A_i hold at most m n nonzeros in all
+    for name in ("maxcut-g1-20", "maxcut-g2-20", "maxcut-g3-20"):
+        assert isinstance(maxcut_fixture(name).operator, SparseOperator)
+    for n in range(2, 9):
+        for m in (1, n, n * (n + 1) // 2):
+            p = synth_known_solution(n=n, m=m, rank_x=1, seed=n + m).problem
+            assert isinstance(p.operator, DenseOperator)
+    mats = np.zeros((2, 2, 2))
+    mats[0, 0, 1] = mats[0, 1, 0] = mats[1, 0, 0] = mats[1, 1, 1] = 1.0
+    assert isinstance(SdpProblem(np.eye(2), mats, np.ones(2)).operator, SparseOperator)
+    mats[1, 0, 1] = mats[1, 1, 0] = 1.0
+    assert isinstance(SdpProblem(np.eye(2), mats, np.ones(2)).operator, DenseOperator)
 
 
 def test_inner_rejects_shape_mismatch():

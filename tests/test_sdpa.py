@@ -20,6 +20,7 @@ def _assert_round_trip(p, path):
     assert np.array_equal(p.C, q.C)
     assert np.array_equal(p.constraint_mats, q.constraint_mats)
     assert np.array_equal(p.b, q.b)
+    assert q.name == p.name
 
 
 def test_round_trip_bitwise(tmp_path):
@@ -96,9 +97,20 @@ def test_hand_written_file_matches_toy_constructor(tmp_path, toy):
     path = tmp_path / "toy.dat-s"
     path.write_text(text)
     p = sdpa_read(path)
+    # a comment that is not a problem header leaves the default name
+    assert p.name == "sdpa"
     assert_allclose(p.C, toy.problem.C)
     assert_allclose(p.constraint_mats, toy.problem.constraint_mats)
     assert_allclose(p.b, toy.problem.b)
+
+
+def test_problem_name_round_trip(tmp_path, toy):
+    path = tmp_path / "d1.dat-s"
+    sdpa_write(toy.problem, path)
+    assert sdpa_read(path).name == "example-d1"
+    # the header is the first line only; a later one is an ordinary comment
+    path.write_text('"a comment\n' + path.read_text())
+    assert sdpa_read(path).name == "sdpa"
 
 
 def test_comment_lines_ignored(tmp_path):

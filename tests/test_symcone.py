@@ -138,6 +138,12 @@ class TestPenaltySubgrad:
         lam = np.linalg.eigvalsh(G)
         assert_allclose(lam, [-2.0, 0.0], atol=1e-12)
 
+    def test_rejects_bad_rho(self):
+        # NaN fails rho > 0 without satisfying rho <= 0
+        for rho in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="rho must be positive"):
+                penalty_subgrad(np.diag([1.0, -1.0]), rho)
+
     def test_subgradient_inequality_population(self, rng):
         rho = 1.7
 
