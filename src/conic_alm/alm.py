@@ -1,24 +1,20 @@
 """Outer augmented Lagrangian loop and the generic inexact proximal loop.
 
-One loop runs the inexact ALM for all three forms: approximately minimize the
-augmented Lagrangian in the primal variable with a certified gap, test the
-two inexactness criteria against the tentative multiplier step, tighten and
-re-solve if needed, then apply that same step. Each form supplies four
-pieces: its ``auglag.*_objective`` factory, whose subproblem oracle returns
-value, gradient and Newton solve together, its multiplier update
-
-    primal form:      y+ = y + r (b - A(X)),   Z+ = proj_psd(Z - r X)
-    dual form:        X+ = proj_psd(X - r (C - A*(y+)))
-    inequality form:  z+ = max(z + r g(x+), 0)
-
-a bound on the distance to the subproblem minimizer, and the builder of its
-iteration record and residuals. Every subproblem is solved by damped
-(semismooth) Newton steps with the solve that the form's oracle returns.
+One loop runs the inexact ALM for all three forms: one inner solve per
+subproblem, which stops at the first iterate where both inexactness criteria
+hold against that iterate's own multiplier step, and then that step is
+applied. Each form supplies three pieces: its ``auglag.*_objective``
+factory, whose subproblem oracle returns value, gradient, Newton solve and
+multiplier step together, a bound on the distance to the subproblem
+minimizer, and the builder of its iteration record and residuals. Every
+subproblem is solved by damped (semismooth) Newton steps with the solve that
+the form's oracle returns.
 
 The penalty sequence grows geometrically up to a finite cap. When the
 criteria cannot be certified (their targets eventually sink below the
-floating-point floor of the subproblem) the loop keeps the best iterate,
-flags the record, and warns once at the end of the run.
+floating-point floor of the subproblem) the solve ends at that floor or at
+its own exits, the loop keeps the iterate it returns, flags the record, and
+warns once at the end of the run.
 
 Also here: a generic inexact proximal point loop used to cross-check the
 correspondence between multiplier updates and proximal steps on the dual
@@ -33,16 +29,15 @@ import numpy as np
 
 from . import auglag
 from .inner import check_criterion_A, check_criterion_B, minimize_auglag
+# apply_A is unused here but stays a module attribute: perfbench's tracer
+# rebinds alm.apply_A by name
 from .model import (DualPoint, KnownSolutionInstance, apply_A, apply_Astar,
                     ineq_residuals, kkt_residuals)
-from .symcone import dist_psd, frob, project_psd, symmetrize
+from .symcone import dist_psd, frob, symmetrize
 
 # Below this threshold a certification target is considered unreachable in
-# double precision and tightening rounds stop.
+# double precision: the inner solve stops at a gap within it.
 _TARGET_FLOOR = 1e-16
-# Solves of one subproblem (the first plus tightenings) before its iterate is
-# accepted uncertified.
-_CERTIFY_ROUNDS = 8
 
 
 @dataclass(frozen=True)
@@ -52,7 +47,7 @@ class AlmConfig:
     The penalty grows as r_{k+1} = min(r_growth * r_k, r_max), keeping the
     sequence bounded; eps_k = eps0 * decay^k and delta_k = delta0 * decay^k
     are the (summable) inexactness schedules. ``inner_budget`` caps the inner
-    iterations of one subproblem over all its tightening rounds.
+    iterations of the one solve of each subproblem.
     """
 
     r0: float = 1.0
@@ -157,75 +152,33 @@ class AlmTrace:
         return self.records[-1]
 
 
-def _primal_update(p, w, X, r):
-    """Primal-form multiplier step at X; returns (symmetrized X, w+, ||w+ - w||)."""
-    X = symmetrize(X)
-    y = w.y + r * (p.b - apply_A(p, X))
-    Z = project_psd(symmetrize(w.Z - r * X))
-    step = float(np.sqrt(np.sum((y - w.y) ** 2) + np.sum((Z - w.Z) ** 2)))
-    return X, DualPoint(y=y, Z=Z), step
-
-
-def _dual_update(p, X, y, r):
-    """Dual-form multiplier step at y; returns (y, X+, ||X+ - X||)."""
-    X_new = project_psd(symmetrize(X - r * (p.C - apply_Astar(p, y))))
-    return y, X_new, frob(X_new - X)
-
-
-def _ineq_update(q, z, x, r):
-    """Inequality-form multiplier step at x; returns (x, z+, ||z+ - z||)."""
-    z_new = np.maximum(z + r * q.constraints(x), 0.0)
-    return x, z_new, float(np.linalg.norm(z_new - z))
-
-
-def _certified_subsolve(objective, x_start, r, eps_k, delta_k, update_at, cfg, diameter_of):
-    """Solve one subproblem until both criteria hold or the floor is reached.
-
-    ``update_at(minimizer)`` is the form's multiplier update, whose step norm
-    criterion B measures; tightening re-solves warm-started from the current
-    iterate. Returns (InnerResult, the last update's (x, w+, step),
-    certified flag, total inner iterations).
-    """
-    target = eps_k * eps_k / (2.0 * r)
-    total_iters = 0
-    x = x_start
-    for _ in range(_CERTIFY_ROUNDS):
-        result = minimize_auglag(objective, x, tol=max(target, _TARGET_FLOOR),
-                                 max_iter=max(cfg.inner_budget - total_iters, 50),
-                                 diameter_bound=diameter_of(x))
-        total_iters += result.iterations
-        x = result.minimizer
-        update = update_at(x)
-        step = update[2]
-        if (check_criterion_A(result, eps_k, r)
-                and check_criterion_B(result, delta_k, r, step)):
-            return result, update, True, total_iters
-        if not result.converged or total_iters >= cfg.inner_budget:
-            break
-        tightened = min(eps_k * eps_k, delta_k * delta_k * step * step) / (2.0 * r)
-        if tightened <= _TARGET_FLOOR:
-            break
-        target = 0.5 * tightened
-    return result, update, False, total_iters
-
-
-def _outer_loop(trace, cfg, p, objective, update, diameter_of, record, x, w):
+def _outer_loop(trace, cfg, p, objective, diameter_of, record, x, w):
     """The inexact ALM shared by every form; appends to ``trace`` and returns it.
 
-    ``objective(p, w, r)`` builds the subproblem oracle in x,
-    ``update(p, w, x, r)`` is the multiplier step, ``diameter_of(x)`` bounds
-    the distance from x to the subproblem minimizer, and
-    ``record(x, w, w+, fields)`` builds the iteration record (with its
-    residuals) from the shared ``fields``.
+    ``objective(p, w, r)`` builds the subproblem oracle in x, whose update is
+    the multiplier step, ``diameter_of(x)`` bounds the distance from x to the
+    subproblem minimizer, and ``record(x, w, w+, fields)`` builds the
+    iteration record (with its residuals) from the shared ``fields``. The
+    solve stops at the first iterate within criterion A's target (or the
+    floor) whose own step meets criterion B or sinks B's target to the floor.
     """
     for k in range(cfg.max_outer):
         r = cfg.penalty(k)
         eps_k, delta_k = cfg.eps(k), cfg.delta(k)
-        result, (x, w_new, step), certified, iters = _certified_subsolve(
-            objective(p, w, r), x, r, eps_k, delta_k,
-            lambda xc: update(p, w, xc, r), cfg, diameter_of)
+
+        def meets_B(result):
+            step = result.update[2]
+            return (check_criterion_B(result, delta_k, r, step)
+                    or delta_k * delta_k * step * step / (2.0 * r) <= _TARGET_FLOOR)
+
+        result = minimize_auglag(objective(p, w, r), x,
+                                 max(eps_k * eps_k / (2.0 * r), _TARGET_FLOOR), cfg.inner_budget,
+                                 diameter_bound=diameter_of(x), accept=meets_B)
+        x, w_new, step = result.update
+        certified = (check_criterion_A(result, eps_k, r)
+                     and check_criterion_B(result, delta_k, r, step))
         rec = record(x, w, w_new, dict(
-            k=k, r=r, eps_k=eps_k, delta_k=delta_k, inner_iterations=iters,
+            k=k, r=r, eps_k=eps_k, delta_k=delta_k, inner_iterations=result.iterations,
             gap_certificate=result.gap_upper_bound, grad_norm=result.grad_norm,
             certified=certified, step_norm=step, value=result.value))
         trace.records.append(rec)
@@ -242,6 +195,14 @@ def _outer_loop(trace, cfg, p, objective, update, diameter_of, record, x, w):
         # points at the caller of the public solve_*_alm function
         warnings.warn(msg, RuntimeWarning, stacklevel=3)
     return trace
+
+
+def _start_array(name, value, shape):
+    """``value`` as a float array; raises unless it is finite and of ``shape``."""
+    value = np.asarray(value, dtype=float)
+    if value.shape != shape or not np.all(np.isfinite(value)):
+        raise ValueError(f"{name} must be finite with shape {shape}, got shape {value.shape}")
+    return value
 
 
 def _sdp_record(p, oracle, X, w, dist_w_before, fields):
@@ -269,6 +230,8 @@ def solve_primal_alm(p, w0, cfg=None):
     cfg = cfg or AlmConfig()
     oracle = p if isinstance(p, KnownSolutionInstance) else None
     p = oracle.problem if oracle else p
+    _start_array("w0.y", w0.y, (p.m,))
+    _start_array("w0.Z", w0.Z, (p.n, p.n))
     if dist_psd(w0.Z) > 1e-9 * (1.0 + frob(w0.Z)):
         raise ValueError("initial Z must be positive semidefinite")
     track_w = oracle is not None and oracle.dual_unique
@@ -278,7 +241,7 @@ def solve_primal_alm(p, w0, cfg=None):
                            oracle.dist_dual(w) if track_w else None, fields)
 
     trace = AlmTrace(form="primal", problem_name=p.name, config=cfg, start_point=w0)
-    return _outer_loop(trace, cfg, p, auglag.primal_objective, _primal_update,
+    return _outer_loop(trace, cfg, p, auglag.primal_objective,
                        lambda Xc: auglag.default_diameter(p, Xc), record,
                        np.zeros((p.n, p.n)), DualPoint(y=w0.y.copy(), Z=w0.Z.copy()))
 
@@ -293,7 +256,7 @@ def solve_dual_alm(p, X0, cfg=None):
     cfg = cfg or AlmConfig()
     oracle = p if isinstance(p, KnownSolutionInstance) else None
     p = oracle.problem if oracle else p
-    X0 = symmetrize(X0)
+    X0 = symmetrize(_start_array("X0", X0, (p.n, p.n)))
     if dist_psd(X0) > 1e-9 * (1.0 + frob(X0)):
         raise ValueError("initial X must be positive semidefinite")
     scale = 2.0 * (1.0 + float(np.linalg.norm(p.b)) + frob(p.C))
@@ -305,7 +268,7 @@ def solve_dual_alm(p, X0, cfg=None):
                            oracle.dist_primal(X) if track_x else None, fields)
 
     trace = AlmTrace(form="dual", problem_name=p.name, config=cfg, start_point=X0)
-    return _outer_loop(trace, cfg, p, auglag.dual_objective, _dual_update,
+    return _outer_loop(trace, cfg, p, auglag.dual_objective,
                        lambda yc: scale + 2.0 * float(np.linalg.norm(yc)),
                        record, np.zeros(p.m), X0.copy())
 
@@ -313,9 +276,9 @@ def solve_dual_alm(p, X0, cfg=None):
 def solve_ineq_alm(q, z0, cfg=None, x_star=None, f_star=None):
     """Inexact ALM on a convex QP with affine inequality constraints; x starts at 0."""
     cfg = cfg or AlmConfig()
-    z = np.asarray(z0, dtype=float).copy()
-    if z.shape != (q.n_constraints,) or np.any(z < 0):
-        raise ValueError("z0 must be a nonnegative vector, one entry per constraint")
+    z = _start_array("z0", z0, (q.n_constraints,)).copy()
+    if not np.all(z >= 0):
+        raise ValueError("z0 must be nonnegative")
     scale = 2.0 * (1.0 + float(np.linalg.norm(q.c)) + float(np.linalg.norm(q.h)))
 
     def record(x, z, z_new, fields):
@@ -326,7 +289,7 @@ def solve_ineq_alm(q, z0, cfg=None, x_star=None, f_star=None):
             **fields)
 
     trace = AlmTrace(form="ineq", problem_name=q.name, config=cfg, start_point=z.copy())
-    return _outer_loop(trace, cfg, q, auglag.ineq_objective, _ineq_update,
+    return _outer_loop(trace, cfg, q, auglag.ineq_objective,
                        lambda xc: scale + 2.0 * float(np.linalg.norm(xc)),
                        record, np.zeros(q.dim), z)
 
@@ -409,11 +372,12 @@ def verify_ppm_alm_link(p, trace):
     """Check ||w_{k+1} - prox(w_k)||^2 / (2 r_k) against the certified gap.
 
     The reference proximal point is the exact multiplier update at the exact
-    subproblem minimizer; it is approximated by re-solving each subproblem to
-    a tenth of the recorded certificate (at least 1e-15, at most 20000 inner
-    iterations, warm-started at the recorded iterate). The tolerance composes
-    the recorded certificate, the reference solve's own certificate, and a
-    1e-10 slack: lhs <= (sqrt(gap_k) + sqrt(gap_ref))^2 + 1e-10.
+    subproblem minimizer; it is approximated by the update of a re-solve of
+    each subproblem to a tenth of the recorded certificate (at least 1e-15, at
+    most 20000 inner iterations, warm-started at the recorded iterate). The
+    tolerance composes the recorded certificate, the reference solve's own
+    certificate, and a 1e-10 slack: lhs <= (sqrt(gap_k) + sqrt(gap_ref))^2
+    + 1e-10.
     """
     if isinstance(p, KnownSolutionInstance):
         p = p.problem
@@ -426,7 +390,7 @@ def verify_ppm_alm_link(p, trace):
         tol_ref = max(rec.gap_certificate * 0.1, 1e-15)
         ref = minimize_auglag(auglag.primal_objective(p, w_prev, r), rec.X, tol=tol_ref,
                               max_iter=20000, diameter_bound=auglag.default_diameter(p, rec.X))
-        _, w_prox, _ = _primal_update(p, w_prev, ref.minimizer, r)
+        _, w_prox, _ = ref.update
         dy = rec.y - w_prox.y
         dZ = rec.Z - w_prox.Z
         lhs = (float(dy @ dy) + float(np.sum(dZ * dZ))) / (2.0 * r)

@@ -16,19 +16,24 @@ Inequality form (variable x, multipliers z >= 0, constraint map g = Gx + h):
 All three are convex and continuously differentiable in the primal variable;
 the multiplier gradients recover the classical dual update rules. Each form
 has one formula, its ``*_objective`` factory, whose callable x -> (value,
-gradient, solve) is all the inner solver needs; ``eval_L_*``/``grad_L_*``
-are validated one-liners over it. The SDP factories bind the problem's
+gradient, solve, update) is all the inner solver needs; ``eval_L_*``/
+``grad_L_*`` are validated one-liners over it. ``update()`` gives the
+multiplier step (x, w+, ||w+ - w||) at x, w+ being the dual candidate that
+the value already computed: (y + r(b - A(X)), proj_psd(Z - rX)),
+proj_psd(X - r(C - A*(y))) or max(z + r g(x), 0), so it costs no second
+eigendecomposition. The SDP factories bind the problem's
 constraint operator ``p.operator`` (dense or sparse, see ``model``) and
 vec(C) once.
 
 The solve g -> d of a regularized generalized Hessian system at x gives the
 inner solver's Newton step. It reuses the value's eigendecomposition (or
-active set) and works only when called, so a rejected line-search trial
-pays for none of it. The gradients are semismooth: the inequality form is
-piecewise quadratic, and the SDP forms differentiate proj_psd through the
-divided-difference matrix Omega of its eigendecomposition (SDPNAL, Zhao,
-Sun & Toh 2010). The primal form's singular Hessian is regularized by the
-Levenberg-Marquardt law of Fan & Yuan (Computing 2005).
+active set) and, like the update, works only when called, so a rejected
+line-search trial pays for neither. The gradients are semismooth: the
+inequality form is piecewise quadratic, and the SDP forms differentiate
+proj_psd through the divided-difference matrix Omega of its
+eigendecomposition (SDPNAL, Zhao, Sun & Toh 2010). The primal form's
+singular Hessian is regularized by the Levenberg-Marquardt law of Fan & Yuan
+(Computing 2005).
 
 On a dense operator the Newton matrices come from the full rotated stack
 R (row i = vec(Q' A_i Q)), O(m n^3 + m^2 n^2) per solve. On a sparse one
@@ -40,7 +45,7 @@ complementary solution.
 
 import numpy as np
 
-from .model import SparseOperator, apply_A, apply_Astar
+from .model import DualPoint, SparseOperator, apply_A, apply_Astar
 from .symcone import check_symmetric, frob, inner, project_psd, symmetrize
 
 
@@ -50,8 +55,8 @@ def _check_r(r):
 
 
 def primal_objective(p, w, r):
-    """Callable X -> (L_r(X, w), grad_X L_r, Newton solve at X) sharing one
-    eigendecomposition; the solve is :func:`_primal_solve`, or
+    """Callable X -> (L_r(X, w), grad_X L_r, Newton solve, update) at X sharing
+    one eigendecomposition; the solve is :func:`_primal_solve`, or
     :func:`_primal_solve_sparse` on a sparse operator."""
     _check_r(r)
     op, C, c, b, y, Z = p.operator, p.C, p.C.ravel(), p.b, w.y, w.Z
@@ -70,7 +75,13 @@ def primal_objective(p, w, r):
         P = (Q * pos) @ Q.T
         val = float(c @ X.ravel()) + (float(u @ u) + float(pos @ pos) - offset) / (2.0 * r)
         grad = C - adjoint(u) - P
-        return val, grad, lambda G: newton(p, r, _lm_rho(r, ridge, scale, G), lam, Q, G)
+
+        def update():
+            Z_new = symmetrize(P)
+            return X, DualPoint(y=u, Z=Z_new), float(
+                np.sqrt(np.sum((u - y) ** 2) + np.sum((Z_new - Z) ** 2)))
+
+        return val, grad, lambda G: newton(p, r, _lm_rho(r, ridge, scale, G), lam, Q, G), update
 
     return oracle
 
@@ -93,7 +104,7 @@ def grad_L_primal_w(p, X, w, r):
 
 
 def dual_objective(p, X, r):
-    """Callable y -> (L_r(y, X), grad_y L_r, Newton solve at y).
+    """Callable y -> (L_r(y, X), grad_y L_r, Newton solve, update) at y.
 
     The solve's generalized Hessian r A Pi'(M) A* at M = X - r(C - A*(y)) is
     r R diag(vec Omega) R', row i of R the flattened Q' A_i Q, Q from eigh(M).
@@ -111,7 +122,12 @@ def dual_objective(p, X, r):
         P = (Q * pos) @ Q.T
         val = -float(b @ y) + (float(pos @ pos) - XX) / (2.0 * r)
         grad = -b + apply(P)
-        return val, grad, lambda g: newton(p, r, lam, Q, g)
+
+        def update():
+            X_new = symmetrize(P)
+            return y, X_new, frob(X_new - X)
+
+        return val, grad, lambda g: newton(p, r, lam, Q, g), update
 
     return oracle
 
@@ -251,7 +267,7 @@ def grad_L_dual_y(p, y, X, r):
 
 
 def ineq_objective(q, z, r):
-    """Callable x -> (L_r(x, z), grad_x L_r, Newton solve at x).
+    """Callable x -> (L_r(x, z), grad_x L_r, Newton solve, update) at x.
 
     The solve's generalized Hessian is Q + r G_A' G_A over the active set
     A = {i : z_i + r g_i(x) > 0}; L_r(., z) is quadratic on each active set,
@@ -269,7 +285,7 @@ def ineq_objective(q, z, r):
             G_A = q.G[pos > 0.0]
             return _ridged_solve(q.Q + r * (G_A.T @ G_A), g)
 
-        return val, grad, solve
+        return val, grad, solve, lambda: (x, pos, float(np.linalg.norm(pos - z)))
 
     return oracle
 

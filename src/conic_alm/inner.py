@@ -2,11 +2,12 @@
 
 Damped Newton steps under a monotone backtracking line search. The objective
 returns, with its value and gradient at x, a solve g -> d of a regularized
-generalized Hessian system at x (``auglag.*_objective``). Each step uses the
-solve that came back with the current iterate: it tries the unit step along
--d and backtracks on the Armijo test with g.d in place of ||g||^2. If g.d is
-not positive and finite, the step is a plain gradient step from the same
-unit length, which no objective of this package takes. A Newton step is also
+generalized Hessian system at x and a lazy multiplier step at x
+(``auglag.*_objective``). Each step uses the solve that came back with the
+current iterate: it tries the unit step along -d and backtracks on the
+Armijo test with g.d in place of ||g||^2. If g.d is not positive and
+finite, the step is a plain gradient step from the same unit length, which
+no objective of this package takes. A Newton step is also
 accepted at the value floor: when its value is within 1e-14 (1 + |f|) of f,
 the Armijo test cannot resolve a decrease, and the step is taken if it cuts
 ||g|| by a relative 1e-4, so solves are monotone only up to the value's
@@ -19,16 +20,17 @@ optimality certificate is the convexity bound
 
 valid whenever the minimizer lies within distance D of x; D is supplied by
 the caller (``diameter_bound``). The certified gap feeds the two inexactness
-acceptance tests used by the outer loops: criterion A compares it against
+acceptance tests used by the outer loop: criterion A compares it against
 eps_k^2 / (2 r_k) and criterion B against delta_k^2 ||w step||^2 / (2 r_k).
 Both checks are conservative because the certificate overestimates the true
-gap.
+gap. As in SSNAL, both are checked inside the solve, at each iterate's own
+multiplier step: A through ``tol`` and B through the caller's ``accept``.
 
-The loop has four exits: the certificate reaches the tolerance; no
-resolvable descent in the value for 25 iterations (the value floor); the
-line search cannot move x, because it found no acceptable step or because
-``x - t*d`` rounds to ``x`` (a null move: x, its value and gradient stay as
-they were); and ``max_iter``.
+The loop has four exits: the stop test (the certificate within the
+tolerance, and ``accept``) holds; no resolvable descent in the value for 25
+iterations (the value floor); the line search cannot move x, because it
+found no acceptable step or because ``x - t*d`` rounds to ``x`` (a null
+move: x, its value and gradient stay as they were); and ``max_iter``.
 """
 
 from dataclasses import dataclass
@@ -45,8 +47,9 @@ class InnerResult:
     """Outcome of one subproblem solve.
 
     ``gap_upper_bound`` is the certified bound ||grad|| * diameter_bound on
-    the suboptimality of ``minimizer``; ``converged`` says whether it reached
-    the requested tolerance.
+    the suboptimality of ``minimizer``; ``converged`` says whether the stop
+    test held there; ``update`` is the oracle's update at ``minimizer`` (for
+    ``auglag.*_objective``, the multiplier step (x, w+, ||w+ - w||)).
     """
 
     minimizer: np.ndarray
@@ -55,42 +58,56 @@ class InnerResult:
     iterations: int
     converged: bool
     value: float
+    update: object = None
 
 
 def _norm(v):
     return float(np.sqrt(np.vdot(v, v).real))
 
 
-def minimize_auglag(oracle, start, tol, max_iter=10000, diameter_bound=None):
-    """Minimize a smooth convex objective until the certified gap is <= tol.
+def minimize_auglag(oracle, start, tol, max_iter=10000, diameter_bound=None, accept=None):
+    """Minimize a smooth convex objective until the stop test holds.
 
-    ``oracle(point) -> (value, gradient, solve)`` with gradient shaped like
-    the point (works for vectors and symmetric matrices alike); ``solve``
-    maps ``g -> d`` with a positive definite (regularized generalized)
-    Hessian at the point, and runs only for the start point and accepted
-    points, at most once each. Each step halves the trial step from t = 1
-    until the Armijo test (constant 1e-4) holds, at most 60 times. Stops at
-    the first of the four exits in the module docstring; all but the
-    tolerance give converged=False. ``iterations`` counts accepted moves.
+    ``oracle(point) -> (value, gradient, solve, update)`` with gradient shaped
+    like the point (works for vectors and symmetric matrices alike);
+    ``solve`` maps ``g -> d`` with a positive definite (regularized
+    generalized) Hessian at the point; it and ``update()`` run only when
+    needed, the solve at most once per accepted point. Each step halves the
+    trial step from t = 1 until the Armijo test (constant 1e-4) holds, at
+    most 60 times. The stop test holds at an iterate whose certified gap is
+    <= tol and, if ``accept`` is given, of whose result ``accept(result)`` is
+    true. Every other exit in the module docstring returns the iterate of
+    least gradient norm with converged=False. ``iterations`` counts accepted
+    moves.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     if diameter_bound is None or not 0 < diameter_bound < np.inf:
         raise ValueError("diameter_bound must be positive and finite")
     x = np.array(start, dtype=float)
-    fx, g, solve = oracle(x)
+    fx, g, solve, update = oracle(x)
     if not np.isfinite(fx) or not np.all(np.isfinite(g)):
         raise InnerSolveError(f"objective returned non-finite values at the start point "
                               f"(value={fx!r})")
-    best = (_norm(g), x.copy(), fx)
+    best = (_norm(g), x.copy(), fx, update)
     f_ref = fx
     since_descent = 0
     it = 0
-    while it < max_iter:
+
+    def result_at(point, converged):
+        gn, x, fx, update = point
+        return InnerResult(minimizer=x, gap_upper_bound=gn * diameter_bound, grad_norm=gn,
+                           iterations=it, converged=converged, value=fx, update=update())
+
+    while True:
         gn = _norm(g)
         if gn < best[0]:
-            best = (gn, x.copy(), fx)
+            best = (gn, x.copy(), fx, update)
         if gn * diameter_bound <= tol:
+            result = result_at((gn, x, fx, update), True)
+            if accept is None or accept(result):
+                return result
+        if it >= max_iter:
             break
         # Value-resolution floor: no resolvable descent for a whole window
         # means further certification progress is not measurable.
@@ -114,7 +131,7 @@ def minimize_auglag(oracle, start, tol, max_iter=10000, diameter_bound=None):
         t, backtracks = 1.0, 0
         while True:
             x_new = x - t * d
-            f_new, g_new, solve_new = oracle(x_new)
+            f_new, g_new, solve_new, update_new = oracle(x_new)
             finite = np.isfinite(f_new)
             # value floor: a Newton step that moves the value by less than
             # its rounding is accepted when it cuts ||g||
@@ -130,12 +147,9 @@ def minimize_auglag(oracle, start, tol, max_iter=10000, diameter_bound=None):
         if (f_new > fx and not floor_move) or x_new.tobytes() == x.tobytes():
             # The search cannot move x: no descent, or x - t*d rounds to x.
             break
-        x, fx, g, solve = x_new, f_new, g_new, solve_new
+        x, fx, g, solve, update = x_new, f_new, g_new, solve_new, update_new
         it += 1
-    gn, x, fx = best if best[0] < _norm(g) else (_norm(g), x, fx)
-    gap = gn * diameter_bound
-    return InnerResult(minimizer=x, gap_upper_bound=gap, grad_norm=gn,
-                       iterations=it, converged=bool(gap <= tol), value=fx)
+    return result_at(best if best[0] < _norm(g) else (_norm(g), x, fx, update), False)
 
 
 def check_criterion_A(result, eps_k, r_k):

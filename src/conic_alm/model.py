@@ -174,7 +174,10 @@ class DualPoint:
     Z: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
+        y = np.asarray(self.y, dtype=float)
+        if y.ndim != 1 or not np.all(np.isfinite(y)):
+            raise ValueError(f"y must be a finite 1-d vector, got shape {y.shape}")
+        object.__setattr__(self, "y", y)
         object.__setattr__(self, "Z", check_symmetric(self.Z, name="Z"))
 
     def norm(self):

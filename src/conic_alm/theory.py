@@ -407,6 +407,8 @@ def verify_growth_lemma(xbar, zbar, mu, samples=10000, seed=0, penalty_rho=None)
             kappa_used = min(delta / (2.0 * n * mu), kappa / 2.0)
     else:
         kappa_used = kappa
+    # Not _ball_report, which would redraw the rescaled draws that the
+    # rounding of dist_to_face puts an ulp outside the ball (zbar of full rank)
     rng = np.random.default_rng(seed)
     tol = 1e-10 * scale * (1.0 + mu) ** 2
     lhs_list, dist2_list = [], []

@@ -2,6 +2,7 @@
 correspondence, and rate fitting."""
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from numpy.testing import assert_allclose
 from conic_alm.alm import (AlmConfig, fit_linear_rate, ppm, solve_dual_alm,
                            solve_ineq_alm, solve_primal_alm, truncate_at_floor,
                            verify_ppm_alm_link)
-from conic_alm import auglag
+from conic_alm import alm, auglag
 from conic_alm.auglag import primal_objective
 from conic_alm.fixtures import load_builtin
 from conic_alm.inner import minimize_auglag
@@ -251,6 +252,15 @@ def form_run(form):
     return solve_dual_alm, inst, np.zeros((4, 4))
 
 
+def builtin_run(name, form):
+    """The solver of ``form`` with builtin ``name`` and its zero start point."""
+    problem = load_builtin(name)
+    solve, start = {"primal": (solve_primal_alm, zero_dual),
+                    "dual": (solve_dual_alm, lambda p: np.zeros((p.n, p.n))),
+                    "ineq": (solve_ineq_alm, lambda q: np.zeros(q.n_constraints))}[form]
+    return solve, problem, start(getattr(problem, "problem", problem))
+
+
 def multiplier(form, point):
     """The multiplier of a record (or of a start point) as one flat vector."""
     if form == "primal":
@@ -290,6 +300,87 @@ class TestAllForms:
         assert ours[0].filename == __file__
 
 
+ONE_SOLVE_RUNS = [("svm-random", "ineq"), ("maxcut-g1-20", "primal"),
+                  ("maxcut-g1-20", "dual")]
+
+
+class TestOneSolvePerSubproblem:
+    """Each subproblem gets one inner solve, which stops at its own multiplier step."""
+
+    @pytest.mark.parametrize("name,form", ONE_SOLVE_RUNS)
+    def test_one_inner_solve_per_outer_iteration(self, name, form, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return minimize_auglag(*args, **kwargs)
+
+        monkeypatch.setattr(alm, "minimize_auglag", counted)
+        solve, problem, start = builtin_run(name, form)
+        trace = quiet(solve, problem, start, AlmConfig(stop_eps3=1e-5))
+        assert trace.converged
+        assert len(calls) == len(trace.records)
+
+    @pytest.mark.parametrize("name,form", [*ONE_SOLVE_RUNS, ("synth", "primal"),
+                                           ("synth", "dual")])
+    def test_multiplier_step_formulas(self, name, form):
+        # the step the oracle hands over is, bit for bit, the textbook update
+        # at the recorded iterate, on the sparse (max-cut) and dense (synth)
+        # operators; so is the step norm criterion B measured
+        solve, problem, start = builtin_run(name, form)
+        trace = quiet(solve, problem, start, AlmConfig(stop_eps3=1e-5))
+        p = getattr(problem, "problem", problem)
+        w = trace.start_point
+        for rec in trace.records:
+            r = rec.r
+            if form == "primal":
+                y = w.y + r * (p.b - apply_A(p, rec.X))
+                Z = project_psd(symmetrize(w.Z - r * rec.X))
+                new = np.concatenate([y, Z.ravel()])
+                step = float(np.sqrt(np.sum((y - w.y) ** 2) + np.sum((Z - w.Z) ** 2)))
+                w = DualPoint(y=rec.y, Z=rec.Z)
+            elif form == "dual":
+                new = project_psd(symmetrize(w - r * (p.C - apply_Astar(p, rec.y))))
+                step = frob(new - w)
+                w = rec.X
+            else:
+                new = np.maximum(w + r * p.constraints(rec.x), 0.0)
+                step = float(np.linalg.norm(new - w))
+                w = rec.z
+            assert new.tobytes() == multiplier(form, rec).tobytes()
+            assert step == rec.step_norm
+
+
+@pytest.mark.parametrize("name,run", [
+    pytest.param("y", lambda p, q: DualPoint(y=np.full(p.m, np.nan), Z=np.zeros((p.n, p.n))),
+                 id="nan-y"),
+    pytest.param("y", lambda p, q: DualPoint(y=np.zeros((p.m, 1)), Z=np.zeros((p.n, p.n))),
+                 id="2d-y"),
+    pytest.param("w0.y", lambda p, q: solve_primal_alm(
+        p, DualPoint(y=np.zeros(p.m + 1), Z=np.zeros((p.n, p.n)))), id="long-y"),
+    pytest.param("w0.Z", lambda p, q: solve_primal_alm(
+        p, DualPoint(y=np.zeros(p.m), Z=np.zeros((p.n + 1, p.n + 1)))), id="big-Z"),
+    pytest.param("X0", lambda p, q: solve_dual_alm(p, np.zeros((p.n + 1, p.n + 1))),
+                 id="big-X0"),
+    pytest.param("X0", lambda p, q: solve_dual_alm(p, np.full((p.n, p.n), np.nan)),
+                 id="nan-X0"),
+    pytest.param("z0", lambda p, q: solve_ineq_alm(q, np.zeros(q.n_constraints + 1)),
+                 id="long-z0"),
+    pytest.param("z0", lambda p, q: solve_ineq_alm(q, np.full(q.n_constraints, np.nan)),
+                 id="nan-z0"),
+    pytest.param("z0", lambda p, q: solve_ineq_alm(q, np.full(q.n_constraints, np.inf)),
+                 id="inf-z0"),
+    pytest.param("z0", lambda p, q: solve_ineq_alm(q, -np.ones(q.n_constraints)),
+                 id="negative-z0"),
+])
+def test_rejects_bad_start_point(name, run, toy):
+    # a bad start point fails before the first solve, with a message that
+    # names it, instead of as a broadcast error or a non-finite inner solve
+    q = svm_instance(np.array([[1.0]]), np.array([1.0]), lam=1.0)
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must"):
+        run(toy.problem, q)
+
+
 class TestNewtonSteps:
     @pytest.mark.parametrize("name,form", [
         ("svm-random", "ineq"), ("lasso-random", "ineq"),
@@ -307,23 +398,20 @@ class TestNewtonSteps:
 
             def oracle(x):
                 evals.append(None)
-                value, grad, solve = value_and_grad(x)
+                value, grad, solve, update = value_and_grad(x)
 
                 def spied(g):
                     d = solve(g)
                     slopes.append(float(np.vdot(g, d).real))
                     return d
 
-                return value, grad, spied
+                return value, grad, spied, update
 
             return oracle
 
         monkeypatch.setattr(auglag, f"{form}_objective", counted_factory)
-        problem = load_builtin(name)
-        solve, start = {"primal": (solve_primal_alm, zero_dual),
-                        "dual": (solve_dual_alm, lambda p: np.zeros((p.n, p.n))),
-                        "ineq": (solve_ineq_alm, lambda q: np.zeros(q.n_constraints))}[form]
-        trace = quiet(solve, problem, start(problem), AlmConfig(stop_eps3=1e-5))
+        solve, problem, start = builtin_run(name, form)
+        trace = quiet(solve, problem, start, AlmConfig(stop_eps3=1e-5))
         assert trace.converged
         assert len(evals) <= 2 * sum(rec.inner_iterations for rec in trace.records)
         assert slopes and all(np.isfinite(slope) and slope > 0 for slope in slopes)

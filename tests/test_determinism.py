@@ -38,7 +38,7 @@ def assert_same_bits(objective, x, offset):
 def assert_same_solve(objective, x, offset):
     # the Newton direction is objective(x)[2](g) with g the gradient at x, so
     # a run-to-run identical trace needs it
-    _, g, solve = objective(x.copy())
+    _, g, solve, _ = objective(x.copy())
     assert solve(g).tobytes() == objective(relocated(x, offset))[2](g).tobytes()
 
 

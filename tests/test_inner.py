@@ -14,11 +14,15 @@ from conic_alm.symcone import frob
 from conftest import ineq_subproblems, random_sym
 
 
+def no_update():
+    return None
+
+
 def quadratic_target(T):
     """0.5 ||X - T||^2 with its exact Newton solve (the Hessian is I)."""
     def value_and_grad(X):
         d = X - T
-        return 0.5 * float(np.sum(d * d)), d, lambda g: g
+        return 0.5 * float(np.sum(d * d)), d, lambda g: g, no_update
     return value_and_grad
 
 
@@ -37,9 +41,9 @@ class TestMinimizeAuglag:
         values_and_bounds = []
 
         def spy(X):
-            v, g, solve = obj(X)
+            v, g, solve, update = obj(X)
             values_and_bounds.append((v, frob(g) * 20.0))
-            return v, g, solve
+            return v, g, solve, update
 
         minimize_auglag(spy, np.zeros((4, 4)), tol=1e-8, diameter_bound=20.0)
         for v, bound in values_and_bounds:
@@ -56,8 +60,8 @@ class TestMinimizeAuglag:
             def spy(X):
                 # a solve runs once per accepted point (and the start point),
                 # so the solve calls give the values along the accepted path
-                value, grad, solve = obj(X)
-                return value, grad, lambda g: values.append(value) or solve(g)
+                value, grad, solve, update = obj(X)
+                return value, grad, lambda g: values.append(value) or solve(g), update
 
             res = minimize_auglag(spy, np.zeros((p.n, p.n)), tol=1e-5, diameter_bound=50.0)
             assert res.converged
@@ -91,7 +95,7 @@ class TestMinimizeAuglag:
 
     def test_nonfinite_abort(self):
         def bad(X):
-            return np.inf, np.zeros_like(X), lambda g: g
+            return np.inf, np.zeros_like(X), lambda g: g, no_update
 
         with pytest.raises(InnerSolveError):
             minimize_auglag(bad, np.zeros((2, 2)), tol=1e-6, diameter_bound=1.0)
@@ -118,7 +122,7 @@ class TestMinimizeAuglag:
 
         def obj(X):
             d = W * (X - T)
-            return 0.5 * float(np.sum(d * (X - T))), d, lambda g: g / W
+            return 0.5 * float(np.sum(d * (X - T))), d, lambda g: g / W, no_update
 
         res = minimize_auglag(obj, np.zeros((3, 3)), tol=1e-30,
                               diameter_bound=10.0, max_iter=5000)
@@ -135,6 +139,46 @@ class TestMinimizeAuglag:
         assert res.gap_upper_bound > 1e-12
 
 
+class TestStopTest:
+    """``accept`` extends the tolerance test; the result carries its point's update."""
+
+    def objective(self):
+        q = lasso_fixture()
+        z = np.ones(q.n_constraints)
+        return q, z, ineq_objective(q, z, 10.0)
+
+    def test_runs_past_the_tolerance_until_accept(self):
+        q, z, obj = self.objective()
+        plain = minimize_auglag(obj, np.zeros(q.dim), tol=1e-3, diameter_bound=50.0)
+        seen = []
+        res = minimize_auglag(obj, np.zeros(q.dim), tol=1e-3, diameter_bound=50.0,
+                              accept=lambda cand: seen.append(cand)
+                              or cand.gap_upper_bound <= 1e-9)
+        # accept sees the points that pass the tolerance, from the one where
+        # the plain solve stops, and the solve stops at the first it accepts
+        assert seen[0].minimizer.tobytes() == plain.minimizer.tobytes()
+        assert len(seen) >= 2 and res is seen[-1] and res.converged
+        assert all(cand.gap_upper_bound <= 1e-3 for cand in seen)
+        assert res.gap_upper_bound <= 1e-9 < seen[-2].gap_upper_bound
+        x, z_new, step = res.update
+        assert x is res.minimizer
+        assert z_new.tobytes() == np.maximum(z + 10.0 * q.constraints(x), 0.0).tobytes()
+        assert step == float(np.linalg.norm(z_new - z))
+
+    def test_unaccepted_solve_returns_its_best_iterate(self):
+        # no point is accepted: the solve ends at another exit and returns the
+        # iterate of least gradient norm, with that iterate's own update
+        q, z, obj = self.objective()
+        seen = []
+        res = minimize_auglag(obj, np.zeros(q.dim), tol=1e-3, diameter_bound=50.0,
+                              accept=lambda cand: seen.append(cand) and False)
+        assert not res.converged and seen
+        assert res.grad_norm == min(cand.grad_norm for cand in seen)
+        x, z_new, _ = res.update
+        assert x.tobytes() == res.minimizer.tobytes()
+        assert z_new.tobytes() == np.maximum(z + 10.0 * q.constraints(x), 0.0).tobytes()
+
+
 class TestNullMoveReplay:
     """A null move ends the solve: searching again from the same x replays it."""
 
@@ -149,10 +193,10 @@ class TestNullMoveReplay:
         events = []
 
         def spy(X):
-            value, grad, solve = obj(X)
+            value, grad, solve, update = obj(X)
             events.append(("eval", X.tobytes()))
             point = X.tobytes()
-            return value, grad, lambda g: events.append(("solve", point)) or solve(g)
+            return value, grad, lambda g: events.append(("solve", point)) or solve(g), update
 
         res = minimize_auglag(spy, start, tol=1e-16, max_iter=400,
                               diameter_bound=default_diameter(inst.problem, start))
@@ -168,8 +212,8 @@ class TestNullMoveReplay:
         # constant gradient, unbounded below: every step descends by the same
         # amount and ||g|| never shrinks, so only max_iter ends the loop
         c = np.array([1.0, -2.0, 0.5])
-        res = minimize_auglag(lambda x: (float(c @ x), c.copy(), lambda g: g), np.zeros(3),
-                              tol=1e-8, max_iter=300, diameter_bound=1.0)
+        res = minimize_auglag(lambda x: (float(c @ x), c.copy(), lambda g: g, no_update),
+                              np.zeros(3), tol=1e-8, max_iter=300, diameter_bound=1.0)
         assert not res.converged
         assert res.iterations == 300
 
@@ -193,10 +237,10 @@ class TestNewton:
         events = []
 
         def spy(x):
-            value, grad, _ = obj(x)
+            value, grad, _, update = obj(x)
             events.append(("eval", x.copy()))
             point = x.copy()
-            return value, grad, lambda g: events.append(("solve", point, g.copy())) or -g
+            return value, grad, lambda g: events.append(("solve", point, g.copy())) or -g, update
 
         res = minimize_auglag(spy, np.zeros(q.dim), tol=1e-12, diameter_bound=50.0,
                               max_iter=300)
@@ -222,7 +266,7 @@ class TestNewton:
 
             def obj(x):
                 calls.append(None)
-                return 1.0 - 1e-15 * float(x @ x), x.copy(), solve
+                return 1.0 - 1e-15 * float(x @ x), x.copy(), solve, no_update
 
             res = minimize_auglag(obj, np.ones(3), tol=1e-12, diameter_bound=1.0)
             runs[name] = (res, len(calls))
@@ -239,7 +283,7 @@ class TestNewton:
         values, events = [], []
 
         def spy(x):
-            value, grad, solve = obj(x)
+            value, grad, solve, update = obj(x)
             tag = len(values)
             values.append(value)
             events.append(("eval", tag))
@@ -248,7 +292,7 @@ class TestNewton:
                 events.append(("solve", tag))
                 return 4.0 * solve(g)
 
-            return value, grad, tagged
+            return value, grad, tagged, update
 
         res = minimize_auglag(spy, np.zeros(q.dim), tol=1e-9, diameter_bound=50.0)
         calls = [i for i, event in enumerate(events) if event[0] == "solve"]
@@ -267,7 +311,7 @@ class TestNewton:
         # a Newton step that rounds the value but cuts ||g|| by less than a
         # relative 1e-4 is rejected like any other
         def obj(x):
-            return 1.0 - 1e-15 * float(x @ x), x.copy(), lambda g: 1e-5 * g
+            return 1.0 - 1e-15 * float(x @ x), x.copy(), lambda g: 1e-5 * g, no_update
 
         res = minimize_auglag(obj, np.ones(3), tol=1e-12, diameter_bound=1.0)
         assert not res.converged and res.grad_norm > 1.7
