@@ -9,6 +9,7 @@ around a KKT-certified optimal triple so that ground truth is available
 without an external solver.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +29,10 @@ class DenseOperator:
     """Constraint operator over the flat (m, n*n) view of the stacked A_i.
 
     Row i of ``flat`` is vec(A_i): A(X) and A*(y) cost one GEMV each,
-    O(m n^2), and the rotated rows one batched product, O(m n^3).
+    O(m n^2), and the rotated rows one batched product, O(m n^3). ``apply``
+    and ``adjoint`` take leading batch axes (X of shape (..., n, n), y of
+    shape (..., m)) and run one GEMV per item, the product a single item
+    runs; a GEMM over the batch would round differently.
     """
 
     def __init__(self, mats, gram):
@@ -37,11 +41,11 @@ class DenseOperator:
         self.gram = gram
 
     def apply(self, X):
-        return self.flat @ X.ravel()
+        return (self.flat @ X.reshape(X.shape[:-2] + (self.flat.shape[1], 1)))[..., 0]
 
     def adjoint(self, y):
         n = self.mats.shape[1]
-        return (y @ self.flat).reshape(n, n)
+        return np.matmul(y[..., None, :], self.flat).reshape(y.shape[:-1] + (n, n))
 
     def rotated(self, Q, rows=None):
         """Row i is vec(Q[:, rows]' A_i Q); all of Q' A_i Q when rows is None."""
@@ -60,7 +64,9 @@ class SparseOperator:
     matrix-major order. A(X) and A*(y) cost O(nnz + n^2), and the rotated
     rows O(nnz |rows| n): nonzero t adds val_t Q[row_t, rows] (x)
     Q[col_t, :] to row k_t. For max-cut (A_i = e_i e_i') that outer product
-    is the whole row, bitwise equal to the dense operator's.
+    is the whole row, bitwise equal to the dense operator's. ``apply`` and
+    ``adjoint`` take leading batch axes; item j of a batch sums into its own
+    bins, offset by j times the bin count, in the order of a single item.
     """
 
     def __init__(self, mats, gram):
@@ -69,19 +75,30 @@ class SparseOperator:
         idx = np.flatnonzero(mats != 0.0)
         self.k, rest = np.divmod(idx, self.n * self.n)
         self.row, self.col = np.divmod(rest, self.n)
+        self.pos = rest  # index row * n + col of each nonzero in vec(A_k)
         self.val = mats.ravel()[idx]
         self.gram = gram
         # first nonzero of each matrix; no A_i is zero, since they are independent
         self.starts = np.flatnonzero(np.diff(self.k, prepend=-1))
 
+    @staticmethod
+    def _sum_into(bins, weights, size):
+        """Sum weights (..., nnz) into ``size`` bins per batch item."""
+        batch = weights.shape[:-1]
+        if not batch:
+            return np.bincount(bins, weights=weights, minlength=size)
+        count = math.prod(batch)
+        bins = (bins + size * np.arange(count)[:, None]).ravel()
+        return np.bincount(bins, weights=weights.ravel(),
+                           minlength=size * count).reshape(batch + (size,))
+
     def apply(self, X):
-        return np.bincount(self.k, weights=self.val * X[self.row, self.col],
-                           minlength=self.m)
+        return self._sum_into(self.k, self.val * X[..., self.row, self.col], self.m)
 
     def adjoint(self, y):
         n = self.n
-        return np.bincount(self.row * n + self.col, weights=y[self.k] * self.val,
-                           minlength=n * n).reshape(n, n)
+        return self._sum_into(self.pos, y[..., self.k] * self.val,
+                              n * n).reshape(y.shape[:-1] + (n, n))
 
     def rotated(self, Q, rows=None):
         """Row i is vec(Q[:, rows]' A_i Q); all of Q' A_i Q when rows is None."""
@@ -151,17 +168,19 @@ class SdpProblem:
 
 
 def apply_A(p, X):
-    """Linear map A(X) = [<A_1, X>, ..., <A_m, X>]."""
+    """Linear map A(X) = [<A_1, X>, ..., <A_m, X>]; one row per matrix of a
+    stack X of shape (..., n, n)."""
     X = np.asarray(X, dtype=float)
-    if X.shape != p.C.shape:
+    if X.shape[-2:] != p.C.shape:
         raise ValueError(f"X must have shape {p.C.shape}, got {X.shape}")
     return p.operator.apply(X)
 
 
 def apply_Astar(p, y):
-    """Adjoint map A*(y) = sum_i y_i A_i; satisfies <A(X), y> = <X, A*(y)>."""
+    """Adjoint map A*(y) = sum_i y_i A_i; satisfies <A(X), y> = <X, A*(y)>.
+    A stack y of shape (..., m) gives one matrix per row."""
     y = np.asarray(y, dtype=float)
-    if y.shape != (p.m,):
+    if y.shape[-1:] != (p.m,):
         raise ValueError(f"y must have shape ({p.m},), got {y.shape}")
     return p.operator.adjoint(y)
 

@@ -8,8 +8,16 @@ the cone spanned by the kernel of a PSD matrix.
 Matrices are plain numpy arrays; symmetry is enforced at construction
 boundaries via :func:`symmetrize` and checked with :func:`check_symmetric`.
 Norms are Frobenius unless noted otherwise.
+
+The elementwise kernels (symmetrize, check_symmetric, frob, inner,
+project_psd, moreau_split, dist_psd, exact_penalty, dist_to_face) also take
+stacks of shape (..., n, n) and give one value per matrix; a single matrix
+still gives a float. A stack runs the arithmetic of a loop over its matrices
+bit for bit: LAPACK's eigh per matrix, one BLAS call per matrix product, one
+dot per inner product (:func:`rowdot`), and sums over one matrix at a time.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,38 +30,69 @@ _CLUSTER_TOL = 1e-9
 _RANK_TOL = 1e-8
 
 
+def _scalar(a):
+    """A 0-d result as a float; a stack's results as they are."""
+    return float(a) if a.ndim == 0 else a
+
+
+def _flat(M):
+    """Each matrix of a stack as one row vec(M), in row-major order."""
+    shape = M.shape
+    return M.reshape(shape[:-2] + (shape[-2] * shape[-1],)) if M.ndim > 1 else M
+
+
 def symmetrize(M):
     """Return the exactly symmetric part (M + M.T) / 2 as float64."""
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    return (M + M.T) / 2.0
+    return (M + M.swapaxes(-1, -2)) / 2.0
 
 
 def check_symmetric(M, name="matrix"):
-    """Validate that M is square, finite, and exactly symmetric."""
+    """Validate that M (or every matrix of a stack) is square, finite, and
+    exactly symmetric."""
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise ValueError(f"{name} contains non-finite entries")
-    if not np.array_equal(M, M.T):
+    if not np.array_equal(M, M.swapaxes(-1, -2)):
         raise ValueError(f"{name} is not symmetric; use symmetrize() first")
     return M
 
 
+def rowdot(a, b):
+    """Dot products over the last axis; a float for two vectors.
+
+    Every row is the dot that ``a @ b`` runs on two vectors (a stacked row
+    as a (1, k) @ (k, 1) product), so a stack of rows gives the same bits
+    as a loop over them. Leading axes broadcast.
+    """
+    if a.ndim == 1 and b.ndim == 1:
+        return float(a @ b)
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 def frob(M):
     """Frobenius norm."""
-    return float(np.linalg.norm(M))
+    F = _flat(np.asarray(M, dtype=float))
+    sq = rowdot(F, F)
+    return math.sqrt(sq) if F.ndim == 1 else np.sqrt(sq)
 
 
 def inner(A, B):
     """Trace inner product <A, B> = vec(A) . vec(B)."""
     A = np.asarray(A)
     B = np.asarray(B)
-    if A.shape != B.shape:
+    if A.shape[-2:] != B.shape[-2:]:
         raise ValueError(f"shape mismatch in inner product: {A.shape} vs {B.shape}")
-    return float(A.ravel() @ B.ravel())
+    return rowdot(_flat(A), _flat(B))
+
+
+def _sum_squares(M):
+    """Sum of squared entries of each matrix of a stack."""
+    return _scalar(np.sum(_flat(M * M), axis=-1))
 
 
 @dataclass(frozen=True)
@@ -113,6 +152,8 @@ def eig_sym(X):
     fixed, so equal inputs give bitwise-equal outputs.
     """
     X = check_symmetric(X)
+    if X.ndim != 2:
+        raise ValueError(f"eig_sym takes one matrix, got shape {X.shape}")
     lam, Q = np.linalg.eigh(X)
     lam = lam[::-1].copy()
     Q = Q[:, ::-1].copy()
@@ -138,7 +179,7 @@ def project_psd(X):
     """
     X = check_symmetric(X)
     lam, Q = np.linalg.eigh(X)
-    P = (Q * np.maximum(lam, 0.0)) @ Q.T
+    P = (Q * np.maximum(lam, 0.0)[..., None, :]) @ Q.swapaxes(-1, -2)
     return symmetrize(P)
 
 
@@ -150,15 +191,16 @@ def dist_psd(X):
     X = check_symmetric(X)
     lam = np.linalg.eigvalsh(X)
     neg = np.minimum(lam, 0.0)
-    return float(np.sqrt(np.sum(neg * neg)))
+    return _scalar(np.sqrt(np.sum(neg * neg, axis=-1)))
 
 
 def moreau_split(X):
     """Split X = P - N with P, N PSD and <P, N> = 0 (Moreau decomposition)."""
     X = check_symmetric(X)
     lam, Q = np.linalg.eigh(X)
-    P = symmetrize((Q * np.maximum(lam, 0.0)) @ Q.T)
-    N = symmetrize((Q * np.maximum(-lam, 0.0)) @ Q.T)
+    QT = Q.swapaxes(-1, -2)
+    P = symmetrize((Q * np.maximum(lam, 0.0)[..., None, :]) @ QT)
+    N = symmetrize((Q * np.maximum(-lam, 0.0)[..., None, :]) @ QT)
     return P, N
 
 
@@ -183,8 +225,9 @@ def exact_penalty(X, rho):
     if not rho > 0:
         raise ValueError("penalty parameter rho must be positive")
     X = check_symmetric(X)
-    lam_min = float(np.linalg.eigvalsh(X)[0])
-    return rho * max(0.0, -lam_min)
+    neg = -np.linalg.eigvalsh(X)[..., 0]
+    # max(0.0, neg) as Python's max takes it: neg only where neg > 0
+    return _scalar(rho * np.where(neg > 0.0, neg, 0.0))
 
 
 def penalty_subgrad(X, rho):
@@ -256,11 +299,10 @@ def dist_to_face(X, face):
     PSD X, and for rank 0 the whole expression reduces to dist_psd(X).
     """
     X = check_symmetric(X)
-    if face.dim != X.shape[0]:
+    if face.dim != X.shape[-1]:
         raise ValueError("face and matrix dimensions do not match")
     X11 = face.p1.T @ X @ face.p1
     X12 = face.p1.T @ X @ face.p2
-    X22 = symmetrize(face.p2.T @ X @ face.p2) if face.p2.shape[1] else np.zeros((0, 0))
-    tail = dist_psd(X22) if X22.size else 0.0
-    sq = np.sum(X11 * X11) + 2.0 * np.sum(X12 * X12) + tail * tail
-    return float(np.sqrt(sq))
+    tail = dist_psd(symmetrize(face.p2.T @ X @ face.p2)) if face.p2.shape[1] else 0.0
+    sq = _sum_squares(X11) + 2.0 * _sum_squares(X12) + tail * tail
+    return _scalar(np.sqrt(sq))

@@ -17,6 +17,16 @@ rescales it so that its root-mean-square norm is 3/4 of ball_radius at every
 dimension), keep the points within ball_radius > 0 of it, and give up with a
 ValueError after 100 draws per requested sample, or after 2000 draws when
 none has landed.
+
+The samplers evaluate blocks of at most 256 points (of probes, for the
+preimage check) with the stacked kernels of :mod:`symcone` and
+:mod:`model`. The ball samplers and the growth lemma draw a block's noise
+in one normal draw; the trace bound draws point by point, since size,
+matrix and split interleave, and runs its algebra once per block and
+shape. A block draws no point past the one where a loop over single points
+would stop, and the stacked kernels round as a loop over their matrices
+does, so every report is identical bit for bit to that of such a loop (the
+tests keep those loops as references).
 """
 
 from dataclasses import dataclass
@@ -25,7 +35,11 @@ import numpy as np
 
 from .model import apply_A, apply_Astar, inner as _inner
 from .symcone import (check_symmetric, dist_psd, dist_to_face, eig_sym, exact_penalty,
-                      face_basis, frob, project_psd, signed_ranks, symmetrize)
+                      face_basis, frob, project_psd, rowdot, signed_ranks, symmetrize)
+
+# Most points a sampler draws and evaluates in one block; the cap bounds the
+# memory of a block's stacks.
+BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -48,11 +62,16 @@ def _default_gamma(inst):
     return 2.0 * (1.0 + float(np.linalg.norm(inst.y_star)) + frob(inst.x_star))
 
 
+def _solve(G, rhs):
+    """G^-1 rhs for rhs of shape (..., m): one LAPACK solve per row."""
+    return np.linalg.solve(G, rhs[..., None])[..., 0]
+
+
 def _gram_solve(p):
     gram = p.operator.gram
 
     def solve(rhs):
-        return np.linalg.solve(gram, rhs)
+        return _solve(gram, rhs)
 
     return solve
 
@@ -62,8 +81,21 @@ def _project_affine(p, X, solve):
     return symmetrize(X - apply_Astar(p, solve(apply_A(p, X) - p.b)))
 
 
-def _sym_noise(rng, n, sigma):
-    return symmetrize(rng.standard_normal((n, n))) * sigma
+def _sym_noise(rng, n, sigma, count):
+    """count symmetric n x n noise matrices of entry scale sigma, drawn as
+    count successive (n, n) normal draws would be."""
+    return symmetrize(rng.standard_normal((count, n, n))) * sigma
+
+
+def _squares(norms):
+    """norm ** 2 of each entry as Python's float power takes it; C pow(x, 2)
+    need not round as x * x does, and the reports keep pow's bits."""
+    return np.array([v ** 2 for v in norms.tolist()])
+
+
+def _norms(v):
+    """Euclidean norm of each row, as np.linalg.norm takes it."""
+    return np.sqrt(rowdot(v, v))
 
 
 def _ratio_report(lhs_list, dist2_list, params, violated=None):
@@ -90,25 +122,45 @@ def _check_finite(**params):
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _blocks(samples):
+    """Sizes of the blocks that cover ``samples`` points."""
+    return [min(BLOCK, samples - start) for start in range(0, samples, BLOCK)]
+
+
 def _ball_report(samples, ball_radius, seed, draw, lhs_of, params):
-    """Ball sampler (contract in the module docstring): ``draw(rng, sigma)`` gives a
-    point and its squared distance to the solution, ``lhs_of(point)`` the lhs."""
+    """Ball sampler (contract in the module docstring).
+
+    ``draw(rng, sigma, count)`` gives a block of count points (an array with
+    a leading axis of length count, or a tuple of them) and their squared
+    distances to the solution; ``lhs_of(points)`` gives the lhs of each. A
+    block holds min(samples - kept, BLOCK, draws left) points, where the
+    draws left run to the 100-per-sample cap, or to the 2000th draw while
+    none has landed, so no block draws past the point where a loop over
+    single draws stops.
+    """
     _check_samples(samples)
     if not ball_radius > 0:
         raise ValueError(f"ball_radius must be positive, got {ball_radius}")
     rng = np.random.default_rng(seed)
-    lhs_list, dist2_list = [], []
-    for i in range(100 * samples):
-        point, dist2 = draw(rng, ball_radius / 3.0)
-        if np.sqrt(dist2) <= ball_radius:
-            lhs_list.append(lhs_of(point))
-            dist2_list.append(dist2)
-            if len(lhs_list) == samples:
-                return _ratio_report(lhs_list, dist2_list, params)
-        elif i == 1999 and not lhs_list:
-            break  # the ball is out of reach
-    raise ValueError(f"only {len(lhs_list)} of {i + 1} draws landed within ball_radius "
-                     f"{ball_radius:g} of the solution; {samples} needed")
+    lhs, dist2 = [], []
+    kept = drawn = 0
+    while kept < samples:
+        # until one lands, the ball may be out of reach: give up at 2000
+        cap = 100 * samples if kept else min(100 * samples, 2000)
+        if drawn == cap:
+            raise ValueError(f"only {kept} of {drawn} draws landed within ball_radius "
+                             f"{ball_radius:g} of the solution; {samples} needed")
+        count = min(samples - kept, BLOCK, cap - drawn)
+        points, d2 = draw(rng, ball_radius / 3.0, count)
+        drawn += count
+        landed = np.sqrt(d2) <= ball_radius
+        if landed.any():
+            points = (tuple(a[landed] for a in points) if isinstance(points, tuple)
+                      else points[landed])
+            lhs.append(lhs_of(points))
+            dist2.append(d2[landed])
+            kept += int(np.count_nonzero(landed))
+    return _ratio_report(np.concatenate(lhs), np.concatenate(dist2), params)
 
 
 def verify_qg_primal(inst, gamma=None, ball_radius=1.0, samples=2000,
@@ -127,25 +179,25 @@ def verify_qg_primal(inst, gamma=None, ball_radius=1.0, samples=2000,
         raise ValueError("growth checks need an instance with a unique primal "
                          "solution (distance to the solution set is measured "
                          "against x_star)")
-    _check_finite(gamma=gamma)
+    _check_finite(gamma=gamma, rho=rho if use_penalty else None)
     if gamma is None:
         gamma = _default_gamma(inst)
     if use_penalty and (rho is None or not rho > float(np.trace(inst.z_star)) + 1e-9):
         raise ValueError("penalty variant needs rho > tr(z_star)")
     solve = _gram_solve(p)
 
-    def draw(rng, sigma):
-        X = inst.x_star + _sym_noise(rng, p.n, sigma)
+    def draw(rng, sigma, count):
+        X = inst.x_star + _sym_noise(rng, p.n, sigma, count)
         X = _project_affine(p, X, solve)
         if not use_penalty:
             X = project_psd(X)
-        return X, frob(X - inst.x_star) ** 2
+        return X, _squares(frob(X - inst.x_star))
 
     def lhs_of(X):
         value = _inner(p.C, X)
         if use_penalty:
-            value += exact_penalty(X, rho)
-        return value - inst.p_star + gamma * float(np.linalg.norm(apply_A(p, X) - p.b))
+            value = value + exact_penalty(X, rho)
+        return value - inst.p_star + gamma * _norms(apply_A(p, X) - p.b)
 
     return _ball_report(samples, ball_radius, seed, draw, lhs_of,
                         dict(gamma=gamma, ball_radius=ball_radius,
@@ -173,13 +225,13 @@ def verify_eb_primal(inst, gamma=None, alpha=None, ball_radius=1.0, samples=2000
     # (at scale sigma almost no draw lands in the ball from n = 8 on).
     scale = 2.25 / np.sqrt(p.n * (p.n + 1) / 2.0)
 
-    def draw(rng, sigma):
-        X = inst.x_star + _sym_noise(rng, p.n, scale * sigma)
-        return X, frob(X - inst.x_star) ** 2
+    def draw(rng, sigma, count):
+        X = inst.x_star + _sym_noise(rng, p.n, scale * sigma, count)
+        return X, _squares(frob(X - inst.x_star))
 
     def lhs_of(X):
         return (_inner(p.C, X) - inst.p_star
-                + gamma * float(np.linalg.norm(apply_A(p, X) - p.b))
+                + gamma * _norms(apply_A(p, X) - p.b)
                 + alpha * dist_psd(X))
 
     return _ball_report(samples, ball_radius, seed, draw, lhs_of,
@@ -207,7 +259,7 @@ def verify_qg_dual(inst, gamma=None, ball_radius=1.0, samples=2000,
     if not inst.dual_unique:
         raise ValueError("dual growth checks need an instance with a unique "
                          "dual solution")
-    _check_finite(gamma=gamma)
+    _check_finite(gamma=gamma, rho=rho if use_penalty else None)
     if gamma is None:
         gamma = 2.0 * (1.0 + float(np.linalg.norm(inst.y_star)) + frob(inst.z_star))
     if use_penalty and (rho is None or not rho > float(np.trace(inst.x_star)) + 1e-9):
@@ -215,9 +267,9 @@ def verify_qg_dual(inst, gamma=None, ball_radius=1.0, samples=2000,
     d_star = inst.p_star
 
     def dual_value(y, Z):
-        value = -float(p.b @ y)
+        value = -rowdot(p.b, y)
         if use_penalty:
-            value += exact_penalty(Z, rho)
+            value = value + exact_penalty(Z, rho)
         return value
 
     if y_grid is not None:
@@ -238,15 +290,18 @@ def verify_qg_dual(inst, gamma=None, ball_radius=1.0, samples=2000,
 
     lhs_mat = np.eye(p.m) + p.operator.gram
 
-    def draw(rng, sigma):
-        y = inst.y_star + rng.standard_normal(p.m) * sigma
-        Z = inst.z_star + _sym_noise(rng, p.n, sigma)
+    def draw(rng, sigma, count):
+        # a point draws its m entries of y, then the n^2 of Z
+        noise = rng.standard_normal((count, p.m + p.n * p.n))
+        y = inst.y_star + noise[:, :p.m] * sigma
+        Z = inst.z_star + symmetrize(noise[:, p.m:].reshape(count, p.n, p.n)) * sigma
         # least-squares correction onto the dual affine set Z = C - A*(y)
-        y = np.linalg.solve(lhs_mat, y + apply_A(p, p.C - Z))
+        y = _solve(lhs_mat, y + apply_A(p, p.C - Z))
         Z = symmetrize(p.C - apply_Astar(p, y))
         if not use_penalty:
             Z = project_psd(Z)
-        return (y, Z), float(np.sum((y - inst.y_star) ** 2)) + frob(Z - inst.z_star) ** 2
+        return (y, Z), (np.sum((y - inst.y_star) ** 2, axis=-1)
+                        + _squares(frob(Z - inst.z_star)))
 
     def lhs_of(point):
         y, Z = point
@@ -278,6 +333,7 @@ def no_sharp_growth_curve(t_grid, rho=4.0):
     """
     from .fixtures import toy_rank1_instance
 
+    _check_finite(rho=rho)
     inst = toy_rank1_instance()
     p = inst.problem
     rows = []
@@ -318,28 +374,32 @@ def verify_penalty_preimage(zbar, rho, samples=50, probes=100, seed=0):
     the violation whenever <zbar, X> > 0. Requires tr(zbar) < rho.
     """
     zbar = check_symmetric(zbar, name="zbar")
+    _check_finite(rho=rho)
     if not rho > float(np.trace(zbar)):
         raise ValueError("the preimage identity needs tr(zbar) < rho")
     _check_samples(samples)
+    if probes < 1:
+        raise ValueError(f"probes must be at least 1, got {probes}")
     n = zbar.shape[0]
     face = face_basis(zbar)
     rng = np.random.default_rng(seed)
 
     def l(M):
-        return exact_penalty(M, rho) if rho > 0 else 0.0
+        return exact_penalty(M, rho) if rho > 0 else np.zeros(M.shape[:-2])
 
-    def holds(X, Y):
-        return l(Y) >= l(X) + _inner(-zbar, Y - X) - 1e-8
+    def holds_at(X, Y):
+        return bool(np.all(l(Y) >= l(X) + _inner(-zbar, Y - X) - 1e-8))
 
-    def probe_points(X):
-        pts = []
-        for _ in range(probes):
-            pts.append(X + _sym_noise(rng, n, 1.0))
+    def holds(X):
+        """The subgradient inequality at X for every probe. The random probes
+        are drawn and checked a block at a time, all of them whatever the
+        outcome, so the stream of draws does not depend on it."""
+        ok = [holds_at(X, X + _sym_noise(rng, n, 1.0, count)) for count in _blocks(probes)]
+        fixed = [np.zeros((n, n))]
         if face.p2.shape[1]:
             B = symmetrize(face.p2.T @ X @ face.p2)
-            pts.append(symmetrize(face.p2 @ project_psd(B) @ face.p2.T))
-        pts.append(np.zeros((n, n)))
-        return pts
+            fixed.append(symmetrize(face.p2 @ project_psd(B) @ face.p2.T))
+        return all(ok) and holds_at(X, np.stack(fixed))
 
     face_failures = 0
     k = face.p2.shape[1]
@@ -349,7 +409,7 @@ def verify_penalty_preimage(zbar, rho, samples=50, probes=100, seed=0):
             X = symmetrize(face.p2 @ (R @ R.T) @ face.p2.T)
         else:
             X = np.zeros((n, n))
-        if not all(holds(X, Y) for Y in probe_points(X)):
+        if not holds(X):
             face_failures += 1
 
     off_detected = 0
@@ -362,7 +422,7 @@ def verify_penalty_preimage(zbar, rho, samples=50, probes=100, seed=0):
             if dist_to_face(X, face) <= 0.1:
                 continue
             off_points += 1
-            if not all(holds(X, Y) for Y in probe_points(X)):
+            if not holds(X):
                 off_detected += 1
     return PreimageReport(face_points=samples, face_failures=face_failures,
                           off_face_points=off_points, off_face_detected=off_detected)
@@ -391,6 +451,7 @@ def verify_growth_lemma(xbar, zbar, mu, samples=10000, seed=0, penalty_rho=None)
         raise ValueError("xbar and zbar must be positive semidefinite")
     if abs(_inner(xbar, zbar)) > 1e-10 * scale:
         raise ValueError("xbar and zbar must be complementary (<xbar, zbar> = 0)")
+    _check_finite(mu=mu, penalty_rho=penalty_rho)
     if not mu > 0:
         raise ValueError("mu must be positive")
     _check_samples(samples)
@@ -412,19 +473,19 @@ def verify_growth_lemma(xbar, zbar, mu, samples=10000, seed=0, penalty_rho=None)
     rng = np.random.default_rng(seed)
     tol = 1e-10 * scale * (1.0 + mu) ** 2
     lhs_list, dist2_list = [], []
-    for _ in range(samples):
-        X = xbar + _sym_noise(rng, n, mu / 3.0)
+    for count in _blocks(samples):
+        X = xbar + _sym_noise(rng, n, mu / 3.0, count)
         radius = frob(X - xbar)
-        if radius > mu:
-            X = xbar + (X - xbar) * (mu / radius)
+        out = radius > mu
+        X[out] = xbar + (X[out] - xbar) * (mu / radius[out])[:, None, None]
         if penalty_rho is None:
             # projecting onto the cone keeps X in the ball (xbar is PSD)
             X = project_psd(X)
             lhs_list.append(_inner(zbar, X))
         else:
             lhs_list.append(exact_penalty(X, penalty_rho) + _inner(zbar, X))
-        dist2_list.append(dist_to_face(X, face) ** 2)
-    return _ratio_report(lhs_list, dist2_list,
+        dist2_list.append(_squares(dist_to_face(X, face)))
+    return _ratio_report(np.concatenate(lhs_list), np.concatenate(dist2_list),
                          dict(kappa=kappa_used, mu=mu, seed=seed, penalty_rho=penalty_rho),
                          violated=lambda lhs, dist2: ~(lhs + tol >= kappa_used * dist2))
 
@@ -433,26 +494,36 @@ def check_trace_bound(samples=10000, n_range=(2, 8), seed=0):
     """Random-split check of ||D||_op tr(A) >= ||B||^2 for PSD blocks.
 
     Draws PSD matrices M = R R', splits them as [[A, B], [B', D]] at a random
-    position, and counts violations beyond 1e-10 (1 + ||M||^2).
+    position, and counts violations beyond 1e-10 (1 + ||M||^2). Sizes are
+    drawn from the integers lo <= n <= hi of ``n_range`` (2 <= lo).
     """
     _check_samples(samples)
-    rng = np.random.default_rng(seed)
     lo, hi = n_range
+    if not (all(isinstance(v, (int, np.integer)) for v in (lo, hi)) and 2 <= lo <= hi):
+        raise ValueError(f"n_range must be integers 2 <= lo <= hi, got {n_range}")
+    rng = np.random.default_rng(seed)
     violated = []
-    for i in range(samples):
-        n = int(rng.integers(lo, hi + 1))
-        R = rng.standard_normal((n, n))
-        M = symmetrize(R @ R.T)
-        s = int(rng.integers(1, n))
-        A = M[:s, :s]
-        B = M[:s, s:]
-        D = M[s:, s:]
-        lhs = float(np.linalg.eigvalsh(symmetrize(D))[-1]) * float(np.trace(A))
-        rhs = float(np.sum(B * B))
-        if lhs < rhs - 1e-10 * (1.0 + frob(M) ** 2):
-            violated.append(i)
+    for start in range(0, samples, BLOCK):
+        # the draws of one point interleave (size, R, split), so they stay
+        # serial; the algebra runs once per (size, split) group of the block
+        groups = {}
+        for i in range(start, min(start + BLOCK, samples)):
+            n = int(rng.integers(lo, hi + 1))
+            R = rng.standard_normal((n, n))
+            s = int(rng.integers(1, n))
+            groups.setdefault((n, s), []).append((i, R))
+        for (n, s), items in groups.items():
+            R = np.stack([R for _, R in items])
+            M = symmetrize(R @ R.swapaxes(-1, -2))
+            A = M[:, :s, :s]
+            B = M[:, :s, s:]
+            D = M[:, s:, s:]
+            lhs = np.linalg.eigvalsh(symmetrize(D))[:, -1] * np.trace(A, axis1=1, axis2=2)
+            rhs = np.sum((B * B).reshape(len(items), -1), axis=-1)
+            bad = lhs < rhs - 1e-10 * (1.0 + _squares(frob(M)))
+            violated += [i for (i, _), b in zip(items, bad) if b]
     return GrowthReport(sampled_points=samples, min_ratio=float("nan"),
-                        violated=tuple(violated),
+                        violated=tuple(sorted(violated)),
                         params=dict(n_range=n_range, seed=seed))
 
 
@@ -578,6 +649,7 @@ def exact_penalty_equivalence(inst, rho, check_subthreshold=True):
     detectable failure mode of an under-sized penalty.
     """
     threshold = float(np.trace(inst.z_star))
+    _check_finite(rho=rho)
     if not rho > threshold:
         raise ValueError(f"need rho > tr(z_star) = {threshold:.6g}")
     if not inst.primal_unique:

@@ -4,17 +4,17 @@ Each helper recomputes a quantity by a route the library does not use:
 closed-form 2x2 eigensystems, naive double-loop linear maps, tensor
 contractions over the (m, n, n) constraint stack, central finite
 differences, brute-force minimization over a parameter grid, scalar closed
-forms, growth verifiers that each keep their own rejection loop, and
-generalized Hessians formed as explicit matrices (Kronecker products over
-the eigenbasis for the SDP forms). Expected values frozen in the tests were produced by these.
+forms, single-matrix kernels that know nothing of stacks, sampled verifiers
+that loop over one point at a time, and generalized Hessians formed as
+explicit matrices (Kronecker products over the eigenbasis for the SDP
+forms). Expected values frozen in the tests were produced by these.
 """
 
 import numpy as np
 
-from conic_alm.model import apply_A, apply_Astar, inner as _inner
-from conic_alm.symcone import dist_psd, exact_penalty, frob, project_psd, symmetrize
-from conic_alm.theory import (_default_gamma, _gram_solve, _project_affine, _ratio_report,
-                              _sym_noise)
+from conic_alm.model import SparseOperator, apply_Astar
+from conic_alm.symcone import face_basis, symmetrize
+from conic_alm.theory import GrowthReport, PreimageReport, _default_gamma, _ratio_report
 
 
 def eig2x2(M):
@@ -177,11 +177,79 @@ def soft_threshold(v, t):
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
-# The growth verifiers as they were before they shared one ball sampler: each
-# keeps its own unbounded rejection loop. The library's verify_qg_primal,
-# verify_eb_primal and verify_qg_dual (sampled branch) must return equal
-# reports. verify_qg_dual_reference leaves out the y_grid branch, which does
-# not sample.
+# Single-matrix kernels: the library's 2-d arithmetic, written for one
+# matrix (one vector of multipliers) at a time. The stacked kernels must
+# match a loop over them bit for bit.
+
+
+def frob_one(M):
+    return float(np.linalg.norm(M))
+
+
+def inner_one(A, B):
+    return float(A.ravel() @ B.ravel())
+
+
+def project_psd_one(X):
+    lam, Q = np.linalg.eigh(X)
+    return symmetrize((Q * np.maximum(lam, 0.0)) @ Q.T)
+
+
+def moreau_split_one(X):
+    lam, Q = np.linalg.eigh(X)
+    return (symmetrize((Q * np.maximum(lam, 0.0)) @ Q.T),
+            symmetrize((Q * np.maximum(-lam, 0.0)) @ Q.T))
+
+
+def dist_psd_one(X):
+    neg = np.minimum(np.linalg.eigvalsh(X), 0.0)
+    return float(np.sqrt(np.sum(neg * neg)))
+
+
+def exact_penalty_one(X, rho):
+    return rho * max(0.0, -float(np.linalg.eigvalsh(X)[0]))
+
+
+def dist_to_face_one(X, face):
+    X11 = face.p1.T @ X @ face.p1
+    X12 = face.p1.T @ X @ face.p2
+    X22 = symmetrize(face.p2.T @ X @ face.p2) if face.p2.shape[1] else np.zeros((0, 0))
+    tail = dist_psd_one(X22) if X22.size else 0.0
+    return float(np.sqrt(np.sum(X11 * X11) + 2.0 * np.sum(X12 * X12) + tail * tail))
+
+
+def apply_A_one(p, X):
+    op = p.operator
+    if isinstance(op, SparseOperator):
+        return np.bincount(op.k, weights=op.val * X[op.row, op.col], minlength=op.m)
+    return op.flat @ X.ravel()
+
+
+def apply_Astar_one(p, y):
+    op, n = p.operator, p.n
+    if isinstance(op, SparseOperator):
+        return np.bincount(op.row * n + op.col, weights=y[op.k] * op.val,
+                           minlength=n * n).reshape(n, n)
+    return (y @ op.flat).reshape(n, n)
+
+
+def sym_noise_one(rng, n, sigma):
+    return symmetrize(rng.standard_normal((n, n))) * sigma
+
+
+def project_affine_one(p, X):
+    """Least-squares correction of X onto the primal affine set A(X) = b."""
+    dy = np.linalg.solve(p.operator.gram, apply_A_one(p, X) - p.b)
+    return symmetrize(X - apply_Astar_one(p, dy))
+
+
+# The sampled verifiers as loops over one point at a time, on the kernels
+# above. The growth verifiers are as they were before they shared one ball
+# sampler, each with its own unbounded rejection loop; the library's
+# verify_qg_primal, verify_eb_primal, verify_qg_dual (sampled branch),
+# verify_growth_lemma, verify_penalty_preimage and check_trace_bound must
+# return equal reports. verify_qg_dual_reference leaves out the y_grid
+# branch, which does not sample.
 
 
 def verify_qg_primal_reference(inst, gamma=None, ball_radius=1.0, samples=2000,
@@ -199,24 +267,23 @@ def verify_qg_primal_reference(inst, gamma=None, ball_radius=1.0, samples=2000,
     if ball_radius <= 0:
         raise ValueError("ball_radius must be positive")
     rng = np.random.default_rng(seed)
-    solve = _gram_solve(p)
     sigma = ball_radius / 3.0
     lhs_list, dist2_list = [], []
     kept = 0
     while kept < samples:
-        X = inst.x_star + _sym_noise(rng, p.n, sigma)
-        X = _project_affine(p, X, solve)
+        X = inst.x_star + sym_noise_one(rng, p.n, sigma)
+        X = project_affine_one(p, X)
         if not use_penalty:
-            X = project_psd(X)
-        if frob(X - inst.x_star) > ball_radius:
+            X = project_psd_one(X)
+        if frob_one(X - inst.x_star) > ball_radius:
             continue
         kept += 1
-        value = _inner(p.C, X)
+        value = inner_one(p.C, X)
         if use_penalty:
-            value += exact_penalty(X, rho)
-        lhs = value - inst.p_star + gamma * float(np.linalg.norm(apply_A(p, X) - p.b))
+            value += exact_penalty_one(X, rho)
+        lhs = value - inst.p_star + gamma * float(np.linalg.norm(apply_A_one(p, X) - p.b))
         lhs_list.append(lhs)
-        dist2_list.append(frob(X - inst.x_star) ** 2)
+        dist2_list.append(frob_one(X - inst.x_star) ** 2)
     return _ratio_report(lhs_list, dist2_list,
                          dict(gamma=gamma, ball_radius=ball_radius,
                               use_penalty=use_penalty, rho=rho, seed=seed))
@@ -239,15 +306,15 @@ def verify_eb_primal_reference(inst, gamma=None, alpha=None, ball_radius=1.0,
     lhs_list, dist2_list = [], []
     kept = 0
     while kept < samples:
-        X = inst.x_star + _sym_noise(rng, p.n, sigma)
-        if frob(X - inst.x_star) > ball_radius:
+        X = inst.x_star + sym_noise_one(rng, p.n, sigma)
+        if frob_one(X - inst.x_star) > ball_radius:
             continue
         kept += 1
-        lhs = (_inner(p.C, X) - inst.p_star
-               + gamma * float(np.linalg.norm(apply_A(p, X) - p.b))
-               + alpha * dist_psd(X))
+        lhs = (inner_one(p.C, X) - inst.p_star
+               + gamma * float(np.linalg.norm(apply_A_one(p, X) - p.b))
+               + alpha * dist_psd_one(X))
         lhs_list.append(lhs)
-        dist2_list.append(frob(X - inst.x_star) ** 2)
+        dist2_list.append(frob_one(X - inst.x_star) ** 2)
     return _ratio_report(lhs_list, dist2_list,
                          dict(gamma=gamma, alpha=alpha, ball_radius=ball_radius,
                               seed=seed))
@@ -260,7 +327,7 @@ def verify_qg_dual_reference(inst, gamma=None, ball_radius=1.0, samples=2000,
         raise ValueError("dual growth checks need an instance with a unique "
                          "dual solution")
     if gamma is None:
-        gamma = 2.0 * (1.0 + float(np.linalg.norm(inst.y_star)) + frob(inst.z_star))
+        gamma = 2.0 * (1.0 + float(np.linalg.norm(inst.y_star)) + frob_one(inst.z_star))
     if use_penalty:
         if rho is None or rho <= float(np.trace(inst.x_star)) + 1e-9:
             raise ValueError("penalty variant needs rho > tr(x_star)")
@@ -270,7 +337,7 @@ def verify_qg_dual_reference(inst, gamma=None, ball_radius=1.0, samples=2000,
     def dual_value(y, Z):
         value = -float(p.b @ y)
         if use_penalty:
-            value += exact_penalty(Z, rho)
+            value += exact_penalty_one(Z, rho)
         return value
 
     rng = np.random.default_rng(seed)
@@ -279,20 +346,121 @@ def verify_qg_dual_reference(inst, gamma=None, ball_radius=1.0, samples=2000,
     kept = 0
     while kept < samples:
         y = inst.y_star + rng.standard_normal(p.m) * sigma
-        Z = inst.z_star + _sym_noise(rng, p.n, sigma)
+        Z = inst.z_star + sym_noise_one(rng, p.n, sigma)
         # least-squares correction onto the dual affine set Z = C - A*(y)
-        y = np.linalg.solve(lhs_mat, y + apply_A(p, p.C - Z))
-        Z = symmetrize(p.C - apply_Astar(p, y))
+        y = np.linalg.solve(lhs_mat, y + apply_A_one(p, p.C - Z))
+        Z = symmetrize(p.C - apply_Astar_one(p, y))
         if not use_penalty:
-            Z = project_psd(Z)
-        dist2 = float(np.sum((y - inst.y_star) ** 2)) + frob(Z - inst.z_star) ** 2
+            Z = project_psd_one(Z)
+        dist2 = float(np.sum((y - inst.y_star) ** 2)) + frob_one(Z - inst.z_star) ** 2
         if np.sqrt(dist2) > ball_radius:
             continue
         kept += 1
         lhs = (dual_value(y, Z) + d_star
-               + gamma * frob(p.C - apply_Astar(p, y) - Z))
+               + gamma * frob_one(p.C - apply_Astar_one(p, y) - Z))
         lhs_list.append(lhs)
         dist2_list.append(dist2)
     return _ratio_report(lhs_list, dist2_list,
                          dict(gamma=gamma, ball_radius=ball_radius,
                               use_penalty=use_penalty, rho=rho, seed=seed))
+
+
+def verify_growth_lemma_reference(xbar, zbar, mu, samples=10000, seed=0,
+                                  penalty_rho=None):
+    scale = 1.0 + frob_one(xbar) * frob_one(zbar)
+    n = xbar.shape[0]
+    face = face_basis(zbar)
+    kappa = face.lambda1_min / (3.0 * mu + 2.0 * frob_one(xbar))
+    if penalty_rho is not None:
+        if face.rank == 0:
+            kappa_used = penalty_rho / (n * mu)
+        else:
+            delta = penalty_rho - float(np.trace(zbar))
+            kappa_used = min(delta / (2.0 * n * mu), kappa / 2.0)
+    else:
+        kappa_used = kappa
+    rng = np.random.default_rng(seed)
+    tol = 1e-10 * scale * (1.0 + mu) ** 2
+    lhs_list, dist2_list = [], []
+    for _ in range(samples):
+        X = xbar + sym_noise_one(rng, n, mu / 3.0)
+        radius = frob_one(X - xbar)
+        if radius > mu:
+            X = xbar + (X - xbar) * (mu / radius)
+        if penalty_rho is None:
+            X = project_psd_one(X)
+            lhs_list.append(inner_one(zbar, X))
+        else:
+            lhs_list.append(exact_penalty_one(X, penalty_rho) + inner_one(zbar, X))
+        dist2_list.append(dist_to_face_one(X, face) ** 2)
+    return _ratio_report(lhs_list, dist2_list,
+                         dict(kappa=kappa_used, mu=mu, seed=seed, penalty_rho=penalty_rho),
+                         violated=lambda lhs, dist2: ~(lhs + tol >= kappa_used * dist2))
+
+
+def verify_penalty_preimage_reference(zbar, rho, samples=50, probes=100, seed=0):
+    n = zbar.shape[0]
+    face = face_basis(zbar)
+    rng = np.random.default_rng(seed)
+
+    def l(M):
+        return exact_penalty_one(M, rho) if rho > 0 else 0.0
+
+    def holds(X, Y):
+        return l(Y) >= l(X) + inner_one(-zbar, Y - X) - 1e-8
+
+    def probe_points(X):
+        pts = []
+        for _ in range(probes):
+            pts.append(X + sym_noise_one(rng, n, 1.0))
+        if face.p2.shape[1]:
+            B = symmetrize(face.p2.T @ X @ face.p2)
+            pts.append(symmetrize(face.p2 @ project_psd_one(B) @ face.p2.T))
+        pts.append(np.zeros((n, n)))
+        return pts
+
+    face_failures = 0
+    k = face.p2.shape[1]
+    for _ in range(samples):
+        if k:
+            R = rng.standard_normal((k, k))
+            X = symmetrize(face.p2 @ (R @ R.T) @ face.p2.T)
+        else:
+            X = np.zeros((n, n))
+        if not all(holds(X, Y) for Y in probe_points(X)):
+            face_failures += 1
+
+    off_detected = 0
+    off_points = 0
+    if face.p1.shape[1]:
+        while off_points < samples:
+            R = rng.standard_normal((n, n))
+            X = symmetrize(R @ R.T)
+            if dist_to_face_one(X, face) <= 0.1:
+                continue
+            off_points += 1
+            if not all(holds(X, Y) for Y in probe_points(X)):
+                off_detected += 1
+    return PreimageReport(face_points=samples, face_failures=face_failures,
+                          off_face_points=off_points, off_face_detected=off_detected)
+
+
+def check_trace_bound_reference(samples=10000, n_range=(2, 8), seed=0):
+    rng = np.random.default_rng(seed)
+    lo, hi = n_range
+    violated = []
+    for i in range(samples):
+        n = int(rng.integers(lo, hi + 1))
+        R = rng.standard_normal((n, n))
+        M = symmetrize(R @ R.T)
+        s = int(rng.integers(1, n))
+        A = M[:s, :s]
+        B = M[:s, s:]
+        D = M[s:, s:]
+        lhs = float(np.linalg.eigvalsh(symmetrize(D))[-1]) * float(np.trace(A))
+        rhs = float(np.sum(B * B))
+        if lhs < rhs - 1e-10 * (1.0 + frob_one(M) ** 2):
+            violated.append(i)
+    return GrowthReport(sampled_points=samples, min_ratio=float("nan"),
+                        violated=tuple(violated),
+                        params=dict(n_range=n_range, seed=seed))

@@ -201,6 +201,19 @@ class TestInputErrors:
                      "rho", id="exact-penalty-rho-nan"),
         pytest.param(["verify", "growth-lemma", "--builtin", "example-d1", "--mu", "nan"], "mu",
                      id="growth-lemma-mu-nan"),
+        # inf passes "rho > threshold"; the verifiers name the argument
+        pytest.param(["verify", "penalty-preimage", "--builtin", "example-d1", "--rho", "inf"],
+                     "rho must be finite", id="penalty-preimage-rho-inf"),
+        pytest.param(["verify", "qg-primal", "--builtin", "example-d1", "--penalty",
+                      "--rho", "inf"], "rho must be finite", id="qg-primal-rho-inf"),
+        pytest.param(["verify", "qg-dual", "--builtin", "example-d1", "--penalty",
+                      "--rho", "inf"], "rho must be finite", id="qg-dual-rho-inf"),
+        pytest.param(["verify", "growth-lemma", "--builtin", "example-d1", "--mu", "inf"],
+                     "mu must be finite", id="growth-lemma-mu-inf"),
+        pytest.param(["verify", "no-sharp-growth", "--rho", "inf"], "rho must be finite",
+                     id="no-sharp-growth-rho-inf"),
+        pytest.param(["verify", "exact-penalty", "--builtin", "example-d1", "--rho", "inf"],
+                     "rho must be finite", id="exact-penalty-rho-inf"),
         pytest.param(["verify", "qg-primal", "--builtin", "example-d1", "--radius", "nan"],
                      "ball_radius", id="qg-primal-radius-nan"),
         pytest.param(["verify", "no-sharp-growth", "--grid-points", "-2"], "--grid-points",

@@ -13,8 +13,8 @@ from conic_alm.model import (DenseOperator, SdpProblem, SparseOperator, apply_A,
 from conic_alm.symcone import frob, inner, symmetrize
 
 from conftest import sparse_sdps
-from oracles import (naive_apply_A, tensordot_apply_A, tensordot_apply_Astar,
-                     tensordot_inner)
+from oracles import (apply_A_one, apply_Astar_one, naive_apply_A, tensordot_apply_A,
+                     tensordot_apply_Astar, tensordot_inner)
 
 REL = 1e-14
 
@@ -150,3 +150,35 @@ def test_selection_rule():
 def test_inner_rejects_shape_mismatch():
     with pytest.raises(ValueError, match="shape mismatch"):
         inner(np.ones((2, 3)), np.ones((3, 2)))
+
+
+STACK_SHAPES = [(1,), (5,), (2, 3), (1, 1)]
+
+
+@given(st.one_of(sparse_sdps(), operator_cases().map(lambda case: case[0])),
+       st.sampled_from(STACK_SHAPES), st.integers(0, 2**32 - 1))
+def test_stacked_maps_match_a_loop_bitwise(p, lead, seed):
+    # both operators, through the problem's maps and directly: item j of a
+    # stack is the map of item j alone, and the single-matrix map of the
+    # problem's own operator, to the bit
+    rng = np.random.default_rng(seed)
+    X = symmetrize(rng.standard_normal(lead + (p.n, p.n)))
+    y = rng.standard_normal(lead + (p.m,))
+    AX, Ay = apply_A(p, X), apply_Astar(p, y)
+    assert AX.shape == lead + (p.m,) and Ay.shape == lead + (p.n, p.n)
+    for idx in np.ndindex(*lead):
+        assert AX[idx].tobytes() == apply_A_one(p, X[idx]).tobytes()
+        assert Ay[idx].tobytes() == apply_Astar_one(p, y[idx]).tobytes()
+    for op in both_operators(p):
+        AX, Ay = op.apply(X), op.adjoint(y)
+        for idx in np.ndindex(*lead):
+            assert AX[idx].tobytes() == op.apply(X[idx]).tobytes()
+            assert Ay[idx].tobytes() == op.adjoint(y[idx]).tobytes()
+
+
+def test_maps_reject_wrong_trailing_shapes():
+    p = synth_known_solution(n=3, m=4, rank_x=1, seed=0).problem
+    with pytest.raises(ValueError, match="X must have shape"):
+        apply_A(p, np.zeros((2, 3, 4)))
+    with pytest.raises(ValueError, match="y must have shape"):
+        apply_Astar(p, np.zeros((2, 3)))

@@ -6,12 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conic_alm.symcone import (dist_psd, dist_to_face, eig_sym, exact_penalty,
-                               face_basis, frob, inner, moreau_split,
+from conic_alm.symcone import (check_symmetric, dist_psd, dist_to_face, eig_sym,
+                               exact_penalty, face_basis, frob, inner, moreau_split,
                                penalty_subgrad, project_psd, signed_ranks, symmetrize)
 
 from conftest import random_sym
-from oracles import brute_force_face_dist, eig2x2, project_psd_2x2
+from oracles import (brute_force_face_dist, dist_psd_one, dist_to_face_one, eig2x2,
+                     exact_penalty_one, frob_one, inner_one, moreau_split_one,
+                     project_psd_2x2, project_psd_one)
 
 
 class TestEigSym:
@@ -303,3 +305,87 @@ class TestProperties:
         P, N = moreau_split(X)
         assert frob(X - (P - N)) <= 1e-13 * (1.0 + frob(X))
         assert abs(inner(P, N)) <= 1e-13 * (1.0 + frob(X) ** 2)
+
+
+@st.composite
+def sym_stacks(draw):
+    """A stack of symmetric matrices with one or two leading axes (stacks of
+    one among them), at a drawn scale, some PSD and some zero, and the face
+    of a PSD matrix of the same size at a drawn rank."""
+    n = draw(st.integers(1, 6))
+    lead = draw(st.sampled_from([(1,), (7,), (2, 3), (1, 1)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    S = symmetrize(rng.standard_normal(lead + (n, n))) * scale
+    flat = S.reshape(-1, n, n)
+    flat[rng.random(len(flat)) < 0.3] = 0.0
+    psd = rng.random(len(flat)) < 0.3
+    flat[psd] = symmetrize(flat[psd] @ flat[psd].transpose(0, 2, 1))
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    r = draw(st.integers(0, n))
+    face = face_basis(symmetrize((Q[:, :r] * rng.uniform(0.5, 2.0, r)) @ Q[:, :r].T))
+    return S, face, rng
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+class TestStacks:
+    @given(sym_stacks())
+    def test_stacked_kernels_match_a_loop_bitwise(self, case):
+        # item j of a stack is the kernel of item j alone, and the
+        # single-matrix kernel of tests/oracles.py, to the bit
+        S, face, rng = case
+        lead, n = S.shape[:-2], S.shape[-1]
+        rho = float(rng.uniform(0.1, 10.0))
+        raw = rng.standard_normal(S.shape)
+        C = symmetrize(rng.standard_normal((n, n)))
+        kernels = [
+            (symmetrize, lambda M: (M + M.T) / 2.0, raw),
+            (frob, frob_one, S),
+            (lambda M: inner(C, M), lambda M: inner_one(C, M), S),
+            (lambda M: inner(M, M[::-1]), None, S),
+            (project_psd, project_psd_one, S),
+            (lambda M: moreau_split(M)[0], lambda M: moreau_split_one(M)[0], S),
+            (lambda M: moreau_split(M)[1], lambda M: moreau_split_one(M)[1], S),
+            (dist_psd, dist_psd_one, S),
+            (lambda M: exact_penalty(M, rho), lambda M: exact_penalty_one(M, rho), S),
+            (lambda M: dist_to_face(M, face), lambda M: dist_to_face_one(M, face), S),
+        ]
+        for kernel, single, stack in kernels:
+            out = kernel(stack)
+            assert np.shape(out)[:len(lead)] == lead
+            for idx in np.ndindex(*lead):
+                if single is None:
+                    # the inner product of two stacks, item by item
+                    assert same_bits(out[idx], inner(stack[idx], stack[::-1][idx]))
+                    continue
+                assert same_bits(out[idx], kernel(stack[idx]))
+                assert same_bits(out[idx], single(stack[idx]))
+            if stack.ndim == 2:
+                assert isinstance(out, float)
+
+    def test_single_matrix_gives_float(self):
+        X = np.diag([1.0, -2.0])
+        for value in (frob(X), inner(X, X), dist_psd(X), exact_penalty(X, 3.0),
+                      dist_to_face(X, face_basis(np.zeros((2, 2))))):
+            assert type(value) is float
+
+    @pytest.mark.parametrize("bad", ["asymmetric", "nan", "inf"])
+    def test_rejects_one_bad_slice(self, bad, rng):
+        S = symmetrize(rng.standard_normal((5, 3, 3)))
+        if bad == "asymmetric":
+            S[3, 0, 1] += 1e-12
+        else:
+            S[3, 1, 1] = float(bad)
+        match = "not symmetric" if bad == "asymmetric" else "non-finite"
+        face = face_basis(np.diag([1.0, 0.0, 0.0]))
+        for kernel in (check_symmetric, project_psd, moreau_split, dist_psd,
+                       lambda M: exact_penalty(M, 1.0), lambda M: dist_to_face(M, face)):
+            with pytest.raises(ValueError, match=match):
+                kernel(S)
+
+    def test_eig_sym_takes_one_matrix(self):
+        with pytest.raises(ValueError, match="one matrix"):
+            eig_sym(np.zeros((2, 3, 3)))

@@ -13,8 +13,9 @@ from conic_alm.theory import (check_strict_complementarity, check_trace_bound,
                               verify_growth_lemma, verify_penalty_preimage,
                               verify_qg_dual, verify_qg_primal)
 from conic_alm.fixtures import GRIDS, toy_rank1_instance
-from oracles import (verify_eb_primal_reference, verify_qg_dual_reference,
-                     verify_qg_primal_reference)
+from oracles import (check_trace_bound_reference, verify_eb_primal_reference,
+                     verify_growth_lemma_reference, verify_penalty_preimage_reference,
+                     verify_qg_dual_reference, verify_qg_primal_reference)
 
 
 class TestQgPrimal:
@@ -71,20 +72,27 @@ class TestEbPrimal:
     @pytest.mark.parametrize("n,m,rank_x", [(8, 10, 3), (12, 20, 4)])
     def test_default_radius_at_larger_n(self, n, m, rank_x, monkeypatch):
         # the noise shrinks with n, so the draws keep landing in the unit
-        # ball; at entry scale 1/3 none did from n = 8 on
+        # ball; at entry scale 1/3 none did from n = 8 on. A generator that
+        # counts its normals gives the n x n matrices drawn, however the
+        # sampler groups them into calls.
         inst = synth_known_solution(n=n, m=m, rank_x=rank_x, seed=1)
-        draws = []
-        real_noise = theory._sym_noise
+        normals = []
+        real_rng = np.random.default_rng
 
-        def counted_noise(rng, size, sigma):
-            draws.append(sigma)
-            return real_noise(rng, size, sigma)
+        class CountingGenerator:
+            def __init__(self, seed):
+                self.rng = real_rng(seed)
 
-        monkeypatch.setattr(theory, "_sym_noise", counted_noise)
+            def standard_normal(self, size):
+                normals.append(int(np.prod(size)))
+                return self.rng.standard_normal(size)
+
+        monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
         rep = verify_eb_primal(inst, samples=200, seed=0)
         assert rep.sampled_points == 200 and len(rep.violated) == 0
         assert rep.min_ratio > 0
-        assert len(draws) <= 220
+        assert sum(normals) % (n * n) == 0
+        assert 200 <= sum(normals) // (n * n) <= 220
 
     def test_negative_control_alpha_zero(self, toy):
         # alpha = 0 removes the cone-distance compensation; indefinite
@@ -118,27 +126,53 @@ class TestQgDual:
 class TestBallSampler:
     @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize("variant", ["qg-primal", "qg-primal-penalty", "eb-primal",
-                                         "qg-dual", "qg-dual-penalty"])
+                                         "qg-dual", "qg-dual-penalty", "growth-lemma",
+                                         "growth-lemma-penalty", "trace-bound"])
     @pytest.mark.parametrize("shape", [None, (4, 5, 2, 300), (5, 6, 2, 401)],
                              ids=["toy", "n4", "n5"])
     def test_matches_parent_loops(self, shape, variant, seed):
-        # the verifiers as they were before they shared one sampler
+        # the verifiers as loops over one point at a time (tests/oracles.py);
+        # 300 samples span two blocks
         inst = toy_rank1_instance() if shape is None else synth_known_solution(*shape)
         kwargs = dict(samples=300, seed=seed)
         if variant == "qg-primal-penalty":
             kwargs.update(use_penalty=True, rho=float(np.trace(inst.z_star)) + 1.0)
         if variant == "qg-dual-penalty":
             kwargs.update(use_penalty=True, rho=float(np.trace(inst.x_star)) + 1.0)
+        args = (inst,)
+        if variant.startswith("growth-lemma"):
+            # at mu = 0.8 some draws land outside the ball and are pulled back
+            args = (inst.x_star, inst.z_star, 0.8)
+            if variant.endswith("-penalty"):
+                kwargs.update(penalty_rho=float(np.trace(inst.z_star)) + 1.0)
+        if variant == "trace-bound":
+            # sizes 2 to n + 3 (the default range at n5), one size at toy
+            args = ()
+            kwargs.update(n_range=(2, inst.problem.n + 3) if shape else (3, 3))
         fn, reference = {
             "qg-primal": (verify_qg_primal, verify_qg_primal_reference),
             "eb-primal": (verify_eb_primal, verify_eb_primal_reference),
             "qg-dual": (verify_qg_dual, verify_qg_dual_reference),
+            "growth-lemma": (verify_growth_lemma, verify_growth_lemma_reference),
+            "trace-bound": (check_trace_bound, check_trace_bound_reference),
         }[variant.removesuffix("-penalty")]
-        rep, ref = fn(inst, **kwargs), reference(inst, **kwargs)
+        rep, ref = fn(*args, **kwargs), reference(*args, **kwargs)
         assert rep.sampled_points == ref.sampled_points == 300
         assert rep.min_ratio.hex() == ref.min_ratio.hex()
         assert rep.violated == ref.violated
         assert list(rep.params.items()) == list(ref.params.items())
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("shape", [None, (4, 5, 2, 300), (5, 6, 2, 401)],
+                             ids=["toy", "n4", "n5"])
+    def test_preimage_matches_parent_loop(self, shape, seed):
+        inst = toy_rank1_instance() if shape is None else synth_known_solution(*shape)
+        rho = float(np.trace(inst.z_star)) + 1.0
+        # 300 probes span two blocks
+        for probes in (1, 300):
+            kwargs = dict(samples=12, probes=probes, seed=seed)
+            assert (verify_penalty_preimage(inst.z_star, rho, **kwargs)
+                    == verify_penalty_preimage_reference(inst.z_star, rho, **kwargs))
 
     @pytest.mark.parametrize("verifier", [verify_qg_primal, verify_eb_primal,
                                           verify_qg_dual])
@@ -152,40 +186,87 @@ class TestBallSampler:
 
     @staticmethod
     def counting_draw(lands_every):
-        # landing draws sit on the sphere of radius 1.5, which counts as inside
-        calls = []
+        # landing draws sit on the sphere of radius 1.5, which counts as
+        # inside; calls holds the sigma of each drawn point, blocks the sizes
+        calls, blocks = [], []
 
-        def draw(rng, sigma):
-            calls.append(sigma)
-            return None, (2.25 if len(calls) % lands_every == 0 else 2.2500001)
+        def draw(rng, sigma, count):
+            index = np.arange(len(calls) + 1, len(calls) + count + 1)
+            calls.extend([sigma] * count)
+            blocks.append(count)
+            return index, np.where(index % lands_every == 0, 2.25, 2.2500001)
 
-        return draw, calls
+        return draw, calls, blocks
+
+    @staticmethod
+    def lhs_of(points):
+        return np.ones(len(points))
 
     def test_draw_cap(self):
         # 100 draws per requested sample: a 1-in-100 landing rate just fits
-        draw, calls = self.counting_draw(100)
-        rep = theory._ball_report(30, 1.5, 0, draw, lambda point: 1.0, {})
+        draw, calls, blocks = self.counting_draw(100)
+        rep = theory._ball_report(30, 1.5, 0, draw, self.lhs_of, {})
         assert rep.sampled_points == 30 and len(calls) == 3000
-        assert set(calls) == {0.5}
-        draw, calls = self.counting_draw(101)
+        assert set(calls) == {0.5} and max(blocks) == 30
+        draw, calls, blocks = self.counting_draw(101)
         with pytest.raises(ValueError, match="only 29 of 3000 draws .* ball_radius 1.5"):
-            theory._ball_report(30, 1.5, 0, draw, lambda point: 1.0, {})
+            theory._ball_report(30, 1.5, 0, draw, self.lhs_of, {})
         assert len(calls) == 3000
 
     def test_gives_up_when_nothing_lands(self):
-        draw, calls = self.counting_draw(2001)
+        draw, calls, blocks = self.counting_draw(2001)
         with pytest.raises(ValueError, match="only 0 of 2000 draws"):
-            theory._ball_report(1000, 1.5, 0, draw, lambda point: 1.0, {})
-        assert len(calls) == 2000
+            theory._ball_report(1000, 1.5, 0, draw, self.lhs_of, {})
+        assert len(calls) == 2000 and max(blocks) == theory.BLOCK
         # one landing point is enough to keep drawing up to the cap
-        draw, calls = self.counting_draw(1999)
+        draw, calls, blocks = self.counting_draw(1999)
         with pytest.raises(ValueError, match="only 10 of 20000 draws"):
-            theory._ball_report(200, 1.5, 0, draw, lambda point: 1.0, {})
+            theory._ball_report(200, 1.5, 0, draw, self.lhs_of, {})
+        assert len(calls) == 20000
+
+    def test_blocks_stop_where_single_draws_stop(self):
+        # every point lands: blocks of BLOCK, then the remainder, and no more
+        draw, calls, blocks = self.counting_draw(1)
+        lhs = []
+        rep = theory._ball_report(600, 1.5, 0, draw,
+                                  lambda points: lhs.extend(points) or self.lhs_of(points), {})
+        assert rep.sampled_points == 600 and blocks == [256, 256, 88]
+        assert lhs == list(range(1, 601))
 
     def test_unreachable_radius(self, toy):
         # the affine correction moves every draw by more than 1e-20
         with pytest.raises(ValueError, match="only 0 of 2000 draws .* ball_radius 1e-20"):
             verify_qg_primal(toy, ball_radius=1e-20)
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_rejects_nonfinite_penalty_parameters(self, toy, value):
+        with pytest.raises(ValueError, match="rho must be finite"):
+            verify_qg_primal(toy, use_penalty=True, rho=value, samples=10)
+        with pytest.raises(ValueError, match="rho must be finite"):
+            verify_qg_dual(toy, use_penalty=True, rho=value, samples=10)
+        with pytest.raises(ValueError, match="rho must be finite"):
+            verify_penalty_preimage(toy.z_star, value, samples=10)
+        with pytest.raises(ValueError, match="penalty_rho must be finite"):
+            verify_growth_lemma(toy.x_star, toy.z_star, mu=1.0, samples=50,
+                                penalty_rho=value)
+        with pytest.raises(ValueError, match="mu must be finite"):
+            verify_growth_lemma(toy.x_star, toy.z_star, mu=value, samples=50)
+
+    @pytest.mark.parametrize("n_range", [(1, 8), (3, 2), (0, 0), (2.0, 5), (2, 5.5)])
+    def test_trace_bound_needs_integer_range(self, n_range):
+        with pytest.raises(ValueError, match="n_range must be integers 2 <= lo <= hi"):
+            check_trace_bound(samples=10, n_range=n_range)
+
+    def test_trace_bound_single_size(self):
+        rep = check_trace_bound(samples=20, n_range=(np.int64(2), 2), seed=1)
+        assert rep.sampled_points == 20 and rep.violated == ()
+
+    @pytest.mark.parametrize("probes", [0, -2])
+    def test_preimage_needs_probes(self, toy, probes):
+        with pytest.raises(ValueError, match=f"probes must be at least 1, got {probes}"):
+            verify_penalty_preimage(toy.z_star, rho=4.0, samples=5, probes=probes)
 
 
 class TestNoSharpGrowth:
@@ -303,8 +384,9 @@ class TestGrowthLemma:
         monkeypatch.setattr(theory, "project_psd", recording_project_psd)
         rep = verify_growth_lemma(inst.x_star, inst.z_star, mu=1.0, samples=2000,
                                   seed=0)
-        assert len(seen) == 2000 and len(rep.violated) == 0
-        assert max(frob(X - inst.x_star) for X in seen) <= 1.0 + 1e-12
+        assert sum(len(S) for S in seen) == 2000 and len(rep.violated) == 0
+        assert max(len(S) for S in seen) <= theory.BLOCK
+        assert max(frob(S - inst.x_star).max() for S in seen) <= 1.0 + 1e-12
 
     def test_rejects_noncomplementary(self):
         with pytest.raises(ValueError, match="complementary"):
