@@ -72,14 +72,15 @@ def primal_objective(p, w, r):
         u = y + r * (b - apply(X))
         lam, Q = np.linalg.eigh(Z - r * X)
         pos = np.maximum(lam, 0.0)
-        P = (Q * pos) @ Q.T
+        # the GEMM rounds P off symmetry; an exactly symmetric gradient keeps
+        # a gradient step X - t*grad symmetric
+        P = symmetrize((Q * pos) @ Q.T)
         val = float(c @ X.ravel()) + (float(u @ u) + float(pos @ pos) - offset) / (2.0 * r)
         grad = C - adjoint(u) - P
 
         def update():
-            Z_new = symmetrize(P)
-            return X, DualPoint(y=u, Z=Z_new), float(
-                np.sqrt(np.sum((u - y) ** 2) + np.sum((Z_new - Z) ** 2)))
+            return X, DualPoint(y=u, Z=P), float(
+                np.sqrt(np.sum((u - y) ** 2) + np.sum((P - Z) ** 2)))
 
         return val, grad, lambda G: newton(p, r, _lm_rho(r, ridge, scale, G), lam, Q, G), update
 

@@ -27,10 +27,16 @@ gap. As in SSNAL, both are checked inside the solve, at each iterate's own
 multiplier step: A through ``tol`` and B through the caller's ``accept``.
 
 The loop has four exits: the stop test (the certificate within the
-tolerance, and ``accept``) holds; no resolvable descent in the value for 25
+tolerance, and ``accept``) holds; no resolvable descent in the value for 3
 iterations (the value floor); the line search cannot move x, because it
 found no acceptable step or because ``x - t*d`` rounds to ``x`` (a null
-move: x, its value and gradient stay as they were); and ``max_iter``.
+move: x, its value and gradient stay as they were); and ``max_iter``. The
+value-floor window is short because a Newton step taken once the value
+stops resolving descent squares the relative residual: two such steps bring
+||g|| to its rounding floor, and further steps only redraw the rounding
+noise there (on the C3 study they left ||g|| between 1e-15 and 4e-15, whose
+certificate never reaches a 1e-16 target, while a 25-iteration window spent
+91 % of the study's Newton steps on such solves).
 """
 
 from dataclasses import dataclass
@@ -72,13 +78,16 @@ def minimize_auglag(oracle, start, tol, max_iter=10000, diameter_bound=None, acc
     like the point (works for vectors and symmetric matrices alike);
     ``solve`` maps ``g -> d`` with a positive definite (regularized
     generalized) Hessian at the point; it and ``update()`` run only when
-    needed, the solve at most once per accepted point. Each step halves the
+    needed, the solve at most once per accepted point. Each step cuts the
     trial step from t = 1 until the Armijo test (constant 1e-4) holds, at
-    most 60 times. The stop test holds at an iterate whose certified gap is
-    <= tol and, if ``accept`` is given, of whose result ``accept(result)`` is
-    true. Every other exit in the module docstring returns the iterate of
-    least gradient norm with converged=False. ``iterations`` counts accepted
-    moves.
+    most 60 times: by half, or along a Newton direction by a tenth when the
+    quadratic interpolant of the value puts its minimizer below t/10 (the
+    unit step overshoots grossly, as a Newton step on a singular Hessian
+    regularized by a tiny ridge does). The stop test holds at an iterate
+    whose certified gap is <= tol and, if ``accept`` is given, of whose
+    result ``accept(result)`` is true. Every other exit in the module
+    docstring returns the iterate of least gradient norm with
+    converged=False. ``iterations`` counts accepted moves.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -109,20 +118,22 @@ def minimize_auglag(oracle, start, tol, max_iter=10000, diameter_bound=None, acc
                 return result
         if it >= max_iter:
             break
-        # Value-resolution floor: no resolvable descent for a whole window
-        # means further certification progress is not measurable.
+        # Value-resolution floor: two Newton steps past the last resolvable
+        # descent take ||g|| to its rounding floor, so a third iteration
+        # without one ends the solve (see the module docstring).
         if f_ref - fx > 1e-14 * (1.0 + abs(f_ref)):
             f_ref = fx
             since_descent = 0
         else:
             since_descent += 1
-            if since_descent > 25:
+            if since_descent > 2:
                 break
         # The Armijo decrease 1e-4 t g.d is written 1e-4 t slope ||g|| with
         # slope = g.d / ||g||; its rounding is part of every recorded run
         d = solve(g)
         gd = float(np.vdot(g, d).real)
-        if gd > 0 and np.isfinite(gd):
+        newton = gd > 0 and np.isfinite(gd)
+        if newton:
             slope, f_cap = gd / gn, fx + 1e-14 * (1.0 + abs(fx))
         else:
             # the solve does not descend: take the gradient step, with no
@@ -139,7 +150,16 @@ def minimize_auglag(oracle, start, tol, max_iter=10000, diameter_bound=None, acc
             if ((finite and f_new <= fx - 1e-4 * t * slope * gn) or floor_move
                     or backtracks == 60):
                 break
-            t *= 0.5
+            # Cut t to t/10 when the Newton trial value rose above its rounding
+            # and the quadratic through f, the slope -g.d at t = 0 and f_new
+            # has its minimizer below t/10, else halve: the safeguards of
+            # Nocedal & Wright's interpolating backtrack (sec. 3.5) without
+            # its interior step, which on the semismooth SDP forms falls short
+            # of the steps that pass
+            if newton and f_new > f_cap and gd * t < 0.2 * (f_new - fx + t * gd):
+                t *= 0.1
+            else:
+                t *= 0.5
             backtracks += 1
         if not np.isfinite(f_new) or not np.all(np.isfinite(g_new)):
             raise InnerSolveError(f"objective returned non-finite values at iteration {it} "

@@ -416,6 +416,44 @@ class TestNewtonSteps:
         assert len(evals) <= 2 * sum(rec.inner_iterations for rec in trace.records)
         assert slopes and all(np.isfinite(slope) and slope > 0 for slope in slopes)
 
+    def test_primal_gradient_steps_stay_symmetric(self, monkeypatch):
+        # a solve that ascends forces the gradient-step guard on the primal
+        # form, on a dense operator, where A*(u) and proj_psd come from GEMMs;
+        # every trial X - t*grad must stay exactly symmetric, or the record's
+        # residuals reject X
+        trials = []
+
+        def ascending_factory(*args):
+            value_and_grad = primal_objective(*args)
+
+            def oracle(X):
+                trials.append(X)
+                value, grad, _, update = value_and_grad(X)
+                return value, grad, np.negative, update
+
+            return oracle
+
+        monkeypatch.setattr(auglag, "primal_objective", ascending_factory)
+        solve, problem, start = builtin_run("synth", "primal")
+        trace = quiet(solve, problem.problem, start, AlmConfig(max_outer=1, inner_budget=20))
+        assert len(trace.records) == 1 and trace.records[0].inner_iterations >= 1
+        assert len(trials) > 2
+        assert all(np.array_equal(X, X.T) for X in trials)
+
+    @pytest.mark.parametrize("n,m,rank_x,seed", [(3, 3, 1, 100), (6, 8, 3, 103)])
+    def test_uncertified_solves_end_at_the_floor(self, n, m, rank_x, seed):
+        # acceptance instances 0 and 3 in the C3 setting: once criterion B's
+        # target sinks below what ||g|| D can reach, ||g|| sits at its
+        # rounding floor two Newton steps in, and the value-floor window ends
+        # the solve there; a 25-iteration window took 27 and 28 steps
+        inst = synth_known_solution(n=n, m=m, rank_x=rank_x, seed=seed)
+        trace = quiet(solve_primal_alm, inst, zero_dual(inst.problem),
+                      AlmConfig(r_growth=1.0, max_outer=100, stop_eps3=1e-13,
+                                inner_budget=400))
+        uncertified = [rec.inner_iterations for rec in trace.records if not rec.certified]
+        assert len(trace.records) == 100 and len(uncertified) >= 50
+        assert max(uncertified) <= 10
+
     @pytest.mark.parametrize("name,outer", [("maxcut-g1-20", 13), ("maxcut-g2-20", 14),
                                             ("maxcut-g3-20", 13)])
     def test_primal_steps(self, name, outer):

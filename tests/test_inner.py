@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from conic_alm.auglag import default_diameter, ineq_objective, primal_objective
+from conic_alm.auglag import ineq_objective, primal_objective
 from conic_alm.fixtures import lasso_fixture
 from conic_alm.inner import (InnerSolveError, check_criterion_A, check_criterion_B,
                              minimize_auglag)
-from conic_alm.model import DualPoint, synth_known_solution
+from conic_alm.model import DualPoint
 from conic_alm.symcone import frob
 
 from conftest import ineq_subproblems, random_sym
@@ -183,30 +183,29 @@ class TestNullMoveReplay:
     """A null move ends the solve: searching again from the same x replays it."""
 
     def test_newton_null_move_ends_the_solve(self):
-        # the C3 shape n = 3 (seed 100) at r = 1 with perturbed optimal
-        # multipliers, solved to tol = 1e-16: Newton reaches the floating-point
-        # floor, where the last search halves until x - t*d rounds to x
-        inst = synth_known_solution(n=3, m=3, rank_x=1, seed=100)
-        y = inst.y_star + 0.1 * np.random.default_rng(0).standard_normal(3)
-        obj = primal_objective(inst.problem, DualPoint(y=y, Z=inst.z_star), 1.0)
-        start = np.zeros((3, 3))
+        # K/2 ||x - T||^2 with K = 1e20 and Newton steps of 0.4 times the
+        # distance to T: x walks in whole ulps of T = 1 while every descent
+        # stays resolvable in the value, and from one ulp away the unit step
+        # is 0.4 ulp, so every trial x - t*d of the last search rounds to x
+        T, K = np.ones(3), 1e20
         events = []
 
-        def spy(X):
-            value, grad, solve, update = obj(X)
-            events.append(("eval", X.tobytes()))
-            point = X.tobytes()
-            return value, grad, lambda g: events.append(("solve", point)) or solve(g), update
+        def spy(x):
+            events.append(("eval", x.tobytes()))
+            point = x.tobytes()
+            return (0.5 * K * float((x - T) @ (x - T)), K * (x - T),
+                    lambda g: events.append(("solve", point)) or 0.4 * g / K, no_update)
 
-        res = minimize_auglag(spy, start, tol=1e-16, max_iter=400,
-                              diameter_bound=default_diameter(inst.problem, start))
+        res = minimize_auglag(spy, T + 2.0 ** -30, tol=1e-8, max_iter=400, diameter_bound=1.0)
         solves = [point for kind, point in events if kind == "solve"]
-        assert not res.converged and res.grad_norm < 1e-14
+        assert not res.converged
+        assert np.array_equal(res.minimizer, T + np.spacing(1.0))
         # one solve at the start and at each accepted point
         assert 5 <= res.iterations == len(solves) - 1 < 400
-        # the last evaluation is the null move onto the last accepted x
-        assert events[-1] == ("eval", solves[-1])
-        assert events[-2][0] == "eval"
+        # the last search evaluates only the null move onto the last accepted x
+        last_search = events[events.index(("solve", solves[-1])) + 1:]
+        assert len(last_search) >= 2
+        assert all(event == ("eval", solves[-1]) for event in last_search)
 
     def test_linear_objective_runs_to_max_iter(self):
         # constant gradient, unbounded below: every step descends by the same
@@ -306,6 +305,25 @@ class TestNewton:
         assert len(tags) in (res.iterations, res.iterations + 1)
         # the solved points are the accepted path, so their values descend
         assert all(values[b] <= values[a] for a, b in zip(tags, tags[1:]))
+
+    def test_value_floor_window_ends_the_solve(self):
+        # 1 + max(x_0, 0): three unit Newton steps from x_0 = 2.5 descend,
+        # the third onto the flat part, where the gradient is noise and no
+        # value descends; the solve ends 3 iterations after the last descent,
+        # before a seventh solve runs
+        rng = np.random.default_rng(0)
+        solves = []
+
+        def obj(x):
+            g = 1e-3 * rng.standard_normal(3)
+            g[0] += float(x[0] > 0)
+            return (1.0 + max(float(x[0]), 0.0), g,
+                    lambda g: solves.append(x.copy()) or g, no_update)
+
+        res = minimize_auglag(obj, np.array([2.5, 0.0, 0.0]), tol=1e-12, diameter_bound=1.0)
+        assert [x[0] > 0 for x in solves] == [True] * 3 + [False] * 3
+        assert res.iterations == len(solves) == 3 + 3
+        assert not res.converged and res.value == 1.0
 
     def test_value_floor_needs_a_gradient_cut(self):
         # a Newton step that rounds the value but cuts ||g|| by less than a
