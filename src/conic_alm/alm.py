@@ -237,8 +237,10 @@ def solve_primal_alm(p, w0, cfg=None):
     track_w = oracle is not None and oracle.dual_unique
 
     def record(X, w, w_new, fields):
-        return _sdp_record(p, oracle, X, w_new,
-                           oracle.dist_dual(w) if track_w else None, fields)
+        # w is the last record's multiplier, so its distance is that record's dist_w
+        before = (trace.records[-1].dist_w if trace.records
+                  else oracle.dist_dual(w) if track_w else None)
+        return _sdp_record(p, oracle, X, w_new, before, fields)
 
     trace = AlmTrace(form="primal", problem_name=p.name, config=cfg, start_point=w0)
     return _outer_loop(trace, cfg, p, auglag.primal_objective,
@@ -259,13 +261,15 @@ def solve_dual_alm(p, X0, cfg=None):
     X0 = symmetrize(_start_array("X0", X0, (p.n, p.n)))
     if dist_psd(X0) > 1e-9 * (1.0 + frob(X0)):
         raise ValueError("initial X must be positive semidefinite")
-    scale = 2.0 * (1.0 + float(np.linalg.norm(p.b)) + frob(p.C))
+    scale = 2.0 * (1.0 + p.b_norm + p.C_norm)
     track_x = oracle is not None and oracle.primal_unique
 
     def record(y, X, X_new, fields):
         w = DualPoint(y=y, Z=symmetrize(p.C - apply_Astar(p, y)))
-        return _sdp_record(p, oracle, X_new, w,
-                           oracle.dist_primal(X) if track_x else None, fields)
+        # X is the last record's X, so its distance is that record's dist_x
+        before = (trace.records[-1].dist_x if trace.records
+                  else oracle.dist_primal(X) if track_x else None)
+        return _sdp_record(p, oracle, X_new, w, before, fields)
 
     trace = AlmTrace(form="dual", problem_name=p.name, config=cfg, start_point=X0)
     return _outer_loop(trace, cfg, p, auglag.dual_objective,

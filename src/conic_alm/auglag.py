@@ -66,7 +66,7 @@ def primal_objective(p, w, r):
     # below this rho, I / r is lost to rounding in the m x m system, which
     # can then be exactly singular
     ridge = 1e-12 * (1.0 + r * (1.0 + op.max_col_norm2()))
-    scale = 1.0 + frob(C)
+    scale = 1.0 + p.C_norm
 
     def oracle(X):
         u = y + r * (b - apply(X))
@@ -303,7 +303,7 @@ def grad_L_ineq_x(q, x, z, r):
 
 def default_diameter(p, X):
     """Heuristic bound on the distance from X to the subproblem minimizer."""
-    return 2.0 * (1.0 + frob(np.asarray(X)) + float(np.linalg.norm(p.b)) + frob(p.C))
+    return 2.0 * (1.0 + frob(np.asarray(X)) + p.b_norm + p.C_norm)
 
 
 def dual_gap_lower_bound(p, w, X_trial, r, diameter_bound=None):
@@ -326,7 +326,7 @@ def dual_gap_lower_bound(p, w, X_trial, r, diameter_bound=None):
     u_Z = project_psd(w.Z - r * X_trial)
     residual = symmetrize(p.C - apply_Astar(p, u_y) - u_Z)
     res_norm = frob(residual)
-    if res_norm <= 1e-11 * (1.0 + frob(p.C)):
+    if res_norm <= 1e-11 * (1.0 + p.C_norm):
         g0 = float(p.b @ u_y)
         dy = u_y - w.y
         dZ = u_Z - w.Z

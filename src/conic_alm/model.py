@@ -39,6 +39,7 @@ class DenseOperator:
         self.mats = mats
         self.flat = mats.reshape(mats.shape[0], -1)
         self.gram = gram
+        self._max_col_norm2 = float(np.max(np.sum(self.flat ** 2, axis=0)))
 
     def apply(self, X):
         return (self.flat @ X.reshape(X.shape[:-2] + (self.flat.shape[1], 1)))[..., 0]
@@ -54,7 +55,7 @@ class DenseOperator:
 
     def max_col_norm2(self):
         """max_j ||A e_j||^2 over the n^2 coordinate matrices e_j."""
-        return float(np.max(np.sum(self.flat ** 2, axis=0)))
+        return self._max_col_norm2
 
 
 class SparseOperator:
@@ -80,6 +81,8 @@ class SparseOperator:
         self.gram = gram
         # first nonzero of each matrix; no A_i is zero, since they are independent
         self.starts = np.flatnonzero(np.diff(self.k, prepend=-1))
+        self._max_col_norm2 = float(np.max(np.bincount(self.row * self.n + self.col,
+                                                       weights=self.val ** 2)))
 
     @staticmethod
     def _sum_into(bins, weights, size):
@@ -108,8 +111,7 @@ class SparseOperator:
         return terms if self.k.size == self.m else np.add.reduceat(terms, self.starts)
 
     def max_col_norm2(self):
-        return float(np.max(np.bincount(self.row * self.n + self.col,
-                                        weights=self.val ** 2)))
+        return self._max_col_norm2
 
 
 @dataclass(frozen=True)
@@ -122,7 +124,9 @@ class SdpProblem:
     numerically linearly independent, and keeps the Gram matrix of that
     check in ``operator``: a :class:`SparseOperator` when the A_i have at
     most m n nonzeros in all (max-cut has n), else a
-    :class:`DenseOperator`.
+    :class:`DenseOperator`. ``b_norm`` and ``C_norm`` are ||b|| and ||C||_F,
+    which scale the residuals, the Newton regularization and the diameter
+    bounds; they are computed once here.
     """
 
     C: np.ndarray
@@ -132,6 +136,8 @@ class SdpProblem:
     A_flat: np.ndarray = field(init=False, repr=False, compare=False)
     operator: DenseOperator | SparseOperator = field(init=False, repr=False,
                                                      compare=False)
+    b_norm: float = field(init=False, repr=False, compare=False)
+    C_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         C = check_symmetric(self.C, name="C")
@@ -157,6 +163,8 @@ class SdpProblem:
         object.__setattr__(self, "A_flat", V)
         object.__setattr__(self, "operator", operator)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "b_norm", float(np.linalg.norm(b)))
+        object.__setattr__(self, "C_norm", frob(C))
 
     @property
     def n(self):
@@ -239,16 +247,17 @@ def kkt_residuals(p, X, w, p_star=None, d_star=None):
     """Relative KKT residuals of (X, y, Z) for problem p.
 
     eta1: affine feasibility, eta2: X cone feasibility, eta3: dual affine
-    feasibility, eta4: Z cone feasibility, eta5: duality gap.
+    feasibility, eta4: Z cone feasibility, eta5: duality gap. X is validated
+    here, Z was when ``w`` was built.
     """
     X = check_symmetric(X, name="X")
     y, Z = w.y, w.Z
     cx = inner(p.C, X)
     by = float(p.b @ y)
-    eta1 = float(np.linalg.norm(apply_A(p, X) - p.b)) / (1.0 + float(np.linalg.norm(p.b)))
-    eta2 = dist_psd(X) / (1.0 + frob(X))
-    eta3 = frob(p.C - apply_Astar(p, y) - Z) / (1.0 + frob(p.C))
-    eta4 = dist_psd(Z) / (1.0 + frob(Z))
+    eta1 = float(np.linalg.norm(apply_A(p, X) - p.b)) / (1.0 + p.b_norm)
+    eta2 = dist_psd(X, checked=True) / (1.0 + frob(X))
+    eta3 = frob(p.C - apply_Astar(p, y) - Z) / (1.0 + p.C_norm)
+    eta4 = dist_psd(Z, checked=True) / (1.0 + frob(Z))
     gap_scale = 1.0 + (abs(d_star) if d_star is not None else abs(by))
     eta5 = abs(cx - by) / gap_scale
     eps1 = abs(cx - p_star) / (1.0 + abs(p_star)) if p_star is not None else None
@@ -271,7 +280,8 @@ class KnownSolutionInstance:
     each to CERTIFY_TOL. ``primal_unique``/``dual_unique`` record whether the
     respective solution set provably collapses to the certified point (see
     :func:`solution_uniqueness`); distance-to-solution bookkeeping is only
-    meaningful on the unique side.
+    meaningful on the unique side. ``w_star`` is the pair (y_star, z_star)
+    as a :class:`DualPoint`, built once.
     """
 
     problem: SdpProblem
@@ -281,12 +291,14 @@ class KnownSolutionInstance:
     p_star: float
     primal_unique: bool = True
     dual_unique: bool = True
+    w_star: DualPoint = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "x_star", check_symmetric(self.x_star, name="x_star"))
         object.__setattr__(self, "y_star", np.asarray(self.y_star, dtype=float))
         object.__setattr__(self, "z_star", check_symmetric(self.z_star, name="z_star"))
         self.certify()
+        object.__setattr__(self, "w_star", DualPoint(y=self.y_star, Z=self.z_star))
         pu, du = solution_uniqueness(self)
         object.__setattr__(self, "primal_unique", pu)
         object.__setattr__(self, "dual_unique", du)
@@ -306,10 +318,6 @@ class KnownSolutionInstance:
         if bad:
             raise CertificationError(f"certification failed: {bad}")
         return checks
-
-    @property
-    def w_star(self):
-        return DualPoint(y=self.y_star, Z=self.z_star)
 
     def dist_primal(self, X):
         """Distance to the primal solution set (valid when primal_unique)."""

@@ -183,12 +183,15 @@ def project_psd(X):
     return symmetrize(P)
 
 
-def dist_psd(X):
+def dist_psd(X, *, checked=False):
     """Frobenius distance from X to the PSD cone.
 
-    Equals the root of the sum of squared negative eigenvalues.
+    Equals the root of the sum of squared negative eigenvalues. ``checked``
+    says that X already passed :func:`check_symmetric`, which then does not
+    run again.
     """
-    X = check_symmetric(X)
+    if not checked:
+        X = check_symmetric(X)
     lam = np.linalg.eigvalsh(X)
     neg = np.minimum(lam, 0.0)
     return _scalar(np.sqrt(np.sum(neg * neg, axis=-1)))
