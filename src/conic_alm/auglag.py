@@ -197,16 +197,17 @@ def _primal_solve(p, r, rho, lam, Q, G):
     :func:`_lm_rho`. In the eigenbasis Q the last two terms act entrywise
     as F = r Omega + rho, so Woodbury leaves one m x m system,
     I / r + R diag(1 / vec F) R' with row i of R the flattened Q' A_i Q.
-    The n^2 x n^2 Hessian is never formed; one solve costs
-    O(m n^3 + m^2 n^2).
+    K is factored once, as W = K^-1 R diag(1 / vec F), for the Woodbury step
+    and both refinement steps. The n^2 x n^2 Hessian is never formed; one
+    solve costs O(m n^3 + m^2 n^2).
     """
     rot = p.operator.rotated(Q)
     F = r * _omega(lam).ravel() + rho
     scaled = rot / F
-    K = np.eye(p.m) / r + scaled @ rot.T
+    W = np.linalg.solve(np.eye(p.m) / r + scaled @ rot.T, scaled)
 
     def woodbury(rhs):
-        return (rhs - np.linalg.solve(K, scaled @ rhs) @ rot) / F
+        return (rhs - (W @ rhs) @ rot) / F
 
     D_rot = _refine(woodbury, lambda D: r * ((rot @ D) @ rot), F, (Q.T @ G @ Q).ravel())
     return _unrotate(Q, D_rot.reshape(p.n, p.n))

@@ -116,7 +116,9 @@ def minimize_auglag(oracle, start, tol, max_iter=10000, diameter_bound=None, acc
             result = result_at((gn, x, fx, update), True)
             if accept is None or accept(result):
                 return result
-        if it >= max_iter:
+        # Certificate floor: once ||g|| D is within the value's resolution,
+        # no step can show a descent that would cut the certificate further
+        if gn * diameter_bound <= 1e-14 * (1.0 + abs(fx)) or it >= max_iter:
             break
         # Value-resolution floor: two Newton steps past the last resolvable
         # descent take ||g|| to its rounding floor, so a third iteration
