@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import apply_A, apply_Astar, inner as _inner
-from .symcone import (check_symmetric, dist_psd, dist_to_face, eig_sym, exact_penalty,
+from .symcone import (check_symmetric, dist_psd, dist_to_face, exact_penalty,
                       face_basis, frob, project_psd, rowdot, signed_ranks, symmetrize)
 
 # Most points a sampler draws and evaluates in one block; the cap bounds the
@@ -573,11 +573,15 @@ def _project_capped_simplex(v, beta):
 
 
 def _prox_spectral_penalty(V, rho):
-    """Proximal map of rho * max(0, lambda_max(-.)) via eigenvalues."""
-    dec = eig_sym(V)
-    shift = _project_capped_simplex(-dec.eigenvalues, rho)
-    lam = dec.eigenvalues + shift
-    return symmetrize((dec.eigenvectors * lam) @ dec.eigenvectors.T)
+    """Proximal map of rho * max(0, lambda_max(-.)) via eigenvalues.
+
+    The prox is unique and the simplex projection sorts its input, so the
+    raw LAPACK decomposition serves: no eigenvalue order, eigenvector sign
+    or basis of a repeated eigenvalue changes the result beyond rounding.
+    """
+    lam, Q = np.linalg.eigh(V)
+    lam = lam + _project_capped_simplex(-lam, rho)
+    return symmetrize((Q * lam) @ Q.T)
 
 
 def minimize_penalized_affine(p, rho, stop_below=None):

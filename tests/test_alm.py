@@ -134,6 +134,21 @@ class TestGroundTruth:
             assert b.dist_x is None and b.dist_w is None and b.dist_w_before is None
             assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
 
+    @pytest.mark.parametrize("form", ["primal", "dual"])
+    def test_distance_before_is_carried_forward(self, form):
+        # the multiplier before step k is the one recorded at k - 1, so its
+        # distance is that record's, bit for bit; the first is the start's
+        inst = synth_known_solution(n=4, m=4, rank_x=2, seed=2)
+        if form == "primal":
+            trace = quiet(solve_primal_alm, inst, zero_dual(inst.problem), AlmConfig(max_outer=8))
+            first, after = inst.dist_dual(trace.start_point), "dist_w"
+        else:
+            trace = quiet(solve_dual_alm, inst, np.eye(4), AlmConfig(max_outer=8))
+            first, after = inst.dist_primal(trace.start_point), "dist_x"
+        assert trace.records[0].dist_w_before == first
+        for prev, rec in zip(trace.records, trace.records[1:]):
+            assert rec.dist_w_before == getattr(prev, after)
+
 
 class TestDualDriver:
     def test_toy_instance(self, toy):
@@ -453,6 +468,17 @@ class TestNewtonSteps:
         uncertified = [rec.inner_iterations for rec in trace.records if not rec.certified]
         assert len(trace.records) == 100 and len(uncertified) >= 50
         assert max(uncertified) <= 10
+
+    def test_c3_solve_steps(self):
+        # the C3-shaped CLI solve (synth seed 100, n = 3, r = 1, 100 outer
+        # iterations, every one of which runs): an uncertified solve ends at
+        # the first iterate whose certificate ||g|| D is within the value's
+        # resolution; running on until the value-floor window took 324 steps
+        inst = synth_known_solution(n=3, m=3, rank_x=1, seed=100)
+        trace = quiet(solve_primal_alm, inst, zero_dual(inst.problem),
+                      AlmConfig(r_growth=1.0, max_outer=100, stop_eps3=1e-13))
+        assert len(trace.records) == 100
+        assert sum(rec.inner_iterations for rec in trace.records) <= 280
 
     @pytest.mark.parametrize("name,outer", [("maxcut-g1-20", 13), ("maxcut-g2-20", 14),
                                             ("maxcut-g3-20", 13)])

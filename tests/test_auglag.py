@@ -232,6 +232,7 @@ def check_primal_solve(p, r, rng, log_scale, spectrum="mixed"):
     rho = max(r * min(1.0, frob(G) / (1.0 + frob(p.C))) ** 2, floor)
     K = primal_hessian_matrix(p, w, r, X) + rho * np.eye(p.n * p.n)
     assert_solves(K, D.ravel(), G.ravel())
+    return rho, floor
 
 
 def check_dual_solve(p, r, rng, log_scale, spectrum="mixed"):
@@ -256,6 +257,22 @@ class TestSdpNewtonSolves:
         # rho = r min(1, ||G|| / (1 + ||C||))^2 takes both branches and meets
         # its floor over the drawn scales
         check_primal_solve(*case, log_scale)
+
+    # the acceptance shapes n -> (m, rank_x); instance n has seed 100 + n - 3
+    @pytest.mark.parametrize("n,m,rank_x", [(3, 3, 1), (4, 5, 2), (5, 6, 2), (6, 8, 3),
+                                            (7, 9, 3), (8, 12, 4)])
+    @pytest.mark.parametrize("r", [1.0, 10.0])
+    def test_primal_solve_acceptance_shapes(self, n, m, rank_x, r):
+        # the dense solve at the shapes the certified study runs (n = 6 lies
+        # beyond the drawn strategy's n <= 4): tiny residuals G put rho at its
+        # floor, where the Woodbury step needs its refinement, and large ones
+        # put it at r
+        p = synth_known_solution(n=n, m=m, rank_x=rank_x, seed=100 + n - 3).problem
+        rng = np.random.default_rng(n)
+        for log_scale, at_floor in ((-16.0, True), (2.0, False)):
+            for _ in range(3):
+                rho, floor = check_primal_solve(p, r, rng, log_scale)
+                assert rho == (floor if at_floor else r)
 
     @given(certified_subproblems(max_n=4), st.floats(-16.0, 2.0))
     def test_dual_solve(self, case, log_scale):

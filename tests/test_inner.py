@@ -335,6 +335,47 @@ class TestNewton:
         assert not res.converged and res.grad_norm > 1.7
 
 
+class TestCertificateFloor:
+    """A solve ends at the first iterate whose certificate ||g|| D is within
+    the value's resolution 1e-14 (1 + |f|), unless the stop test holds there."""
+
+    @staticmethod
+    def decimating(solves, evals):
+        # f = 10 x and g = 3 x, with unit Newton steps to x / 10: every
+        # descent stays resolvable in the value, and the certificate 3 x_k =
+        # 3e-k first falls within the resolution at k = 15
+        def obj(x):
+            evals.append(x.copy())
+            return (10.0 * float(x[0]), 3.0 * x,
+                    lambda g: solves.append(x.copy()) or 0.9 * x, no_update)
+        return obj
+
+    def test_ends_at_the_first_iterate_within_the_resolution(self):
+        solves, evals = [], []
+        res = minimize_auglag(self.decimating(solves, evals), np.ones(1), tol=1e-30,
+                              diameter_bound=1.0)
+        assert not res.converged and res.iterations == 15
+        assert res.minimizer.tobytes() == evals[-1].tobytes()
+        assert res.gap_upper_bound <= 1e-14 * (1.0 + abs(res.value))
+        assert all(3.0 * x[0] > 1e-14 * (1.0 + 10.0 * x[0]) for x in evals[:-1])
+        # the exit iterate runs no solve, so no trial point follows it
+        assert len(solves) == 15 and len(evals) == 16
+        assert solves[-1].tobytes() == evals[-2].tobytes()
+
+    @pytest.mark.parametrize("accepted", [True, False])
+    def test_stop_test_takes_priority(self, accepted):
+        # at k = 15 the certificate 3e-15 also meets tol: the stop test asks
+        # accept first, and only a rejected result falls to the floor exit
+        solves, evals, seen = [], [], []
+        res = minimize_auglag(self.decimating(solves, evals), np.ones(1), tol=5e-15,
+                              diameter_bound=1.0,
+                              accept=lambda cand: seen.append(cand) or accepted)
+        assert len(seen) == 1 and res.converged == accepted
+        assert res.iterations == 15 and len(solves) == 15
+        assert res.minimizer.tobytes() == seen[0].minimizer.tobytes()
+        assert (res is seen[0]) == accepted
+
+
 class TestCriteria:
     def test_zero_gap_always_passes_A(self):
         res = _result(gap=0.0)

@@ -116,6 +116,27 @@ class TestKktResiduals:
         assert res.eta4 == pytest.approx(dist_psd(Z) / (1 + frob(Z)), abs=1e-12)
         assert res.eps3 == max(res.eta1, res.eta2, res.eta3, res.eta4, res.eta5)
 
+    @pytest.mark.parametrize("bad", ["asymmetric", "nan", "inf"])
+    def test_rejects_bad_X(self, certified5, bad):
+        # X is validated once, on entry; the cone residual's own eigenvalue
+        # pass relies on that check
+        p = certified5.problem
+        X = certified5.x_star.copy()
+        if bad == "asymmetric":
+            X[0, 1] += 1e-12
+        else:
+            X[1, 1] = np.nan if bad == "nan" else np.inf
+        with pytest.raises(ValueError, match="^X "):
+            kkt_residuals(p, X, certified5.w_star)
+
+    def test_norms_computed_once(self, certified5):
+        # the residuals' scales are the problem's own ||b|| and ||C||, bit for bit
+        p = certified5.problem
+        assert p.b_norm == float(np.linalg.norm(p.b)) and p.C_norm == frob(p.C)
+        res = kkt_residuals(p, certified5.x_star, certified5.w_star)
+        assert res.eta1 == float(np.linalg.norm(apply_A(p, certified5.x_star) - p.b)) / (
+            1.0 + float(np.linalg.norm(p.b)))
+
 
 class TestMaxcutInstance:
     def test_two_node_construction(self):
@@ -234,6 +255,13 @@ class TestSynthKnownSolution:
             KnownSolutionInstance(problem=toy.problem, x_star=np.eye(2),
                                   y_star=toy.y_star, z_star=toy.z_star,
                                   p_star=toy.p_star)
+
+    def test_w_star_built_once(self, certified5):
+        # one validated DualPoint per instance, not one per distance query
+        w_star = certified5.w_star
+        assert w_star is certified5.w_star
+        assert w_star.y is certified5.y_star and w_star.Z is certified5.z_star
+        assert certified5.dist_dual(w_star) == 0.0
 
     def test_uniqueness_flags(self, toy, certified5):
         # the toy and the (5, 6, 2) instance have singleton solution sets

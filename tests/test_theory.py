@@ -6,7 +6,7 @@ import pytest
 
 from conic_alm import theory
 from conic_alm.model import KnownSolutionInstance, SdpProblem, synth_known_solution
-from conic_alm.symcone import exact_penalty, face_basis, frob, project_psd, symmetrize
+from conic_alm.symcone import eig_sym, exact_penalty, face_basis, frob, project_psd, symmetrize
 from conic_alm.theory import (check_strict_complementarity, check_trace_bound,
                               exact_penalty_equivalence, minimize_penalized_affine,
                               no_sharp_growth_curve, verify_eb_primal,
@@ -527,3 +527,34 @@ class TestExactPenaltyEquivalence:
         X, value = minimize_penalized_affine(toy.problem, rho=4.0)
         assert frob(X - toy.x_star) <= 1e-8
         assert value == pytest.approx(0.0, abs=1e-10)
+
+
+def prox_by_eig_sym(V, rho):
+    """The spectral penalty prox from the canonical decomposition eig_sym."""
+    dec = eig_sym(V)
+    lam = dec.eigenvalues + theory._project_capped_simplex(-dec.eigenvalues, rho)
+    return symmetrize((dec.eigenvectors * lam) @ dec.eigenvectors.T)
+
+
+class TestSpectralPenaltyProx:
+    """The prox takes LAPACK's eigh as it comes: it is unique, and the simplex
+    projection sorts, so order, signs and cluster bases do not matter."""
+
+    SPECTRA = [None, [-2.0, -2.0, -2.0, 1.0, 1.0], [-1.0] * 5, [-3.0, -1.0, -1.0, 0.0, 0.0],
+               [2.0, 2.0, 0.5, 0.5, 0.5]]
+
+    @pytest.mark.parametrize("spectrum", SPECTRA)
+    @pytest.mark.parametrize("rho", [0.5, 2.0, 4.0, 10.0])
+    def test_matches_canonical_decomposition(self, rng, spectrum, rho):
+        # with a repeated eigenvalue eigh returns an arbitrary basis of its
+        # eigenspace and eig_sym a canonical one; the prox agrees either way,
+        # whether or not rho caps the shift of a repeated eigenvalue
+        for _ in range(5):
+            if spectrum is None:
+                V = symmetrize(rng.standard_normal((5, 5)))
+            else:
+                Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+                V = symmetrize((Q * np.array(spectrum)) @ Q.T)
+            got = theory._prox_spectral_penalty(V, rho)
+            assert got.tobytes() == got.T.tobytes()
+            assert frob(got - prox_by_eig_sym(V, rho)) <= 1e-12 * (1.0 + frob(V))
