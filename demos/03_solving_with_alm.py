@@ -9,16 +9,12 @@ each multiplier update. With a certified instance attached, the trace also
 records true distances to the solution, which decay geometrically.
 """
 
-import warnings
-
 import numpy as np
 
 from conic_alm import (AlmConfig, fit_linear_rate, pre_floor_window,
                        solve_dual_alm, solve_ineq_alm, solve_primal_alm,
                        synth_known_solution, zero_dual)
 from conic_alm.fixtures import maxcut_fixture, svm_fixture
-
-warnings.simplefilter("ignore", RuntimeWarning)
 
 # --- primal form on a certified instance ----------------------------------
 inst = synth_known_solution(n=5, m=6, rank_x=2, seed=7)

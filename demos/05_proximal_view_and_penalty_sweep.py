@@ -10,14 +10,10 @@ affine feasibility down faster early on, but does not necessarily win the
 long run.
 """
 
-import warnings
-
 import numpy as np
 
 from conic_alm import (AlmConfig, ppm, solve_primal_alm, synth_known_solution,
                        verify_ppm_alm_link, zero_dual)
-
-warnings.simplefilter("ignore", RuntimeWarning)
 
 inst = synth_known_solution(n=4, m=5, rank_x=2, seed=31)
 

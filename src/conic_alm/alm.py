@@ -13,8 +13,8 @@ the form's oracle returns.
 The penalty sequence grows geometrically up to a finite cap. When the
 criteria cannot be certified (their targets eventually sink below the
 floating-point floor of the subproblem) the solve ends at that floor or at
-its own exits, the loop keeps the iterate it returns, flags the record, and
-warns once at the end of the run.
+its own exits, and the loop keeps the iterate it returns and flags the
+record (``certified``).
 
 Also here: a generic inexact proximal point loop used to cross-check the
 correspondence between multiplier updates and proximal steps on the dual
@@ -22,7 +22,6 @@ function, the per-iteration verifier of that correspondence, and a
 least-squares estimator of empirical linear convergence rates.
 """
 
-import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -139,7 +138,6 @@ class AlmTrace:
     config: AlmConfig
     records: list = field(default_factory=list)
     converged: bool = False
-    warnings: list = field(default_factory=list)
     start_point: object = None
 
     def series(self, key):
@@ -186,14 +184,6 @@ def _outer_loop(trace, cfg, p, objective, diameter_of, record, x, w):
         if rec.residuals.eps3 <= cfg.stop_eps3:
             trace.converged = True
             break
-    n_bad = sum(1 for rec in trace.records if not rec.certified)
-    if n_bad:
-        msg = (f"{trace.form} run on {trace.problem_name!r}: {n_bad} of "
-               f"{len(trace.records)} outer iterations accepted without certified "
-               "inexactness criteria (targets below the attainable gap)")
-        trace.warnings.append(msg)
-        # points at the caller of the public solve_*_alm function
-        warnings.warn(msg, RuntimeWarning, stacklevel=3)
     return trace
 
 

@@ -72,8 +72,8 @@ def primal_objective(p, w, r):
         u = y + r * (b - apply(X))
         lam, Q = np.linalg.eigh(Z - r * X)
         pos = np.maximum(lam, 0.0)
-        # the GEMM rounds P off symmetry; an exactly symmetric gradient keeps
-        # a gradient step X - t*grad symmetric
+        # the GEMM rounds P off symmetry; update()'s DualPoint(Z=P) needs an
+        # exactly symmetric P
         P = symmetrize((Q * pos) @ Q.T)
         val = float(c @ X.ravel()) + (float(u @ u) + float(pos @ pos) - offset) / (2.0 * r)
         grad = C - adjoint(u) - P
@@ -307,29 +307,22 @@ def default_diameter(p, X):
     return 2.0 * (1.0 + frob(np.asarray(X)) + p.b_norm + p.C_norm)
 
 
-def dual_gap_lower_bound(p, w, X_trial, r, diameter_bound=None):
-    """Certified lower bound on min_X L_r(X, w).
+def dual_gap_lower_bound(p, w, X_trial, r):
+    """Proven lower bound on min_X L_r(X, w), or -inf when none is at hand.
 
     Forms the candidate dual point u = (y + r(b - A(X)), proj_psd(Z - rX)).
     Its violation of the dual affine identity C - A*(u_y) - u_Z = 0 equals
     grad_X L_r(X_trial, w); when its norm is at most 1e-11 (1 + ||C||) the
     Moreau-envelope value g0(u) - ||u - w||^2 / (2r) is returned (a true
     lower bound since the envelope is a maximum over dual points). Otherwise
-    falls back to the convexity bound L_r(X_trial, w) - ||grad|| *
-    diameter_bound, valid whenever the subproblem minimizer lies within
-    diameter_bound of X_trial.
+    u is not dual-feasible and the bound is -inf.
     """
     _check_r(r)
     X_trial = check_symmetric(X_trial, name="X_trial")
-    if diameter_bound is None:
-        diameter_bound = default_diameter(p, X_trial)
     u_y = w.y + r * (p.b - apply_A(p, X_trial))
     u_Z = project_psd(w.Z - r * X_trial)
-    residual = symmetrize(p.C - apply_Astar(p, u_y) - u_Z)
-    res_norm = frob(residual)
-    if res_norm <= 1e-11 * (1.0 + p.C_norm):
-        g0 = float(p.b @ u_y)
-        dy = u_y - w.y
-        dZ = u_Z - w.Z
-        return g0 - (float(dy @ dy) + inner(dZ, dZ)) / (2.0 * r)
-    return eval_L_primal(p, X_trial, w, r) - res_norm * diameter_bound
+    if frob(symmetrize(p.C - apply_Astar(p, u_y) - u_Z)) > 1e-11 * (1.0 + p.C_norm):
+        return -np.inf
+    dy = u_y - w.y
+    dZ = u_Z - w.Z
+    return float(p.b @ u_y) - (float(dy @ dy) + inner(dZ, dZ)) / (2.0 * r)

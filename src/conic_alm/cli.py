@@ -2,7 +2,8 @@
 
 ``solve`` runs one ALM driver on a builtin or SDPA-file instance and writes
 ``trace.csv`` (one row per outer iteration) plus ``summary.json`` (final
-residuals, fitted rates, wall time, and the reproducibility manifest).
+residuals, fitted rates, the count of uncertified iterations, wall time,
+and the reproducibility manifest).
 ``verify`` runs one of the property verifiers and writes ``report.json``.
 ``bench`` sweeps the initial penalty over a list of values, writing one trace
 per value and a side-by-side CSV of the KKT residual series.
@@ -24,7 +25,6 @@ import argparse
 import json
 import sys
 import time
-import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -38,7 +38,7 @@ from .sdpa import SdpaFormatError, sdpa_read
 
 ARTIFACT_VERSION = "0.1.0"
 TRACE_SCHEMA = "conic-alm-trace-v1"
-SUMMARY_SCHEMA = 1
+SUMMARY_SCHEMA = 2
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 2
@@ -107,7 +107,7 @@ def write_summary(trace, path, manifest, wall_time):
         "converged": trace.converged,
         "final_residuals": residuals,
         "fitted_rates": rates,
-        "warnings": list(trace.warnings),
+        "uncertified_iterations": sum(not rec.certified for rec in trace.records),
         "wall_time_sec": wall_time,
     }
     Path(path).write_text(json.dumps(summary, indent=2, default=float) + "\n")
@@ -173,9 +173,7 @@ def cmd_solve(args):
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
     start = time.perf_counter()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        trace = _run_solver(instance, args.form, cfg)
+    trace = _run_solver(instance, args.form, cfg)
     wall = time.perf_counter() - start
     write_trace_csv(trace, out / "trace.csv")
     write_summary(trace, out / "summary.json", manifest, wall)
@@ -249,10 +247,8 @@ def _run_verifier(name, args):
         report = {"rank_x": rep.rank_x, "rank_z": rep.rank_z, "n": rep.n,
                   "holds": rep.holds}
     elif name == "ppm-alm-link":
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            trace = solve_primal_alm(inst, zero_dual(inst.problem),
-                                     AlmConfig(max_outer=args.max_outer))
+        trace = solve_primal_alm(inst, zero_dual(inst.problem),
+                                 AlmConfig(max_outer=args.max_outer))
         rep = verify_ppm_alm_link(inst.problem, trace)
         ok = rep.ok
         report = {"iterations": len(rep.rows), "violations": len(rep.violations)}
@@ -292,11 +288,7 @@ def cmd_bench(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    traces = {}
-    for r0, cfg in configs.items():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            traces[r0] = _run_solver(instance, args.form, cfg)
+    traces = {r0: _run_solver(instance, args.form, cfg) for r0, cfg in configs.items()}
     all_ok = True
     for r0, trace in traces.items():
         write_trace_csv(trace, out / f"trace-r{_fmt(r0)}.csv")

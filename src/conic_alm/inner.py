@@ -5,16 +5,14 @@ returns, with its value and gradient at x, a solve g -> d of a regularized
 generalized Hessian system at x and a lazy multiplier step at x
 (``auglag.*_objective``). Each step uses the solve that came back with the
 current iterate: it tries the unit step along -d and backtracks on the
-Armijo test with g.d in place of ||g||^2. If g.d is not positive and
-finite, the step is a plain gradient step from the same unit length, which
-no objective of this package takes. A Newton step is also
-accepted at the value floor: when its value is within 1e-14 (1 + |f|) of f,
-the Armijo test cannot resolve a decrease, and the step is taken if it cuts
-||g|| by a relative 1e-4, so solves are monotone only up to the value's
-rounding. On a piecewise-quadratic objective Newton is a finite active-set
-method (as in SSNAL, Li, Sun & Toh 2018); on the SDP forms it is the
-semismooth Newton method of SDPNAL (Zhao, Sun & Toh 2010). Either way the
-optimality certificate is the convexity bound
+Armijo test with g.d in place of ||g||^2. A step is also accepted at the
+value floor: when its value is within 1e-14 (1 + |f|) of f, the Armijo test
+cannot resolve a decrease, and the step is taken if it cuts ||g|| by a
+relative 1e-4, so solves are monotone only up to the value's rounding. On a
+piecewise-quadratic objective Newton is a finite active-set method (as in
+SSNAL, Li, Sun & Toh 2018); on the SDP forms it is the semismooth Newton
+method of SDPNAL (Zhao, Sun & Toh 2010). Either way the optimality
+certificate is the convexity bound
 
     L(x) - min L <= ||grad L(x)|| * D
 
@@ -30,13 +28,14 @@ The loop has five exits: the stop test (the certificate within the
 tolerance, and ``accept``) holds; the certificate ||g|| D is within the
 value's resolution 1e-14 (1 + |f|) (the certificate floor); no resolvable
 descent in the value for 3 iterations (the value floor); the line search
-cannot move x, because it found no acceptable step or because ``x - t*d``
-rounds to ``x`` (a null move: x, its value and gradient stay as they were);
-and ``max_iter``. At the certificate floor the convexity bound already says
-that no step can lower the value by a resolvable amount, so the solve ends
-there rather than running on to the value floor (on the C3 study this cut
-the evaluations from 894 to 679 at benchmark seed 1, with the same outer
-iterations). The value-floor window is short because a Newton step taken
+cannot move x, because the solve gives no descent direction (g.d not
+positive and finite), because it found no acceptable step, or because
+``x - t*d`` rounds to ``x`` (a null move: x, its value and gradient stay as
+they were); and ``max_iter``. At the certificate floor the convexity bound
+already says that no step can lower the value by a resolvable amount, so the
+solve ends there rather than running on to the value floor (on the C3 study
+this cut the evaluations from 894 to 679 at benchmark seed 1, with the same
+outer iterations). The value-floor window is short because a Newton step taken
 once the value stops resolving descent squares the relative residual: two
 such steps bring ||g|| to its rounding floor, and further steps only redraw
 the rounding noise there (on the C3 study they left ||g|| between 1e-15 and
@@ -85,14 +84,15 @@ def minimize_auglag(oracle, start, tol, max_iter=10000, diameter_bound=None, acc
     generalized) Hessian at the point; it and ``update()`` run only when
     needed, the solve at most once per accepted point. Each step cuts the
     trial step from t = 1 until the Armijo test (constant 1e-4) holds, at
-    most 60 times: by half, or along a Newton direction by a tenth when the
-    quadratic interpolant of the value puts its minimizer below t/10 (the
-    unit step overshoots grossly, as a Newton step on a singular Hessian
-    regularized by a tiny ridge does). The stop test holds at an iterate
-    whose certified gap is <= tol and, if ``accept`` is given, of whose
-    result ``accept(result)`` is true. Every other exit in the module
-    docstring returns the iterate of least gradient norm with
-    converged=False. ``iterations`` counts accepted moves.
+    most 60 times: by half, or by a tenth when the quadratic interpolant of
+    the value puts its minimizer below t/10 (the unit step overshoots
+    grossly, as a Newton step on a singular Hessian regularized by a tiny
+    ridge does). A solve whose g.d is not positive and finite ends the solve
+    with no step taken. The stop test holds at an iterate whose certified
+    gap is <= tol and, if ``accept`` is given, of whose result
+    ``accept(result)`` is true. Every other exit in the module docstring
+    returns the iterate of least gradient norm with converged=False.
+    ``iterations`` counts accepted moves.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -135,35 +135,32 @@ def minimize_auglag(oracle, start, tol, max_iter=10000, diameter_bound=None, acc
             since_descent += 1
             if since_descent > 2:
                 break
-        # The Armijo decrease 1e-4 t g.d is written 1e-4 t slope ||g|| with
-        # slope = g.d / ||g||; its rounding is part of every recorded run
         d = solve(g)
         gd = float(np.vdot(g, d).real)
-        newton = gd > 0 and np.isfinite(gd)
-        if newton:
-            slope, f_cap = gd / gn, fx + 1e-14 * (1.0 + abs(fx))
-        else:
-            # the solve does not descend: take the gradient step, with no
-            # value-floor acceptance
-            d, slope, f_cap = g, gn, -np.inf
+        if not (gd > 0 and np.isfinite(gd)):
+            # no descent direction: the search cannot move x
+            break
+        # The Armijo decrease 1e-4 t g.d is written 1e-4 t slope ||g|| with
+        # slope = g.d / ||g||; its rounding is part of every recorded run
+        slope, f_cap = gd / gn, fx + 1e-14 * (1.0 + abs(fx))
         t, backtracks = 1.0, 0
         while True:
             x_new = x - t * d
             f_new, g_new, solve_new, update_new = oracle(x_new)
             finite = np.isfinite(f_new)
-            # value floor: a Newton step that moves the value by less than
-            # its rounding is accepted when it cuts ||g||
+            # value floor: a step that moves the value by less than its
+            # rounding is accepted when it cuts ||g||
             floor_move = finite and f_new <= f_cap and _norm(g_new) <= (1.0 - 1e-4) * gn
             if ((finite and f_new <= fx - 1e-4 * t * slope * gn) or floor_move
                     or backtracks == 60):
                 break
-            # Cut t to t/10 when the Newton trial value rose above its rounding
+            # Cut t to t/10 when the trial value rose above its rounding
             # and the quadratic through f, the slope -g.d at t = 0 and f_new
             # has its minimizer below t/10, else halve: the safeguards of
             # Nocedal & Wright's interpolating backtrack (sec. 3.5) without
             # its interior step, which on the semismooth SDP forms falls short
             # of the steps that pass
-            if newton and f_new > f_cap and gd * t < 0.2 * (f_new - fx + t * gd):
+            if f_new > f_cap and gd * t < 0.2 * (f_new - fx + t * gd):
                 t *= 0.1
             else:
                 t *= 0.5

@@ -119,11 +119,10 @@ class SdpProblem:
     """Standard-form SDP data: minimize <C, X> s.t. <A_i, X> = b_i, X PSD.
 
     ``constraint_mats`` is stacked with shape (m, n, n) and stored
-    C-contiguous; ``A_flat`` is its (m, n*n) view, row i = vec(A_i).
-    Construction symmetry-checks every matrix, verifies the A_i are
-    numerically linearly independent, and keeps the Gram matrix of that
-    check in ``operator``: a :class:`SparseOperator` when the A_i have at
-    most m n nonzeros in all (max-cut has n), else a
+    C-contiguous. Construction symmetry-checks every matrix, verifies the
+    A_i are numerically linearly independent, and keeps the Gram matrix of
+    that check in ``operator``: a :class:`SparseOperator` when the A_i have
+    at most m n nonzeros in all (max-cut has n), else a
     :class:`DenseOperator`. ``b_norm`` and ``C_norm`` are ||b|| and ||C||_F,
     which scale the residuals, the Newton regularization and the diameter
     bounds; they are computed once here.
@@ -133,7 +132,6 @@ class SdpProblem:
     constraint_mats: np.ndarray
     b: np.ndarray
     name: str = "sdp"
-    A_flat: np.ndarray = field(init=False, repr=False, compare=False)
     operator: DenseOperator | SparseOperator = field(init=False, repr=False,
                                                      compare=False)
     b_norm: float = field(init=False, repr=False, compare=False)
@@ -160,7 +158,6 @@ class SdpProblem:
         operator = (SparseOperator if sparse else DenseOperator)(mats, gram)
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "constraint_mats", mats)
-        object.__setattr__(self, "A_flat", V)
         object.__setattr__(self, "operator", operator)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "b_norm", float(np.linalg.norm(b)))

@@ -67,18 +67,9 @@ def _solve(G, rhs):
     return np.linalg.solve(G, rhs[..., None])[..., 0]
 
 
-def _gram_solve(p):
-    gram = p.operator.gram
-
-    def solve(rhs):
-        return _solve(gram, rhs)
-
-    return solve
-
-
-def _project_affine(p, X, solve):
+def _project_affine(p, X):
     """Least-squares correction of X onto the primal affine set A(X) = b."""
-    return symmetrize(X - apply_Astar(p, solve(apply_A(p, X) - p.b)))
+    return symmetrize(X - apply_Astar(p, _solve(p.operator.gram, apply_A(p, X) - p.b)))
 
 
 def _sym_noise(rng, n, sigma, count):
@@ -184,11 +175,10 @@ def verify_qg_primal(inst, gamma=None, ball_radius=1.0, samples=2000,
         gamma = _default_gamma(inst)
     if use_penalty and (rho is None or not rho > float(np.trace(inst.z_star)) + 1e-9):
         raise ValueError("penalty variant needs rho > tr(z_star)")
-    solve = _gram_solve(p)
 
     def draw(rng, sigma, count):
         X = inst.x_star + _sym_noise(rng, p.n, sigma, count)
-        X = _project_affine(p, X, solve)
+        X = _project_affine(p, X)
         if not use_penalty:
             X = project_psd(X)
         return X, _squares(frob(X - inst.x_star))
@@ -596,11 +586,10 @@ def minimize_penalized_affine(p, rho, stop_below=None):
     can be unbounded, and detecting the drop is all a negative control
     needs). Returns (minimizer, value).
     """
-    solve = _gram_solve(p)
-    s = _project_affine(p, np.zeros((p.n, p.n)), solve)
+    s = _project_affine(p, np.zeros((p.n, p.n)))
     x = s
     for it in range(50000):
-        x = _project_affine(p, s - p.C, solve)
+        x = _project_affine(p, s - p.C)
         z = _prox_spectral_penalty(symmetrize(2.0 * x - s), rho)
         gap = frob(z - x)
         s = symmetrize(s + z - x)
@@ -609,7 +598,7 @@ def minimize_penalized_affine(p, rho, stop_below=None):
         if stop_below is not None and it % 50 == 0:
             if _inner(p.C, x) + exact_penalty(x, rho) < stop_below:
                 break
-    x = _project_affine(p, s - p.C, solve)
+    x = _project_affine(p, s - p.C)
     value = _inner(p.C, x) + exact_penalty(x, rho)
     return x, value
 

@@ -123,15 +123,22 @@ def psd_projection_jacobian(M):
     return (K * divided_differences(lam).ravel()) @ K.T
 
 
+def flat_constraints(p):
+    """The (m, n*n) matrix whose row i is vec(A_i)."""
+    return p.constraint_mats.reshape(p.m, -1)
+
+
 def primal_hessian_matrix(p, w, r, X):
     """r A'A + r Pi'(Z - rX) of the primal-form subproblem, n^2 x n^2."""
-    return r * p.A_flat.T @ p.A_flat + r * psd_projection_jacobian(w.Z - r * X)
+    flat = flat_constraints(p)
+    return r * flat.T @ flat + r * psd_projection_jacobian(w.Z - r * X)
 
 
 def dual_hessian_matrix(p, X, r, y):
     """r A Pi'(X - r(C - A*(y))) A* of the dual-form subproblem, m x m."""
     M = X - r * (p.C - apply_Astar(p, y))
-    return r * p.A_flat @ psd_projection_jacobian(M) @ p.A_flat.T
+    flat = flat_constraints(p)
+    return r * flat @ psd_projection_jacobian(M) @ flat.T
 
 
 def ineq_hessian_matrix(q, z, r, x):
@@ -341,7 +348,8 @@ def verify_qg_dual_reference(inst, gamma=None, ball_radius=1.0, samples=2000,
         return value
 
     rng = np.random.default_rng(seed)
-    lhs_mat = np.eye(p.m) + p.A_flat @ p.A_flat.T
+    flat = flat_constraints(p)
+    lhs_mat = np.eye(p.m) + flat @ flat.T
     sigma = ball_radius / 3.0
     kept = 0
     while kept < samples:

@@ -6,7 +6,6 @@ lines. Criteria with wall-clock budgets assert them via perf_counter.
 
 import dataclasses
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -34,12 +33,6 @@ from oracles import fd_grad_sym, fd_grad_vec
 RATE_SHAPES = {3: (3, 1), 4: (5, 2), 5: (6, 2), 6: (8, 3), 7: (9, 3), 8: (12, 4)}
 
 
-def quiet(fn, *args, **kwargs):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return fn(*args, **kwargs)
-
-
 @pytest.fixture(scope="module")
 def rate_traces():
     """20 certified instances (n in 3..8) solved at fixed penalty r = 1."""
@@ -51,7 +44,7 @@ def rate_traces():
         m, rank_x = RATE_SHAPES[n]
         inst = synth_known_solution(n=n, m=m, rank_x=rank_x, seed=100 + i)
         assert inst.primal_unique and inst.dual_unique
-        trace = quiet(solve_primal_alm, inst, zero_dual(inst.problem), cfg)
+        trace = solve_primal_alm(inst, zero_dual(inst.problem), cfg)
         out.append((inst, trace))
     return out
 
@@ -60,8 +53,8 @@ def test_c01_toy_instance_exactness():
     inst = toy_rank1_instance()
     start = time.perf_counter()
     cfg = AlmConfig(stop_eps3=1e-10, max_outer=200)
-    tp = quiet(solve_primal_alm, inst, zero_dual(inst.problem), cfg)
-    td = quiet(solve_dual_alm, inst, np.zeros((2, 2)), cfg)
+    tp = solve_primal_alm(inst, zero_dual(inst.problem), cfg)
+    td = solve_dual_alm(inst, np.zeros((2, 2)), cfg)
     elapsed = time.perf_counter() - start
     for trace in (tp, td):
         assert len(trace.records) <= 200
@@ -83,7 +76,7 @@ def test_c02_kkt_residual_floor():
     for g in ("maxcut-g1-20", "maxcut-g2-20", "maxcut-g3-20"):
         p = maxcut_fixture(g)
         start = time.perf_counter()
-        trace = quiet(solve_primal_alm, p, zero_dual(p), cfg)
+        trace = solve_primal_alm(p, zero_dual(p), cfg)
         elapsed = time.perf_counter() - start
         assert trace.converged and len(trace.records) <= 500
         assert trace.final.residuals.eps3 <= 1e-5
@@ -94,7 +87,7 @@ def test_c02_kkt_residual_floor():
         names.append(f"{g}:{len(trace.records)}its/{elapsed:.1f}s")
     q = svm_fixture(m=100, d=10, lam=1.0)
     start = time.perf_counter()
-    trace = quiet(solve_ineq_alm, q, np.zeros(q.n_constraints), cfg)
+    trace = solve_ineq_alm(q, np.zeros(q.n_constraints), cfg)
     elapsed = time.perf_counter() - start
     assert trace.converged and len(trace.records) <= 500
     assert trace.final.residuals.eps3 <= 1e-5
@@ -138,13 +131,13 @@ def test_c04_ppm_alm_inequality():
     for seed in range(5):
         inst = synth_known_solution(n=4 + seed % 2, m=5 + seed % 2, rank_x=2,
                                     seed=300 + seed)
-        trace = quiet(solve_primal_alm, inst, zero_dual(inst.problem), cfg)
+        trace = solve_primal_alm(inst, zero_dual(inst.problem), cfg)
         report = verify_ppm_alm_link(inst.problem, trace)
         assert report.ok, f"violations at {[r.k for r in report.violations]}"
         total_rows += len(report.rows)
     # adversarial control: a corrupted multiplier step must be flagged
     inst = synth_known_solution(n=4, m=5, rank_x=2, seed=300)
-    trace = quiet(solve_primal_alm, inst, zero_dual(inst.problem), cfg)
+    trace = solve_primal_alm(inst, zero_dual(inst.problem), cfg)
     rec = trace.records[1]
     trace.records[1] = dataclasses.replace(rec, y=rec.y + 1.0)
     bad = verify_ppm_alm_link(inst.problem, trace)

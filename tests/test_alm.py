@@ -3,7 +3,6 @@ correspondence, and rate fitting."""
 
 import dataclasses
 import re
-import warnings
 
 import numpy as np
 import pytest
@@ -16,17 +15,12 @@ from conic_alm import alm, auglag
 from conic_alm.auglag import primal_objective
 from conic_alm.fixtures import load_builtin
 from conic_alm.inner import minimize_auglag
-from conic_alm.model import (DualPoint, SdpProblem, apply_A, apply_Astar, maxcut_instance,
-                             svm_instance, synth_known_solution, zero_dual)
+from conic_alm.model import (DualPoint, SdpProblem, SparseOperator, apply_A, apply_Astar,
+                             maxcut_instance, svm_instance, synth_known_solution, zero_dual)
 from conic_alm.symcone import dist_psd, frob, inner, project_psd, symmetrize
 
+from conftest import random_sym
 from oracles import soft_threshold
-
-
-def quiet(fn, *args, **kwargs):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return fn(*args, **kwargs)
 
 
 def scalar_sdp():
@@ -38,7 +32,7 @@ def scalar_sdp():
 class TestPrimalDriver:
     def test_toy_instance(self, toy):
         cfg = AlmConfig(stop_eps3=1e-10, max_outer=200)
-        trace = quiet(solve_primal_alm, toy, zero_dual(toy.problem), cfg)
+        trace = solve_primal_alm(toy, zero_dual(toy.problem), cfg)
         assert trace.converged
         assert trace.final.dist_x <= 1e-6
         assert trace.final.dist_w <= 1e-6
@@ -48,7 +42,7 @@ class TestPrimalDriver:
     def test_scalar_sdp(self):
         p = scalar_sdp()
         cfg = AlmConfig(stop_eps3=1e-10)
-        trace = quiet(solve_primal_alm, p, zero_dual(p), cfg)
+        trace = solve_primal_alm(p, zero_dual(p), cfg)
         rec = trace.final
         assert rec.X[0, 0] == pytest.approx(1.0, abs=1e-8)
         assert rec.y[0] == pytest.approx(1.0, abs=1e-6)
@@ -57,7 +51,7 @@ class TestPrimalDriver:
     def test_certified_instance_distances(self):
         inst = synth_known_solution(n=5, m=6, rank_x=2, seed=3)
         cfg = AlmConfig(stop_eps3=1e-8, max_outer=300)
-        trace = quiet(solve_primal_alm, inst, zero_dual(inst.problem), cfg)
+        trace = solve_primal_alm(inst, zero_dual(inst.problem), cfg)
         assert trace.final.dist_x <= 1e-5
         assert trace.final.dist_w <= 1e-5
 
@@ -67,8 +61,8 @@ class TestPrimalDriver:
             solve_primal_alm(toy, w0)
 
     def test_dual_iterates_stay_psd(self, toy):
-        trace = quiet(solve_primal_alm, toy, zero_dual(toy.problem),
-                      AlmConfig(stop_eps3=1e-9))
+        trace = solve_primal_alm(toy, zero_dual(toy.problem),
+                                 AlmConfig(stop_eps3=1e-9))
         for rec in trace.records:
             assert dist_psd(rec.Z) <= 1e-9 * (1.0 + frob(rec.Z))
 
@@ -76,7 +70,7 @@ class TestPrimalDriver:
         # ||A(X_{k+1}) - b|| equals ||y_k - y_{k+1}|| / r_k at every iteration
         inst = synth_known_solution(n=4, m=5, rank_x=2, seed=5)
         p = inst.problem
-        trace = quiet(solve_primal_alm, inst, zero_dual(p), AlmConfig(max_outer=40))
+        trace = solve_primal_alm(inst, zero_dual(p), AlmConfig(max_outer=40))
         y_prev = trace.start_point.y
         for rec in trace.records:
             lhs = float(np.linalg.norm(apply_A(p, rec.X) - p.b))
@@ -87,8 +81,8 @@ class TestPrimalDriver:
     def test_cone_step_inequality(self):
         # dist(X_{k+1}, PSD) <= ||Z_k - Z_{k+1}|| / r_k
         inst = synth_known_solution(n=4, m=5, rank_x=2, seed=5)
-        trace = quiet(solve_primal_alm, inst, zero_dual(inst.problem),
-                      AlmConfig(max_outer=40))
+        trace = solve_primal_alm(inst, zero_dual(inst.problem),
+                                 AlmConfig(max_outer=40))
         Z_prev = trace.start_point.Z
         for rec in trace.records:
             assert dist_psd(rec.X) <= frob(Z_prev - rec.Z) / rec.r + 1e-10
@@ -98,8 +92,8 @@ class TestPrimalDriver:
         # ||w_{k+1} - w_k|| <= dist(w_k, solution) / (1 - delta_k) when the
         # iteration certified both criteria and delta_k < 1
         inst = synth_known_solution(n=4, m=4, rank_x=2, seed=9)
-        trace = quiet(solve_primal_alm, inst, zero_dual(inst.problem),
-                      AlmConfig(max_outer=60, stop_eps3=1e-11))
+        trace = solve_primal_alm(inst, zero_dual(inst.problem),
+                                 AlmConfig(max_outer=60, stop_eps3=1e-11))
         for rec in trace.records:
             if rec.certified and rec.delta_k < 1.0:
                 bound = rec.dist_w_before / (1.0 - rec.delta_k)
@@ -108,8 +102,8 @@ class TestPrimalDriver:
     def test_monotone_tightening_near_convergence(self):
         # the shrinking dual step forces ever tighter subproblem targets
         inst = synth_known_solution(n=4, m=5, rank_x=2, seed=5)
-        trace = quiet(solve_primal_alm, inst, zero_dual(inst.problem),
-                      AlmConfig(max_outer=40, stop_eps3=1e-11))
+        trace = solve_primal_alm(inst, zero_dual(inst.problem),
+                                 AlmConfig(max_outer=40, stop_eps3=1e-11))
         targets = [(rec.delta_k * rec.step_norm) ** 2 / (2 * rec.r)
                    for rec in trace.records if rec.certified]
         assert len(targets) >= 4
@@ -125,8 +119,8 @@ class TestGroundTruth:
         solve, start = ((solve_primal_alm, zero_dual(inst.problem)) if form == "primal"
                         else (solve_dual_alm, np.zeros((4, 4))))
         cfg = AlmConfig(max_outer=5)
-        known = quiet(solve, inst, start, cfg)
-        bare = quiet(solve, inst.problem, start, cfg)
+        known = solve(inst, start, cfg)
+        bare = solve(inst.problem, start, cfg)
         assert len(known.records) == len(bare.records) == 5
         for a, b in zip(known.records, bare.records):
             assert a.dist_x is not None and a.dist_w is not None
@@ -140,10 +134,10 @@ class TestGroundTruth:
         # distance is that record's, bit for bit; the first is the start's
         inst = synth_known_solution(n=4, m=4, rank_x=2, seed=2)
         if form == "primal":
-            trace = quiet(solve_primal_alm, inst, zero_dual(inst.problem), AlmConfig(max_outer=8))
+            trace = solve_primal_alm(inst, zero_dual(inst.problem), AlmConfig(max_outer=8))
             first, after = inst.dist_dual(trace.start_point), "dist_w"
         else:
-            trace = quiet(solve_dual_alm, inst, np.eye(4), AlmConfig(max_outer=8))
+            trace = solve_dual_alm(inst, np.eye(4), AlmConfig(max_outer=8))
             first, after = inst.dist_primal(trace.start_point), "dist_x"
         assert trace.records[0].dist_w_before == first
         for prev, rec in zip(trace.records, trace.records[1:]):
@@ -153,7 +147,7 @@ class TestGroundTruth:
 class TestDualDriver:
     def test_toy_instance(self, toy):
         cfg = AlmConfig(stop_eps3=1e-10, max_outer=200)
-        trace = quiet(solve_dual_alm, toy, np.zeros((2, 2)), cfg)
+        trace = solve_dual_alm(toy, np.zeros((2, 2)), cfg)
         assert trace.final.dist_x <= 1e-6
         assert np.linalg.norm(trace.final.y) <= 1e-6
 
@@ -163,7 +157,7 @@ class TestDualDriver:
         inst = synth_known_solution(n=5, m=7, rank_x=3, seed=13)
         assert inst.primal_unique and inst.dual_unique
         cfg = AlmConfig(stop_eps3=1e-9, max_outer=300)
-        trace = quiet(solve_dual_alm, inst, np.zeros((5, 5)), cfg)
+        trace = solve_dual_alm(inst, np.zeros((5, 5)), cfg)
         assert trace.final.dist_x <= 1e-5
         assert np.linalg.norm(trace.final.y - inst.y_star) <= 1e-5
 
@@ -177,13 +171,13 @@ class TestDualDriver:
         assert frob(X_next - inst.x_star) <= 1e-10
 
     def test_multiplier_iterates_stay_psd(self, toy):
-        trace = quiet(solve_dual_alm, toy, np.zeros((2, 2)), AlmConfig(stop_eps3=1e-9))
+        trace = solve_dual_alm(toy, np.zeros((2, 2)), AlmConfig(stop_eps3=1e-9))
         for rec in trace.records:
             assert dist_psd(rec.X) <= 1e-9 * (1.0 + frob(rec.X))
 
     def test_slack_affine_feasible(self, toy):
         # Z_k = C - A*(y_k) by construction, so eta3 vanishes identically
-        trace = quiet(solve_dual_alm, toy, np.zeros((2, 2)), AlmConfig(stop_eps3=1e-9))
+        trace = solve_dual_alm(toy, np.zeros((2, 2)), AlmConfig(stop_eps3=1e-9))
         for rec in trace.records:
             assert rec.residuals.eta3 <= 1e-14
 
@@ -200,7 +194,7 @@ class TestIneqDriver:
         from conic_alm.model import IneqProblem
         q = IneqProblem(Q=np.array([[1.0]]), c=np.zeros(1), G=np.array([[-1.0]]),
                         h=np.array([1.0]), name="toy1d")
-        trace = quiet(solve_ineq_alm, q, np.zeros(1), AlmConfig(stop_eps3=1e-10))
+        trace = solve_ineq_alm(q, np.zeros(1), AlmConfig(stop_eps3=1e-10))
         assert trace.final.x[0] == pytest.approx(1.0, abs=1e-7)
         assert trace.final.z[0] == pytest.approx(1.0, abs=1e-6)
 
@@ -209,20 +203,20 @@ class TestIneqDriver:
         from conic_alm.model import IneqProblem
         q = IneqProblem(Q=np.eye(2), c=np.array([-1.0, 2.0]),
                         G=np.zeros((0, 2)), h=np.zeros(0), name="free")
-        trace = quiet(solve_ineq_alm, q, np.zeros(0), AlmConfig(stop_eps3=1e-10))
+        trace = solve_ineq_alm(q, np.zeros(0), AlmConfig(stop_eps3=1e-10))
         assert_allclose(trace.final.x, [1.0, -2.0], atol=1e-8)
         assert len(trace.records) == 1
 
     def test_svm_kkt_point(self):
         q = svm_instance(np.array([[1.0]]), np.array([1.0]), lam=1.0)
-        trace = quiet(solve_ineq_alm, q, np.zeros(2), AlmConfig(stop_eps3=1e-8),
-                      x_star=np.array([-1.0, 0.0]), f_star=0.5)
+        trace = solve_ineq_alm(q, np.zeros(2), AlmConfig(stop_eps3=1e-8),
+                               x_star=np.array([-1.0, 0.0]), f_star=0.5)
         assert trace.final.dist_x <= 1e-6
         assert trace.final.residuals.cost_gap <= 1e-7
 
     def test_multipliers_stay_nonnegative(self):
         q = svm_instance(np.array([[1.0], [-2.0]]), np.array([1.0, -1.0]), lam=0.5)
-        trace = quiet(solve_ineq_alm, q, np.zeros(4), AlmConfig(stop_eps3=1e-8))
+        trace = solve_ineq_alm(q, np.zeros(4), AlmConfig(stop_eps3=1e-8))
         for rec in trace.records:
             assert np.all(rec.z >= 0)
 
@@ -230,8 +224,8 @@ class TestIneqDriver:
         # Newton subproblem solves reach eps3 = 1e-8 on svm-random (110
         # variables, 200 rows), where gradient steps stalled near 7e-7
         q = load_builtin("svm-random")
-        trace = quiet(solve_ineq_alm, q, np.zeros(q.n_constraints),
-                      AlmConfig(stop_eps3=1e-8, max_outer=60))
+        trace = solve_ineq_alm(q, np.zeros(q.n_constraints),
+                               AlmConfig(stop_eps3=1e-8, max_outer=60))
         assert trace.converged
         assert trace.final.residuals.eps3 <= 1e-8
 
@@ -243,7 +237,7 @@ class TestIneqDriver:
     def test_feasibility_bound(self):
         # constraint violations are bounded by the multiplier step over r
         q = svm_instance(np.array([[1.0], [-2.0]]), np.array([1.0, -1.0]), lam=0.5)
-        trace = quiet(solve_ineq_alm, q, np.zeros(4), AlmConfig(max_outer=30))
+        trace = solve_ineq_alm(q, np.zeros(4), AlmConfig(max_outer=30))
         z_prev = trace.start_point
         for rec in trace.records:
             viol = np.maximum(q.constraints(rec.x), 0.0)
@@ -293,7 +287,7 @@ class TestAllForms:
         # with the step it recorded, and that step is the distance between
         # consecutive recorded multipliers
         solve, problem, start = form_run(form)
-        trace = quiet(solve, problem, start, AlmConfig(max_outer=30))
+        trace = solve(problem, start, AlmConfig(max_outer=30))
         w_prev = multiplier(form, trace.start_point)
         for rec in trace.records:
             if rec.certified:
@@ -303,16 +297,6 @@ class TestAllForms:
             assert rec.step_norm == pytest.approx(np.linalg.norm(w - w_prev), rel=1e-12)
             w_prev = w
         assert all(rec.certified for rec in trace.records[:5])
-
-    @pytest.mark.parametrize("form", FORMS)
-    def test_warns_on_uncertified_tail(self, form):
-        # the warning points at the caller of the public solve_*_alm function
-        solve, problem, start = form_run(form)
-        with pytest.warns(RuntimeWarning, match="without certified") as caught:
-            solve(problem, start, AlmConfig(stop_eps3=1e-12, max_outer=30))
-        ours = [w for w in caught if "without certified" in str(w.message)]
-        assert len(ours) == 1
-        assert ours[0].filename == __file__
 
 
 ONE_SOLVE_RUNS = [("svm-random", "ineq"), ("maxcut-g1-20", "primal"),
@@ -332,7 +316,7 @@ class TestOneSolvePerSubproblem:
 
         monkeypatch.setattr(alm, "minimize_auglag", counted)
         solve, problem, start = builtin_run(name, form)
-        trace = quiet(solve, problem, start, AlmConfig(stop_eps3=1e-5))
+        trace = solve(problem, start, AlmConfig(stop_eps3=1e-5))
         assert trace.converged
         assert len(calls) == len(trace.records)
 
@@ -343,7 +327,7 @@ class TestOneSolvePerSubproblem:
         # at the recorded iterate, on the sparse (max-cut) and dense (synth)
         # operators; so is the step norm criterion B measured
         solve, problem, start = builtin_run(name, form)
-        trace = quiet(solve, problem, start, AlmConfig(stop_eps3=1e-5))
+        trace = solve(problem, start, AlmConfig(stop_eps3=1e-5))
         p = getattr(problem, "problem", problem)
         w = trace.start_point
         for rec in trace.records:
@@ -426,34 +410,24 @@ class TestNewtonSteps:
 
         monkeypatch.setattr(auglag, f"{form}_objective", counted_factory)
         solve, problem, start = builtin_run(name, form)
-        trace = quiet(solve, problem, start, AlmConfig(stop_eps3=1e-5))
+        trace = solve(problem, start, AlmConfig(stop_eps3=1e-5))
         assert trace.converged
         assert len(evals) <= 2 * sum(rec.inner_iterations for rec in trace.records)
         assert slopes and all(np.isfinite(slope) and slope > 0 for slope in slopes)
 
-    def test_primal_gradient_steps_stay_symmetric(self, monkeypatch):
-        # a solve that ascends forces the gradient-step guard on the primal
-        # form, on a dense operator, where A*(u) and proj_psd come from GEMMs;
-        # every trial X - t*grad must stay exactly symmetric, or the record's
-        # residuals reject X
-        trials = []
-
-        def ascending_factory(*args):
-            value_and_grad = primal_objective(*args)
-
-            def oracle(X):
-                trials.append(X)
-                value, grad, _, update = value_and_grad(X)
-                return value, grad, np.negative, update
-
-            return oracle
-
-        monkeypatch.setattr(auglag, "primal_objective", ascending_factory)
-        solve, problem, start = builtin_run("synth", "primal")
-        trace = quiet(solve, problem.problem, start, AlmConfig(max_outer=1, inner_budget=20))
-        assert len(trace.records) == 1 and trace.records[0].inner_iterations >= 1
-        assert len(trials) > 2
-        assert all(np.array_equal(X, X.T) for X in trials)
+    def test_primal_oracle_is_exactly_symmetric(self, rng):
+        # on a dense operator A*(u) and proj_psd come from GEMMs, which can
+        # round a matrix off symmetry; update()'s Z goes into a DualPoint,
+        # which rejects a Z that is not exactly symmetric
+        p = load_builtin("synth").problem
+        assert not isinstance(p.operator, SparseOperator)
+        for r in (0.5, 1.0, 8.0):
+            w = DualPoint(y=rng.standard_normal(p.m), Z=project_psd(random_sym(rng, p.n)))
+            for _ in range(5):
+                _, grad, _, update = primal_objective(p, w, r)(random_sym(rng, p.n))
+                assert np.array_equal(grad, grad.T)
+                Z = update()[1].Z
+                assert np.array_equal(Z, Z.T)
 
     @pytest.mark.parametrize("n,m,rank_x,seed", [(3, 3, 1, 100), (6, 8, 3, 103)])
     def test_uncertified_solves_end_at_the_floor(self, n, m, rank_x, seed):
@@ -462,9 +436,9 @@ class TestNewtonSteps:
         # rounding floor two Newton steps in, and the value-floor window ends
         # the solve there; a 25-iteration window took 27 and 28 steps
         inst = synth_known_solution(n=n, m=m, rank_x=rank_x, seed=seed)
-        trace = quiet(solve_primal_alm, inst, zero_dual(inst.problem),
-                      AlmConfig(r_growth=1.0, max_outer=100, stop_eps3=1e-13,
-                                inner_budget=400))
+        trace = solve_primal_alm(inst, zero_dual(inst.problem),
+                                 AlmConfig(r_growth=1.0, max_outer=100, stop_eps3=1e-13,
+                                           inner_budget=400))
         uncertified = [rec.inner_iterations for rec in trace.records if not rec.certified]
         assert len(trace.records) == 100 and len(uncertified) >= 50
         assert max(uncertified) <= 10
@@ -475,8 +449,8 @@ class TestNewtonSteps:
         # the first iterate whose certificate ||g|| D is within the value's
         # resolution; running on until the value-floor window took 324 steps
         inst = synth_known_solution(n=3, m=3, rank_x=1, seed=100)
-        trace = quiet(solve_primal_alm, inst, zero_dual(inst.problem),
-                      AlmConfig(r_growth=1.0, max_outer=100, stop_eps3=1e-13))
+        trace = solve_primal_alm(inst, zero_dual(inst.problem),
+                                 AlmConfig(r_growth=1.0, max_outer=100, stop_eps3=1e-13))
         assert len(trace.records) == 100
         assert sum(rec.inner_iterations for rec in trace.records) <= 280
 
@@ -487,8 +461,8 @@ class TestNewtonSteps:
         # crawls on the first subproblems: rho = r min(1, ||G||) took 140,
         # 146 and 124 steps here, the law rho = r min(1, nu)^2 takes 63
         problem = load_builtin(name)
-        trace = quiet(solve_primal_alm, problem, zero_dual(problem),
-                      AlmConfig(stop_eps3=1e-5))
+        trace = solve_primal_alm(problem, zero_dual(problem),
+                                 AlmConfig(stop_eps3=1e-5))
         assert len(trace.records) == outer
         assert trace.records[-1].residuals.eps3 <= 1e-5
         assert sum(rec.inner_iterations for rec in trace.records) <= 90
@@ -505,8 +479,8 @@ class TestNewtonSteps:
         W[iu[0][pick], iu[1][pick]] = 1.0
         p = maxcut_instance(W + W.T)
         cfg = AlmConfig(stop_eps3=1e-5)
-        primal = quiet(solve_primal_alm, p, zero_dual(p), cfg)
-        dual = quiet(solve_dual_alm, p, np.zeros((n, n)), cfg)
+        primal = solve_primal_alm(p, zero_dual(p), cfg)
+        dual = solve_dual_alm(p, np.zeros((n, n)), cfg)
         assert primal.converged and dual.converged
         value = inner(p.C, primal.final.X)
         assert inner(p.C, dual.final.X) == pytest.approx(value, rel=1e-4)
@@ -529,7 +503,7 @@ class TestPenaltyEffect:
         traces = {}
         for r0 in (0.5, 2.0):
             cfg = AlmConfig(r0=r0, r_growth=1.0, max_outer=6, stop_eps3=1e-14)
-            traces[r0] = quiet(solve_primal_alm, inst, zero_dual(inst.problem), cfg)
+            traces[r0] = solve_primal_alm(inst, zero_dual(inst.problem), cfg)
         eta1_small = traces[0.5].records[5].residuals.eta1
         eta1_large = traces[2.0].records[5].residuals.eta1
         assert eta1_large < eta1_small
@@ -575,7 +549,7 @@ class TestPpm:
         p = toy.problem
         cfg = AlmConfig(eps0=1e-6, delta0=1e-6, r_growth=1.0, max_outer=8,
                         stop_eps3=1e-14)
-        trace = quiet(solve_primal_alm, toy, zero_dual(p), cfg)
+        trace = solve_primal_alm(toy, zero_dual(p), cfg)
 
         def prox(wvec, c):
             w = DualPoint(y=wvec[:p.m], Z=wvec[p.m:].reshape(p.n, p.n))
@@ -598,8 +572,8 @@ class TestPpm:
 class TestPpmAlmLink:
     def test_no_violations_on_clean_run(self):
         inst = synth_known_solution(n=4, m=4, rank_x=2, seed=31)
-        trace = quiet(solve_primal_alm, inst, zero_dual(inst.problem),
-                      AlmConfig(max_outer=25, stop_eps3=1e-10))
+        trace = solve_primal_alm(inst, zero_dual(inst.problem),
+                                 AlmConfig(max_outer=25, stop_eps3=1e-10))
         report = verify_ppm_alm_link(inst.problem, trace)
         assert report.ok
         assert len(report.rows) == len(trace.records)
@@ -607,13 +581,13 @@ class TestPpmAlmLink:
     def test_loose_inner_tolerance_still_holds(self):
         inst = synth_known_solution(n=4, m=4, rank_x=2, seed=37)
         cfg = AlmConfig(eps0=5.0, delta0=0.9, max_outer=20, stop_eps3=1e-10)
-        trace = quiet(solve_primal_alm, inst, zero_dual(inst.problem), cfg)
+        trace = solve_primal_alm(inst, zero_dual(inst.problem), cfg)
         report = verify_ppm_alm_link(inst.problem, trace)
         assert report.ok
 
     def test_adversarial_perturbation_flagged(self, toy):
-        trace = quiet(solve_primal_alm, toy, zero_dual(toy.problem),
-                      AlmConfig(max_outer=10, stop_eps3=1e-10))
+        trace = solve_primal_alm(toy, zero_dual(toy.problem),
+                                 AlmConfig(max_outer=10, stop_eps3=1e-10))
         rec = trace.records[1]
         trace.records[1] = dataclasses.replace(rec, y=rec.y + 1.0)
         report = verify_ppm_alm_link(toy.problem, trace)
@@ -621,7 +595,7 @@ class TestPpmAlmLink:
         assert any(row.k == 1 for row in report.violations)
 
     def test_requires_primal_trace(self, toy):
-        trace = quiet(solve_dual_alm, toy, np.zeros((2, 2)), AlmConfig(max_outer=5))
+        trace = solve_dual_alm(toy, np.zeros((2, 2)), AlmConfig(max_outer=5))
         with pytest.raises(ValueError):
             verify_ppm_alm_link(toy.problem, trace)
 
@@ -641,7 +615,7 @@ class TestRateFit:
     def test_alm_distance_series(self):
         inst = synth_known_solution(n=4, m=5, rank_x=2, seed=41)
         cfg = AlmConfig(r_growth=1.0, max_outer=80, stop_eps3=1e-13)
-        trace = quiet(solve_primal_alm, inst, zero_dual(inst.problem), cfg)
+        trace = solve_primal_alm(inst, zero_dual(inst.problem), cfg)
         series = truncate_at_floor(trace.series("dist_w"), 1e-9)
         fit = fit_linear_rate(series, tail_fraction=0.5)
         assert fit.rate_q < 1.0

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -90,6 +89,22 @@ class TestSolve:
                     "--stop-eps3", "1e-10", "--out", str(tmp_path)])
         assert code == 2
         assert (tmp_path / "trace.csv").exists()  # partial trace written
+
+    @pytest.mark.parametrize("form", ["primal", "dual", "ineq"])
+    def test_uncertified_iterations_match_trace(self, form, tmp_path):
+        # a 1e-12 target runs the certification targets below the rounding
+        # floor: summary.json counts the trace rows that were not certified
+        instance = (["--builtin", "lasso-random"] if form == "ineq" else
+                    ["--builtin", "synth", "--n", "4", "--m", "4", "--rank-x", "2",
+                     "--seed", "2"])
+        run(["solve", *instance, "--form", form, "--stop-eps3", "1e-12",
+             "--max-outer", "30", "--out", str(tmp_path)])
+        lines = (tmp_path / "trace.csv").read_text().splitlines()
+        certified = [line.split(",")[lines[1].split(",").index("certified")]
+                     for line in lines[2:]]
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["schema_version"] == 2 and "warnings" not in summary
+        assert summary["uncertified_iterations"] == certified.count("0") > 0
 
     def test_deterministic_traces(self, tmp_path):
         # every builtin in every form it supports, and one other synth draw
@@ -258,10 +273,7 @@ class TestTraceCells:
         run(argv)
         # the same run in process, for the records behind each row
         args = cli.build_parser().parse_args(argv)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            trace = cli._run_solver(cli._load_instance(args), form,
-                                    cli._config_from_args(args))
+        trace = cli._run_solver(cli._load_instance(args), form, cli._config_from_args(args))
         lines = (tmp_path / "trace.csv").read_text().splitlines()
         rows = [line.split(",") for line in lines[2:]]
         assert len(rows) == len(trace.records)

@@ -13,8 +13,8 @@ from conic_alm.model import (DenseOperator, SdpProblem, SparseOperator, apply_A,
 from conic_alm.symcone import frob, inner, symmetrize
 
 from conftest import sparse_sdps
-from oracles import (apply_A_one, apply_Astar_one, naive_apply_A, tensordot_apply_A,
-                     tensordot_apply_Astar, tensordot_inner)
+from oracles import (apply_A_one, apply_Astar_one, flat_constraints, naive_apply_A,
+                     tensordot_apply_A, tensordot_apply_Astar, tensordot_inner)
 
 REL = 1e-14
 
@@ -49,14 +49,14 @@ def test_adjoint_identity(case):
     p, X, y = case
     lhs = float(apply_A(p, X) @ y)
     rhs = inner(X, apply_Astar(p, y))
-    scale = 1.0 + frob(p.A_flat) * frob(X) * float(np.linalg.norm(y))
+    scale = 1.0 + frob(flat_constraints(p)) * frob(X) * float(np.linalg.norm(y))
     assert abs(lhs - rhs) <= 1e-13 * scale
 
 
 @given(operator_cases())
 def test_apply_A_matches_naive_double_loop(case):
     p, X, _ = case
-    atol = 1e-13 * frob(p.A_flat) * frob(X)
+    atol = 1e-13 * frob(flat_constraints(p)) * frob(X)
     assert_allclose(apply_A(p, X), naive_apply_A(p.constraint_mats, X), rtol=1e-13, atol=atol)
 
 
@@ -65,9 +65,9 @@ def test_maps_match_tensordot_reference(case):
     p, X, y = case
     mats = p.constraint_mats
     assert_allclose(apply_A(p, X), tensordot_apply_A(mats, X), rtol=REL,
-                    atol=REL * frob(p.A_flat) * frob(X))
+                    atol=REL * frob(flat_constraints(p)) * frob(X))
     assert_allclose(apply_Astar(p, y), tensordot_apply_Astar(mats, y), rtol=REL,
-                    atol=REL * frob(p.A_flat) * float(np.linalg.norm(y)))
+                    atol=REL * frob(flat_constraints(p)) * float(np.linalg.norm(y)))
     for A in (p.C, mats[0], X):
         assert abs(inner(A, X) - tensordot_inner(A, X)) <= REL * frob(A) * frob(X)
 
@@ -75,11 +75,12 @@ def test_maps_match_tensordot_reference(case):
 @given(operator_cases())
 def test_flat_operator_is_a_view(case):
     p, _, _ = case
-    assert p.A_flat.shape == (p.m, p.n * p.n)
-    assert np.shares_memory(p.A_flat, p.constraint_mats)
+    flat = DenseOperator(p.constraint_mats, p.operator.gram).flat
+    assert flat.shape == (p.m, p.n * p.n)
+    assert np.shares_memory(flat, p.constraint_mats)
     assert p.constraint_mats.flags.c_contiguous
     for i, A in enumerate(p.constraint_mats):
-        assert np.array_equal(p.A_flat[i], A.ravel())
+        assert np.array_equal(flat[i], A.ravel())
 
 
 def both_operators(p):
@@ -96,7 +97,7 @@ def test_sparse_operator_matches_dense(p, seed):
     sparse, dense = both_operators(p)
     rng = np.random.default_rng(seed)
     X, y = rng.standard_normal((p.n, p.n)), rng.standard_normal(p.m)
-    norm_A = frob(p.A_flat)
+    norm_A = frob(flat_constraints(p))
     assert_allclose(sparse.apply(X), dense.apply(X), rtol=REL, atol=REL * norm_A * frob(X))
     assert_allclose(sparse.adjoint(y), dense.adjoint(y), rtol=REL,
                     atol=REL * norm_A * float(np.linalg.norm(y)))
@@ -113,7 +114,8 @@ def test_sparse_operator_matches_dense(p, seed):
     assert np.array_equal(sparse.rotated(Q, block),
                           full.reshape(p.m, p.n, p.n)[:, block].reshape(p.m, -1))
     # Q is orthogonal, so the rotated rows keep the Gram matrix A A*
-    gram = p.A_flat @ p.A_flat.T
+    flat = flat_constraints(p)
+    gram = flat @ flat.T
     assert np.array_equal(p.operator.gram, gram)
     assert_allclose(full @ full.T, gram, rtol=REL, atol=10 * REL * np.max(np.abs(gram)))
 
