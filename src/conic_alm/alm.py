@@ -61,8 +61,13 @@ class AlmConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if f.type is float and not np.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
+            value = getattr(self, f.name)
+            if f.type is float and not np.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+            # bool is an int subclass; max_outer=True would run one iteration
+            if f.type is int and (isinstance(value, bool)
+                                  or not isinstance(value, (int, np.integer))):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if self.r0 <= 0 or self.r_growth < 1 or self.r_max < self.r0:
             raise ValueError("need r0 > 0, r_growth >= 1, r_max >= r0")
         if not 0 < self.decay < 1:

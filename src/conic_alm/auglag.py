@@ -35,17 +35,19 @@ eigendecomposition (SDPNAL, Zhao, Sun & Toh 2010). The primal form's
 singular Hessian is regularized by the Levenberg-Marquardt law of Fan & Yuan
 (Computing 2005).
 
-On a dense operator the Newton matrices come from the full rotated stack
-R (row i = vec(Q' A_i Q)), O(m n^3 + m^2 n^2) per solve. On a sparse one
-they use only the rows of Q' A_i Q that Omega does not make zero (dual) or
-constant (primal), as in SDPNAL+ (Yang, Sun & Toh 2015): with k such rows,
-O(nnz k n + m^2 k n) per solve, and k = rank X* near a strictly
-complementary solution.
+The dual Newton matrix R diag(vec Omega) R' (row i of R = vec(Q' A_i Q))
+is formed on every operator from the rows of Q' A_i Q in the eigenvalue
+block {lam > 0} alone, as in SDPNAL+ (Yang, Sun & Toh 2015): Omega vanishes
+off that block, so with k such rows a solve costs O(nnz k n + m^2 k n), and
+k = rank X* near a strictly complementary solution. The primal form's
+Woodbury matrix uses the block {lam <= 0} on a sparse operator; on a dense
+one it keeps the full rotated stack, O(m n^3 + m^2 n^2) per solve, which at
+the n <= 8 of the dense workloads is faster than the block form.
 """
 
 import numpy as np
 
-from .model import DualPoint, SparseOperator, apply_A, apply_Astar
+from .model import DualPoint, SparseOperator, apply_A
 from .symcone import check_symmetric, frob, inner, project_psd, symmetrize
 
 
@@ -113,7 +115,6 @@ def dual_objective(p, X, r):
     _check_r(r)
     op, C, b = p.operator, p.C, p.b
     apply, adjoint = op.apply, op.adjoint
-    newton = _dual_solve_sparse if isinstance(op, SparseOperator) else _dual_solve
     XX = inner(X, X)
 
     def oracle(y):
@@ -128,30 +129,30 @@ def dual_objective(p, X, r):
             X_new = symmetrize(P)
             return y, X_new, frob(X_new - X)
 
-        return val, grad, lambda g: newton(p, r, lam, Q, g), update
+        return val, grad, lambda g: _dual_solve(p, r, lam, Q, g), update
 
     return oracle
 
 
 def _dual_solve(p, r, lam, Q, g):
-    """Solve (r R diag(vec Omega) R' + ridge I) d = g over the full stack R."""
-    rot = p.operator.rotated(Q)
-    return _ridged_solve(r * ((rot * _omega(lam).ravel()) @ rot.T), g)
+    """Solve (r R diag(vec Omega) R' + ridge I) d = g; Omega vanishes off the
+    rows and columns of {lam > 0}, a tail slice since eigh sorts lam."""
+    tail = slice(np.searchsorted(lam, 0.0, side="right"), None)
+    return _ridged_solve(r * _block_gram(p.operator, Q, tail, _omega(lam)), g)
 
 
-def _dual_solve_sparse(p, r, lam, Q, g):
-    """:func:`_dual_solve` from the rows alpha = {lam > 0} of each Q' A_i Q.
+def _block_gram(op, Q, S, W):
+    """R diag(vec W) R', row i of R the flattened Q' A_i Q, for a symmetric W
+    that vanishes off the rows and columns in the slice S.
 
-    Omega vanishes outside the alpha rows and columns, so
-    R diag(vec Omega) R' = R_a diag(w) R_a' with R_a the alpha rows of the
-    stack, w = Omega[alpha, :], and the alpha x beta weights doubled to
-    stand for their beta x alpha mirror images.
+    Only the S rows of each Q' A_i Q meet a nonzero weight, so this is
+    R_S diag(w) R_S' with R_S = op.rotated(Q, S) and w = W[S], the
+    S x (not S) weights doubled to stand for their mirror images.
     """
-    alpha = lam > 0.0
-    w = _omega(lam)[alpha]
-    w[:, ~alpha] *= 2.0
-    rot = p.operator.rotated(Q, alpha)
-    return _ridged_solve(r * ((rot * w.ravel()) @ rot.T), g)
+    double = np.full(W.shape[0], 2.0)
+    double[S] = 1.0
+    rot = op.rotated(Q, S)
+    return (rot * (W[S] * double).ravel()) @ rot.T
 
 
 def _omega(lam):
@@ -214,22 +215,20 @@ def _primal_solve(p, r, rho, lam, Q, G):
 
 
 def _primal_solve_sparse(p, r, rho, lam, Q, G):
-    """:func:`_primal_solve` from the rows beta = {lam <= 0} of each Q' A_i Q.
+    """:func:`_primal_solve` from the rows {lam <= 0} (a head slice) of each
+    Q' A_i Q.
 
-    Omega is 1 on alpha x alpha, so 1 / F there is the constant 1 / (r + rho),
-    and R diag(1 / vec F) R' = Gram / (r + rho) + R_b diag(w) R_b' with R_b
-    the beta rows of the stack and w = 1 / F - 1 / (r + rho) on them, the
-    beta x alpha weights doubled for their mirror images. Every weight is
-    >= 0, so no term cancels another. R V is applied as A(Q V Q') and
-    R' z as Q' A*(z) Q, so no m x n^2 stack is formed.
+    Omega is 1 on {lam > 0} x {lam > 0}, so 1 / F there is the constant
+    1 / (r + rho), and R diag(1 / vec F) R' = Gram / (r + rho) +
+    :func:`_block_gram` of W = 1 / F - 1 / (r + rho), which vanishes off the
+    head. Every weight is >= 0, so no term cancels another. R V is applied
+    as A(Q V Q') and R' z as Q' A*(z) Q, so no m x n^2 stack is formed.
     """
     op = p.operator
     F = r * _omega(lam) + rho
-    beta = lam <= 0.0
-    w = 1.0 / F[beta] - 1.0 / (r + rho)
-    w[:, ~beta] *= 2.0
-    rot = op.rotated(Q, beta)
-    K = np.eye(p.m) / r + op.gram / (r + rho) + (rot * w.ravel()) @ rot.T
+    head = slice(0, np.searchsorted(lam, 0.0, side="right"))
+    K = np.eye(p.m) / r + op.gram / (r + rho) + _block_gram(
+        op, Q, head, 1.0 / F - 1.0 / (r + rho))
 
     def R(V):
         return op.apply(Q @ V @ Q.T)
@@ -310,19 +309,18 @@ def default_diameter(p, X):
 def dual_gap_lower_bound(p, w, X_trial, r):
     """Proven lower bound on min_X L_r(X, w), or -inf when none is at hand.
 
-    Forms the candidate dual point u = (y + r(b - A(X)), proj_psd(Z - rX)).
-    Its violation of the dual affine identity C - A*(u_y) - u_Z = 0 equals
-    grad_X L_r(X_trial, w); when its norm is at most 1e-11 (1 + ||C||) the
-    Moreau-envelope value g0(u) - ||u - w||^2 / (2r) is returned (a true
-    lower bound since the envelope is a maximum over dual points). Otherwise
-    u is not dual-feasible and the bound is -inf.
+    The candidate dual point u = (y + r(b - A(X)), proj_psd(Z - rX)) is the
+    one :func:`primal_objective` holds at X_trial, and its violation of the
+    dual affine identity C - A*(u_y) - u_Z = 0 is that oracle's gradient.
+    When its norm is at most 1e-11 (1 + ||C||) the Moreau-envelope value
+    g0(u) - ||u - w||^2 / (2r) is returned (a true lower bound since the
+    envelope is a maximum over dual points). Otherwise u is not
+    dual-feasible and the bound is -inf.
     """
-    _check_r(r)
-    X_trial = check_symmetric(X_trial, name="X_trial")
-    u_y = w.y + r * (p.b - apply_A(p, X_trial))
-    u_Z = project_psd(w.Z - r * X_trial)
-    if frob(symmetrize(p.C - apply_Astar(p, u_y) - u_Z)) > 1e-11 * (1.0 + p.C_norm):
+    oracle = primal_objective(p, w, r)
+    _, grad, _, update = oracle(check_symmetric(X_trial, name="X_trial"))
+    if frob(symmetrize(grad)) > 1e-11 * (1.0 + p.C_norm):
         return -np.inf
-    dy = u_y - w.y
-    dZ = u_Z - w.Z
-    return float(p.b @ u_y) - (float(dy @ dy) + inner(dZ, dZ)) / (2.0 * r)
+    u = update()[1]
+    dy, dZ = u.y - w.y, u.Z - w.Z
+    return float(p.b @ u.y) - (float(dy @ dy) + inner(dZ, dZ)) / (2.0 * r)

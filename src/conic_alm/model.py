@@ -49,7 +49,9 @@ class DenseOperator:
         return np.matmul(y[..., None, :], self.flat).reshape(y.shape[:-1] + (n, n))
 
     def rotated(self, Q, rows=None):
-        """Row i is vec(Q[:, rows]' A_i Q); all of Q' A_i Q when rows is None."""
+        """Row i is vec(Q[:, rows]' A_i Q); all of Q' A_i Q when rows is None.
+        ``rows`` indexes the columns of Q: a slice (the Newton solves pass
+        one) or a boolean mask."""
         left = Q if rows is None else Q[:, rows]
         return (left.T @ self.mats @ Q).reshape(self.mats.shape[0], -1)
 
@@ -104,7 +106,9 @@ class SparseOperator:
                               n * n).reshape(y.shape[:-1] + (n, n))
 
     def rotated(self, Q, rows=None):
-        """Row i is vec(Q[:, rows]' A_i Q); all of Q' A_i Q when rows is None."""
+        """Row i is vec(Q[:, rows]' A_i Q); all of Q' A_i Q when rows is None.
+        ``rows`` indexes the columns of Q: a slice (the Newton solves pass
+        one) or a boolean mask."""
         left = Q if rows is None else Q[:, rows]
         terms = (self.val[:, None] * left[self.row])[:, :, None] * Q[self.col][:, None, :]
         terms = terms.reshape(self.k.size, -1)
@@ -399,6 +403,8 @@ def maxcut_instance(weights, name="maxcut"):
     W = np.asarray(weights, dtype=float)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise ValueError("weight matrix must be square")
+    if not np.all(np.isfinite(W)):
+        raise ValueError("weight matrix contains non-finite entries")
     if not np.array_equal(W, W.T):
         raise ValueError("weight matrix must be symmetric")
     if np.any(np.diag(W) != 0.0):
@@ -431,6 +437,9 @@ class IneqProblem:
         if c.shape != (Q.shape[0],) or G.ndim != 2 or G.shape[1] != c.shape[0] \
                 or h.shape != (G.shape[0],):
             raise ValueError("inconsistent dimensions in IneqProblem")
+        for name, value in (("c", c), ("G", G), ("h", h)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} contains non-finite entries")
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "G", G)
@@ -497,8 +506,8 @@ def svm_instance(A, labels, lam, name="svm"):
         raise ValueError("labels length must match the number of data rows")
     if not np.all(np.isin(labels, (-1.0, 1.0))):
         raise ValueError("labels must be +1 or -1")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not 0 < lam < np.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam!r}")
     m, d = A.shape
     Q = np.zeros((d + m, d + m))
     Q[:d, :d] = np.eye(d)
@@ -518,8 +527,8 @@ def lasso_instance(A, b, lam, name="lasso"):
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or b.shape != (A.shape[0],):
         raise ValueError("b length must match the number of rows of A")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not 0 < lam < np.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam!r}")
     m, n = A.shape
     Q = np.zeros((2 * n, 2 * n))
     Q[:n, :n] = symmetrize(A.T @ A)

@@ -10,6 +10,10 @@ names the problem; without it the problem is named ``sdpa``. Each
 (matno, i, j) may appear at most once; a repeated entry is
 rejected with both line numbers. Values are written with 17 significant
 digits so a write/read round trip reproduces the float64 data exactly.
+
+As in the SDPA manual's examples, the four header lines read the
+characters ``, ( ) { }`` as blanks (``{48, -8, 20}``, ``(2)``) and may end
+in a comment: a line counts its leading numbers only (``3 = mDIM``).
 """
 
 import numpy as np
@@ -51,18 +55,18 @@ def sdpa_read(path):
         raise SdpaFormatError("file too short: need m, nblocks, block sizes, and b")
 
     no, tok = body[0]
-    m = _parse_int(tok.split()[0], no, "constraint count m")
+    m = _parse_int(_header_numbers(tok)[0], no, "constraint count m")
     if m < 1:
         raise SdpaFormatError("constraint count m must be >= 1", no)
 
     no, tok = body[1]
-    nblocks = _parse_int(tok.split()[0], no, "block count")
+    nblocks = _parse_int(_header_numbers(tok)[0], no, "block count")
     if nblocks != 1:
         raise SdpaFormatError(f"unsupported: {nblocks} blocks (only a single "
                               "dense semidefinite block is supported)", no)
 
     no, tok = body[2]
-    sizes = tok.replace("{", " ").replace("}", " ").replace(",", " ").split()
+    sizes = _header_numbers(tok)
     if len(sizes) != 1:
         raise SdpaFormatError("block structure must contain exactly one block size", no)
     n = _parse_int(sizes[0], no, "block size")
@@ -71,7 +75,7 @@ def sdpa_read(path):
                               "positive integer (diagonal blocks unsupported)", no)
 
     no, tok = body[3]
-    bvals = tok.replace(",", " ").split()
+    bvals = _header_numbers(tok)
     if len(bvals) != m:
         raise SdpaFormatError(f"expected {m} entries of b, got {len(bvals)}", no)
     b = np.array([_parse_float(v, no, "b entry") for v in bvals])
@@ -103,6 +107,23 @@ def sdpa_read(path):
         mats[matno, j - 1, i - 1] = v
     C = symmetrize(mats[0])
     return SdpProblem(C=C, constraint_mats=mats[1:], b=b, name=_header_name(raw[0]))
+
+
+_BLANKS = str.maketrans(",(){}", "     ")
+
+
+def _header_numbers(line):
+    """The leading numbers of a header line: ``, ( ) { }`` read as blanks,
+    and the first field that is not a number starts a comment. A line that
+    opens with no number gives its first field (or ''), which the caller's
+    parse then rejects by name."""
+    fields = line.translate(_BLANKS).split() or [""]
+    for k, tok in enumerate(fields):
+        try:
+            float(tok)
+        except ValueError:
+            return fields[:max(k, 1)]
+    return fields
 
 
 def _header_name(first_line):

@@ -265,16 +265,13 @@ def verify_qg_dual(inst, gamma=None, ball_radius=1.0, samples=2000,
     if y_grid is not None:
         if p.m != 2:
             raise ValueError("y_grid sampling needs a problem with m = 2")
-        lhs_list, dist2_list = [], []
-        for y1 in y_grid:
-            for y2 in y_grid:
-                y = np.array([float(y1), float(y2)])
-                Z = symmetrize(p.C - apply_Astar(p, y))
-                if not use_penalty and dist_psd(Z) > 1e-9 * (1.0 + frob(Z)):
-                    continue
-                lhs_list.append(dual_value(y, Z) + d_star)
-                dist2_list.append(float(np.sum((y - inst.y_star) ** 2)))
-        return _ratio_report(lhs_list, dist2_list,
+        grid = np.asarray(y_grid, dtype=float)
+        y = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
+        Z = symmetrize(p.C - apply_Astar(p, y))
+        if not use_penalty:  # a NaN distance keeps its point
+            keep = ~(dist_psd(Z) > 1e-9 * (1.0 + frob(Z)))
+            y, Z = y[keep], Z[keep]
+        return _ratio_report(dual_value(y, Z) + d_star, np.sum((y - inst.y_star) ** 2, axis=-1),
                              dict(gamma=gamma, use_penalty=use_penalty, rho=rho,
                                   grid_points=len(y_grid)))
 

@@ -256,7 +256,8 @@ def project_affine_one(p, X):
 # verify_qg_primal, verify_eb_primal, verify_qg_dual (sampled branch),
 # verify_growth_lemma, verify_penalty_preimage and check_trace_bound must
 # return equal reports. verify_qg_dual_reference leaves out the y_grid
-# branch, which does not sample.
+# branch, which does not sample; verify_qg_dual_grid_reference is that
+# branch as a loop over the grid points.
 
 
 def verify_qg_primal_reference(inst, gamma=None, ball_radius=1.0, samples=2000,
@@ -371,6 +372,27 @@ def verify_qg_dual_reference(inst, gamma=None, ball_radius=1.0, samples=2000,
     return _ratio_report(lhs_list, dist2_list,
                          dict(gamma=gamma, ball_radius=ball_radius,
                               use_penalty=use_penalty, rho=rho, seed=seed))
+
+
+def verify_qg_dual_grid_reference(inst, y_grid, gamma=None, use_penalty=False, rho=None):
+    p = inst.problem
+    if gamma is None:
+        gamma = 2.0 * (1.0 + float(np.linalg.norm(inst.y_star)) + frob_one(inst.z_star))
+    lhs_list, dist2_list = [], []
+    for y1 in y_grid:
+        for y2 in y_grid:
+            y = np.array([float(y1), float(y2)])
+            Z = symmetrize(p.C - apply_Astar_one(p, y))
+            if not use_penalty and dist_psd_one(Z) > 1e-9 * (1.0 + frob_one(Z)):
+                continue
+            value = -float(p.b @ y)
+            if use_penalty:
+                value += exact_penalty_one(Z, rho)
+            lhs_list.append(value + inst.p_star)
+            dist2_list.append(float(np.sum((y - inst.y_star) ** 2)))
+    return _ratio_report(lhs_list, dist2_list,
+                         dict(gamma=gamma, use_penalty=use_penalty, rho=rho,
+                              grid_points=len(y_grid)))
 
 
 def verify_growth_lemma_reference(xbar, zbar, mu, samples=10000, seed=0,

@@ -495,6 +495,17 @@ class TestAlmConfig:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             AlmConfig(**{name: value})
 
+    @pytest.mark.parametrize("name", ["max_outer", "inner_budget"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
+    def test_rejects_non_integer_count(self, name, value):
+        # 2.5 once failed only in range(); True ran one iteration
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            AlmConfig(**{name: value})
+
+    def test_accepts_numpy_integer_counts(self):
+        cfg = AlmConfig(max_outer=np.int64(3), inner_budget=np.int32(7))
+        assert (cfg.max_outer, cfg.inner_budget) == (3, 7)
+
 
 class TestPenaltyEffect:
     def test_larger_r_improves_early_feasibility(self):

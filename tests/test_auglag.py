@@ -7,13 +7,13 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conic_alm.auglag import (dual_gap_lower_bound, dual_objective, eval_L_dual,
+from conic_alm.auglag import (_block_gram, dual_gap_lower_bound, dual_objective, eval_L_dual,
                               eval_L_ineq, eval_L_primal, grad_L_dual_y, grad_L_ineq_x,
                               grad_L_primal_X, grad_L_primal_w, ineq_objective,
                               primal_objective)
 from conic_alm.inner import minimize_auglag
-from conic_alm.model import (DualPoint, SparseOperator, apply_A, apply_Astar, svm_instance,
-                             synth_known_solution)
+from conic_alm.model import (DenseOperator, DualPoint, SparseOperator, apply_A, apply_Astar,
+                             svm_instance, synth_known_solution)
 from conic_alm.symcone import frob, inner, symmetrize
 
 from conftest import ineq_subproblems, random_sym, sparse_sdps
@@ -288,6 +288,26 @@ class TestSdpNewtonSolves:
     @given(sparse_subproblems(), st.floats(-16.0, 2.0), SPECTRA)
     def test_dual_solve_sparse(self, case, log_scale, spectrum):
         check_dual_solve(*case, log_scale, spectrum)
+
+    @given(sparse_sdps(), st.integers(0, 2**32 - 1), st.booleans(), st.data())
+    def test_block_gram_matches_full_stack(self, p, seed, head, data):
+        # R diag(vec W) R' over the full rotated stack, for W vanishing off a
+        # head or tail slice of any size (empty and full ones included), on
+        # the dense and the sparse operator of the same data
+        rng = np.random.default_rng(seed)
+        k = data.draw(st.integers(0, p.n))
+        S = slice(0, k) if head else slice(k, None)
+        inside = np.zeros(p.n, dtype=bool)
+        inside[S] = True
+        W = random_sym(rng, p.n) * (inside[:, None] | inside[None, :])
+        Q = np.linalg.qr(rng.standard_normal((p.n, p.n)))[0]
+        for op in (DenseOperator(p.constraint_mats, p.operator.gram),
+                   SparseOperator(p.constraint_mats, p.operator.gram)):
+            R = op.rotated(Q)
+            reference = (R * W.ravel()) @ R.T
+            scale = np.max(np.abs(W)) * np.max(np.sum(R * R, axis=1)) + 1e-300
+            assert_allclose(_block_gram(op, Q, S, W), reference, rtol=0,
+                            atol=1e-13 * p.n * scale)
 
     @given(certified_subproblems(max_n=4))
     def test_primal_hessian_matches_gradient_differences(self, case):

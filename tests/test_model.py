@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conic_alm.model import (CertificationError, DualPoint, KnownSolutionInstance,
-                             SdpProblem, apply_A, apply_Astar, ineq_residuals,
+from conic_alm.model import (CertificationError, DualPoint, IneqProblem,
+                             KnownSolutionInstance, SdpProblem, apply_A, apply_Astar,
+                             ineq_residuals,
                              kkt_residuals, lasso_instance, maxcut_instance,
                              svm_instance, synth_known_solution, zero_dual)
 from conic_alm.symcone import frob, inner
@@ -161,6 +162,13 @@ class TestMaxcutInstance:
         with pytest.raises(ValueError):
             maxcut_instance(np.eye(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_weight(self, bad):
+        # NaN != NaN, so the symmetry test alone would blame symmetry
+        W = np.array([[0.0, bad], [bad, 0.0]])
+        with pytest.raises(ValueError, match="weight matrix contains non-finite"):
+            maxcut_instance(W)
+
 
 class TestSvmInstance:
     def test_structure(self, rng):
@@ -190,6 +198,12 @@ class TestSvmInstance:
         with pytest.raises(ValueError):
             svm_instance(np.ones((1, 1)), np.array([1.0]), lam=0.0)
 
+    @pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
+    def test_rejects_nonpositive_or_nonfinite_lambda(self, lam):
+        # NaN passes a lam <= 0 test
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            svm_instance(np.ones((1, 1)), np.array([1.0]), lam=lam)
+
 
 class TestLassoInstance:
     def test_scalar_soft_threshold(self):
@@ -215,6 +229,24 @@ class TestLassoInstance:
         q = lasso_instance(np.ones((4, 3)), np.ones(4), lam=1.0)
         assert q.n_constraints == 6
         assert q.dim == 6
+
+    @pytest.mark.parametrize("lam", [0.0, np.nan, np.inf])
+    def test_rejects_nonpositive_or_nonfinite_lambda(self, lam):
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            lasso_instance(np.ones((2, 1)), np.ones(2), lam=lam)
+
+
+class TestIneqProblem:
+    @pytest.mark.parametrize("field", ["c", "G", "h"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_data(self, field, bad):
+        # such data once failed only inside the solver: NaN in c or h as a
+        # bad diameter bound, inf in G as an InnerSolveError
+        data = dict(Q=np.eye(2), c=np.ones(2), G=np.ones((3, 2)), h=-np.ones(3))
+        data[field] = data[field].copy()
+        data[field].flat[1] = bad
+        with pytest.raises(ValueError, match=f"^{field} contains non-finite"):
+            IneqProblem(**data)
 
 
 class TestSynthKnownSolution:

@@ -183,3 +183,54 @@ def test_truncated_file(tmp_path):
     path.write_text("2\n1\n")
     with pytest.raises(SdpaFormatError, match="too short"):
         sdpa_read(path)
+
+
+# example1.dat-s of the SDPA manual: a comment after each header number, b in
+# braces with commas
+SDPA_EXAMPLE1 = '''"Example 1: mDim = 3, nBLOCK = 1, {2}"
+   3  =  mDIM
+   1  =  nBOLCK
+   2  = bLOCKsTRUCT
+{48, -8, 20}
+0 1 1 1 -11
+0 1 2 2 23
+1 1 1 1 10
+1 1 1 2 4
+2 1 2 2 -8
+3 1 1 2 -8
+3 1 2 2 -2
+'''
+
+
+def test_sdpa_manual_example1(tmp_path):
+    path = tmp_path / "example1.dat-s"
+    path.write_text(SDPA_EXAMPLE1)
+    p = sdpa_read(path)
+    assert (p.m, p.n) == (3, 2)
+    assert np.array_equal(p.b, [48.0, -8.0, 20.0])
+    assert np.array_equal(p.C, [[-11.0, 0.0], [0.0, 23.0]])
+    assert np.array_equal(p.constraint_mats[2], [[0.0, -8.0], [-8.0, -2.0]])
+
+
+def test_parenthesized_block_size(tmp_path):
+    path = tmp_path / "paren.dat-s"
+    path.write_text("1\n1\n(2)\n(1)\n0 1 1 1 3\n1 1 1 1 1\n")
+    assert sdpa_read(path).n == 2
+
+
+@pytest.mark.parametrize("text,message", [
+    ("x = mDIM\n1\n2\n1\n", "line 1: could not parse constraint count m from 'x'"),
+    ("{}\n1\n2\n1\n", "line 1: could not parse constraint count m from ''"),
+    ("1\n2.5\n2\n1\n", "line 2: could not parse block count from '2.5'"),
+    ("1\n1\n{2, 3}\n1\n", "line 3: block structure must contain exactly one block size"),
+    ("1\n1\nn = 2\n1\n", "line 3: could not parse block size from 'n'"),
+    ("2\n1\n2\n{1, x}\n", "line 4: expected 2 entries of b, got 1"),
+    ("2\n1\n2\n{1, 2, 3}\n", "line 4: expected 2 entries of b, got 3"),
+    ("1\n1\n2\n{1e}\n", "line 4: could not parse b entry from '1e'"),
+])
+def test_header_rejections_name_the_line(tmp_path, text, message):
+    path = tmp_path / "bad.dat-s"
+    path.write_text(text)
+    with pytest.raises(SdpaFormatError) as info:
+        sdpa_read(path)
+    assert str(info.value) == message

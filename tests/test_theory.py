@@ -15,7 +15,8 @@ from conic_alm.theory import (check_strict_complementarity, check_trace_bound,
 from conic_alm.fixtures import GRIDS, toy_rank1_instance
 from oracles import (check_trace_bound_reference, verify_eb_primal_reference,
                      verify_growth_lemma_reference, verify_penalty_preimage_reference,
-                     verify_qg_dual_reference, verify_qg_primal_reference)
+                     verify_qg_dual_grid_reference, verify_qg_dual_reference,
+                     verify_qg_primal_reference)
 
 
 class TestQgPrimal:
@@ -113,6 +114,19 @@ class TestQgDual:
         assert len(rep.violated) == 0
         assert rep.min_ratio >= 0.3
         assert rep.min_ratio == pytest.approx(0.4, abs=1e-12)
+
+    @pytest.mark.parametrize("rho", [None, 4.0, 2.5], ids=["indicator", "rho4", "rho2.5"])
+    @pytest.mark.parametrize("grid", [GRIDS["fig-d1"], np.linspace(-2.0, 2.0, 17), [0.0],
+                                      np.linspace(-0.3, 0.7, 9)],
+                             ids=["fig-d1", "wide", "origin", "offset"])
+    def test_grid_matches_point_loop(self, toy, grid, rho):
+        kwargs = dict(use_penalty=rho is not None, rho=rho)
+        rep = verify_qg_dual(toy, y_grid=grid, **kwargs)
+        ref = verify_qg_dual_grid_reference(toy, grid, **kwargs)
+        assert rep.sampled_points == ref.sampled_points
+        assert rep.min_ratio.hex() == ref.min_ratio.hex()
+        assert rep.violated == ref.violated
+        assert list(rep.params.items()) == list(ref.params.items())
 
     def test_penalty_requires_threshold(self, toy):
         with pytest.raises(ValueError, match="rho"):
