@@ -9,14 +9,13 @@ matrix.
 
 import numpy as np
 
-from conic_alm import (dist_psd, dist_to_face, eig_sym, exact_penalty,
-                       face_basis, moreau_split, penalty_subgrad, project_psd)
+from conic_alm import (dist_psd, dist_to_face, exact_penalty, face_basis,
+                       moreau_split, penalty_subgrad, project_psd)
 from conic_alm.symcone import inner
 
 # An indefinite symmetric matrix: one positive and one negative eigenvalue.
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
-dec = eig_sym(X)
-print("eigenvalues:", dec.eigenvalues)
+print("eigenvalues:", np.linalg.eigvalsh(X))
 
 # Projection clips the negative eigenvalue; the distance to the cone is the
 # norm of what was clipped.
@@ -36,8 +35,9 @@ print("penalty at X:", exact_penalty(X, rho))
 print("penalty at -I:", exact_penalty(-np.eye(2), rho))
 print("penalty <= rho * dist:", exact_penalty(X, rho) <= rho * dist_psd(X))
 
-# One canonical subgradient: zero on the cone, a rank-one extreme point
-# outside. The subgradient inequality holds against any probe point.
+# One subgradient: zero on the cone, outside it a rank-one extreme point
+# built from an eigenvector of the smallest eigenvalue. The subgradient
+# inequality holds against any probe point.
 G = penalty_subgrad(X, rho)
 probe = np.array([[2.0, 0.5], [0.5, 1.0]])
 lhs = exact_penalty(probe, rho)

@@ -24,9 +24,8 @@ from .model import (CertificationError, DualPoint, IneqProblem, IneqResidualSet,
                     maxcut_instance, svm_instance, synth_known_solution, zero_dual)
 from .sdpa import SdpaFormatError, sdpa_read, sdpa_write
 # symcone.inner is not re-exported: it would shadow the conic_alm.inner module.
-from .symcone import (EigDecomp, FaceBasis, dist_psd, dist_to_face, eig_sym,
-                      exact_penalty, face_basis, frob, moreau_split,
-                      penalty_subgrad, project_psd, symmetrize)
+from .symcone import (FaceBasis, dist_psd, dist_to_face, exact_penalty, face_basis,
+                      frob, moreau_split, penalty_subgrad, project_psd, symmetrize)
 from .theory import (ComplementarityReport, CurveRow, EquivalenceReport,
                      GrowthReport, PreimageReport, check_strict_complementarity,
                      check_trace_bound, exact_penalty_equivalence,

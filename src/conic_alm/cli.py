@@ -80,11 +80,8 @@ def write_trace_csv(trace, path):
 
 
 def _fit_or_none(series, floor=1e-12):
-    series = np.asarray([s for s in series if np.isfinite(s)], dtype=float)
-    series = truncate_at_floor(series, floor)
-    series = series[series > 0]
     try:
-        fit = fit_linear_rate(series, tail_fraction=0.5)
+        fit = fit_linear_rate(truncate_at_floor(series, floor), 0.5)
     except ValueError:
         return None
     return {"rate_q": fit.rate_q, "r_squared": fit.r_squared,

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symcone import (check_symmetric, dist_psd, eig_sym, frob, inner, signed_ranks,
-                      symmetrize)
+from .symcone import check_symmetric, dist_psd, frob, inner, signed_ranks, symmetrize
 
 # Relative threshold on the Gram spectrum of vec(A_i) below which the
 # constraint matrices are declared dependent (the linear map must stay onto).
@@ -23,6 +22,11 @@ INDEPENDENCE_TOL = 1e-10
 
 # Absolute tolerance for certifying a synthesized optimal triple.
 CERTIFY_TOL = 1e-10
+
+
+def _check_finite(name, value):
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{name} contains non-finite entries")
 
 
 class DenseOperator:
@@ -50,8 +54,7 @@ class DenseOperator:
 
     def rotated(self, Q, rows=None):
         """Row i is vec(Q[:, rows]' A_i Q); all of Q' A_i Q when rows is None.
-        ``rows`` indexes the columns of Q: a slice (the Newton solves pass
-        one) or a boolean mask."""
+        ``rows`` is a slice of the columns of Q (the Newton solves pass one)."""
         left = Q if rows is None else Q[:, rows]
         return (left.T @ self.mats @ Q).reshape(self.mats.shape[0], -1)
 
@@ -107,8 +110,7 @@ class SparseOperator:
 
     def rotated(self, Q, rows=None):
         """Row i is vec(Q[:, rows]' A_i Q); all of Q' A_i Q when rows is None.
-        ``rows`` indexes the columns of Q: a slice (the Newton solves pass
-        one) or a boolean mask."""
+        ``rows`` is a slice of the columns of Q (the Newton solves pass one)."""
         left = Q if rows is None else Q[:, rows]
         terms = (self.val[:, None] * left[self.row])[:, :, None] * Q[self.col][:, None, :]
         terms = terms.reshape(self.k.size, -1)
@@ -151,8 +153,7 @@ class SdpProblem:
         b = np.asarray(self.b, dtype=float)
         if b.shape != (mats.shape[0],):
             raise ValueError("b length must match the number of constraint matrices")
-        if not np.all(np.isfinite(b)):
-            raise ValueError("b contains non-finite entries")
+        _check_finite("b", b)
         V = mats.reshape(mats.shape[0], -1)
         gram = V @ V.T
         ev = np.linalg.eigvalsh(gram)
@@ -344,11 +345,12 @@ def solution_uniqueness(inst):
     [P1 P2], and both ranks count singular values with the same rule.
     """
     p = inst.problem
-    dec = eig_sym(inst.x_star - inst.z_star)
-    r, s = signed_ranks(dec.eigenvalues)
+    lam, V = np.linalg.eigh(check_symmetric(inst.x_star - inst.z_star))
+    r, s = signed_ranks(lam)
     if r + s != p.n:
         return False, False
-    rot = p.operator.rotated(dec.eigenvectors).reshape(p.m, p.n, p.n)
+    # nonincreasing order puts range(x_star) first
+    rot = p.operator.rotated(V[:, ::-1]).reshape(p.m, p.n, p.n)
     top = rot[:, :r, :r].reshape(p.m, -1)
     cross = np.sqrt(2.0) * rot[:, :r, r:].reshape(p.m, -1)
     rank = lambda M: signed_ranks(np.linalg.svd(M, compute_uv=False))[0]
@@ -403,8 +405,7 @@ def maxcut_instance(weights, name="maxcut"):
     W = np.asarray(weights, dtype=float)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise ValueError("weight matrix must be square")
-    if not np.all(np.isfinite(W)):
-        raise ValueError("weight matrix contains non-finite entries")
+    _check_finite("weight matrix", W)
     if not np.array_equal(W, W.T):
         raise ValueError("weight matrix must be symmetric")
     if np.any(np.diag(W) != 0.0):
@@ -438,8 +439,7 @@ class IneqProblem:
                 or h.shape != (G.shape[0],):
             raise ValueError("inconsistent dimensions in IneqProblem")
         for name, value in (("c", c), ("G", G), ("h", h)):
-            if not np.all(np.isfinite(value)):
-                raise ValueError(f"{name} contains non-finite entries")
+            _check_finite(name, value)
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "G", G)
@@ -504,6 +504,7 @@ def svm_instance(A, labels, lam, name="svm"):
     labels = np.asarray(labels, dtype=float)
     if A.ndim != 2 or labels.shape != (A.shape[0],):
         raise ValueError("labels length must match the number of data rows")
+    _check_finite("A", A)
     if not np.all(np.isin(labels, (-1.0, 1.0))):
         raise ValueError("labels must be +1 or -1")
     if not 0 < lam < np.inf:
@@ -527,6 +528,8 @@ def lasso_instance(A, b, lam, name="lasso"):
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or b.shape != (A.shape[0],):
         raise ValueError("b length must match the number of rows of A")
+    _check_finite("A", A)
+    _check_finite("b", b)
     if not 0 < lam < np.inf:
         raise ValueError(f"lam must be positive and finite, got {lam!r}")
     m, n = A.shape

@@ -1,9 +1,12 @@
 """Symmetric-matrix kernels and geometry of the positive semidefinite cone.
 
-Everything here is a pure function of its inputs: eigendecompositions with
-deterministic tie-breaking, the PSD projection and its distance, the
-eigenvalue-based exact penalty and a canonical subgradient, and the face of
-the cone spanned by the kernel of a PSD matrix.
+Everything here is a pure function of its inputs: the PSD projection and its
+distance, the eigenvalue-based exact penalty and one of its subgradients, and
+the face of the cone spanned by the kernel of a PSD matrix. Spectra come from
+numpy's eigh and eigvalsh as LAPACK returns them. Inside a repeated
+eigenvalue the basis is the one eigh picks; what the package reads of it
+(projections, penalties, ranks, the face projector p2 p2') does not depend on
+that choice beyond rounding.
 
 Matrices are plain numpy arrays; symmetry is enforced at construction
 boundaries via :func:`symmetrize` and checked with :func:`check_symmetric`.
@@ -21,10 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-# Relative eigenvalue-gap threshold used to group repeated eigenvalues when
-# canonicalizing eigenvectors.
-_CLUSTER_TOL = 1e-9
 
 # Relative rank cutoff of signed_ranks (standard double-precision choice).
 _RANK_TOL = 1e-8
@@ -95,87 +94,11 @@ def _sum_squares(M):
     return _scalar(np.sum(_flat(M * M), axis=-1))
 
 
-@dataclass(frozen=True)
-class EigDecomp:
-    """Eigendecomposition with eigenvalues sorted nonincreasing.
-
-    Column ``eigenvectors[:, i]`` pairs with ``eigenvalues[i]``. Repeated
-    eigenvalues get a canonical orthonormal basis (see :func:`eig_sym`), so
-    the decomposition is a deterministic function of the input.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self):
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.T
-
-
-def _canonical_basis(B):
-    """Deterministic orthonormal basis of span(B), B orthonormal n x k.
-
-    Projects the canonical coordinate vectors e_1, e_2, ... onto the span in
-    order and Gram-Schmidts them, so the result depends only on the subspace.
-    """
-    n, k = B.shape
-    proj = B @ B.T
-    cols = []
-    for j in range(n):
-        v = proj[:, j].copy()
-        for u in cols:
-            v -= (u @ v) * u
-        nv = np.linalg.norm(v)
-        if nv > 1e-8:
-            cols.append(v / nv)
-        if len(cols) == k:
-            break
-    if len(cols) < k:
-        # Degenerate cancellation; fall back to the input basis.
-        return B
-    return np.column_stack(cols)
-
-
-def _fix_signs(Q):
-    """Make the largest-magnitude entry of each column positive."""
-    idx = np.argmax(np.abs(Q), axis=0)
-    signs = np.sign(Q[idx, np.arange(Q.shape[1])])
-    signs[signs == 0] = 1.0
-    return Q * signs
-
-
-def eig_sym(X):
-    """Eigendecomposition of a symmetric matrix, deterministic and sorted.
-
-    Eigenvalues come back in nonincreasing order. Inside each cluster of
-    (numerically) repeated eigenvalues the eigenvectors are re-orthonormalized
-    against the canonical coordinate basis, and every eigenvector's sign is
-    fixed, so equal inputs give bitwise-equal outputs.
-    """
-    X = check_symmetric(X)
-    if X.ndim != 2:
-        raise ValueError(f"eig_sym takes one matrix, got shape {X.shape}")
-    lam, Q = np.linalg.eigh(X)
-    lam = lam[::-1].copy()
-    Q = Q[:, ::-1].copy()
-    n = lam.size
-    scale = _CLUSTER_TOL * (1.0 + abs(lam[0]))
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and lam[i] - lam[j] <= scale:
-            j += 1
-        if j - i > 1:
-            Q[:, i:j] = _canonical_basis(Q[:, i:j])
-        i = j
-    Q = _fix_signs(Q)
-    return EigDecomp(eigenvalues=lam, eigenvectors=Q)
-
-
 def project_psd(X):
     """Orthogonal projection of X onto the PSD cone (clip negative eigenvalues).
 
-    The projection is unique, so no eigenvector canonicalization is needed;
-    the raw LAPACK decomposition keeps this cheap enough for inner loops.
+    The projection is unique, so it does not depend on the eigenbasis that
+    eigh picks inside a repeated eigenvalue.
     """
     X = check_symmetric(X)
     lam, Q = np.linalg.eigh(X)
@@ -234,20 +157,23 @@ def exact_penalty(X, rho):
 
 
 def penalty_subgrad(X, rho):
-    """One canonical subgradient of X -> rho * max(0, lambda_max(-X)).
+    """One subgradient of X -> rho * max(0, lambda_max(-X)).
 
     Returns the zero matrix when lambda_min(X) >= 0 (admissible on the
     boundary), and the rank-one extreme point -rho * p p^T otherwise, where p
-    is the deterministic unit eigenvector for the smallest eigenvalue of X.
+    is the unit eigenvector that eigh gives for the smallest eigenvalue of X.
+    When lambda_min repeats, every unit vector of its eigenspace gives a
+    subgradient, and this is one of them.
     """
     if not rho > 0:
         raise ValueError("penalty parameter rho must be positive")
-    dec = eig_sym(X)
-    lam_min = dec.eigenvalues[-1]
-    n = X.shape[0]
-    if lam_min >= 0.0:
-        return np.zeros((n, n))
-    p = dec.eigenvectors[:, -1]
+    X = check_symmetric(X)
+    if X.ndim != 2:
+        raise ValueError(f"penalty_subgrad takes one matrix, got shape {X.shape}")
+    lam, Q = np.linalg.eigh(X)
+    if lam[0] >= 0.0:
+        return np.zeros_like(X)
+    p = Q[:, 0]
     return symmetrize(-rho * np.outer(p, p))
 
 
@@ -282,14 +208,18 @@ def face_basis(Zbar):
     cone). Rejects matrices that are not PSD within tolerance.
     """
     Zbar = check_symmetric(Zbar, name="Zbar")
-    dec = eig_sym(Zbar)
-    lam = dec.eigenvalues
+    if Zbar.ndim != 2:
+        raise ValueError(f"face_basis takes one matrix, got shape {Zbar.shape}")
+    lam, Q = np.linalg.eigh(Zbar)
+    # nonincreasing order puts the range first
+    lam = lam[::-1]
+    Q = Q[:, ::-1]
     scale = 1.0 + frob(Zbar)
     if lam[-1] < -1e-9 * scale:
         raise ValueError(f"Zbar is not PSD (lambda_min = {lam[-1]:.3e})")
     r = signed_ranks(lam)[0]
-    p1 = dec.eigenvectors[:, :r]
-    p2 = dec.eigenvectors[:, r:]
+    p1 = Q[:, :r]
+    p2 = Q[:, r:]
     lam1_min = float(lam[r - 1]) if r > 0 else 0.0
     return FaceBasis(p1=p1, p2=p2, lambda1_min=lam1_min)
 

@@ -1,5 +1,5 @@
-"""Bitwise determinism of the subproblem objectives, their Newton solves
-and ``eig_sym``.
+"""Bitwise determinism of the subproblem objectives, their Newton solves,
+``face_basis`` and ``penalty_subgrad``.
 
 A solve must write the same ``trace.csv`` on every run. That holds only if
 each objective and each Newton solve is a function of the bits of its
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conic_alm.auglag import dual_objective, ineq_objective, primal_objective
 from conic_alm.model import DualPoint, SdpProblem, lasso_instance
-from conic_alm.symcone import eig_sym, symmetrize
+from conic_alm.symcone import face_basis, penalty_subgrad, symmetrize
 
 from conftest import ineq_subproblems
 
@@ -111,15 +111,32 @@ def test_dual_hessian_depends_only_on_bits(case):
     assert_same_solve(dual_objective(p, X, r), y, offset)
 
 
-@given(st.integers(1, 10), st.integers(0, 2**32 - 1), st.booleans(), st.integers(1, 7))
-def test_eig_sym_depends_only_on_bits(n, seed, clustered, offset):
-    rng = np.random.default_rng(seed)
-    if clustered:
-        # repeated eigenvalues exercise the in-cluster re-orthonormalization
-        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        X = symmetrize((Q * rng.choice([-1.0, 0.0, 2.0], size=n)) @ Q.T)
+@st.composite
+def sym_cases(draw, values):
+    """A symmetric matrix with spectrum in [min(values), max(values)] and an
+    offset; in clustered draws the spectrum takes only the given values, so
+    eigenvalues repeat."""
+    n = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    if draw(st.booleans()):
+        lam = rng.choice(values, size=n)
     else:
-        X = symmetrize(rng.standard_normal((n, n)))
-    a, b = eig_sym(X.copy()), eig_sym(relocated(X, offset))
-    assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
-    assert a.eigenvectors.tobytes() == b.eigenvectors.tobytes()
+        lam = rng.uniform(min(values), max(values), size=n)
+    return symmetrize((Q * lam) @ Q.T), draw(st.integers(1, 7))
+
+
+@given(sym_cases([0.0, 2.0]))
+def test_face_basis_depends_only_on_bits(case):
+    Z, offset = case
+    a, b = face_basis(Z.copy()), face_basis(relocated(Z, offset))
+    assert a.p1.tobytes() == b.p1.tobytes()
+    assert a.p2.tobytes() == b.p2.tobytes()
+    assert np.float64(a.lambda1_min).tobytes() == np.float64(b.lambda1_min).tobytes()
+
+
+@given(sym_cases([-1.0, 0.0, 2.0]))
+def test_penalty_subgrad_depends_only_on_bits(case):
+    X, offset = case
+    G = penalty_subgrad(X.copy(), 1.7)
+    assert G.tobytes() == penalty_subgrad(relocated(X, offset), 1.7).tobytes()

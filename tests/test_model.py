@@ -204,6 +204,14 @@ class TestSvmInstance:
         with pytest.raises(ValueError, match="lam must be positive and finite"):
             svm_instance(np.ones((1, 1)), np.array([1.0]), lam=lam)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_data(self, bad):
+        # the error names A, not the constraint matrix G built from it
+        A = np.ones((2, 2))
+        A[1, 0] = bad
+        with pytest.raises(ValueError, match="^A contains non-finite"):
+            svm_instance(A, np.array([1.0, -1.0]), lam=1.0)
+
 
 class TestLassoInstance:
     def test_scalar_soft_threshold(self):
@@ -234,6 +242,15 @@ class TestLassoInstance:
     def test_rejects_nonpositive_or_nonfinite_lambda(self, lam):
         with pytest.raises(ValueError, match="lam must be positive and finite"):
             lasso_instance(np.ones((2, 1)), np.ones(2), lam=lam)
+
+    @pytest.mark.parametrize("field", ["A", "b"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_data(self, field, bad):
+        # the error names the input, not Q or c built from it
+        data = dict(A=np.ones((2, 2)), b=np.ones(2))
+        data[field].flat[1] = bad
+        with pytest.raises(ValueError, match=f"^{field} contains non-finite"):
+            lasso_instance(**data, lam=1.0)
 
 
 class TestIneqProblem:

@@ -6,67 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conic_alm.symcone import (check_symmetric, dist_psd, dist_to_face, eig_sym,
-                               exact_penalty, face_basis, frob, inner, moreau_split,
-                               penalty_subgrad, project_psd, signed_ranks, symmetrize)
+from conic_alm.symcone import (check_symmetric, dist_psd, dist_to_face, exact_penalty,
+                               face_basis, frob, inner, moreau_split, penalty_subgrad,
+                               project_psd, signed_ranks, symmetrize)
 
 from conftest import random_sym
 from oracles import (brute_force_face_dist, dist_psd_one, dist_to_face_one, eig2x2,
                      exact_penalty_one, frob_one, inner_one, moreau_split_one,
                      project_psd_2x2, project_psd_one)
-
-
-class TestEigSym:
-    def test_diagonal(self):
-        dec = eig_sym(np.diag([3.0, 1.0]))
-        assert_allclose(dec.eigenvalues, [3.0, 1.0])
-        assert_allclose(dec.eigenvectors, np.eye(2))
-
-    def test_offdiagonal_matches_closed_form(self):
-        X = np.array([[0.0, 1.0], [1.0, 0.0]])
-        dec = eig_sym(X)
-        lam, Q = eig2x2(X)
-        assert_allclose(dec.eigenvalues, lam, atol=1e-14)
-        s = 1.0 / np.sqrt(2.0)
-        assert_allclose(dec.eigenvectors, [[s, s], [s, -s]], atol=1e-14)
-        assert_allclose(np.abs(dec.eigenvectors), np.abs(Q), atol=1e-14)
-
-    def test_identity_any_n(self):
-        for n in (1, 2, 5):
-            dec = eig_sym(np.eye(n))
-            assert_allclose(dec.eigenvalues, np.ones(n))
-            assert_allclose(dec.eigenvectors, np.eye(n), atol=1e-12)
-
-    def test_rejects_nonfinite(self):
-        X = np.full((2, 2), np.nan)
-        with pytest.raises(ValueError):
-            eig_sym(X)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            eig_sym(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-    def test_invariants_random(self, rng):
-        for _ in range(200):
-            n = int(rng.integers(1, 9))
-            X = random_sym(rng, n, scale=float(rng.uniform(0.1, 10)))
-            dec = eig_sym(X)
-            scale = 1e-10 * (1.0 + frob(X))
-            assert frob(dec.reconstruct() - X) <= scale
-            assert frob(dec.eigenvectors.T @ dec.eigenvectors - np.eye(n)) <= 1e-10
-            assert np.all(np.diff(dec.eigenvalues) <= 1e-12)
-
-    def test_deterministic_on_repeated_eigenvalues(self, rng):
-        for _ in range(50):
-            n = int(rng.integers(2, 6))
-            X = random_sym(rng, n)
-            X = X + X  # arbitrary; determinism must hold for any input
-            d1 = eig_sym(X)
-            d2 = eig_sym(X.copy())
-            assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
-        # a matrix with a genuine multiple eigenvalue
-        dec = eig_sym(np.diag([2.0, 2.0, 1.0]))
-        assert_allclose(dec.eigenvectors, np.eye(3), atol=1e-12)
 
 
 class TestProjectPsd:
@@ -146,20 +93,35 @@ class TestPenaltySubgrad:
             with pytest.raises(ValueError, match="rho must be positive"):
                 penalty_subgrad(np.diag([1.0, -1.0]), rho)
 
+    @staticmethod
+    def assert_subgradient(X, rho, rng):
+        G = penalty_subgrad(X, rho)
+        lX = exact_penalty(X, rho)
+        for _ in range(200):
+            Y = random_sym(rng, X.shape[0], scale=2.0)
+            assert exact_penalty(Y, rho) >= lX + inner(G, Y - X) - 1e-8
+        return G
+
     def test_subgradient_inequality_population(self, rng):
-        rho = 1.7
-
-        def l(M):
-            return exact_penalty(M, rho)
-
         for _ in range(20):
-            n = int(rng.integers(2, 6))
-            X = random_sym(rng, n, scale=2.0)
-            G = penalty_subgrad(X, rho)
-            lX = l(X)
-            for _ in range(200):
-                Y = random_sym(rng, n, scale=2.0)
-                assert l(Y) >= lX + inner(G, Y - X) - 1e-8
+            self.assert_subgradient(random_sym(rng, int(rng.integers(2, 6)), scale=2.0), 1.7, rng)
+
+    @pytest.mark.parametrize("spectrum", [[-1.0, -1.0], [-1.0, -1.0, -1.0], [-1.0, -1.0, 2.0],
+                                          [-2.0, -2.0, 0.0, 3.0]])
+    def test_subgradient_inequality_repeated_lambda_min(self, rng, spectrum):
+        # any unit vector of the lambda_min eigenspace gives a subgradient,
+        # so the one eigh picks must pass in every rotation
+        n = len(spectrum)
+        for _ in range(10):
+            U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            G = self.assert_subgradient(symmetrize((U * np.array(spectrum)) @ U.T), 1.7, rng)
+            assert np.trace(G) == pytest.approx(-1.7)
+
+    def test_rejects_nonfinite_or_asymmetric(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            penalty_subgrad(np.full((2, 2), np.nan), 1.0)
+        with pytest.raises(ValueError, match="not symmetric"):
+            penalty_subgrad(np.array([[1.0, 2.0], [0.0, 1.0]]), 1.0)
 
 
 class TestSignedRanks:
@@ -191,12 +153,34 @@ class TestFaceBasis:
     def test_zero_matrix(self):
         face = face_basis(np.zeros((3, 3)))
         assert face.rank == 0
-        assert_allclose(face.p2, np.eye(3), atol=1e-12)
+        assert_allclose(face.p2 @ face.p2.T, np.eye(3), atol=1e-12)
         assert face.lambda1_min == 0.0
 
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
             face_basis(np.diag([1.0, -1.0]))
+
+    def test_rejects_nonfinite_or_asymmetric(self):
+        with pytest.raises(ValueError, match="Zbar contains non-finite"):
+            face_basis(np.full((2, 2), np.nan))
+        with pytest.raises(ValueError, match="Zbar is not symmetric"):
+            face_basis(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("spectrum", [[0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0],
+                                          [2.0, 2.0, 2.0, 0.5, 0.0], [3.0, 1.0, 1.0, 0.0, 0.0, 0.0]])
+    def test_rotation_equivariant_on_repeated_eigenvalues(self, rng, spectrum):
+        # inside a repeated eigenvalue eigh picks some basis, but the rank,
+        # lambda1_min and face projector p2 p2' follow Z under Z -> U Z U'
+        n = len(spectrum)
+        for _ in range(10):
+            Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            Z = symmetrize((Q * np.array(spectrum)) @ Q.T)
+            face, rotated = face_basis(Z), face_basis(symmetrize(U @ Z @ U.T))
+            assert rotated.rank == face.rank == np.count_nonzero(spectrum)
+            assert rotated.lambda1_min == pytest.approx(face.lambda1_min, rel=1e-12)
+            assert_allclose(rotated.p2 @ rotated.p2.T, U @ face.p2 @ face.p2.T @ U.T,
+                            atol=1e-12)
 
     def test_orthonormal_split(self, rng):
         for _ in range(50):
@@ -386,6 +370,9 @@ class TestStacks:
             with pytest.raises(ValueError, match=match):
                 kernel(S)
 
-    def test_eig_sym_takes_one_matrix(self):
-        with pytest.raises(ValueError, match="one matrix"):
-            eig_sym(np.zeros((2, 3, 3)))
+    def test_face_basis_and_penalty_subgrad_take_one_matrix(self):
+        # each rejects a stack under its own name
+        with pytest.raises(ValueError, match="^face_basis takes one matrix"):
+            face_basis(np.zeros((2, 3, 3)))
+        with pytest.raises(ValueError, match="^penalty_subgrad takes one matrix"):
+            penalty_subgrad(np.zeros((2, 3, 3)), 1.0)

@@ -6,7 +6,7 @@ import pytest
 
 from conic_alm import theory
 from conic_alm.model import KnownSolutionInstance, SdpProblem, synth_known_solution
-from conic_alm.symcone import eig_sym, exact_penalty, face_basis, frob, project_psd, symmetrize
+from conic_alm.symcone import exact_penalty, face_basis, frob, project_psd, symmetrize
 from conic_alm.theory import (check_strict_complementarity, check_trace_bound,
                               exact_penalty_equivalence, minimize_penalized_affine,
                               no_sharp_growth_curve, verify_eb_primal,
@@ -543,11 +543,10 @@ class TestExactPenaltyEquivalence:
         assert value == pytest.approx(0.0, abs=1e-10)
 
 
-def prox_by_eig_sym(V, rho):
-    """The spectral penalty prox from the canonical decomposition eig_sym."""
-    dec = eig_sym(V)
-    lam = dec.eigenvalues + theory._project_capped_simplex(-dec.eigenvalues, rho)
-    return symmetrize((dec.eigenvectors * lam) @ dec.eigenvectors.T)
+def prox_of_decomposition(Q, lam, rho):
+    """The spectral penalty prox of Q diag(lam) Q' from that decomposition."""
+    shifted = lam + theory._project_capped_simplex(-lam, rho)
+    return symmetrize((Q * shifted) @ Q.T)
 
 
 class TestSpectralPenaltyProx:
@@ -560,15 +559,19 @@ class TestSpectralPenaltyProx:
     @pytest.mark.parametrize("spectrum", SPECTRA)
     @pytest.mark.parametrize("rho", [0.5, 2.0, 4.0, 10.0])
     def test_matches_canonical_decomposition(self, rng, spectrum, rho):
-        # with a repeated eigenvalue eigh returns an arbitrary basis of its
-        # eigenspace and eig_sym a canonical one; the prox agrees either way,
-        # whether or not rho caps the shift of a repeated eigenvalue
+        # V is built from a known decomposition Q diag(lam) Q'; with a
+        # repeated eigenvalue eigh returns another basis of its eigenspace,
+        # and the prox agrees with the one from Q whether or not rho caps
+        # the shift of a repeated eigenvalue. It is also orthogonally
+        # equivariant: prox(U V U') = U prox(V) U'.
         for _ in range(5):
-            if spectrum is None:
-                V = symmetrize(rng.standard_normal((5, 5)))
-            else:
-                Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
-                V = symmetrize((Q * np.array(spectrum)) @ Q.T)
+            lam = rng.standard_normal(5) if spectrum is None else np.array(spectrum)
+            Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+            U, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+            V = symmetrize((Q * lam) @ Q.T)
             got = theory._prox_spectral_penalty(V, rho)
             assert got.tobytes() == got.T.tobytes()
-            assert frob(got - prox_by_eig_sym(V, rho)) <= 1e-12 * (1.0 + frob(V))
+            tol = 1e-12 * (1.0 + frob(V))
+            assert frob(got - prox_of_decomposition(Q, lam, rho)) <= tol
+            rotated = theory._prox_spectral_penalty(symmetrize(U @ V @ U.T), rho)
+            assert frob(rotated - U @ got @ U.T) <= tol
