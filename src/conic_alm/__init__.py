@@ -9,9 +9,9 @@ solver's linear convergence rests on.
 """
 
 from .alm import (AlmConfig, AlmTrace, IneqIterationRecord, IterationRecord,
-                  LinkReport, PpmRecord, RateFit, fit_linear_rate, ppm,
-                  pre_floor_window, solve_dual_alm, solve_ineq_alm,
-                  solve_primal_alm, truncate_at_floor, verify_ppm_alm_link)
+                  LinkReport, RateFit, fit_linear_rate, pre_floor_window,
+                  solve_dual_alm, solve_ineq_alm, solve_primal_alm,
+                  truncate_at_floor, verify_ppm_alm_link)
 from .auglag import (default_diameter, dual_gap_lower_bound, dual_objective,
                      eval_L_dual, eval_L_ineq, eval_L_primal, grad_L_dual_y,
                      grad_L_ineq_x, grad_L_primal_X, grad_L_primal_w,

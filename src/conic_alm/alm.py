@@ -1,4 +1,4 @@
-"""Outer augmented Lagrangian loop and the generic inexact proximal loop.
+"""Outer augmented Lagrangian loop and the proximal correspondence check.
 
 One loop runs the inexact ALM for all three forms: one inner solve per
 subproblem, which stops at the first iterate where both inexactness criteria
@@ -16,9 +16,8 @@ floating-point floor of the subproblem) the solve ends at that floor or at
 its own exits, and the loop keeps the iterate it returns and flags the
 record (``certified``).
 
-Also here: a generic inexact proximal point loop used to cross-check the
-correspondence between multiplier updates and proximal steps on the dual
-function, the per-iteration verifier of that correspondence, and a
+Also here: the per-iteration verifier of the correspondence between
+multiplier updates and proximal steps on the dual function, and a
 least-squares estimator of empirical linear convergence rates.
 """
 
@@ -291,60 +290,6 @@ def solve_ineq_alm(q, z0, cfg=None, x_star=None, f_star=None):
     return _outer_loop(trace, cfg, q, auglag.ineq_objective,
                        lambda xc: scale + 2.0 * float(np.linalg.norm(xc)),
                        record, np.zeros(q.dim), z)
-
-
-@dataclass(frozen=True)
-class PpmRecord:
-    """One inexact proximal step: iterate, declared error, and criteria flags."""
-
-    k: int
-    x: np.ndarray
-    c: float
-    eps_k: float
-    delta_k: float
-    prox_error: float
-    step_norm: float
-    criterion_a: bool
-    criterion_b: bool
-
-
-def ppm(prox_oracle, x0, c_seq, eps_seq=None, delta_seq=None, max_iter=100,
-        stop_step=0.0):
-    """Generic inexact proximal point loop.
-
-    ``prox_oracle(x, c) -> (x_next, error_bound)`` evaluates the proximal map
-    of the underlying function with step c, declaring a bound on its own
-    error. ``c_seq``/``eps_seq``/``delta_seq`` are callables of the iteration
-    index (constants are promoted). Stops when the step norm falls below
-    ``stop_step``. Returns the list of PpmRecord.
-    """
-    def as_fn(v, default):
-        if v is None:
-            return default
-        return v if callable(v) else (lambda k, v=v: v)
-
-    c_fn = as_fn(c_seq, lambda k: 1.0)
-    eps_fn = as_fn(eps_seq, lambda k: 1.0 * 0.7 ** k)
-    delta_fn = as_fn(delta_seq, lambda k: 0.5 * 0.7 ** k)
-    x = np.array(x0, dtype=float)
-    records = []
-    for k in range(max_iter):
-        c = float(c_fn(k))
-        if c <= 0:
-            raise ValueError("proximal steps must be positive")
-        x_next, err = prox_oracle(x, c)
-        x_next = np.asarray(x_next, dtype=float)
-        step = float(np.linalg.norm(x_next - x))
-        eps_k, delta_k = float(eps_fn(k)), float(delta_fn(k))
-        records.append(PpmRecord(k=k, x=x_next.copy(), c=c, eps_k=eps_k,
-                                 delta_k=delta_k, prox_error=float(err),
-                                 step_norm=step,
-                                 criterion_a=bool(err <= eps_k),
-                                 criterion_b=bool(err <= delta_k * step)))
-        x = x_next
-        if step <= stop_step:
-            break
-    return records
 
 
 @dataclass(frozen=True)

@@ -47,8 +47,8 @@ the n <= 8 of the dense workloads is faster than the block form.
 
 import numpy as np
 
-from .model import DualPoint, SparseOperator, apply_A
-from .symcone import check_symmetric, frob, inner, project_psd, symmetrize
+from .model import DualPoint, SparseOperator
+from .symcone import check_symmetric, frob, inner, symmetrize
 
 
 def _check_r(r):
@@ -100,10 +100,11 @@ def grad_L_primal_X(p, X, w, r):
 
 
 def grad_L_primal_w(p, X, w, r):
-    """Gradients of L_r in (y, Z): (b - A(X), (proj_psd(Z - rX) - Z) / r)."""
-    _check_r(r)
-    X = check_symmetric(X, name="X")
-    return p.b - apply_A(p, X), (project_psd(w.Z - r * X) - w.Z) / r
+    """Gradients of L_r in (y, Z): (w+ - w) / r, w+ the multiplier step at X,
+    i.e. (b - A(X), (proj_psd(Z - rX) - Z) / r)."""
+    _, _, _, update = primal_objective(p, w, r)(check_symmetric(X, name="X"))
+    u = update()[1]
+    return (u.y - w.y) / r, (u.Z - w.Z) / r
 
 
 def dual_objective(p, X, r):

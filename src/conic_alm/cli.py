@@ -11,9 +11,10 @@ per value and a side-by-side CSV of the KKT residual series.
 Exit codes: 0 on success/convergence, 2 when the run stopped before reaching
 the residual threshold (partial outputs are still written), 3 on input
 errors (numeric values that the solver configuration, the instance
-synthesizer or a verifier rejects included). Bench configurations run one
-after another: the solves hold the GIL, so running them on threads was
-measured slower than running them serially.
+synthesizer or a verifier rejects included). An input error writes nothing:
+each command creates ``--out`` only once its results are computed. Bench
+configurations run one after another: the solves hold the GIL, so running
+them on threads was measured slower than running them serially.
 
 Traces are deterministic: a summary manifest (instance, config, seed) pins
 the run, and repeated runs produce byte-identical ``trace.csv``. The CSV
@@ -30,13 +31,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fixtures, theory
+from . import __version__, fixtures, theory
 from .alm import AlmConfig, fit_linear_rate, solve_dual_alm, solve_ineq_alm, \
     solve_primal_alm, truncate_at_floor, verify_ppm_alm_link
 from .model import IneqProblem, KnownSolutionInstance, zero_dual
 from .sdpa import SdpaFormatError, sdpa_read
 
-ARTIFACT_VERSION = "0.1.0"
 TRACE_SCHEMA = "conic-alm-trace-v1"
 SUMMARY_SCHEMA = 2
 
@@ -157,8 +157,6 @@ def _run_solver(instance, form, cfg):
 def cmd_solve(args):
     instance = _load_instance(args)
     cfg = _config_from_args(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     manifest = {
         "command": "solve",
         "instance": args.sdpa or args.builtin,
@@ -166,12 +164,14 @@ def cmd_solve(args):
         "config": asdict(cfg),
         "seed": args.seed,
         "synth_params": {"n": args.n, "m": args.m, "rank_x": args.rank_x},
-        "artifact_version": ARTIFACT_VERSION,
+        "artifact_version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
     start = time.perf_counter()
     trace = _run_solver(instance, args.form, cfg)
     wall = time.perf_counter() - start
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     write_trace_csv(trace, out / "trace.csv")
     write_summary(trace, out / "summary.json", manifest, wall)
     final = trace.final.residuals.eps3
@@ -253,8 +253,6 @@ def _run_verifier(name, args):
 
 
 def cmd_verify(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     name = args.verifier
     try:
         ok, report = _run_verifier(name, args)
@@ -263,7 +261,9 @@ def cmd_verify(args):
         raise InputError(f"{name}: {exc}") from exc
     report["verifier"] = name
     report["ok"] = ok
-    Path(out / "report.json").write_text(json.dumps(report, indent=2, default=float) + "\n")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "report.json").write_text(json.dumps(report, indent=2, default=float) + "\n")
     print(f"{name}: {'ok' if ok else 'VIOLATIONS FOUND'}")
     return EXIT_OK if ok else EXIT_NOT_CONVERGED
 
@@ -282,10 +282,9 @@ def cmd_bench(args):
     configs = {r0: _config(r0=r0, r_growth=args.r_growth, r_max=max(args.r_max, r0),
                            max_outer=args.max_outer, stop_eps3=args.stop_eps3)
                for r0 in r_values}
+    traces = {r0: _run_solver(instance, args.form, cfg) for r0, cfg in configs.items()}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    traces = {r0: _run_solver(instance, args.form, cfg) for r0, cfg in configs.items()}
     all_ok = True
     for r0, trace in traces.items():
         write_trace_csv(trace, out / f"trace-r{_fmt(r0)}.csv")

@@ -279,10 +279,10 @@ class KnownSolutionInstance:
     Certification (at construction) checks affine feasibility of x_star, the
     dual identity z_star = C - A*(y_star), cone membership of both matrices,
     complementarity, and agreement of the primal and dual optimal values,
-    each to CERTIFY_TOL. ``primal_unique``/``dual_unique`` record whether the
-    respective solution set provably collapses to the certified point (see
-    :func:`solution_uniqueness`); distance-to-solution bookkeeping is only
-    meaningful on the unique side. ``w_star`` is the pair (y_star, z_star)
+    each to CERTIFY_TOL. ``primal_unique``/``dual_unique`` are computed then,
+    not passed in: they record whether the respective solution set provably
+    collapses to the certified point (see :func:`solution_uniqueness`);
+    distance-to-solution bookkeeping is only meaningful on the unique side. ``w_star`` is the pair (y_star, z_star)
     as a :class:`DualPoint`, built once.
     """
 
@@ -291,8 +291,8 @@ class KnownSolutionInstance:
     y_star: np.ndarray
     z_star: np.ndarray
     p_star: float
-    primal_unique: bool = True
-    dual_unique: bool = True
+    primal_unique: bool = field(init=False)
+    dual_unique: bool = field(init=False)
     w_star: DualPoint = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import conic_alm
 from conic_alm import cli, fixtures
 from conic_alm.alm import AlmConfig
 from conic_alm.cli import main
@@ -32,6 +33,7 @@ class TestSolve:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["converged"]
         assert summary["final_residuals"]["eps3"] <= 1e-6
+        assert summary["manifest"]["artifact_version"] == conic_alm.__version__
 
     def test_trace_schema(self, tmp_path):
         run(["solve", "--builtin", "example-d1", "--out", str(tmp_path)])
@@ -238,6 +240,18 @@ class TestInputErrors:
         assert run(argv + ["--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and names in err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--builtin", "svm-random"],
+        ["verify", "qg-primal", "--builtin", "maxcut-g1-20"],
+        ["verify", "growth-lemma", "--builtin", "example-d1", "--mu", "-1"],
+        ["bench", "--builtin", "svm-random", "--r-list", "1"],
+    ], ids=["solve-qp-as-sdp", "verify-uncertified", "verify-negative-mu",
+            "bench-qp-as-sdp"])
+    def test_rejected_input_leaves_no_out_dir(self, argv, tmp_path):
+        out = tmp_path / "out"
+        assert run(argv + ["--out", str(out)]) == 3
+        assert not out.exists()
 
     @pytest.mark.parametrize("text,line", NONFINITE_SDPA)
     def test_nonfinite_sdpa_exits_3(self, text, line, tmp_path, capsys):

@@ -326,6 +326,15 @@ class TestSynthKnownSolution:
         assert not full.primal_unique
         assert full.dual_unique
 
+    @pytest.mark.parametrize("flag", ["primal_unique", "dual_unique"])
+    def test_uniqueness_flags_are_not_arguments(self, toy, flag):
+        # both flags are computed at construction; passing one is an error,
+        # not a setting that is silently overwritten
+        with pytest.raises(TypeError, match=flag):
+            KnownSolutionInstance(problem=toy.problem, x_star=toy.x_star,
+                                  y_star=toy.y_star, z_star=toy.z_star,
+                                  p_star=toy.p_star, **{flag: False})
+
 
 class TestIneqResiduals:
     def test_zero_at_kkt_point(self):
