@@ -271,20 +271,24 @@ def grad_L_dual_y(p, y, X, r):
 def ineq_objective(q, z, r):
     """Callable x -> (L_r(x, z), grad_x L_r, Newton solve, update) at x.
 
-    The solve's generalized Hessian is Q + r G_A' G_A over the active set
-    A = {i : z_i + r g_i(x) > 0}; L_r(., z) is quadratic on each active set,
-    so Newton steps on it form a finite active-set method.
+    The solve's generalized Hessian is Q + r G_A' G_A over the closed active
+    set A = {i : z_i + r g_i(x) >= 0}. Both ways of counting a row on its
+    kink give a generalized Hessian; counting it active keeps the first step
+    from x = 0, z = 0 (every lasso row on its kink) off the singular Q. L_r
+    is quadratic on each active set, so Newton on it is a finite active-set
+    method.
     """
     _check_r(r)
     zz = float(z @ z)
 
     def oracle(x):
-        pos = np.maximum(z + r * q.constraints(x), 0.0)
+        a = z + r * q.constraints(x)
+        pos = np.maximum(a, 0.0)
         val = q.objective(x) + (float(pos @ pos) - zz) / (2.0 * r)
         grad = q.objective_grad(x) + q.G.T @ pos
 
         def solve(g):
-            G_A = q.G[pos > 0.0]
+            G_A = q.G[a >= 0.0]
             return _ridged_solve(q.Q + r * (G_A.T @ G_A), g)
 
         return val, grad, solve, lambda: (x, pos, float(np.linalg.norm(pos - z)))

@@ -11,8 +11,9 @@ per value and a side-by-side CSV of the KKT residual series.
 Exit codes: 0 on success/convergence, 2 when the run stopped before reaching
 the residual threshold (partial outputs are still written), 3 on input
 errors (numeric values that the solver configuration, the instance
-synthesizer or a verifier rejects included). An input error writes nothing:
-each command creates ``--out`` only once its results are computed. Bench
+synthesizer or a verifier rejects, and an ``--out`` at or under a file,
+included). An input error writes nothing: each command checks ``--out``
+first and creates it only once its results are computed. Bench
 configurations run one after another: the solves hold the GIL, so running
 them on threads was measured slower than running them serially.
 
@@ -108,6 +109,13 @@ def write_summary(trace, path, manifest, wall_time):
         "wall_time_sec": wall_time,
     }
     Path(path).write_text(json.dumps(summary, indent=2, default=float) + "\n")
+
+
+def _check_out(path):
+    """Reject an ``--out`` at or under an existing file, before any run."""
+    first = next((p for p in (Path(path), *Path(path).parents) if p.exists()), None)
+    if first is not None and not first.is_dir():
+        raise InputError(f"--out {path}: {first} exists and is not a directory")
 
 
 def _config(**values):
@@ -373,6 +381,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     handlers = {"solve": cmd_solve, "verify": cmd_verify, "bench": cmd_bench}
     try:
+        _check_out(args.out)
         return handlers[args.command](args)
     except (InputError, SdpaFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

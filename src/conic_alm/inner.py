@@ -4,15 +4,15 @@ Damped Newton steps under a monotone backtracking line search. The objective
 returns, with its value and gradient at x, a solve g -> d of a regularized
 generalized Hessian system at x and a lazy multiplier step at x
 (``auglag.*_objective``). Each step uses the solve that came back with the
-current iterate: it tries the unit step along -d and backtracks on the
-Armijo test with g.d in place of ||g||^2. A step is also accepted at the
-value floor: when its value is within 1e-14 (1 + |f|) of f, the Armijo test
-cannot resolve a decrease, and the step is taken if it cuts ||g|| by a
-relative 1e-4, so solves are monotone only up to the value's rounding. On a
-piecewise-quadratic objective Newton is a finite active-set method (as in
-SSNAL, Li, Sun & Toh 2018); on the SDP forms it is the semismooth Newton
-method of SDPNAL (Zhao, Sun & Toh 2010). Either way the optimality
-certificate is the convexity bound
+current iterate: it tries the unit step along -d and halves it, at most 60
+times, until the Armijo test with g.d in place of ||g||^2 holds. A step is
+also accepted at the value floor: when its value is within 1e-14 (1 + |f|)
+of f, the Armijo test cannot resolve a decrease, and the step is taken if it
+cuts ||g|| by a relative 1e-4, so solves are monotone only up to the value's
+rounding. On a piecewise-quadratic objective Newton is a finite active-set
+method (as in SSNAL, Li, Sun & Toh 2018); on the SDP forms it is the
+semismooth Newton method of SDPNAL (Zhao, Sun & Toh 2010). Either way the
+optimality certificate is the convexity bound
 
     L(x) - min L <= ||grad L(x)|| * D
 
@@ -82,14 +82,11 @@ def minimize_auglag(oracle, start, tol, max_iter=10000, diameter_bound=None, acc
     like the point (works for vectors and symmetric matrices alike);
     ``solve`` maps ``g -> d`` with a positive definite (regularized
     generalized) Hessian at the point; it and ``update()`` run only when
-    needed, the solve at most once per accepted point. Each step cuts the
+    needed, the solve at most once per accepted point. Each step halves the
     trial step from t = 1 until the Armijo test (constant 1e-4) holds, at
-    most 60 times: by half, or by a tenth when the quadratic interpolant of
-    the value puts its minimizer below t/10 (the unit step overshoots
-    grossly, as a Newton step on a singular Hessian regularized by a tiny
-    ridge does). A solve whose g.d is not positive and finite ends the solve
-    with no step taken. The stop test holds at an iterate whose certified
-    gap is <= tol and, if ``accept`` is given, of whose result
+    most 60 times. A solve whose g.d is not positive and finite ends the
+    solve with no step taken. The stop test holds at an iterate whose
+    certified gap is <= tol and, if ``accept`` is given, of whose result
     ``accept(result)`` is true. Every other exit in the module docstring
     returns the iterate of least gradient norm with converged=False.
     ``iterations`` counts accepted moves.
@@ -140,9 +137,7 @@ def minimize_auglag(oracle, start, tol, max_iter=10000, diameter_bound=None, acc
         if not (gd > 0 and np.isfinite(gd)):
             # no descent direction: the search cannot move x
             break
-        # The Armijo decrease 1e-4 t g.d is written 1e-4 t slope ||g|| with
-        # slope = g.d / ||g||; its rounding is part of every recorded run
-        slope, f_cap = gd / gn, fx + 1e-14 * (1.0 + abs(fx))
+        f_cap = fx + 1e-14 * (1.0 + abs(fx))
         t, backtracks = 1.0, 0
         while True:
             x_new = x - t * d
@@ -151,19 +146,9 @@ def minimize_auglag(oracle, start, tol, max_iter=10000, diameter_bound=None, acc
             # value floor: a step that moves the value by less than its
             # rounding is accepted when it cuts ||g||
             floor_move = finite and f_new <= f_cap and _norm(g_new) <= (1.0 - 1e-4) * gn
-            if ((finite and f_new <= fx - 1e-4 * t * slope * gn) or floor_move
-                    or backtracks == 60):
+            if (finite and f_new <= fx - 1e-4 * t * gd) or floor_move or backtracks == 60:
                 break
-            # Cut t to t/10 when the trial value rose above its rounding
-            # and the quadratic through f, the slope -g.d at t = 0 and f_new
-            # has its minimizer below t/10, else halve: the safeguards of
-            # Nocedal & Wright's interpolating backtrack (sec. 3.5) without
-            # its interior step, which on the semismooth SDP forms falls short
-            # of the steps that pass
-            if f_new > f_cap and gd * t < 0.2 * (f_new - fx + t * gd):
-                t *= 0.1
-            else:
-                t *= 0.5
+            t *= 0.5
             backtracks += 1
         if not np.isfinite(f_new) or not np.all(np.isfinite(g_new)):
             raise InnerSolveError(f"objective returned non-finite values at iteration {it} "

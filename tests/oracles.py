@@ -142,10 +142,10 @@ def dual_hessian_matrix(p, X, r, y):
 
 
 def ineq_hessian_matrix(q, z, r, x):
-    """Q + r G_A' G_A over the active rows z + r g(x) > 0, one row at a time."""
+    """Q + r G_A' G_A over the active rows z + r g(x) >= 0, one row at a time."""
     H = np.array(q.Q, dtype=float)
     for zi, gi, row in zip(z, q.constraints(x), q.G):
-        if zi + r * gi > 0:
+        if zi + r * gi >= 0:
             H = H + r * np.outer(row, row)
     return H
 

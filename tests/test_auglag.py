@@ -11,6 +11,7 @@ from conic_alm.auglag import (_block_gram, dual_gap_lower_bound, dual_objective,
                               eval_L_ineq, eval_L_primal, grad_L_dual_y, grad_L_ineq_x,
                               grad_L_primal_X, grad_L_primal_w, ineq_objective,
                               primal_objective)
+from conic_alm.fixtures import load_builtin
 from conic_alm.inner import minimize_auglag
 from conic_alm.model import (DenseOperator, DualPoint, SparseOperator, apply_A, apply_Astar,
                              svm_instance, synth_known_solution)
@@ -366,6 +367,18 @@ class TestIneqForm:
             g = grad_L_ineq_x(q, x, z, r)
             fd = fd_grad_vec(lambda v: eval_L_ineq(q, v, z, r), x)
             assert np.linalg.norm(g - fd) <= 1e-5 * (1.0 + np.linalg.norm(fd))
+
+    @pytest.mark.parametrize("name", ["svm-random", "lasso-random"])
+    def test_kink_rows_count_active(self, name):
+        # at x = 0, z = 0 every row z_i + r g_i(x) is >= 0 (lasso's all sit
+        # on the kink 0), and the closed active set takes them all: the
+        # solve is the one of Q + r G'G
+        q, r = load_builtin(name), 2.0
+        _, g, solve, _ = ineq_objective(q, np.zeros(q.n_constraints), r)(np.zeros(q.dim))
+        H = q.Q + r * (q.G.T @ q.G)
+        assert_allclose(ineq_hessian_matrix(q, np.zeros(q.n_constraints), r,
+                                            np.zeros(q.dim)), H, rtol=1e-12)
+        assert_solves(H + ridge(H) * np.eye(q.dim), solve(g), g)
 
     @given(ineq_subproblems())
     def test_hessian_matches_gradient_differences(self, case):

@@ -253,6 +253,28 @@ class TestInputErrors:
         assert run(argv + ["--out", str(out)]) == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--builtin", "example-d1"],
+        ["verify", "trace-bound", "--samples", "10"],
+        ["bench", "--builtin", "example-d1", "--r-list", "1"],
+    ], ids=["solve", "verify", "bench"])
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_out_at_a_file_exits_3(self, argv, under, tmp_path, capsys, monkeypatch):
+        # an --out that is, or lies under, an existing file is rejected, by
+        # its path, before any run, and the file is left as it was
+        def no_run(*args):
+            pytest.fail("ran before --out was checked")
+
+        monkeypatch.setattr(cli, "_run_solver", no_run)
+        monkeypatch.setattr(cli, "_run_verifier", no_run)
+        path = tmp_path / "F"
+        path.write_text("keep\n")
+        out = path / "sub" if under else path
+        assert run(argv + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert path.read_text() == "keep\n" and sorted(tmp_path.iterdir()) == [path]
+
     @pytest.mark.parametrize("text,line", NONFINITE_SDPA)
     def test_nonfinite_sdpa_exits_3(self, text, line, tmp_path, capsys):
         path = tmp_path / "nonfinite.dat-s"

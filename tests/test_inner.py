@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 
 from conic_alm.auglag import ineq_objective, primal_objective
-from conic_alm.fixtures import lasso_fixture
+from conic_alm.fixtures import lasso_fixture, load_builtin
 from conic_alm.inner import (InnerSolveError, check_criterion_A, check_criterion_B,
                              minimize_auglag)
 from conic_alm.model import DualPoint
@@ -288,6 +288,36 @@ class TestNewton:
         assert len(tags) in (res.iterations, res.iterations + 1)
         # the solved points are the accepted path, so their values descend
         assert all(values[b] <= values[a] for a, b in zip(tags, tags[1:]))
+
+    def test_backtracking_halves_the_trial_step(self):
+        # f = x^2 / 2 from x = 1 with d = 1024 g: the unit step overshoots
+        # grossly, and the trial steps are still 1, 1/2, 1/4, ... down to
+        # 1/1024, which lands on the minimizer
+        trials = []
+
+        def obj(x):
+            trials.append((1.0 - x[0]) / 1024.0)
+            return 0.5 * float(x @ x), x.copy(), lambda g: 1024.0 * g, no_update
+
+        res = minimize_auglag(obj, np.ones(1), tol=1e-12, diameter_bound=1.0)
+        assert res.converged and res.iterations == 1
+        assert trials[1:] == [2.0 ** -k for k in range(11)]
+
+    @pytest.mark.parametrize("name", ["lasso-random", "svm-random"])
+    def test_first_subproblem_takes_unit_steps(self, name):
+        # from x = 0, z = 0 every row is on its kink (lasso) or above it
+        # (svm's hinge rows) and counts active, so the first Newton system
+        # is Q + r G'G and every line search passes at t = 1
+        q = load_builtin(name)
+        obj = ineq_objective(q, np.zeros(q.n_constraints), 1.0)
+        evals = []
+
+        def spy(x):
+            evals.append(None)
+            return obj(x)
+
+        res = minimize_auglag(spy, np.zeros(q.dim), tol=1e-12, diameter_bound=1.0)
+        assert res.converged and len(evals) == res.iterations + 1
 
     def test_value_floor_window_ends_the_solve(self):
         # 1 + max(x_0, 0): three unit Newton steps from x_0 = 2.5 descend,
