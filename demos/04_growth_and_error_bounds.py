@@ -52,7 +52,8 @@ print(f"growth lemma: kappa = {gl.params['kappa']:.4f} (= 2/7), "
 
 # Its proof rests on a trace bound for PSD block matrices.
 tb = check_trace_bound(samples=5000, seed=3)
-print(f"trace bound: {len(tb.violated)} violations over {tb.sampled_points} splits")
+print(f"trace bound: {len(tb.violated)} violations over {tb.sampled_points} splits, "
+      f"tightest ||D|| tr(A) / ||B||^2 = {tb.min_ratio:.6f} (>= 1)")
 
 # The penalty subdifferential's preimage of -Z* is exactly the face of Z*.
 pr = verify_penalty_preimage(toy.z_star, rho=4.0, samples=30, seed=4)

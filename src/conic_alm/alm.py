@@ -162,16 +162,21 @@ def _outer_loop(trace, cfg, p, objective, diameter_of, record, x, w):
     subproblem minimizer, and ``record(x, w, w+, fields)`` builds the
     iteration record (with its residuals) from the shared ``fields``. The
     solve stops at the first iterate within criterion A's target (or the
-    floor) whose own step meets criterion B or sinks B's target to the floor.
+    floor) whose own step meets criterion B or, after at least one inner
+    step, sinks B's target to the floor.
     """
     for k in range(cfg.max_outer):
         r = cfg.penalty(k)
         eps_k, delta_k = cfg.eps(k), cfg.delta(k)
 
         def meets_B(result):
+            # the floor escape needs a step: a start point that meets A's
+            # loose early target would otherwise return unimproved, and the
+            # multiplier step would repeat the last residual
             step = result.update[2]
             return (check_criterion_B(result, delta_k, r, step)
-                    or delta_k * delta_k * step * step / (2.0 * r) <= _TARGET_FLOOR)
+                    or (result.iterations > 0
+                        and delta_k * delta_k * step * step / (2.0 * r) <= _TARGET_FLOOR))
 
         result = minimize_auglag(objective(p, w, r), x,
                                  max(eps_k * eps_k / (2.0 * r), _TARGET_FLOOR), cfg.inner_budget,

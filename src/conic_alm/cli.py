@@ -198,7 +198,8 @@ def _run_verifier(name, args):
     if name == "trace-bound":
         rep = theory.check_trace_bound(samples=args.samples, seed=args.seed)
         ok = len(rep.violated) == 0
-        report = {"violations": len(rep.violated), "samples": rep.sampled_points}
+        report = {"min_ratio": rep.min_ratio, "violations": len(rep.violated),
+                  "samples": rep.sampled_points}
     elif name == "no-sharp-growth":
         if args.grid_points < 1:
             raise InputError(f"--grid-points must be at least 1, got {args.grid_points}")

@@ -21,12 +21,18 @@ none has landed.
 The samplers evaluate blocks of at most 256 points (of probes, for the
 preimage check) with the stacked kernels of :mod:`symcone` and
 :mod:`model`. The ball samplers and the growth lemma draw a block's noise
-in one normal draw; the trace bound draws point by point, since size,
-matrix and split interleave, and runs its algebra once per block and
-shape. A block draws no point past the one where a loop over single points
-would stop, and the stacked kernels round as a loop over their matrices
-does, so every report is identical bit for bit to that of such a loop (the
-tests keep those loops as references).
+in one normal draw. The trace bound draws every point's size in one call
+and every split in a second, then walks the sizes in increasing order,
+drawing each size's matrices in chunks of at most 256 points with one
+normal draw per chunk and running its algebra once per split of a chunk.
+The preimage check draws all face points' factors in one call, then their
+probes in point order; off the face it draws as many points as are still
+needed, keeps those at distance above 0.1 from the face until it has
+enough, and then draws their probes in point order. A block draws no point
+past the one where a loop over single points would stop, and the stacked
+kernels round as a loop over their matrices does, so every report is
+identical bit for bit to that of a loop over single points that draws in
+the same order (the tests keep those loops as references).
 """
 
 from dataclasses import dataclass
@@ -370,47 +376,51 @@ def verify_penalty_preimage(zbar, rho, samples=50, probes=100, seed=0):
     n = zbar.shape[0]
     face = face_basis(zbar)
     rng = np.random.default_rng(seed)
+    p2 = face.p2
+    k = p2.shape[1]
 
     def l(M):
         return exact_penalty(M, rho) if rho > 0 else np.zeros(M.shape[:-2])
 
-    def holds_at(X, Y):
-        return bool(np.all(l(Y) >= l(X) + _inner(-zbar, Y - X) - 1e-8))
-
-    def holds(X):
-        """The subgradient inequality at X for every probe. The random probes
-        are drawn and checked a block at a time, all of them whatever the
-        outcome, so the stream of draws does not depend on it."""
-        ok = [holds_at(X, X + _sym_noise(rng, n, 1.0, count)) for count in _blocks(probes)]
-        fixed = [np.zeros((n, n))]
-        if face.p2.shape[1]:
-            B = symmetrize(face.p2.T @ X @ face.p2)
-            fixed.append(symmetrize(face.p2 @ project_psd(B) @ face.p2.T))
-        return all(ok) and holds_at(X, np.stack(fixed))
-
-    face_failures = 0
-    k = face.p2.shape[1]
-    for _ in range(samples):
+    def failures(X):
+        """Count of the points X (a stack) at which some probe breaks the
+        subgradient inequality. The random probes are drawn in point order
+        and checked at most BLOCK at a time, all of them whatever the outcome;
+        a point's fixed probes join the stack that holds its last one."""
+        lX = l(X)
+        fixed = [np.zeros_like(X)]
         if k:
-            R = rng.standard_normal((k, k))
-            X = symmetrize(face.p2 @ (R @ R.T) @ face.p2.T)
-        else:
-            X = np.zeros((n, n))
-        if not holds(X):
-            face_failures += 1
+            fixed.append(symmetrize(p2 @ project_psd(symmetrize(p2.T @ X @ p2)) @ p2.T))
+        fixed = np.stack(fixed, axis=1)
+        failed = np.zeros(len(X), dtype=bool)
+        total = len(X) * probes
+        for start in range(0, total, BLOCK):
+            j = np.arange(start, min(start + BLOCK, total))
+            owner = j // probes
+            ending = owner[(j + 1) % probes == 0]
+            Y = np.concatenate([X[owner] + _sym_noise(rng, n, 1.0, owner.size),
+                                fixed[ending].reshape(-1, n, n)])
+            base = np.concatenate([owner, np.repeat(ending, fixed.shape[1])])
+            ok = l(Y) >= lX[base] + _inner(-zbar, Y - X[base]) - 1e-8
+            failed[base[~ok]] = True
+        return int(np.count_nonzero(failed))
 
-    off_detected = 0
-    off_points = 0
-    r = face.p1.shape[1]
-    if r:
+    if k:
+        R = rng.standard_normal((samples, k, k))
+        X = symmetrize(p2 @ (R @ R.swapaxes(-1, -2)) @ p2.T)
+    else:
+        X = np.zeros((samples, n, n))
+    face_failures = failures(X)
+
+    off_points = off_detected = 0
+    if face.p1.shape[1]:
+        off = []
         while off_points < samples:
-            R = rng.standard_normal((n, n))
-            X = symmetrize(R @ R.T)
-            if dist_to_face(X, face) <= 0.1:
-                continue
-            off_points += 1
-            if not holds(X):
-                off_detected += 1
+            R = rng.standard_normal((samples - off_points, n, n))
+            X = symmetrize(R @ R.swapaxes(-1, -2))
+            off.append(X[dist_to_face(X, face) > 0.1])
+            off_points += len(off[-1])
+        off_detected = failures(np.concatenate(off))
     return PreimageReport(face_points=samples, face_failures=face_failures,
                           off_face_points=off_points, off_face_detected=off_detected)
 
@@ -483,35 +493,37 @@ def check_trace_bound(samples=10000, n_range=(2, 8), seed=0):
     Draws PSD matrices M = R R', splits them as [[A, B], [B', D]] at a random
     position, and counts violations beyond 1e-10 (1 + ||M||^2). Sizes are
     drawn from the integers lo <= n <= hi of ``n_range`` (2 <= lo).
+    ``min_ratio`` is the smallest ||D||_op tr(A) / ||B||^2 sampled, which the
+    bound puts at 1 or above.
     """
     _check_samples(samples)
     lo, hi = n_range
     if not (all(isinstance(v, (int, np.integer)) for v in (lo, hi)) and 2 <= lo <= hi):
         raise ValueError(f"n_range must be integers 2 <= lo <= hi, got {n_range}")
     rng = np.random.default_rng(seed)
-    violated = []
-    for start in range(0, samples, BLOCK):
-        # the draws of one point interleave (size, R, split), so they stay
-        # serial; the algebra runs once per (size, split) group of the block
-        groups = {}
-        for i in range(start, min(start + BLOCK, samples)):
-            n = int(rng.integers(lo, hi + 1))
-            R = rng.standard_normal((n, n))
-            s = int(rng.integers(1, n))
-            groups.setdefault((n, s), []).append((i, R))
-        for (n, s), items in groups.items():
-            R = np.stack([R for _, R in items])
+    sizes = rng.integers(lo, hi + 1, size=samples)
+    splits = rng.integers(1, sizes)
+    lhs, rhs, slack = np.empty(samples), np.empty(samples), np.empty(samples)
+    # the values present, in increasing order, are the nonzero bins of a
+    # bincount (np.unique imports numpy.ma on its first call, which takes
+    # longer than this whole check at 2000 samples)
+    for n in np.flatnonzero(np.bincount(sizes)).tolist():
+        points = np.flatnonzero(sizes == n)
+        for start in range(0, points.size, BLOCK):
+            chunk = points[start:start + BLOCK]
+            R = rng.standard_normal((chunk.size, n, n))
             M = symmetrize(R @ R.swapaxes(-1, -2))
-            A = M[:, :s, :s]
-            B = M[:, :s, s:]
-            D = M[:, s:, s:]
-            lhs = np.linalg.eigvalsh(symmetrize(D))[:, -1] * np.trace(A, axis1=1, axis2=2)
-            rhs = np.sum((B * B).reshape(len(items), -1), axis=-1)
-            bad = lhs < rhs - 1e-10 * (1.0 + _squares(frob(M)))
-            violated += [i for (i, _), b in zip(items, bad) if b]
-    return GrowthReport(sampled_points=samples, min_ratio=float("nan"),
-                        violated=tuple(sorted(violated)),
-                        params=dict(n_range=n_range, seed=seed))
+            slack[chunk] = 1e-10 * (1.0 + _squares(frob(M)))
+            at = splits[chunk]
+            for s in np.flatnonzero(np.bincount(at)).tolist():
+                group = at == s
+                G = M[group]  # M is symmetric, and so is each D
+                A, B, D = G[:, :s, :s], G[:, :s, s:], G[:, s:, s:]
+                lhs[chunk[group]] = (np.linalg.eigvalsh(D)[:, -1]
+                                     * np.trace(A, axis1=1, axis2=2))
+                rhs[chunk[group]] = np.sum((B * B).reshape(len(G), -1), axis=-1)
+    return _ratio_report(lhs, rhs, dict(n_range=n_range, seed=seed),
+                         violated=lambda lhs, rhs: lhs < rhs - slack)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import numpy as np
 
 from conic_alm.model import SparseOperator, apply_Astar
 from conic_alm.symcone import face_basis, symmetrize
-from conic_alm.theory import GrowthReport, PreimageReport, _default_gamma, _ratio_report
+from conic_alm.theory import PreimageReport, _default_gamma, _ratio_report
 
 
 def eig2x2(M):
@@ -255,9 +255,11 @@ def project_affine_one(p, X):
 # sampler, each with its own unbounded rejection loop; the library's
 # verify_qg_primal, verify_eb_primal, verify_qg_dual (sampled branch),
 # verify_growth_lemma, verify_penalty_preimage and check_trace_bound must
-# return equal reports. verify_qg_dual_reference leaves out the y_grid
-# branch, which does not sample; verify_qg_dual_grid_reference is that
-# branch as a loop over the grid points.
+# return equal reports. The preimage and trace bound loops draw in the
+# library's bulk order (see the theory module docstring), one point at a
+# time. verify_qg_dual_reference leaves out the y_grid branch, which does
+# not sample; verify_qg_dual_grid_reference is that branch as a loop over
+# the grid points.
 
 
 def verify_qg_primal_reference(inst, gamma=None, ball_radius=1.0, samples=2000,
@@ -431,6 +433,7 @@ def verify_growth_lemma_reference(xbar, zbar, mu, samples=10000, seed=0,
 def verify_penalty_preimage_reference(zbar, rho, samples=50, probes=100, seed=0):
     n = zbar.shape[0]
     face = face_basis(zbar)
+    k = face.p2.shape[1]
     rng = np.random.default_rng(seed)
 
     def l(M):
@@ -439,58 +442,57 @@ def verify_penalty_preimage_reference(zbar, rho, samples=50, probes=100, seed=0)
     def holds(X, Y):
         return l(Y) >= l(X) + inner_one(-zbar, Y - X) - 1e-8
 
-    def probe_points(X):
-        pts = []
-        for _ in range(probes):
-            pts.append(X + sym_noise_one(rng, n, 1.0))
-        if face.p2.shape[1]:
+    def fixed_probes(X):
+        pts = [np.zeros((n, n))]
+        if k:
             B = symmetrize(face.p2.T @ X @ face.p2)
             pts.append(symmetrize(face.p2 @ project_psd_one(B) @ face.p2.T))
-        pts.append(np.zeros((n, n)))
         return pts
 
-    face_failures = 0
-    k = face.p2.shape[1]
-    for _ in range(samples):
-        if k:
-            R = rng.standard_normal((k, k))
-            X = symmetrize(face.p2 @ (R @ R.T) @ face.p2.T)
-        else:
-            X = np.zeros((n, n))
-        if not all(holds(X, Y) for Y in probe_points(X)):
-            face_failures += 1
+    def failures(points):
+        # every point's random probes come after all the points are drawn
+        failed = 0
+        for X in points:
+            random = [X + sym_noise_one(rng, n, 1.0) for _ in range(probes)]
+            if not all(holds(X, Y) for Y in random + fixed_probes(X)):
+                failed += 1
+        return failed
 
-    off_detected = 0
-    off_points = 0
+    # the face points' factors come first, all of them
+    factors = [rng.standard_normal((k, k)) for _ in range(samples)] if k else []
+    face_points = ([symmetrize(face.p2 @ (R @ R.T) @ face.p2.T) for R in factors] if k
+                   else [np.zeros((n, n))] * samples)
+    face_failures = failures(face_points)
+
+    off_face = []
     if face.p1.shape[1]:
-        while off_points < samples:
+        while len(off_face) < samples:
             R = rng.standard_normal((n, n))
             X = symmetrize(R @ R.T)
-            if dist_to_face_one(X, face) <= 0.1:
-                continue
-            off_points += 1
-            if not all(holds(X, Y) for Y in probe_points(X)):
-                off_detected += 1
+            if dist_to_face_one(X, face) > 0.1:
+                off_face.append(X)
     return PreimageReport(face_points=samples, face_failures=face_failures,
-                          off_face_points=off_points, off_face_detected=off_detected)
+                          off_face_points=len(off_face), off_face_detected=failures(off_face))
 
 
 def check_trace_bound_reference(samples=10000, n_range=(2, 8), seed=0):
     rng = np.random.default_rng(seed)
     lo, hi = n_range
-    violated = []
-    for i in range(samples):
-        n = int(rng.integers(lo, hi + 1))
+    # integers with an array high draws otherwise than one scalar call per
+    # point, so sizes and splits come from the same two array calls
+    sizes = rng.integers(lo, hi + 1, size=samples)
+    splits = rng.integers(1, sizes)
+    lhs, rhs, slack = [0.0] * samples, [0.0] * samples, [0.0] * samples
+    # then the matrices, size by size in increasing order
+    for i in sorted(range(samples), key=lambda i: (sizes[i], i)):
+        n, s = int(sizes[i]), int(splits[i])
         R = rng.standard_normal((n, n))
         M = symmetrize(R @ R.T)
-        s = int(rng.integers(1, n))
         A = M[:s, :s]
         B = M[:s, s:]
         D = M[s:, s:]
-        lhs = float(np.linalg.eigvalsh(symmetrize(D))[-1]) * float(np.trace(A))
-        rhs = float(np.sum(B * B))
-        if lhs < rhs - 1e-10 * (1.0 + frob_one(M) ** 2):
-            violated.append(i)
-    return GrowthReport(sampled_points=samples, min_ratio=float("nan"),
-                        violated=tuple(violated),
-                        params=dict(n_range=n_range, seed=seed))
+        lhs[i] = float(np.linalg.eigvalsh(symmetrize(D))[-1]) * float(np.trace(A))
+        rhs[i] = float(np.sum(B * B))
+        slack[i] = 1e-10 * (1.0 + frob_one(M) ** 2)
+    return _ratio_report(lhs, rhs, dict(n_range=n_range, seed=seed),
+                         violated=lambda lhs, rhs: lhs < rhs - np.array(slack))

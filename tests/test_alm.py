@@ -465,6 +465,17 @@ class TestNewtonSteps:
         assert trace.records[-1].residuals.eps3 <= 1e-5
         assert sum(rec.inner_iterations for rec in trace.records) <= 90
 
+    def test_no_zero_step_subsolves(self):
+        # a start point within criterion A's loose early target used to be
+        # returned unimproved once B's target sank to the floor: seven such
+        # subsolves in a row walked the multipliers away (eps3 from 2.8e-10
+        # up to 1.1e-8) and the solve took 16 outer iterations
+        problem = load_builtin("maxcut-g2-20")
+        trace = solve_dual_alm(problem, np.zeros((problem.n, problem.n)),
+                               AlmConfig(stop_eps3=1e-10))
+        assert trace.converged and len(trace.records) <= 8
+        assert min(rec.inner_iterations for rec in trace.records) > 0
+
     def test_maxcut_80_vertices(self):
         # the scaling point: a unit-weight graph on 80 vertices at the 6 %
         # edge density of Gset G1, where the Newton systems use only the

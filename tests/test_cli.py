@@ -336,6 +336,9 @@ class TestVerify:
         code = run(["verify", "trace-bound", "--samples", "2000",
                     "--out", str(tmp_path)])
         assert code == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["violations"] == 0 and report["samples"] == 2000
+        assert report["min_ratio"] >= 1.0 - 1e-9
 
     def test_qg_dual_grid(self, tmp_path):
         code = run(["verify", "qg-dual", "--builtin", "example-d1", "--rho", "4",

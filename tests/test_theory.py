@@ -3,6 +3,8 @@ control for each (hypothesis violated => detectable failure)."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conic_alm import theory
 from conic_alm.model import KnownSolutionInstance, SdpProblem, synth_known_solution
@@ -187,6 +189,34 @@ class TestBallSampler:
             kwargs = dict(samples=12, probes=probes, seed=seed)
             assert (verify_penalty_preimage(inst.z_star, rho, **kwargs)
                     == verify_penalty_preimage_reference(inst.z_star, rho, **kwargs))
+
+    @settings(max_examples=40)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 9), st.integers(0, 7),
+           st.integers(1, 3 * theory.BLOCK + 1))
+    def test_trace_bound_chunks_match_point_loop(self, seed, lo, width, samples):
+        # sizes lo..hi split the run into chunks of up to BLOCK points per size
+        kwargs = dict(samples=samples, n_range=(lo, min(lo + width, 9)), seed=seed)
+        rep, ref = check_trace_bound(**kwargs), check_trace_bound_reference(**kwargs)
+        assert rep.sampled_points == ref.sampled_points == samples
+        assert rep.min_ratio.hex() == ref.min_ratio.hex()
+        assert rep.violated == ref.violated
+        assert list(rep.params.items()) == list(ref.params.items())
+
+    @settings(max_examples=30)
+    @given(st.sampled_from(["example-d1", "synth"]), st.integers(0, 2**32 - 1),
+           st.integers(1, 3 * theory.BLOCK + 1), st.data())
+    def test_preimage_stacks_match_point_loop(self, name, seed, samples, data):
+        # synth: z* of rank 2 at n = 4, so its kernel eigenvalue 0 is
+        # repeated and the face is two-dimensional
+        inst = (toy_rank1_instance() if name == "example-d1"
+                else synth_known_solution(4, 5, 2, 300))
+        assert face_basis(inst.z_star).p2.shape[1] == (1 if name == "example-d1" else 2)
+        # the reference loop pays per probe: keep samples * probes near 1500
+        probes = data.draw(st.integers(1, max(1, min(300, 1500 // samples))), label="probes")
+        rho = float(np.trace(inst.z_star)) + 1.0
+        kwargs = dict(samples=samples, probes=probes, seed=seed)
+        assert (verify_penalty_preimage(inst.z_star, rho, **kwargs)
+                == verify_penalty_preimage_reference(inst.z_star, rho, **kwargs))
 
     @pytest.mark.parametrize("verifier", [verify_qg_primal, verify_eb_primal,
                                           verify_qg_dual])
@@ -451,6 +481,8 @@ class TestTraceBound:
     def test_population(self):
         rep = check_trace_bound(samples=3000, n_range=(2, 8), seed=9)
         assert len(rep.violated) == 0
+        # the empirical constant: ||D||_op tr(A) / ||B||^2 >= 1 by the lemma
+        assert rep.min_ratio >= 1.0 - 1e-9
 
     def test_rejects_nonpositive_samples(self):
         with pytest.raises(ValueError, match="samples must be at least 1, got -5"):
