@@ -29,11 +29,10 @@ print(f"ranks {sc.rank_x} + {sc.rank_z} = {sc.n}:", sc.holds)
 print("unique solutions:", inst.primal_unique, inst.dual_unique)
 
 # Residuals vanish at the certified triple and react to perturbations.
-res = kkt_residuals(inst.problem, inst.x_star, inst.w_star,
-                    p_star=inst.p_star, d_star=inst.p_star)
+res = kkt_residuals(inst.problem, inst.x_star, inst.w_star, p_star=inst.p_star)
 print("eps3 at the solution:", res.eps3)
 off = kkt_residuals(inst.problem, inst.x_star + 1e-3 * np.eye(5), inst.w_star,
-                    p_star=inst.p_star, d_star=inst.p_star)
+                    p_star=inst.p_star)
 print("eps3 after a 1e-3 perturbation:", off.eps3)
 
 # Problems serialize to a plain-text SDPA subset with 17 significant digits,

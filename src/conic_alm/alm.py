@@ -96,10 +96,8 @@ class _OuterRecord:
     delta_k: float
     inner_iterations: int
     gap_certificate: float
-    grad_norm: float
     certified: bool
     step_norm: float
-    value: float
     residuals: object
     dist_x: float | None = None
 
@@ -114,8 +112,8 @@ class IterationRecord(_OuterRecord):
     """One accepted outer iteration of an SDP-form run.
 
     Stores the post-update iterates, the inexactness bookkeeping, and (when a
-    certified instance is attached) distances to the known solution before
-    and after the multiplier step.
+    certified instance is attached) the distances that it reports to its
+    solution sets, before and after the multiplier step.
     """
 
     X: np.ndarray
@@ -186,8 +184,7 @@ def _outer_loop(trace, cfg, p, objective, diameter_of, record, x, w):
                      and check_criterion_B(result, delta_k, r, step))
         rec = record(x, w, w_new, dict(
             k=k, r=r, eps_k=eps_k, delta_k=delta_k, inner_iterations=result.iterations,
-            gap_certificate=result.gap_upper_bound, grad_norm=result.grad_norm,
-            certified=certified, step_norm=step, value=result.value))
+            gap_certificate=result.gap_upper_bound, certified=certified, step_norm=step))
         trace.records.append(rec)
         w = w_new
         if rec.residuals.eps3 <= cfg.stop_eps3:
@@ -205,16 +202,13 @@ def _start_array(name, value, shape):
 
 
 def _sdp_record(p, oracle, X, w, dist_w_before, fields):
-    """IterationRecord of the SDP iterate (X, w), with KKT residuals and,
-    when ``oracle`` pins a unique solution, distances to it."""
-    track_x = oracle is not None and oracle.primal_unique
-    track_w = oracle is not None and oracle.dual_unique
-    p_star = oracle.p_star if oracle else None
+    """IterationRecord of the SDP iterate (X, w), with KKT residuals and the
+    distances that ``oracle``, when given, reports."""
     return IterationRecord(
         X=X.copy(), y=w.y.copy(), Z=w.Z.copy(),
-        residuals=kkt_residuals(p, X, w, p_star=p_star, d_star=p_star),
-        dist_x=oracle.dist_primal(X) if track_x else None,
-        dist_w=oracle.dist_dual(w) if track_w else None,
+        residuals=kkt_residuals(p, X, w, p_star=oracle.p_star if oracle else None),
+        dist_x=oracle.dist_primal(X) if oracle else None,
+        dist_w=oracle.dist_dual(w) if oracle else None,
         dist_w_before=dist_w_before, **fields)
 
 
@@ -233,12 +227,9 @@ def solve_primal_alm(p, w0, cfg=None):
     _start_array("w0.Z", w0.Z, (p.n, p.n))
     if dist_psd(w0.Z) > 1e-9 * (1.0 + frob(w0.Z)):
         raise ValueError("initial Z must be positive semidefinite")
-    track_w = oracle is not None and oracle.dual_unique
 
     def record(X, w, w_new, fields):
-        # w is the last record's multiplier, so its distance is that record's dist_w
-        before = (trace.records[-1].dist_w if trace.records
-                  else oracle.dist_dual(w) if track_w else None)
+        before = oracle.dist_dual(w) if oracle else None
         return _sdp_record(p, oracle, X, w_new, before, fields)
 
     trace = AlmTrace(form="primal", problem_name=p.name, config=cfg, start_point=w0)
@@ -261,13 +252,10 @@ def solve_dual_alm(p, X0, cfg=None):
     if dist_psd(X0) > 1e-9 * (1.0 + frob(X0)):
         raise ValueError("initial X must be positive semidefinite")
     scale = 2.0 * (1.0 + p.b_norm + p.C_norm)
-    track_x = oracle is not None and oracle.primal_unique
 
     def record(y, X, X_new, fields):
         w = DualPoint(y=y, Z=symmetrize(p.C - apply_Astar(p, y)))
-        # X is the last record's X, so its distance is that record's dist_x
-        before = (trace.records[-1].dist_x if trace.records
-                  else oracle.dist_primal(X) if track_x else None)
+        before = oracle.dist_primal(X) if oracle else None
         return _sdp_record(p, oracle, X_new, w, before, fields)
 
     trace = AlmTrace(form="dual", problem_name=p.name, config=cfg, start_point=X0)

@@ -236,6 +236,9 @@ def _run_verifier(name, args):
         report = {"min_ratio": rep.min_ratio, "violations": len(rep.violated),
                   "samples": rep.sampled_points, "params": rep.params}
     elif name == "penalty-preimage":
+        # checked here: the verifier sees the face-point count, not the flag
+        if args.samples < 1:
+            raise InputError(f"--samples must be at least 1, got {args.samples}")
         rho = float(np.trace(inst.z_star)) + 1.0 if args.rho is None else args.rho
         rep = theory.verify_penalty_preimage(inst.z_star, rho,
                                              samples=-(-args.samples // 100),
@@ -383,6 +386,8 @@ def main(argv=None):
     handlers = {"solve": cmd_solve, "verify": cmd_verify, "bench": cmd_bench}
     try:
         _check_out(args.out)
+        if args.seed < 0:
+            raise InputError(f"--seed must be non-negative, got {args.seed}")
         return handlers[args.command](args)
     except (InputError, SdpaFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -228,7 +228,7 @@ class ResidualSet:
     """Relative optimality and feasibility residuals of a candidate triple.
 
     eps1/eps2 compare the cost values against known optima and are None when
-    no reference value is supplied. eps3 = max(eta1, ..., eta5). When d_star
+    no reference value is supplied. eps3 = max(eta1, ..., eta5). When p_star
     is unknown, eta5 is scaled by 1 + |<b, y>| instead.
     """
 
@@ -245,12 +245,13 @@ class ResidualSet:
         return max(self.eta1, self.eta2, self.eta3, self.eta4, self.eta5)
 
 
-def kkt_residuals(p, X, w, p_star=None, d_star=None):
+def kkt_residuals(p, X, w, p_star=None):
     """Relative KKT residuals of (X, y, Z) for problem p.
 
     eta1: affine feasibility, eta2: X cone feasibility, eta3: dual affine
-    feasibility, eta4: Z cone feasibility, eta5: duality gap. X is validated
-    here, Z was when ``w`` was built.
+    feasibility, eta4: Z cone feasibility, eta5: duality gap. ``p_star`` is
+    the primal and the dual optimal value alike. X is validated here, Z was
+    when ``w`` was built.
     """
     X = check_symmetric(X, name="X")
     y, Z = w.y, w.Z
@@ -260,10 +261,10 @@ def kkt_residuals(p, X, w, p_star=None, d_star=None):
     eta2 = dist_psd(X, checked=True) / (1.0 + frob(X))
     eta3 = frob(p.C - apply_Astar(p, y) - Z) / (1.0 + p.C_norm)
     eta4 = dist_psd(Z, checked=True) / (1.0 + frob(Z))
-    gap_scale = 1.0 + (abs(d_star) if d_star is not None else abs(by))
+    gap_scale = 1.0 + (abs(p_star) if p_star is not None else abs(by))
     eta5 = abs(cx - by) / gap_scale
     eps1 = abs(cx - p_star) / (1.0 + abs(p_star)) if p_star is not None else None
-    eps2 = abs(by - d_star) / (1.0 + abs(d_star)) if d_star is not None else None
+    eps2 = abs(by - p_star) / (1.0 + abs(p_star)) if p_star is not None else None
     return ResidualSet(eta1=eta1, eta2=eta2, eta3=eta3, eta4=eta4, eta5=eta5,
                        eps1=eps1, eps2=eps2)
 
@@ -281,9 +282,9 @@ class KnownSolutionInstance:
     complementarity, and agreement of the primal and dual optimal values,
     each to CERTIFY_TOL. ``primal_unique``/``dual_unique`` are computed then,
     not passed in: they record whether the respective solution set provably
-    collapses to the certified point (see :func:`solution_uniqueness`);
-    distance-to-solution bookkeeping is only meaningful on the unique side. ``w_star`` is the pair (y_star, z_star)
-    as a :class:`DualPoint`, built once.
+    collapses to the certified point (see :func:`solution_uniqueness`); on a
+    side where it does not, :meth:`dist_primal`/:meth:`dist_dual` return None.
+    ``w_star`` is the pair (y_star, z_star) as a :class:`DualPoint`, built once.
     """
 
     problem: SdpProblem
@@ -322,11 +323,12 @@ class KnownSolutionInstance:
         return checks
 
     def dist_primal(self, X):
-        """Distance to the primal solution set (valid when primal_unique)."""
-        return frob(np.asarray(X) - self.x_star)
+        """Distance from X to the primal solution set; None unless primal_unique."""
+        return frob(np.asarray(X) - self.x_star) if self.primal_unique else None
 
     def dist_dual(self, w):
-        return w.dist(self.w_star)
+        """Distance from w to the dual solution set; None unless dual_unique."""
+        return w.dist(self.w_star) if self.dual_unique else None
 
 
 def solution_uniqueness(inst):

@@ -119,6 +119,16 @@ def _check_finite(**params):
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _check_above_trace(name, rho, mat, mat_name):
+    """The exact-penalty threshold tr(mat); raises unless the penalty ``rho``
+    (the caller's parameter ``name``) is finite and, strictly, above it."""
+    _check_finite(**{name: rho})
+    threshold = float(np.trace(mat))
+    if rho is None or not rho > threshold:
+        raise ValueError(f"need {name} > tr({mat_name}) = {threshold:.6g}, got {rho}")
+    return threshold
+
+
 def _blocks(samples):
     """Sizes of the blocks that cover ``samples`` points."""
     return [min(BLOCK, samples - start) for start in range(0, samples, BLOCK)]
@@ -176,11 +186,11 @@ def verify_qg_primal(inst, gamma=None, ball_radius=1.0, samples=2000,
         raise ValueError("growth checks need an instance with a unique primal "
                          "solution (distance to the solution set is measured "
                          "against x_star)")
-    _check_finite(gamma=gamma, rho=rho if use_penalty else None)
+    _check_finite(gamma=gamma)
     if gamma is None:
         gamma = _default_gamma(inst)
-    if use_penalty and (rho is None or not rho > float(np.trace(inst.z_star)) + 1e-9):
-        raise ValueError("penalty variant needs rho > tr(z_star)")
+    if use_penalty:
+        _check_above_trace("rho", rho, inst.z_star, "z_star")
 
     def draw(rng, sigma, count):
         X = inst.x_star + _sym_noise(rng, p.n, sigma, count)
@@ -255,12 +265,11 @@ def verify_qg_dual(inst, gamma=None, ball_radius=1.0, samples=2000,
     if not inst.dual_unique:
         raise ValueError("dual growth checks need an instance with a unique "
                          "dual solution")
-    _check_finite(gamma=gamma, rho=rho if use_penalty else None)
+    _check_finite(gamma=gamma)
     if gamma is None:
         gamma = 2.0 * (1.0 + float(np.linalg.norm(inst.y_star)) + frob(inst.z_star))
-    if use_penalty and (rho is None or not rho > float(np.trace(inst.x_star)) + 1e-9):
-        raise ValueError("penalty variant needs rho > tr(x_star)")
-    d_star = inst.p_star
+    if use_penalty:
+        _check_above_trace("rho", rho, inst.x_star, "x_star")
 
     def dual_value(y, Z):
         value = -rowdot(p.b, y)
@@ -277,7 +286,8 @@ def verify_qg_dual(inst, gamma=None, ball_radius=1.0, samples=2000,
         if not use_penalty:  # a NaN distance keeps its point
             keep = ~(dist_psd(Z) > 1e-9 * (1.0 + frob(Z)))
             y, Z = y[keep], Z[keep]
-        return _ratio_report(dual_value(y, Z) + d_star, np.sum((y - inst.y_star) ** 2, axis=-1),
+        return _ratio_report(dual_value(y, Z) + inst.p_star,
+                             np.sum((y - inst.y_star) ** 2, axis=-1),
                              dict(gamma=gamma, use_penalty=use_penalty, rho=rho,
                                   grid_points=len(y_grid)))
 
@@ -298,7 +308,7 @@ def verify_qg_dual(inst, gamma=None, ball_radius=1.0, samples=2000,
 
     def lhs_of(point):
         y, Z = point
-        return dual_value(y, Z) + d_star + gamma * frob(p.C - apply_Astar(p, y) - Z)
+        return dual_value(y, Z) + inst.p_star + gamma * frob(p.C - apply_Astar(p, y) - Z)
 
     return _ball_report(samples, ball_radius, seed, draw, lhs_of,
                         dict(gamma=gamma, ball_radius=ball_radius,
@@ -367,9 +377,7 @@ def verify_penalty_preimage(zbar, rho, samples=50, probes=100, seed=0):
     the violation whenever <zbar, X> > 0. Requires tr(zbar) < rho.
     """
     zbar = check_symmetric(zbar, name="zbar")
-    _check_finite(rho=rho)
-    if not rho > float(np.trace(zbar)):
-        raise ValueError("the preimage identity needs tr(zbar) < rho")
+    _check_above_trace("rho", rho, zbar, "zbar")
     _check_samples(samples)
     if probes < 1:
         raise ValueError(f"probes must be at least 1, got {probes}")
@@ -448,7 +456,7 @@ def verify_growth_lemma(xbar, zbar, mu, samples=10000, seed=0, penalty_rho=None)
         raise ValueError("xbar and zbar must be positive semidefinite")
     if abs(_inner(xbar, zbar)) > 1e-10 * scale:
         raise ValueError("xbar and zbar must be complementary (<xbar, zbar> = 0)")
-    _check_finite(mu=mu, penalty_rho=penalty_rho)
+    _check_finite(mu=mu)
     if not mu > 0:
         raise ValueError("mu must be positive")
     _check_samples(samples)
@@ -456,12 +464,11 @@ def verify_growth_lemma(xbar, zbar, mu, samples=10000, seed=0, penalty_rho=None)
     face = face_basis(zbar)
     kappa = face.lambda1_min / (3.0 * mu + 2.0 * frob(xbar))
     if penalty_rho is not None:
-        if not penalty_rho > float(np.trace(zbar)):
-            raise ValueError("penalty variant needs penalty_rho > tr(zbar)")
+        threshold = _check_above_trace("penalty_rho", penalty_rho, zbar, "zbar")
         if face.rank == 0:
             kappa_used = penalty_rho / (n * mu)
         else:
-            delta = penalty_rho - float(np.trace(zbar))
+            delta = penalty_rho - threshold
             kappa_used = min(delta / (2.0 * n * mu), kappa / 2.0)
     else:
         kappa_used = kappa
@@ -642,7 +649,7 @@ class EquivalenceReport:
                 or self.subthreshold_dist > 1e-3)
 
 
-def exact_penalty_equivalence(inst, rho, check_subthreshold=True):
+def exact_penalty_equivalence(inst, rho):
     """Verify the penalized problem reproduces the solution iff rho is large.
 
     With rho > tr(z_star) the affine-constrained penalized minimizer must
@@ -650,10 +657,7 @@ def exact_penalty_equivalence(inst, rho, check_subthreshold=True):
     threshold the minimum must drop below p_star or move away, which is the
     detectable failure mode of an under-sized penalty.
     """
-    threshold = float(np.trace(inst.z_star))
-    _check_finite(rho=rho)
-    if not rho > threshold:
-        raise ValueError(f"need rho > tr(z_star) = {threshold:.6g}")
+    threshold = _check_above_trace("rho", rho, inst.z_star, "z_star")
     if not inst.primal_unique:
         raise ValueError("the equivalence check compares the penalized "
                          "minimizer against x_star and needs a unique primal "
@@ -663,7 +667,7 @@ def exact_penalty_equivalence(inst, rho, check_subthreshold=True):
     dist = frob(x_hat - inst.x_star)
     gap = value - inst.p_star
     sub_rho = sub_dist = sub_gap = None
-    if check_subthreshold and threshold > 0:
+    if threshold > 0:
         sub_rho = threshold / 2.0
         floor = inst.p_star - 0.01 * (1.0 + abs(inst.p_star))
         x_sub, v_sub = minimize_penalized_affine(p, sub_rho, stop_below=floor)

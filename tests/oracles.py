@@ -272,7 +272,7 @@ def verify_qg_primal_reference(inst, gamma=None, ball_radius=1.0, samples=2000,
     if gamma is None:
         gamma = _default_gamma(inst)
     if use_penalty:
-        if rho is None or rho <= float(np.trace(inst.z_star)) + 1e-9:
+        if rho is None or not rho > float(np.trace(inst.z_star)):
             raise ValueError("penalty variant needs rho > tr(z_star)")
     if ball_radius <= 0:
         raise ValueError("ball_radius must be positive")
@@ -339,7 +339,7 @@ def verify_qg_dual_reference(inst, gamma=None, ball_radius=1.0, samples=2000,
     if gamma is None:
         gamma = 2.0 * (1.0 + float(np.linalg.norm(inst.y_star)) + frob_one(inst.z_star))
     if use_penalty:
-        if rho is None or rho <= float(np.trace(inst.x_star)) + 1e-9:
+        if rho is None or not rho > float(np.trace(inst.x_star)):
             raise ValueError("penalty variant needs rho > tr(x_star)")
     d_star = inst.p_star
     lhs_list, dist2_list = [], []

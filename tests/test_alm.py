@@ -127,9 +127,10 @@ class TestGroundTruth:
             assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
 
     @pytest.mark.parametrize("form", ["primal", "dual"])
-    def test_distance_before_is_carried_forward(self, form):
-        # the multiplier before step k is the one recorded at k - 1, so its
-        # distance is that record's, bit for bit; the first is the start's
+    def test_distance_before_matches_previous_record(self, form):
+        # the multiplier before step k is the one recorded at k - 1, and both
+        # distances come from the instance's one method, so they agree bit
+        # for bit; the first is the start's
         inst = synth_known_solution(n=4, m=4, rank_x=2, seed=2)
         if form == "primal":
             trace = solve_primal_alm(inst, zero_dual(inst.problem), AlmConfig(max_outer=8))
@@ -585,6 +586,10 @@ class TestPpmAlmLink:
         with pytest.raises(ValueError):
             verify_ppm_alm_link(toy.problem, trace)
 
+    def test_takes_the_instance_or_its_problem(self, toy):
+        trace = solve_primal_alm(toy, zero_dual(toy.problem), AlmConfig(max_outer=5))
+        assert verify_ppm_alm_link(toy, trace) == verify_ppm_alm_link(toy.problem, trace)
+
 
 class TestRateFit:
     def test_exact_geometric(self):
@@ -612,6 +617,11 @@ class TestRateFit:
             fit_linear_rate([1.0, 0.5], tail_fraction=1.0)
         with pytest.raises(ValueError):
             fit_linear_rate([1.0, -0.5, 0.2], tail_fraction=1.0)
+
+    @pytest.mark.parametrize("tail_fraction", [0.0, -0.5, 1.5, np.nan])
+    def test_rejects_tail_fraction_outside_unit_interval(self, tail_fraction):
+        with pytest.raises(ValueError, match=r"tail_fraction must lie in \(0, 1\]"):
+            fit_linear_rate(np.ones(10), tail_fraction=tail_fraction)
 
     def test_truncate_at_floor(self):
         s = np.array([1.0, 0.1, 1e-10, 0.5])

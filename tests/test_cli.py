@@ -235,6 +235,32 @@ class TestInputErrors:
                      "ball_radius", id="qg-primal-radius-nan"),
         pytest.param(["verify", "no-sharp-growth", "--grid-points", "-2"], "--grid-points",
                      id="grid-points-negative"),
+        # every command rejects a negative seed under its flag, whether or not
+        # the instance draws from it
+        pytest.param(["solve", "--builtin", "example-d1", "--seed", "-1"],
+                     "--seed must be non-negative, got -1", id="seed-example-d1"),
+        pytest.param(["solve", "--builtin", "maxcut-g1-20", "--seed", "-1"],
+                     "--seed must be non-negative, got -1", id="seed-maxcut"),
+        pytest.param(["solve", "--builtin", "synth", "--form", "dual", "--seed", "-2"],
+                     "--seed must be non-negative, got -2", id="seed-synth"),
+        pytest.param(["solve", "--builtin", "svm-random", "--form", "ineq", "--seed", "-1"],
+                     "--seed must be non-negative, got -1", id="seed-svm"),
+        pytest.param(["verify", "trace-bound", "--seed", "-1"],
+                     "--seed must be non-negative, got -1", id="seed-trace-bound"),
+        pytest.param(["verify", "no-sharp-growth", "--seed", "-1"],
+                     "--seed must be non-negative, got -1", id="seed-no-sharp-growth"),
+        pytest.param(["bench", "--builtin", "lasso-random", "--form", "ineq", "--r-list", "1",
+                      "--seed", "-1"], "--seed must be non-negative, got -1", id="seed-bench"),
+        # the flag's value, not the face-point count derived from it
+        pytest.param(["verify", "penalty-preimage", "--builtin", "synth", "--samples", "-5"],
+                     "--samples must be at least 1, got -5", id="penalty-preimage-samples-flag"),
+        pytest.param(["solve"], "provide either --builtin NAME or --sdpa FILE", id="no-instance"),
+        pytest.param(["solve", "--builtin", "example-d1", "--form", "ineq"],
+                     "--form ineq does not apply to an SDP instance", id="ineq-form-on-sdp"),
+        pytest.param(["verify", "qg-dual", "--builtin", "example-d1", "--grid", "nope"],
+                     "unknown grid 'nope'", id="unknown-grid"),
+        pytest.param(["bench", "--builtin", "example-d1", "--r-list", ","],
+                     "--r-list must contain at least one value", id="r-list-empty"),
     ])
     def test_invalid_value_exits_3(self, argv, names, tmp_path, capsys):
         assert run(argv + ["--out", str(tmp_path)]) == 3

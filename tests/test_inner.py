@@ -100,6 +100,26 @@ class TestMinimizeAuglag:
         with pytest.raises(InnerSolveError):
             minimize_auglag(bad, np.zeros((2, 2)), tol=1e-6, diameter_bound=1.0)
 
+    @pytest.mark.parametrize("bad", ["value", "gradient"])
+    def test_nonfinite_mid_solve_names_the_iteration(self, bad):
+        # half Newton steps on 0.5 ||x||^2 pass the Armijo test at t = 1, so
+        # evaluation k + 2 is the first trial of iteration k; from the fourth
+        # on the objective is poisoned, and the halvings cannot escape it
+        calls = []
+
+        def obj(x):
+            calls.append(1)
+            value, grad = 0.5 * float(x @ x), x.copy()
+            if len(calls) >= 4:
+                if bad == "value":
+                    value = np.nan
+                else:
+                    grad[0] = np.nan
+            return value, grad, lambda g: 0.5 * g, no_update
+
+        with pytest.raises(InnerSolveError, match="non-finite values at iteration 2 "):
+            minimize_auglag(obj, np.ones(3), tol=1e-12, diameter_bound=1.0)
+
     def test_requires_diameter(self):
         # a NaN or infinite diameter would give a NaN certificate
         for diameter in (None, 0.0, -1.0, np.nan, np.inf):

@@ -34,6 +34,15 @@ class TestSdpProblem:
             SdpProblem(C=np.eye(2), constraint_mats=np.eye(2)[None, :, :],
                        b=np.array([bad]))
 
+    @pytest.mark.parametrize("mats,b,message", [
+        (np.eye(3)[None, :, :], np.ones(1), "constraint matrices must have shape"),
+        (np.eye(2), np.ones(1), "constraint matrices must have shape"),
+        (np.eye(2)[None, :, :], np.ones(2), "b length must match"),
+    ], ids=["stack-of-3x3", "stack-not-3d", "b-too-long"])
+    def test_rejects_mismatched_shapes(self, mats, b, message):
+        with pytest.raises(ValueError, match=message):
+            SdpProblem(C=np.eye(2), constraint_mats=mats, b=b)
+
     def test_dimensions(self, toy):
         assert toy.problem.n == 2
         assert toy.problem.m == 2
@@ -80,8 +89,7 @@ class TestLinearMaps:
 class TestKktResiduals:
     def test_zero_at_certified_triple(self, certified5):
         res = kkt_residuals(certified5.problem, certified5.x_star,
-                            certified5.w_star, p_star=certified5.p_star,
-                            d_star=certified5.p_star)
+                            certified5.w_star, p_star=certified5.p_star)
         for v in (res.eps1, res.eps2, res.eta1, res.eta2, res.eta3, res.eta4,
                   res.eta5, res.eps3):
             assert v <= 1e-9
@@ -90,15 +98,14 @@ class TestKktResiduals:
         # X = I is affine feasible but has cost 2 against p* = 0
         res = kkt_residuals(toy.problem, np.eye(2),
                             DualPoint(y=np.zeros(2), Z=toy.problem.C),
-                            p_star=0.0, d_star=0.0)
+                            p_star=0.0)
         assert res.eta1 == 0.0
         assert res.eps1 == pytest.approx(2.0)
 
     def test_sensitive_to_perturbation(self, certified5):
         p = certified5.problem
         X = certified5.x_star + 1e-3 * np.eye(p.n)
-        res = kkt_residuals(p, X, certified5.w_star, p_star=certified5.p_star,
-                            d_star=certified5.p_star)
+        res = kkt_residuals(p, X, certified5.w_star, p_star=certified5.p_star)
         worst = max(res.eps1, res.eps3)
         assert worst >= 1e-5
 
@@ -162,6 +169,11 @@ class TestMaxcutInstance:
         with pytest.raises(ValueError):
             maxcut_instance(np.eye(2))
 
+    @pytest.mark.parametrize("W", [np.zeros((2, 3)), np.zeros(3)], ids=["2x3", "vector"])
+    def test_rejects_non_square(self, W):
+        with pytest.raises(ValueError, match="weight matrix must be square"):
+            maxcut_instance(W)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_nonfinite_weight(self, bad):
         # NaN != NaN, so the symmetry test alone would blame symmetry
@@ -197,6 +209,14 @@ class TestSvmInstance:
     def test_rejects_bad_lambda(self):
         with pytest.raises(ValueError):
             svm_instance(np.ones((1, 1)), np.array([1.0]), lam=0.0)
+
+    @pytest.mark.parametrize("A,labels", [
+        (np.ones((2, 1)), np.array([1.0, -1.0, 1.0])),
+        (np.ones(2), np.array([1.0, -1.0])),
+    ], ids=["labels-too-long", "A-1d"])
+    def test_rejects_mismatched_labels(self, A, labels):
+        with pytest.raises(ValueError, match="labels length must match"):
+            svm_instance(A, labels, lam=1.0)
 
     @pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
     def test_rejects_nonpositive_or_nonfinite_lambda(self, lam):
@@ -243,6 +263,12 @@ class TestLassoInstance:
         with pytest.raises(ValueError, match="lam must be positive and finite"):
             lasso_instance(np.ones((2, 1)), np.ones(2), lam=lam)
 
+    @pytest.mark.parametrize("A,b", [(np.ones((2, 1)), np.ones(3)), (np.ones(2), np.ones(2))],
+                             ids=["b-too-long", "A-1d"])
+    def test_rejects_mismatched_b(self, A, b):
+        with pytest.raises(ValueError, match="b length must match the number of rows of A"):
+            lasso_instance(A, b, lam=1.0)
+
     @pytest.mark.parametrize("field", ["A", "b"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_nonfinite_data(self, field, bad):
@@ -263,6 +289,19 @@ class TestIneqProblem:
         data[field] = data[field].copy()
         data[field].flat[1] = bad
         with pytest.raises(ValueError, match=f"^{field} contains non-finite"):
+            IneqProblem(**data)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("Q", -np.eye(2), "Q must be positive semidefinite"),
+        ("c", np.ones(3), "inconsistent dimensions"),
+        ("G", np.ones(3), "inconsistent dimensions"),
+        ("G", np.ones((3, 3)), "inconsistent dimensions"),
+        ("h", -np.ones(2), "inconsistent dimensions"),
+    ], ids=["Q-indefinite", "c-length", "G-1d", "G-columns", "h-length"])
+    def test_rejects_bad_structure(self, field, value, message):
+        data = dict(Q=np.eye(2), c=np.ones(2), G=np.ones((3, 2)), h=-np.ones(3))
+        data[field] = value
+        with pytest.raises(ValueError, match=message):
             IneqProblem(**data)
 
 
@@ -325,6 +364,23 @@ class TestSynthKnownSolution:
         full = synth_known_solution(n=4, m=3, rank_x=4, seed=0)
         assert not full.primal_unique
         assert full.dual_unique
+
+    @pytest.mark.parametrize("n,m,rank_x,seed,side", [
+        # rank 3 needs 6 constraints to pin X on its face
+        (5, 5, 3, 13, "primal"),
+        # with s = 2, more than n(n+1)/2 - s(s+1)/2 = 3 constraints leave
+        # room for dy on the face of z_star
+        (3, 4, 1, 0, "dual"),
+    ], ids=["primal", "dual"])
+    def test_non_unique_side_has_no_distance(self, n, m, rank_x, seed, side):
+        # the distance to the certified point is not the distance to a
+        # solution set that holds more than that point
+        inst = synth_known_solution(n=n, m=m, rank_x=rank_x, seed=seed)
+        dists = {"primal": inst.dist_primal(inst.x_star), "dual": inst.dist_dual(inst.w_star)}
+        assert inst.primal_unique == (side != "primal")
+        assert inst.dual_unique == (side != "dual")
+        assert dists[side] is None
+        assert dists["dual" if side == "primal" else "primal"] == 0.0
 
     @pytest.mark.parametrize("flag", ["primal_unique", "dual_unique"])
     def test_uniqueness_flags_are_not_arguments(self, toy, flag):

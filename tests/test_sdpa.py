@@ -227,6 +227,7 @@ def test_parenthesized_block_size(tmp_path):
     ("2\n1\n2\n{1, x}\n", "line 4: expected 2 entries of b, got 1"),
     ("2\n1\n2\n{1, 2, 3}\n", "line 4: expected 2 entries of b, got 3"),
     ("1\n1\n2\n{1e}\n", "line 4: could not parse b entry from '1e'"),
+    ("0\n1\n2\n1\n", "line 1: constraint count m must be >= 1"),
 ])
 def test_header_rejections_name_the_line(tmp_path, text, message):
     path = tmp_path / "bad.dat-s"
@@ -234,3 +235,19 @@ def test_header_rejections_name_the_line(tmp_path, text, message):
     with pytest.raises(SdpaFormatError) as info:
         sdpa_read(path)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("entry,message", [
+    ("0 1 1 1", "expected 'matno blkno i j value', got 4 fields"),
+    ("0 1 1 1 1.0 2.0", "expected 'matno blkno i j value', got 6 fields"),
+    ("2 1 1 1 1.0", "matrix number 2 out of range [0, 1]"),
+    ("-1 1 1 1 1.0", "matrix number -1 out of range [0, 1]"),
+    ("1 2 1 1 1.0", "block number 2 out of range (single block)"),
+    ("1 0 1 1 1.0", "block number 0 out of range (single block)"),
+])
+def test_entry_rejections_name_the_line(tmp_path, entry, message):
+    path = tmp_path / "bad.dat-s"
+    path.write_text(f"1\n1\n2\n1\n1 1 1 1 1.0\n{entry}\n")
+    with pytest.raises(SdpaFormatError) as info:
+        sdpa_read(path)
+    assert str(info.value) == f"line 6: {message}"

@@ -1,5 +1,7 @@
 """Cone geometry kernels: examples with independent oracles, then properties."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -210,6 +212,12 @@ class TestDistToFace:
         face = face_basis(toy.z_star)
         assert dist_to_face(np.zeros((2, 2)), face) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_rejects_dimension_mismatch(self, n):
+        face = face_basis(np.diag([1.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="face and matrix dimensions do not match"):
+            dist_to_face(np.eye(n), face)
+
     def test_rank_zero_face_equals_dist_psd(self, rng):
         face = face_basis(np.zeros((3, 3)))
         for _ in range(20):
@@ -369,6 +377,14 @@ class TestStacks:
                        lambda M: exact_penalty(M, 1.0), lambda M: dist_to_face(M, face)):
             with pytest.raises(ValueError, match=match):
                 kernel(S)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (4, 2, 3)])
+    def test_rejects_non_square(self, shape):
+        shown = re.escape(str(shape))
+        with pytest.raises(ValueError, match=f"^expected a square matrix, got shape {shown}"):
+            symmetrize(np.zeros(shape))
+        with pytest.raises(ValueError, match=f"^M must be square, got shape {shown}"):
+            check_symmetric(np.zeros(shape), name="M")
 
     def test_face_basis_and_penalty_subgrad_take_one_matrix(self):
         # each rejects a stack under its own name

@@ -298,6 +298,46 @@ class TestArgumentChecks:
         with pytest.raises(ValueError, match="mu must be finite"):
             verify_growth_lemma(toy.x_star, toy.z_star, mu=value, samples=50)
 
+    # each verifier with an exact penalty: its parameter, the matrix whose
+    # trace is the threshold, and a call at a given penalty
+    PENALTY_THRESHOLDS = {
+        "qg-primal": ("rho", "z_star", lambda inst, rho: verify_qg_primal(
+            inst, use_penalty=True, rho=rho, samples=1)),
+        "qg-dual": ("rho", "x_star", lambda inst, rho: verify_qg_dual(
+            inst, use_penalty=True, rho=rho, samples=1)),
+        "penalty-preimage": ("rho", "z_star", lambda inst, rho: verify_penalty_preimage(
+            inst.z_star, rho, samples=1, probes=1)),
+        "growth-lemma": ("penalty_rho", "z_star", lambda inst, rho: verify_growth_lemma(
+            inst.x_star, inst.z_star, mu=1.0, samples=1, penalty_rho=rho)),
+        "exact-penalty": ("rho", "z_star", exact_penalty_equivalence),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PENALTY_THRESHOLDS))
+    def test_penalty_threshold_is_strict(self, toy, name):
+        # the paper's rule rho > tr(.): the trace itself is rejected, naming
+        # the parameter, and the next double above it is accepted
+        param, mat, run = self.PENALTY_THRESHOLDS[name]
+        threshold = float(np.trace(getattr(toy, mat)))
+        with pytest.raises(ValueError, match=rf"need {param} > tr\("):
+            run(toy, threshold)
+        run(toy, np.nextafter(threshold, np.inf))
+
+    # verifiers that measure distance against the certified point of a side
+    # (qg-primal: TestQgPrimal), and an instance whose solution set on that
+    # side is not a point
+    NON_UNIQUE = {
+        "eb-primal": ((5, 5, 3, 13), lambda inst: verify_eb_primal(inst, samples=1)),
+        "exact-penalty": ((5, 5, 3, 13), lambda inst: exact_penalty_equivalence(
+            inst, float(np.trace(inst.z_star)) + 1.0)),
+        "qg-dual": ((3, 4, 1, 0), lambda inst: verify_qg_dual(inst, samples=1)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(NON_UNIQUE))
+    def test_refuses_non_unique_side(self, name):
+        (n, m, rank_x, seed), run = self.NON_UNIQUE[name]
+        with pytest.raises(ValueError, match="unique"):
+            run(synth_known_solution(n=n, m=m, rank_x=rank_x, seed=seed))
+
     @pytest.mark.parametrize("n_range", [(1, 8), (3, 2), (0, 0), (2.0, 5), (2, 5.5)])
     def test_trace_bound_needs_integer_range(self, n_range):
         with pytest.raises(ValueError, match="n_range must be integers 2 <= lo <= hi"):
@@ -436,6 +476,14 @@ class TestGrowthLemma:
         with pytest.raises(ValueError, match="complementary"):
             verify_growth_lemma(np.eye(2), np.eye(2), mu=1.0, samples=10)
 
+    @pytest.mark.parametrize("xbar,zbar", [
+        (np.diag([1.0, -1.0]), np.zeros((2, 2))),
+        (np.diag([1.0, 0.0]), np.diag([0.0, -1.0])),
+    ], ids=["xbar", "zbar"])
+    def test_rejects_non_psd(self, xbar, zbar):
+        with pytest.raises(ValueError, match="must be positive semidefinite"):
+            verify_growth_lemma(xbar, zbar, mu=1.0, samples=10)
+
     def test_rejects_nonpositive_samples(self, toy):
         with pytest.raises(ValueError, match="samples must be at least 1, got 0"):
             verify_growth_lemma(toy.x_star, toy.z_star, mu=1.0, samples=0)
@@ -555,8 +603,8 @@ class TestExactPenaltyEquivalence:
         assert rep.subthreshold_detected
 
     def test_larger_rho_same_minimizer(self, toy):
-        r1 = exact_penalty_equivalence(toy, rho=4.0, check_subthreshold=False)
-        r2 = exact_penalty_equivalence(toy, rho=40.0, check_subthreshold=False)
+        r1 = exact_penalty_equivalence(toy, rho=4.0)
+        r2 = exact_penalty_equivalence(toy, rho=40.0)
         assert r1.dist_to_solution <= 1e-5 and r2.dist_to_solution <= 1e-5
 
     def test_certified_instance(self, certified5):
