@@ -35,6 +35,13 @@ eigendecomposition (SDPNAL, Zhao, Sun & Toh 2010). The primal form's
 singular Hessian is regularized by the Levenberg-Marquardt law of Fan & Yuan
 (Computing 2005).
 
+The inequality form's Newton matrix Q + r G_A' G_A depends on x only through
+the active set A, the "second-order sparsity" of SSNAL (Li, Sun & Toh, SIAM
+J. Optim. 2018), and consecutive Newton steps often share A.
+``IneqProblem.active_gram`` keeps G_A' G_A for the last A it was asked for,
+so a repeated A costs no product. A hit returns the very array that the miss
+computed, and G is read-only, so the memo changes no bit of any result.
+
 The dual Newton matrix R diag(vec Omega) R' (row i of R = vec(Q' A_i Q))
 is formed on every operator from the rows of Q' A_i Q in the eigenvalue
 block {lam > 0} alone, as in SDPNAL+ (Yang, Sun & Toh 2015): Omega vanishes
@@ -157,25 +164,32 @@ def _block_gram(op, Q, S, W):
 
 
 def _omega(lam):
-    """Divided differences of max(., 0) at the eigenvalues ``lam``.
+    """Divided differences of max(., 0) at the eigenvalues ``lam``, which
+    must be in ascending order, as eigh returns them.
 
     Omega_ij = (max(l_i, 0) - max(l_j, 0)) / (l_i - l_j), with 1 on ties of
-    positive and 0 on ties of nonpositive eigenvalues; written as
-    (max(l_i, 0) + max(l_j, 0)) / (|l_i| + |l_j|), which needs no tie test.
-    With the eigenvectors Q of M, H -> Q (Omega o Q'HQ) Q' is an element of
-    the generalized Jacobian of proj_psd at M.
+    positive and 0 on ties of nonpositive eigenvalues. With the split
+    lam = (head <= 0, tail > 0) it is 0 on head x head, 1 on tail x tail and
+    l_j / (l_j - l_i) on head x tail and its mirror, so no tie test and no
+    n x n divide is needed. With the eigenvectors Q of M,
+    H -> Q (Omega o Q'HQ) Q' is an element of the generalized Jacobian of
+    proj_psd at M.
     """
-    pos = np.maximum(lam, 0.0)
-    size = np.abs(lam)
-    num = pos[:, None] + pos[None, :]
-    den = size[:, None] + size[None, :]
-    return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+    s = np.searchsorted(lam, 0.0, side="right")
+    omega = np.zeros((lam.shape[0], lam.shape[0]))
+    omega[s:, s:] = 1.0
+    mixed = lam[s:] / (lam[s:] - lam[:s, None])
+    omega[:s, s:] = mixed
+    omega[s:, :s] = mixed.T
+    return omega
 
 
 def _ridged_solve(H, g):
-    """Solve (H + ridge I) d = g, ridge = 1e-12 (1 + max |diag H|)."""
+    """Solve (H + ridge I) d = g, ridge = 1e-12 (1 + max |diag H|); H is
+    overwritten."""
     ridge = 1e-12 * (1.0 + float(np.max(np.abs(np.diag(H)))))
-    return np.linalg.solve(H + ridge * np.eye(H.shape[0]), g)
+    H.flat[::H.shape[0] + 1] += ridge
+    return np.linalg.solve(H, g)
 
 
 def _lm_rho(r, ridge, scale, G):
@@ -288,8 +302,7 @@ def ineq_objective(q, z, r):
         grad = q.objective_grad(x) + q.G.T @ pos
 
         def solve(g):
-            G_A = q.G[a >= 0.0]
-            return _ridged_solve(q.Q + r * (G_A.T @ G_A), g)
+            return _ridged_solve(q.Q + r * q.active_gram(a >= 0.0), g)
 
         return val, grad, solve, lambda: (x, pos, float(np.linalg.norm(pos - z)))
 

@@ -258,9 +258,12 @@ def kkt_residuals(p, X, w, p_star=None):
     cx = inner(p.C, X)
     by = float(p.b @ y)
     eta1 = float(np.linalg.norm(apply_A(p, X) - p.b)) / (1.0 + p.b_norm)
-    eta2 = dist_psd(X, checked=True) / (1.0 + frob(X))
+    # one eigvalsh call over the stack; LAPACK runs per matrix, so each
+    # distance has the bits of its own call
+    dist_x, dist_z = dist_psd(np.stack((X, Z)), checked=True)
+    eta2 = float(dist_x) / (1.0 + frob(X))
     eta3 = frob(p.C - apply_Astar(p, y) - Z) / (1.0 + p.C_norm)
-    eta4 = dist_psd(Z, checked=True) / (1.0 + frob(Z))
+    eta4 = float(dist_z) / (1.0 + frob(Z))
     gap_scale = 1.0 + (abs(p_star) if p_star is not None else abs(by))
     eta5 = abs(cx - by) / gap_scale
     eps1 = abs(cx - p_star) / (1.0 + abs(p_star)) if p_star is not None else None
@@ -421,7 +424,11 @@ def maxcut_instance(weights, name="maxcut"):
 
 @dataclass(frozen=True)
 class IneqProblem:
-    """Convex QP with affine inequalities: min 1/2 x'Qx + c'x + offset s.t. Gx + h <= 0."""
+    """Convex QP with affine inequalities: min 1/2 x'Qx + c'x + offset s.t. Gx + h <= 0.
+
+    ``G`` is a read-only copy of the data passed in, so the one-entry memo of
+    :meth:`active_gram` cannot go stale.
+    """
 
     Q: np.ndarray
     c: np.ndarray
@@ -429,13 +436,14 @@ class IneqProblem:
     h: np.ndarray
     offset: float = 0.0
     name: str = "ineq"
+    _gram_memo: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         Q = check_symmetric(self.Q, name="Q")
         if np.linalg.eigvalsh(Q)[0] < -1e-9 * (1.0 + frob(Q)):
             raise ValueError("Q must be positive semidefinite")
         c = np.asarray(self.c, dtype=float)
-        G = np.asarray(self.G, dtype=float)
+        G = np.array(self.G, dtype=float)
         h = np.asarray(self.h, dtype=float)
         if c.shape != (Q.shape[0],) or G.ndim != 2 or G.shape[1] != c.shape[0] \
                 or h.shape != (G.shape[0],):
@@ -444,8 +452,10 @@ class IneqProblem:
             _check_finite(name, value)
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "c", c)
+        G.setflags(write=False)
         object.__setattr__(self, "G", G)
         object.__setattr__(self, "h", h)
+        object.__setattr__(self, "_gram_memo", (None, None))
 
     @property
     def dim(self):
@@ -465,6 +475,27 @@ class IneqProblem:
     def constraints(self, x):
         """Constraint map g(x) = Gx + h (feasible iff componentwise <= 0)."""
         return self.G @ np.asarray(x, dtype=float) + self.h
+
+    def active_gram(self, mask):
+        """G_A' G_A for the rows A of G that the boolean ``mask`` selects.
+
+        The result is read-only and is kept for the last mask seen, keyed on
+        its bytes: consecutive Newton steps of an ALM subproblem often share
+        their active set, and a repeated mask then costs no product. A hit
+        returns the very array a miss would have computed, so it changes no
+        bit of any result.
+        """
+        mask = np.asarray(mask)
+        if mask.dtype != bool or mask.shape != (self.n_constraints,):
+            raise ValueError(f"mask must be a boolean array of shape ({self.n_constraints},)")
+        key = mask.tobytes()
+        memo_key, gram = self._gram_memo
+        if key != memo_key:
+            G_A = self.G[mask]
+            gram = G_A.T @ G_A
+            gram.setflags(write=False)
+            object.__setattr__(self, "_gram_memo", (key, gram))
+        return gram
 
 
 @dataclass(frozen=True)

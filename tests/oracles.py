@@ -7,7 +7,8 @@ differences, brute-force minimization over a parameter grid, scalar closed
 forms, single-matrix kernels that know nothing of stacks, sampled verifiers
 that loop over one point at a time, and generalized Hessians formed as
 explicit matrices (Kronecker products over the eigenbasis for the SDP
-forms). Expected values frozen in the tests were produced by these.
+forms), and the divided differences of max(., 0) as one n x n broadcast.
+Expected values frozen in the tests were produced by these.
 """
 
 import numpy as np
@@ -113,6 +114,17 @@ def divided_differences(lam):
             else:
                 omega[i, j] = (pos[i] - pos[j]) / (lam[i] - lam[j])
     return omega
+
+
+def broadcast_omega(lam):
+    """Divided differences of max(., 0) in one n x n broadcast, as
+    (max(l_i, 0) + max(l_j, 0)) / (|l_i| + |l_j|) with 0 where both vanish,
+    for any order of lam; the library builds it from eigenvalue blocks."""
+    pos = np.maximum(lam, 0.0)
+    size = np.abs(lam)
+    num = pos[:, None] + pos[None, :]
+    den = size[:, None] + size[None, :]
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
 
 
 def psd_projection_jacobian(M):

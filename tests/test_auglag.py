@@ -7,10 +7,10 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conic_alm.auglag import (_block_gram, dual_gap_lower_bound, dual_objective, eval_L_dual,
-                              eval_L_ineq, eval_L_primal, grad_L_dual_y, grad_L_ineq_x,
-                              grad_L_primal_X, grad_L_primal_w, ineq_objective,
-                              primal_objective)
+from conic_alm.auglag import (_block_gram, _omega, dual_gap_lower_bound, dual_objective,
+                              eval_L_dual, eval_L_ineq, eval_L_primal, grad_L_dual_y,
+                              grad_L_ineq_x, grad_L_primal_X, grad_L_primal_w,
+                              ineq_objective, primal_objective)
 from conic_alm.fixtures import load_builtin
 from conic_alm.inner import minimize_auglag
 from conic_alm.model import (DenseOperator, DualPoint, SparseOperator, apply_A, apply_Astar,
@@ -18,8 +18,9 @@ from conic_alm.model import (DenseOperator, DualPoint, SparseOperator, apply_A, 
 from conic_alm.symcone import frob, inner, symmetrize
 
 from conftest import ineq_subproblems, random_sym, sparse_sdps
-from oracles import (dual_hessian_matrix, fd_grad_sym, fd_grad_vec, flat_constraints,
-                     ineq_hessian_matrix, primal_hessian_matrix)
+from oracles import (broadcast_omega, divided_differences, dual_hessian_matrix, fd_grad_sym,
+                     fd_grad_vec, flat_constraints, ineq_hessian_matrix,
+                     primal_hessian_matrix)
 
 
 def rand_dual(rng, p, scale=1.0):
@@ -336,6 +337,38 @@ class TestSdpNewtonSolves:
         fd = (obj(y + h * v)[1] - obj(y - h * v)[1]) / (2.0 * h)
         Hv = dual_hessian_matrix(p, X, r, y) @ v
         assert np.linalg.norm(fd - Hv) <= 1e-6 * (1.0 + np.linalg.norm(Hv))
+
+
+@st.composite
+def sorted_spectra(draw):
+    """An ascending spectrum of 1 to 10 eigenvalues that is all positive, all
+    nonpositive, mixed, or mixed with exact zeros of both signs; ties occur
+    in some draws."""
+    n = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lam = rng.standard_normal(n) * 10.0 ** draw(st.integers(-8, 8))
+    kind = draw(st.sampled_from(["positive", "nonpositive", "mixed", "zeros"]))
+    if kind == "positive":
+        lam = np.abs(lam) + np.finfo(float).tiny
+    elif kind == "nonpositive":
+        lam = -np.abs(lam)
+    elif kind == "zeros":
+        lam[rng.random(n) < 0.5] = rng.choice([0.0, -0.0])
+    if draw(st.booleans()):
+        lam = rng.choice(lam, size=n)
+    return np.sort(lam)
+
+
+class TestOmega:
+    @given(sorted_spectra())
+    def test_blocks_match_broadcast_formula(self, lam):
+        # the block form is the broadcast formula bit for bit: on the mixed
+        # block (0 + l_j) / (|l_i| + l_j) is l_j / (l_j - l_i) exactly
+        assert _omega(lam).tobytes() == broadcast_omega(lam).tobytes()
+
+    @given(sorted_spectra())
+    def test_matches_pairwise_divided_differences(self, lam):
+        assert_allclose(_omega(lam), divided_differences(lam), rtol=1e-12, atol=0)
 
 
 class TestIneqForm:

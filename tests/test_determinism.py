@@ -5,14 +5,18 @@ A solve must write the same ``trace.csv`` on every run. That holds only if
 each objective and each Newton solve is a function of the bits of its
 argument, not of where those bits sit in memory, which can differ from run
 to run. Each property evaluates a point as a fresh copy and as a view that
-starts a few elements into a larger buffer, and compares the bits.
+starts a few elements into a larger buffer, and compares the bits. Nor may
+it depend on what the problem object has memoized from an earlier solve.
 """
 
 import numpy as np
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from conic_alm.alm import solve_ineq_alm
 from conic_alm.auglag import dual_objective, ineq_objective, primal_objective
+from conic_alm.cli import write_trace_csv
+from conic_alm.fixtures import load_builtin
 from conic_alm.model import DualPoint, SdpProblem, lasso_instance
 from conic_alm.symcone import face_basis, penalty_subgrad, symmetrize
 
@@ -140,3 +144,14 @@ def test_penalty_subgrad_depends_only_on_bits(case):
     X, offset = case
     G = penalty_subgrad(X.copy(), 1.7)
     assert G.tobytes() == penalty_subgrad(relocated(X, offset), 1.7).tobytes()
+
+
+def test_ineq_trace_independent_of_active_gram_memo(tmp_path):
+    # two solves on one problem object (the second starts with the first's
+    # memoized active-set Gram) and one on a fresh object write the same bytes
+    q = load_builtin("svm-random")
+    paths = []
+    for i, problem in enumerate((q, q, load_builtin("svm-random"))):
+        paths.append(tmp_path / f"trace{i}.csv")
+        write_trace_csv(solve_ineq_alm(problem, np.zeros(problem.n_constraints)), paths[-1])
+    assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()

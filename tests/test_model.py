@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conic_alm.model import (CertificationError, DualPoint, IneqProblem,
@@ -9,7 +11,7 @@ from conic_alm.model import (CertificationError, DualPoint, IneqProblem,
                              ineq_residuals,
                              kkt_residuals, lasso_instance, maxcut_instance,
                              svm_instance, synth_known_solution, zero_dual)
-from conic_alm.symcone import frob, inner
+from conic_alm.symcone import dist_psd, frob, inner, symmetrize
 
 from conftest import random_sym
 from oracles import naive_apply_A, soft_threshold
@@ -115,7 +117,7 @@ class TestKktResiduals:
         y = rng.standard_normal(p.m)
         Z = random_sym(rng, p.n)
         res = kkt_residuals(p, X, DualPoint(y=y, Z=Z))
-        from conic_alm.symcone import dist_psd, project_psd
+        from conic_alm.symcone import project_psd
         assert res.eta1 == pytest.approx(
             np.linalg.norm(apply_A(p, X) - p.b) / (1 + np.linalg.norm(p.b)))
         assert res.eta2 == pytest.approx(frob(X - project_psd(X)) / (1 + frob(X)), abs=1e-12)
@@ -136,6 +138,20 @@ class TestKktResiduals:
             X[1, 1] = np.nan if bad == "nan" else np.inf
         with pytest.raises(ValueError, match="^X "):
             kkt_residuals(p, X, certified5.w_star)
+
+    @given(st.integers(1, 10), st.integers(0, 2**32 - 1), st.booleans())
+    def test_cone_residuals_match_single_distances(self, n, seed, psd):
+        # both cone residuals come from one eigvalsh call over the stack
+        # (X, Z); LAPACK runs per matrix, so each has the bits of its own call
+        rng = np.random.default_rng(seed)
+        X, Z = random_sym(rng, n), random_sym(rng, n)
+        if psd:
+            X = symmetrize(X @ X)
+        p = SdpProblem(C=random_sym(rng, n), constraint_mats=np.eye(n)[None], b=np.ones(1))
+        res = kkt_residuals(p, X, DualPoint(y=np.zeros(1), Z=Z))
+        assert type(res.eta2) is float and type(res.eta4) is float
+        assert res.eta2 == dist_psd(X) / (1.0 + frob(X))
+        assert res.eta4 == dist_psd(Z) / (1.0 + frob(Z))
 
     def test_norms_computed_once(self, certified5):
         # the residuals' scales are the problem's own ||b|| and ||C||, bit for bit
@@ -303,6 +319,53 @@ class TestIneqProblem:
         data[field] = value
         with pytest.raises(ValueError, match=message):
             IneqProblem(**data)
+
+
+@st.composite
+def masked_qps(draw):
+    """A random QP and a sequence of row masks with repeats, the all-false
+    and the all-true mask among them."""
+    rows, d = draw(st.integers(1, 30)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = IneqProblem(Q=np.eye(d), c=np.zeros(d), G=rng.standard_normal((rows, d)),
+                    h=np.zeros(rows))
+    pool = [np.zeros(rows, dtype=bool), np.ones(rows, dtype=bool)]
+    pool += [rng.random(rows) < 0.5 for _ in range(draw(st.integers(0, 4)))]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12))
+    return q, [pool[i] for i in picks]
+
+
+class TestActiveGram:
+    @given(masked_qps())
+    def test_equals_fresh_product(self, case):
+        # every call, memo hit or miss, gives the bits of G_A' G_A
+        q, masks = case
+        for mask in masks:
+            G_A = q.G[mask]
+            gram = q.active_gram(mask.copy())
+            assert gram.tobytes() == (G_A.T @ G_A).tobytes()
+            assert not gram.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                gram[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            q.G[0, 0] = 1.0
+
+    def test_keeps_own_copy_of_G(self):
+        G = np.ones((3, 2))
+        q = IneqProblem(Q=np.eye(2), c=np.ones(2), G=G, h=-np.ones(3))
+        mask = np.array([True, False, True])
+        before = q.active_gram(mask).copy()
+        G[:] = 5.0
+        assert np.array_equal(q.G, np.ones((3, 2)))
+        assert np.array_equal(q.active_gram(mask), before)
+
+    @pytest.mark.parametrize("mask", [np.ones(2, dtype=bool), np.ones(3), np.array([0, 2]),
+                                      np.ones((3, 1), dtype=bool)],
+                             ids=["short", "float", "indices", "2d"])
+    def test_rejects_non_mask(self, mask):
+        q = IneqProblem(Q=np.eye(2), c=np.ones(2), G=np.ones((3, 2)), h=-np.ones(3))
+        with pytest.raises(ValueError, match="mask must be a boolean array of shape"):
+            q.active_gram(mask)
 
 
 class TestSynthKnownSolution:
