@@ -260,6 +260,11 @@ def form_run(form):
     return solve_dual_alm, inst, np.zeros((4, 4))
 
 
+# every builtin solve: the QPs in inequality form, max-cut in both SDP forms
+BUILTIN_RUNS = [("svm-random", "ineq"), ("lasso-random", "ineq"),
+                *[(f"maxcut-g{i}-20", form) for i in (1, 2, 3) for form in ("primal", "dual")]]
+
+
 def builtin_run(name, form):
     """The solver of ``form`` with builtin ``name`` and its zero start point."""
     problem = load_builtin(name)
@@ -380,9 +385,7 @@ def test_rejects_bad_start_point(name, run, toy):
 
 
 class TestNewtonSteps:
-    @pytest.mark.parametrize("name,form", [
-        ("svm-random", "ineq"), ("lasso-random", "ineq"),
-        *[(f"maxcut-g{i}-20", form) for i in (1, 2, 3) for form in ("primal", "dual")]])
+    @pytest.mark.parametrize("name,form", BUILTIN_RUNS)
     def test_evaluations_per_step(self, name, form, monkeypatch):
         # damped Newton steps take the unit step or one halving on almost
         # every step, also where the value stops resolving descent; every
@@ -453,8 +456,8 @@ class TestNewtonSteps:
         assert len(trace.records) == 100
         assert sum(rec.inner_iterations for rec in trace.records) <= 280
 
-    @pytest.mark.parametrize("name,outer", [("maxcut-g1-20", 13), ("maxcut-g2-20", 14),
-                                            ("maxcut-g3-20", 13)])
+    @pytest.mark.parametrize("name,outer", [("maxcut-g1-20", 11), ("maxcut-g2-20", 11),
+                                            ("maxcut-g3-20", 10)])
     def test_primal_steps(self, name, outer):
         # a regularization that does not shrink with the relative residual
         # crawls on the first subproblems: rho = r min(1, ||G||) took 140,
@@ -465,6 +468,14 @@ class TestNewtonSteps:
         assert len(trace.records) == outer
         assert trace.records[-1].residuals.eps3 <= 1e-5
         assert sum(rec.inner_iterations for rec in trace.records) <= 90
+
+    @pytest.mark.parametrize("name,form,outer", [
+        ("maxcut-g1-20", "dual", 9), ("maxcut-g2-20", "dual", 6), ("maxcut-g3-20", "dual", 14),
+        ("svm-random", "ineq", 18), ("lasso-random", "ineq", 18)])
+    def test_outer_counts(self, name, form, outer):
+        solve, problem, start = builtin_run(name, form)
+        trace = solve(problem, start, AlmConfig(stop_eps3=1e-5))
+        assert trace.converged and len(trace.records) == outer
 
     def test_no_zero_step_subsolves(self):
         # a start point within criterion A's loose early target used to be
@@ -653,3 +664,21 @@ class TestConfig:
         cfg = AlmConfig(r0=1.0, r_growth=2.0, r_max=5.0)
         assert cfg.penalty(0) == 1.0
         assert cfg.penalty(10) == 5.0
+
+    def test_penalty_past_float_range_is_the_cap(self):
+        # 10.0 ** 309 raises OverflowError; the schedule sits at the cap there
+        cfg = AlmConfig(r_growth=10.0)
+        assert cfg.penalty(309) == cfg.penalty(10_000) == cfg.r_max
+        assert AlmConfig().penalty(10_000) == AlmConfig().r_max
+        # below the cap every value keeps its bits
+        assert [AlmConfig().penalty(k) for k in range(20)] == [min(1.4 ** k, 100.0)
+                                                               for k in range(20)]
+
+    @pytest.mark.parametrize("name,form", BUILTIN_RUNS)
+    def test_default_growth_takes_no_more_outer_iterations(self, name, form):
+        # the default growth against x1.25, at the default target
+        solve, problem, start = builtin_run(name, form)
+        fast = solve(problem, start, AlmConfig())
+        slow = solve(problem, start, AlmConfig(r_growth=1.25))
+        assert fast.converged and fast.final.residuals.eps3 <= AlmConfig().stop_eps3
+        assert len(fast.records) <= len(slow.records)

@@ -92,6 +92,15 @@ class TestSolve:
         assert code == 2
         assert (tmp_path / "trace.csv").exists()  # partial trace written
 
+    def test_penalty_past_float_range_exit_2(self, tmp_path):
+        # 10 ** 309 overflows a float; the penalty stays at its cap and the
+        # run ends unconverged instead of with an OverflowError
+        code = run(["solve", "--builtin", "example-d1", "--r-growth", "10",
+                    "--max-outer", "320", "--stop-eps3", "1e-30", "--out", str(tmp_path)])
+        assert code == 2
+        rows = (tmp_path / "trace.csv").read_text().splitlines()[2:]
+        assert len(rows) == 320 and rows[-1].split(",")[9] == "100"
+
     @pytest.mark.parametrize("form", ["primal", "dual", "ineq"])
     def test_uncertified_iterations_match_trace(self, form, tmp_path):
         # a 1e-12 target runs the certification targets below the rounding
