@@ -14,8 +14,8 @@ settings.register_profile("conic-alm", derandomize=True, deadline=None, database
 settings.load_profile("conic-alm")
 
 from conic_alm.fixtures import toy_rank1_instance
-from conic_alm.model import (SdpProblem, lasso_instance, maxcut_instance, svm_instance,
-                             synth_known_solution)
+from conic_alm.model import (IneqProblem, SdpProblem, lasso_instance, maxcut_instance,
+                             svm_instance, synth_known_solution)
 from conic_alm.symcone import symmetrize
 
 
@@ -47,17 +47,81 @@ def random_sym(rng, n, scale=1.0):
     return symmetrize(rng.standard_normal((n, n))) * scale
 
 
+def _blocking(rng, c):
+    """Coefficients that bound each variable of cost c from below through
+    its own constraint row: moving against c raises the row's value."""
+    return -np.sign(c) * (0.5 + rng.random(c.size))
+
+
+def _inactive_rows(rng, h):
+    """h with about a third of its rows lowered to -1e3, which keeps them
+    inactive at moderate points, so a slack-like variable can have no
+    active row and a ridge-only pivot."""
+    return np.where(rng.random(h.size) < 0.3, -1e3, h)
+
+
+@st.composite
+def ineq_qps(draw):
+    """A QP with a bounded augmented Lagrangian, of one of five kinds:
+    - svm or lasso;
+    - a dense G and positive definite Q (no slack-like variable);
+    - a positive definite block on a few coupled variables, slack-like
+      variables each with a row that bounds it below, and in some draws a
+      pair of Q-free variables of zero cost that share a row (which leaves
+      both of them coupled);
+    - an LP-like QP of bound rows, Q = 0, every variable slack-like (those
+      with no bounding row have zero cost).
+    Columns of the last two kinds come in a random order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["svm", "lasso", "dense", "partial", "lp"]))
+    if kind in ("svm", "lasso"):
+        rows, d = draw(st.integers(1, 30)), draw(st.integers(1, 12))
+        A = rng.standard_normal((rows, d))
+        if kind == "svm":
+            return svm_instance(A, rng.choice([-1.0, 1.0], rows), lam=1.0)
+        return lasso_instance(A, rng.standard_normal(rows), 1.0)
+    if kind == "dense":
+        rows, d = draw(st.integers(1, 30)), draw(st.integers(1, 12))
+        B = rng.standard_normal((d, d))
+        return IneqProblem(Q=symmetrize(B @ B.T) + 0.1 * np.eye(d), c=rng.standard_normal(d),
+                           G=rng.standard_normal((rows, d)),
+                           h=_inactive_rows(rng, rng.standard_normal(rows)))
+    if kind == "partial":
+        k, n_J = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+        n_pair, extra = 2 * draw(st.integers(0, 1)), draw(st.integers(0, 10))
+        n = k + n_J + n_pair
+        B = rng.standard_normal((k, k))
+        Q = np.zeros((n, n))
+        Q[:k, :k] = symmetrize(B @ B.T) + 0.1 * np.eye(k)
+        c = np.concatenate([rng.standard_normal(k + n_J), np.zeros(n_pair)])
+        G = np.zeros((n_J + extra + n_pair // 2, n))
+        G[:, :k] = rng.standard_normal((G.shape[0], k))
+        G[np.arange(n_J), k + np.arange(n_J)] = _blocking(rng, c[k:k + n_J])
+        G[-1, n - n_pair:] = rng.standard_normal(n_pair)
+    else:
+        n, rows = draw(st.integers(1, 10)), draw(st.integers(1, 20))
+        Q = np.zeros((n, n))
+        c = rng.standard_normal(n)
+        var = np.concatenate([np.arange(n), rng.integers(0, n, rows)])
+        coef = rng.standard_normal(var.size)
+        coef[:n] = _blocking(rng, c)
+        has_row = rng.random(n) < 0.8
+        c[~has_row] = 0.0
+        keep = np.concatenate([has_row, np.ones(rows, dtype=bool)])
+        var, coef = var[keep], coef[keep]
+        G = np.zeros((var.size, n))
+        G[np.arange(var.size), var] = coef
+    order = rng.permutation(n)
+    h = _inactive_rows(rng, rng.standard_normal(G.shape[0]))
+    return IneqProblem(Q=Q[np.ix_(order, order)], c=c[order], G=G[:, order], h=h)
+
+
 @st.composite
 def ineq_subproblems(draw):
-    """A random svm or lasso QP, multipliers z >= 0 (all zero in some draws),
-    a penalty r in [0.1, 100] and a generator for points."""
-    rows, d = draw(st.integers(1, 30)), draw(st.integers(1, 12))
+    """A QP from :func:`ineq_qps`, multipliers z >= 0 (all zero in some
+    draws), a penalty r in [0.1, 100] and a generator for points."""
+    q = draw(ineq_qps())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    A = rng.standard_normal((rows, d))
-    if draw(st.booleans()):
-        q = svm_instance(A, rng.choice([-1.0, 1.0], rows), lam=1.0)
-    else:
-        q = lasso_instance(A, rng.standard_normal(rows), 1.0)
     z = np.maximum(rng.standard_normal(q.n_constraints), 0.0)
     if draw(st.booleans()):
         z = np.zeros(q.n_constraints)

@@ -13,8 +13,8 @@ from conic_alm.auglag import (_block_gram, _omega, dual_gap_lower_bound, dual_ob
                               ineq_objective, primal_objective)
 from conic_alm.fixtures import load_builtin
 from conic_alm.inner import minimize_auglag
-from conic_alm.model import (DenseOperator, DualPoint, SparseOperator, apply_A, apply_Astar,
-                             svm_instance, synth_known_solution)
+from conic_alm.model import (DenseOperator, DualPoint, IneqProblem, SparseOperator, apply_A,
+                             apply_Astar, svm_instance, synth_known_solution)
 from conic_alm.symcone import frob, inner, symmetrize
 
 from conftest import ineq_subproblems, random_sym, sparse_sdps
@@ -431,6 +431,45 @@ class TestIneqForm:
         g = grad(x)[1]
         assert_solves(H + ridge(H) * np.eye(q.dim), grad(x)[2](g), g)
 
+
+    @given(ineq_subproblems())
+    def test_solve_backward_error(self, case):
+        # at any point, kinks included, the slack elimination solves the
+        # ridged system of Q + r G_A' G_A on every kind of QP: dense G (no
+        # slack-like variable), some slack-like columns, all of them
+        q, z, r, rng = case
+        x = rng.standard_normal(q.dim)
+        _, g, solve, _ = ineq_objective(q, z, r)(x)
+        H = ineq_hessian_matrix(q, z, r, x)
+        assert_solves(H + ridge(H) * np.eye(q.dim), solve(g), g)
+
+    @pytest.mark.parametrize("name", ["svm-random", "lasso-random"])
+    def test_unreached_slack_pivot_is_ridge(self, name):
+        # with every row inactive except those that hold no slack-like
+        # variable, each slack-like pivot is the ridge alone: d_J = g_J / ridge
+        q, r = load_builtin(name), 2.0
+        no_slack = ~np.any(q.G[:, q.slack], axis=1)
+        z = np.where(no_slack, 1.0, 0.0)
+        x = np.zeros(q.dim)
+        x[q.slack] = 1e3 * np.sign(q.c[q.slack])
+        assert np.all((z + r * q.constraints(x) >= 0.0) == no_slack)
+        _, g, solve, _ = ineq_objective(q, z, r)(x)
+        H = ineq_hessian_matrix(q, z, r, x)
+        assert not np.any(H[q.slack])
+        d = solve(g)
+        assert_allclose(d[q.slack], g[q.slack] / ridge(H), rtol=1e-12)
+        assert_solves(H + ridge(H) * np.eye(q.dim), d, g)
+
+
+    def test_ridge_spans_the_whole_diagonal(self):
+        # two slack-like bounds, one active with pivot 100, one inactive: the
+        # inactive one's pivot is the ridge 1e-12 (1 + 100) of the whole
+        # diagonal, J's part included, although I is empty
+        q = IneqProblem(Q=np.zeros((2, 2)), c=np.array([-1.0, 1.0]),
+                        G=np.array([[10.0, 0.0], [0.0, -1.0]]), h=np.array([0.0, -1e3]))
+        assert q.coupled.size == 0
+        _, g, solve, _ = ineq_objective(q, np.zeros(2), 1.0)(np.ones(2))
+        assert_allclose(solve(g), [g[0] / (100.0 + 101e-12), g[1] / 101e-12], rtol=1e-12)
 
 class TestMoreauEnvelopeOrdering:
     def test_envelope_nondecreasing_in_r(self, certified5):

@@ -6,7 +6,7 @@ each objective and each Newton solve is a function of the bits of its
 argument, not of where those bits sit in memory, which can differ from run
 to run. Each property evaluates a point as a fresh copy and as a view that
 starts a few elements into a larger buffer, and compares the bits. Nor may
-it depend on what the problem object has memoized from an earlier solve.
+it depend on an earlier solve on the same problem object.
 """
 
 import numpy as np
@@ -146,9 +146,9 @@ def test_penalty_subgrad_depends_only_on_bits(case):
     assert G.tobytes() == penalty_subgrad(relocated(X, offset), 1.7).tobytes()
 
 
-def test_ineq_trace_independent_of_active_gram_memo(tmp_path):
-    # two solves on one problem object (the second starts with the first's
-    # memoized active-set Gram) and one on a fresh object write the same bytes
+def test_ineq_trace_independent_of_problem_reuse(tmp_path):
+    # two solves on one problem object (the second after the first has used
+    # its slack split) and one on a fresh object write the same bytes
     q = load_builtin("svm-random")
     paths = []
     for i, problem in enumerate((q, q, load_builtin("svm-random"))):

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from conic_alm.fixtures import load_builtin
 from conic_alm.model import (CertificationError, DualPoint, IneqProblem,
                              KnownSolutionInstance, SdpProblem, apply_A, apply_Astar,
                              ineq_residuals,
@@ -13,7 +14,7 @@ from conic_alm.model import (CertificationError, DualPoint, IneqProblem,
                              svm_instance, synth_known_solution, zero_dual)
 from conic_alm.symcone import dist_psd, frob, inner, symmetrize
 
-from conftest import random_sym
+from conftest import ineq_qps, random_sym
 from oracles import naive_apply_A, soft_threshold
 
 
@@ -307,6 +308,22 @@ class TestIneqProblem:
         with pytest.raises(ValueError, match=f"^{field} contains non-finite"):
             IneqProblem(**data)
 
+    @pytest.mark.parametrize("offset", [np.nan, np.inf, -np.inf, "3", None],
+                             ids=["nan", "inf", "-inf", "str", "None"])
+    def test_rejects_bad_offset(self, offset):
+        # a non-finite offset once failed only at the first solve, with an
+        # InnerSolveError, and a string with a TypeError inside objective
+        with pytest.raises(ValueError, match="^offset must be a finite real number"):
+            IneqProblem(Q=np.eye(2), c=np.ones(2), G=np.ones((3, 2)), h=-np.ones(3),
+                        offset=offset)
+
+    @pytest.mark.parametrize("offset", [2, np.float64(2.0), np.int64(2)],
+                             ids=["int", "float64", "int64"])
+    def test_accepts_real_offset(self, offset):
+        q = IneqProblem(Q=np.eye(2), c=np.ones(2), G=np.ones((3, 2)), h=-np.ones(3),
+                        offset=offset)
+        assert type(q.offset) is float and q.objective(np.zeros(2)) == 2.0
+
     @pytest.mark.parametrize("field,value,message", [
         ("Q", -np.eye(2), "Q must be positive semidefinite"),
         ("c", np.ones(3), "inconsistent dimensions"),
@@ -323,49 +340,77 @@ class TestIneqProblem:
 
 @st.composite
 def masked_qps(draw):
-    """A random QP and a sequence of row masks with repeats, the all-false
-    and the all-true mask among them."""
-    rows, d = draw(st.integers(1, 30)), draw(st.integers(1, 12))
+    """A QP and a list of row masks, the all-false and the all-true mask
+    among them. The QP is one of :func:`conftest.ineq_qps`, or a random
+    sparsity pattern: a PSD block of Q on a random subset of the variables
+    and a G of drawn density, where Q-free variables often share rows."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    q = IneqProblem(Q=np.eye(d), c=np.zeros(d), G=rng.standard_normal((rows, d)),
-                    h=np.zeros(rows))
-    pool = [np.zeros(rows, dtype=bool), np.ones(rows, dtype=bool)]
-    pool += [rng.random(rows) < 0.5 for _ in range(draw(st.integers(0, 4)))]
-    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12))
-    return q, [pool[i] for i in picks]
+    if draw(st.booleans()):
+        q = draw(ineq_qps())
+    else:
+        rows, n = draw(st.integers(1, 30)), draw(st.integers(1, 12))
+        in_Q = rng.random(n) < draw(st.sampled_from([0.0, 0.3, 0.7]))
+        B = rng.standard_normal((n, n)) * in_Q[:, None]
+        G = rng.standard_normal((rows, n)) * (rng.random((rows, n)) < draw(
+            st.sampled_from([0.1, 0.3, 1.0])))
+        q = IneqProblem(Q=symmetrize(B @ B.T), c=np.zeros(n), G=G, h=np.zeros(rows))
+    masks = [np.zeros(q.n_constraints, dtype=bool), np.ones(q.n_constraints, dtype=bool)]
+    masks += [rng.random(q.n_constraints) < 0.5 for _ in range(draw(st.integers(0, 4)))]
+    return q, masks
 
 
-class TestActiveGram:
+class TestSlackSplit:
     @given(masked_qps())
-    def test_equals_fresh_product(self, case):
-        # every call, memo hit or miss, gives the bits of G_A' G_A
+    def test_partitions_the_variables(self, case):
+        q = case[0]
+        assert np.array_equal(np.sort(np.concatenate((q.coupled, q.slack))), np.arange(q.dim))
+        assert np.all(np.diff(q.coupled) > 0) and np.all(np.diff(q.slack) > 0)
+
+    @given(masked_qps())
+    def test_slack_variables_are_uncoupled(self, case):
+        # no row of G holds two slack-like variables, and Q is zero on
+        # their rows and columns
+        q = case[0]
+        assert np.all(np.count_nonzero(q.G[:, q.slack], axis=1) <= 1)
+        assert not np.any(q.Q[q.slack]) and not np.any(q.Q[:, q.slack])
+
+    @given(masked_qps(), st.floats(0.1, 100.0))
+    def test_newton_matrix_is_diagonal_on_slack(self, case, r):
         q, masks = case
         for mask in masks:
             G_A = q.G[mask]
-            gram = q.active_gram(mask.copy())
-            assert gram.tobytes() == (G_A.T @ G_A).tobytes()
-            assert not gram.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                gram[0, 0] = 1.0
-        with pytest.raises(ValueError, match="read-only"):
-            q.G[0, 0] = 1.0
+            H_JJ = (q.Q + r * (G_A.T @ G_A))[np.ix_(q.slack, q.slack)]
+            assert not np.any(H_JJ - np.diag(np.diag(H_JJ)))
+
+    @given(masked_qps())
+    def test_q_free_variable_is_slack_unless_it_shares_a_row(self, case):
+        # a variable with no entry in Q is coupled only when a row of G
+        # holds it with another such variable
+        q = case[0]
+        free = ~np.any(q.Q != 0.0, axis=0)
+        nonzero = q.G != 0.0
+        for j in np.flatnonzero(free):
+            shared = np.count_nonzero(nonzero[nonzero[:, j]][:, free], axis=1) > 1
+            assert (j in q.slack) == (not np.any(shared))
+
+    @pytest.mark.parametrize("name,coupled,slack", [("svm-random", 10, 100),
+                                                    ("lasso-random", 10, 10)])
+    def test_builtin_split_sizes(self, name, coupled, slack):
+        # the hinge slacks of svm and the bounds t of lasso are slack-like
+        q = load_builtin(name)
+        assert (q.coupled.size, q.slack.size) == (coupled, slack)
 
     def test_keeps_own_copy_of_G(self):
-        G = np.ones((3, 2))
-        q = IneqProblem(Q=np.eye(2), c=np.ones(2), G=G, h=-np.ones(3))
-        mask = np.array([True, False, True])
-        before = q.active_gram(mask).copy()
+        # the split is computed from G, so G is a read-only copy, and so are
+        # the split's index arrays
+        G = np.array([[1.0, 0.0, -1.0], [0.0, 0.0, -1.0]])
+        q = IneqProblem(Q=np.diag([1.0, 0.0, 0.0]), c=np.ones(3), G=G, h=-np.ones(2))
+        assert q.coupled.tolist() == [0] and q.slack.tolist() == [1, 2]
         G[:] = 5.0
-        assert np.array_equal(q.G, np.ones((3, 2)))
-        assert np.array_equal(q.active_gram(mask), before)
-
-    @pytest.mark.parametrize("mask", [np.ones(2, dtype=bool), np.ones(3), np.array([0, 2]),
-                                      np.ones((3, 1), dtype=bool)],
-                             ids=["short", "float", "indices", "2d"])
-    def test_rejects_non_mask(self, mask):
-        q = IneqProblem(Q=np.eye(2), c=np.ones(2), G=np.ones((3, 2)), h=-np.ones(3))
-        with pytest.raises(ValueError, match="mask must be a boolean array of shape"):
-            q.active_gram(mask)
+        assert q.G[0].tolist() == [1.0, 0.0, -1.0]
+        for array in (q.G, q.coupled, q.slack):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
 
 class TestSynthKnownSolution:
