@@ -34,9 +34,9 @@ from . import auglag
 from .inner import check_criterion_A, check_criterion_B, minimize_auglag
 # apply_A is unused here but stays a module attribute: perfbench's tracer
 # rebinds alm.apply_A by name
-from .model import (DualPoint, KnownSolutionInstance, apply_A, apply_Astar,
+from .model import (DualPoint, KnownSolutionInstance, apply_A, apply_Astar, check_array,
                     ineq_residuals, kkt_residuals)
-from .symcone import dist_psd, frob, symmetrize
+from .symcone import check_symmetric, dist_psd, frob, symmetrize
 
 # Below this threshold a certification target is considered unreachable in
 # double precision: the inner solve stops at a gap within it.
@@ -208,20 +208,14 @@ def _outer_loop(trace, cfg, p, objective, diameter_of, record, x, w):
     return trace
 
 
-def _start_array(name, value, shape):
-    """``value`` as a float array; raises unless it is finite and of ``shape``."""
-    value = np.asarray(value, dtype=float)
-    if value.shape != shape or not np.all(np.isfinite(value)):
-        raise ValueError(f"{name} must be finite with shape {shape}, got shape {value.shape}")
-    return value
-
-
 def _sdp_record(p, oracle, X, w, dist_w_before, fields):
     """IterationRecord of the SDP iterate (X, w), with KKT residuals and the
-    distances that ``oracle``, when given, reports."""
+    distances that ``oracle``, when given, reports. The loop built X and w
+    from checked data, so the residuals skip the input checks."""
     return IterationRecord(
         X=X.copy(), y=w.y.copy(), Z=w.Z.copy(),
-        residuals=kkt_residuals(p, X, w, p_star=oracle.p_star if oracle else None),
+        residuals=kkt_residuals(p, X, w, p_star=oracle.p_star if oracle else None,
+                                checked=True),
         dist_x=oracle.dist_primal(X) if oracle else None,
         dist_w=oracle.dist_dual(w) if oracle else None,
         dist_w_before=dist_w_before, **fields)
@@ -238,16 +232,18 @@ def solve_primal_alm(p, w0, cfg=None):
     cfg = cfg or AlmConfig()
     oracle = p if isinstance(p, KnownSolutionInstance) else None
     p = oracle.problem if oracle else p
-    _start_array("w0.y", w0.y, (p.m,))
-    _start_array("w0.Z", w0.Z, (p.n, p.n))
-    if dist_psd(w0.Z) > 1e-9 * (1.0 + frob(w0.Z)):
+    check_array("w0.y", w0.y, (p.m,))
+    Z0 = check_symmetric(check_array("w0.Z", w0.Z, (p.n, p.n)), name="w0.Z")
+    if dist_psd(Z0, checked=True) > 1e-9 * (1.0 + frob(Z0)):
         raise ValueError("initial Z must be positive semidefinite")
+    trace = AlmTrace(form="primal", problem_name=p.name, config=cfg, start_point=w0)
 
     def record(X, w, w_new, fields):
-        before = oracle.dist_dual(w) if oracle else None
+        # w is the last record's multiplier, or w0
+        before = trace.records[-1].dist_w if trace.records else (
+            oracle.dist_dual(w) if oracle else None)
         return _sdp_record(p, oracle, X, w_new, before, fields)
 
-    trace = AlmTrace(form="primal", problem_name=p.name, config=cfg, start_point=w0)
     return _outer_loop(trace, cfg, p, auglag.primal_objective,
                        lambda Xc: auglag.default_diameter(p, Xc), record,
                        np.zeros((p.n, p.n)), DualPoint(y=w0.y.copy(), Z=w0.Z.copy()))
@@ -263,17 +259,19 @@ def solve_dual_alm(p, X0, cfg=None):
     cfg = cfg or AlmConfig()
     oracle = p if isinstance(p, KnownSolutionInstance) else None
     p = oracle.problem if oracle else p
-    X0 = symmetrize(_start_array("X0", X0, (p.n, p.n)))
-    if dist_psd(X0) > 1e-9 * (1.0 + frob(X0)):
+    X0 = check_symmetric(check_array("X0", X0, (p.n, p.n)), name="X0").copy()
+    if dist_psd(X0, checked=True) > 1e-9 * (1.0 + frob(X0)):
         raise ValueError("initial X must be positive semidefinite")
     scale = 2.0 * (1.0 + p.b_norm + p.C_norm)
+    trace = AlmTrace(form="dual", problem_name=p.name, config=cfg, start_point=X0)
 
     def record(y, X, X_new, fields):
-        w = DualPoint(y=y, Z=symmetrize(p.C - apply_Astar(p, y)))
-        before = oracle.dist_primal(X) if oracle else None
+        w = DualPoint(y=y, Z=symmetrize(p.C - apply_Astar(p, y)), checked=True)
+        # X is the last record's multiplier, or X0
+        before = trace.records[-1].dist_x if trace.records else (
+            oracle.dist_primal(X) if oracle else None)
         return _sdp_record(p, oracle, X_new, w, before, fields)
 
-    trace = AlmTrace(form="dual", problem_name=p.name, config=cfg, start_point=X0)
     return _outer_loop(trace, cfg, p, auglag.dual_objective,
                        lambda yc: scale + 2.0 * float(np.linalg.norm(yc)),
                        record, np.zeros(p.m), X0.copy())
@@ -282,7 +280,7 @@ def solve_dual_alm(p, X0, cfg=None):
 def solve_ineq_alm(q, z0, cfg=None, x_star=None, f_star=None):
     """Inexact ALM on a convex QP with affine inequality constraints; x starts at 0."""
     cfg = cfg or AlmConfig()
-    z = _start_array("z0", z0, (q.n_constraints,)).copy()
+    z = check_array("z0", z0, (q.n_constraints,)).copy()
     if not np.all(z >= 0):
         raise ValueError("z0 must be nonnegative")
     scale = 2.0 * (1.0 + float(np.linalg.norm(q.c)) + float(np.linalg.norm(q.h)))

@@ -100,7 +100,8 @@ def minimize_auglag(oracle, start, tol, max_iter=10000, diameter_bound=None, acc
     if not np.isfinite(fx) or not np.all(np.isfinite(g)):
         raise InnerSolveError(f"objective returned non-finite values at the start point "
                               f"(value={fx!r})")
-    best = (_norm(g), x.copy(), fx, update)
+    # iterates are rebound, never written in place, so best holds x uncopied
+    best = (_norm(g), x, fx, update)
     f_ref = fx
     since_descent = 0
     it = 0
@@ -113,7 +114,7 @@ def minimize_auglag(oracle, start, tol, max_iter=10000, diameter_bound=None, acc
     while True:
         gn = _norm(g)
         if gn < best[0]:
-            best = (gn, x.copy(), fx, update)
+            best = (gn, x, fx, update)
         if gn * diameter_bound <= tol:
             result = result_at((gn, x, fx, update), True)
             if accept is None or accept(result):
@@ -158,7 +159,8 @@ def minimize_auglag(oracle, start, tol, max_iter=10000, diameter_bound=None, acc
             break
         x, fx, g, solve, update = x_new, f_new, g_new, solve_new, update_new
         it += 1
-    return result_at(best if best[0] < _norm(g) else (_norm(g), x, fx, update), False)
+    # every exit leaves the loop with gn = ||g|| of the current iterate
+    return result_at(best if best[0] < gn else (gn, x, fx, update), False)
 
 
 def check_criterion_A(result, eps_k, r_k):

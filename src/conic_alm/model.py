@@ -7,11 +7,21 @@ the KKT residual set used to monitor solver runs, instance generators
 (max-cut relaxation, linear SVM, lasso), and a synthesizer that builds SDPs
 around a KKT-certified optimal triple so that ground truth is available
 without an external solver.
+
+The validation boundary: data is checked where it enters the package, at
+the constructors (``SdpProblem``, ``DualPoint``, ``IneqProblem``,
+``KnownSolutionInstance``), the ``solve_*`` drivers, ``eval_L_*`` and
+``grad_L_*``, ``kkt_residuals`` and the CLI. A check raises ``ValueError``
+naming the argument (``X``, ``w.y``, ``w0.Z``, ...). What the solvers build
+from checked data skips the checks: the multiplier steps of the oracles and
+the dual record are ``DualPoint(..., checked=True)``, and the outer loop's
+records call ``kkt_residuals(..., checked=True)``, as ``symcone.dist_psd``
+takes ``checked=True``.
 """
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -28,6 +38,33 @@ CERTIFY_TOL = 1e-10
 def _check_finite(name, value):
     if not np.all(np.isfinite(value)):
         raise ValueError(f"{name} contains non-finite entries")
+
+
+def check_array(name, value, shape):
+    """``value`` as a float array; raises unless it is finite and of ``shape``."""
+    value = np.asarray(value, dtype=float)
+    if value.shape != shape or not np.all(np.isfinite(value)):
+        raise ValueError(f"{name} must be finite with shape {shape}, got shape {value.shape}")
+    return value
+
+
+def check_matrix(p, M, name):
+    """``M`` as a float array; raises, naming it, unless it is a finite,
+    exactly symmetric n x n matrix of problem p."""
+    M = check_symmetric(M, name=name)
+    if M.shape != p.C.shape:
+        raise ValueError(f"{name} must have shape {p.C.shape}, got {M.shape}")
+    return M
+
+
+def check_dual_point(p, w):
+    """``w``; raises, naming the part, unless its y and Z have the shapes of
+    problem p (a :class:`DualPoint` checked the rest when it was built)."""
+    for part, shape in (("y", (p.m,)), ("Z", p.C.shape)):
+        got = np.shape(getattr(w, part))
+        if got != shape:
+            raise ValueError(f"w.{part} must have shape {shape}, got {got}")
+    return w
 
 
 class DenseOperator:
@@ -117,6 +154,27 @@ class SparseOperator:
         terms = terms.reshape(self.k.size, -1)
         return terms if self.k.size == self.m else np.add.reduceat(terms, self.starts)
 
+    def rotation(self, Q):
+        """The maps R: V -> A(Q V Q') and R': z -> Q' A*(z) Q, row i of R being
+        vec(Q' A_i Q), without the m x n^2 stack.
+
+        Nonzero t adds val_t Q[row_t] V Q[col_t]' to (R V)_{k_t} and
+        z_{k_t} val_t Q[row_t]' Q[col_t] to R' z, so each map is one GEMM
+        with the gathered rows Q[row] and Q[col], O(nnz n^2), and a sum over
+        the nonzeros; Q' A*(z) Q through A*(z) takes two n x n GEMMs and a
+        sum over n^2 bins.
+        """
+        left, right = self.val[:, None] * Q[self.row], Q[self.col]
+
+        def R(V):
+            terms = np.sum((left @ V) * right, axis=1)
+            return terms if self.k.size == self.m else np.add.reduceat(terms, self.starts)
+
+        def R_t(z):
+            return left.T @ (z[self.k, None] * right)
+
+        return R, R_t
+
     def max_col_norm2(self):
         return self._max_col_norm2
 
@@ -198,12 +256,21 @@ def apply_Astar(p, y):
 
 @dataclass(frozen=True)
 class DualPoint:
-    """Dual pair w = (y, Z) for the standard-form SDP."""
+    """Dual pair w = (y, Z) for the standard-form SDP.
+
+    Construction checks that y is a finite float vector and Z a finite,
+    exactly symmetric matrix. ``checked=True`` says that both already are
+    float arrays that passed those checks, as the solvers' own iterates do,
+    and skips them.
+    """
 
     y: np.ndarray
     Z: np.ndarray
+    checked: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, checked):
+        if checked:
+            return
         y = np.asarray(self.y, dtype=float)
         if y.ndim != 1 or not np.all(np.isfinite(y)):
             raise ValueError(f"y must be a finite 1-d vector, got shape {y.shape}")
@@ -246,24 +313,28 @@ class ResidualSet:
         return max(self.eta1, self.eta2, self.eta3, self.eta4, self.eta5)
 
 
-def kkt_residuals(p, X, w, p_star=None):
+def kkt_residuals(p, X, w, p_star=None, *, checked=False):
     """Relative KKT residuals of (X, y, Z) for problem p.
 
     eta1: affine feasibility, eta2: X cone feasibility, eta3: dual affine
     feasibility, eta4: Z cone feasibility, eta5: duality gap. ``p_star`` is
-    the primal and the dual optimal value alike. X is validated here, Z was
-    when ``w`` was built.
+    the primal and the dual optimal value alike. X and the shapes of w are
+    validated here, the rest of w when it was built; ``checked`` says that
+    all of it already was, as for the iterates of the outer loop, and skips
+    the checks.
     """
-    X = check_symmetric(X, name="X")
+    if not checked:
+        X = check_matrix(p, X, "X")
+        check_dual_point(p, w)
     y, Z = w.y, w.Z
     cx = inner(p.C, X)
     by = float(p.b @ y)
-    eta1 = float(np.linalg.norm(apply_A(p, X) - p.b)) / (1.0 + p.b_norm)
+    eta1 = float(np.linalg.norm(p.operator.apply(X) - p.b)) / (1.0 + p.b_norm)
     # one eigvalsh call over the stack; LAPACK runs per matrix, so each
     # distance has the bits of its own call
     dist_x, dist_z = dist_psd(np.stack((X, Z)), checked=True)
     eta2 = float(dist_x) / (1.0 + frob(X))
-    eta3 = frob(p.C - apply_Astar(p, y) - Z) / (1.0 + p.C_norm)
+    eta3 = frob(p.C - p.operator.adjoint(y) - Z) / (1.0 + p.C_norm)
     eta4 = float(dist_z) / (1.0 + frob(Z))
     gap_scale = 1.0 + (abs(p_star) if p_star is not None else abs(by))
     eta5 = abs(cx - by) / gap_scale

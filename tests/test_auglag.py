@@ -1,6 +1,9 @@
 """Augmented Lagrangian values/gradients against finite differences and
 closed-form saddle identities."""
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -32,6 +35,20 @@ def assert_solves(K, d, g, rtol=1e-9):
     """d solves K d = g with normwise backward error at most rtol."""
     residual = np.linalg.norm(K @ d - g)
     assert residual <= rtol * (np.linalg.norm(K, 2) * np.linalg.norm(d) + np.linalg.norm(g))
+
+
+@contextlib.contextmanager
+def counted_solves():
+    """Count the calls of np.linalg.solve in the block."""
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return solve(*args, **kwargs)
+
+    with mock.patch.object(np.linalg, "solve", counted):
+        yield calls
 
 
 def ridge(H):
@@ -286,6 +303,32 @@ class TestSdpNewtonSolves:
     @given(sparse_subproblems(), st.floats(-16.0, 2.0), SPECTRA)
     def test_primal_solve_sparse(self, case, log_scale, spectrum):
         check_primal_solve(*case, log_scale, spectrum)
+
+    @given(sparse_subproblems(), st.floats(-16.0, 2.0), SPECTRA)
+    def test_sparse_solve_makes_at_most_three_K_solves(self, case, log_scale, spectrum):
+        # the Woodbury solve and at most two refinement steps, each one
+        # solve with K; the oracles of check_primal_solve call no solve
+        with counted_solves() as calls:
+            check_primal_solve(*case, log_scale, spectrum)
+        assert 1 <= len(calls) <= 3
+
+    @pytest.mark.parametrize("name", ["maxcut-g1-20", "maxcut-g2-20", "maxcut-g3-20"])
+    @pytest.mark.parametrize("r", [1.0, 10.0, 100.0])
+    def test_well_conditioned_sparse_solve_makes_one_K_solve(self, name, r):
+        # ||G|| >= 1 + ||C|| puts rho at r, so F >= r and the Woodbury solve
+        # is at rounding level: refinement stops before its first step
+        p = load_builtin(name)
+        rng = np.random.default_rng(int(r))
+        for _ in range(3):
+            w, X = rand_dual(rng, p), random_sym(rng, p.n)
+            G = random_sym(rng, p.n, 1.0 + p.C_norm)
+            assert frob(G) >= 1.0 + p.C_norm
+            solve = primal_objective(p, w, r)(X)[2]
+            with counted_solves() as calls:
+                D = solve(G)
+            assert len(calls) == 1
+            K = primal_hessian_matrix(p, w, r, X) + r * np.eye(p.n * p.n)
+            assert_solves(K, D.ravel(), G.ravel(), rtol=1e-13)
 
     @given(sparse_subproblems(), st.floats(-16.0, 2.0), SPECTRA)
     def test_dual_solve_sparse(self, case, log_scale, spectrum):

@@ -120,6 +120,37 @@ def test_sparse_operator_matches_dense(p, seed):
     assert_allclose(full @ full.T, gram, rtol=REL, atol=10 * REL * np.max(np.abs(gram)))
 
 
+def check_rotation(op, p, rng):
+    """R V = A(Q V Q') and R' z = Q' A*(z) Q from ``op.rotation`` against the
+    rotated rows, R V = rot vec(V) and R' z = rot' z, and their adjointness."""
+    Q = random_orthogonal(rng, p.n)
+    V, z = rng.standard_normal((p.n, p.n)), rng.standard_normal(p.m)
+    R, R_t = op.rotation(Q)
+    rot = op.rotated(Q)
+    RV, Rz = R(V), R_t(z)
+    assert RV.shape == (p.m,) and Rz.shape == (p.n, p.n)
+    tol = 10 * REL * p.n * frob(flat_constraints(p))
+    z_norm = float(np.linalg.norm(z))
+    assert_allclose(RV, rot @ V.ravel(), rtol=0, atol=tol * frob(V))
+    assert_allclose(Rz, (rot.T @ z).reshape(p.n, p.n), rtol=0, atol=tol * z_norm)
+    assert abs(float(RV @ z) - inner(V, Rz)) <= tol * frob(V) * z_norm
+
+
+@given(sparse_sdps(), st.integers(0, 2**32 - 1))
+def test_rotation_maps_match_rotated_rows(p, seed):
+    # max-cut draws have one nonzero per A_i, the others one to three
+    check_rotation(SparseOperator(p.constraint_mats, p.operator.gram), p,
+                   np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("n,m", [(3, 3), (5, 6), (8, 12)])
+def test_rotation_maps_with_dense_matrices(n, m):
+    # every A_i full: n^2 nonzeros each, summed per matrix
+    p = synth_known_solution(n=n, m=m, rank_x=1, seed=n).problem
+    check_rotation(SparseOperator(p.constraint_mats, p.operator.gram), p,
+                   np.random.default_rng(m))
+
+
 @given(st.integers(1, 30), st.integers(0, 2**32 - 1))
 def test_maxcut_rotated_stack_is_bitwise_dense(n, seed):
     rng = np.random.default_rng(seed)
