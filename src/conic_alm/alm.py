@@ -35,8 +35,8 @@ from .inner import check_criterion_A, check_criterion_B, minimize_auglag
 # apply_A is unused here but stays a module attribute: perfbench's tracer
 # rebinds alm.apply_A by name
 from .model import (DualPoint, KnownSolutionInstance, apply_A, apply_Astar, check_array,
-                    ineq_residuals, kkt_residuals)
-from .symcone import check_symmetric, dist_psd, frob, symmetrize
+                    check_dual_point, check_matrix, check_real, ineq_residuals, kkt_residuals)
+from .symcone import dist_psd, frob, symmetrize
 
 # Below this threshold a certification target is considered unreachable in
 # double precision: the inner solve stops at a gap within it.
@@ -227,15 +227,16 @@ def solve_primal_alm(p, w0, cfg=None):
     ``p`` is an SdpProblem, or a KnownSolutionInstance whose certified
     solution fills in the distance-to-solution columns; X starts at 0.
     Terminates when the KKT residual eps3 drops below ``cfg.stop_eps3`` or
-    after ``cfg.max_outer`` iterations.
+    after ``cfg.max_outer`` iterations. ``w0`` is checked once and copied;
+    the copy is both the loop's start and ``trace.start_point``.
     """
     cfg = cfg or AlmConfig()
     oracle = p if isinstance(p, KnownSolutionInstance) else None
     p = oracle.problem if oracle else p
-    check_array("w0.y", w0.y, (p.m,))
-    Z0 = check_symmetric(check_array("w0.Z", w0.Z, (p.n, p.n)), name="w0.Z")
-    if dist_psd(Z0, checked=True) > 1e-9 * (1.0 + frob(Z0)):
-        raise ValueError("initial Z must be positive semidefinite")
+    w0 = check_dual_point(p, w0, "w0")
+    if dist_psd(w0.Z, checked=True) > 1e-9 * (1.0 + frob(w0.Z)):
+        raise ValueError("w0.Z must be positive semidefinite")
+    w0 = DualPoint(y=w0.y.copy(), Z=w0.Z.copy())
     trace = AlmTrace(form="primal", problem_name=p.name, config=cfg, start_point=w0)
 
     def record(X, w, w_new, fields):
@@ -246,7 +247,7 @@ def solve_primal_alm(p, w0, cfg=None):
 
     return _outer_loop(trace, cfg, p, auglag.primal_objective,
                        lambda Xc: auglag.default_diameter(p, Xc), record,
-                       np.zeros((p.n, p.n)), DualPoint(y=w0.y.copy(), Z=w0.Z.copy()))
+                       np.zeros((p.n, p.n)), w0)
 
 
 def solve_dual_alm(p, X0, cfg=None):
@@ -259,14 +260,14 @@ def solve_dual_alm(p, X0, cfg=None):
     cfg = cfg or AlmConfig()
     oracle = p if isinstance(p, KnownSolutionInstance) else None
     p = oracle.problem if oracle else p
-    X0 = check_symmetric(check_array("X0", X0, (p.n, p.n)), name="X0").copy()
+    X0 = check_matrix(p, X0, "X0").copy()
     if dist_psd(X0, checked=True) > 1e-9 * (1.0 + frob(X0)):
-        raise ValueError("initial X must be positive semidefinite")
+        raise ValueError("X0 must be positive semidefinite")
     scale = 2.0 * (1.0 + p.b_norm + p.C_norm)
     trace = AlmTrace(form="dual", problem_name=p.name, config=cfg, start_point=X0)
 
     def record(y, X, X_new, fields):
-        w = DualPoint(y=y, Z=symmetrize(p.C - apply_Astar(p, y)), checked=True)
+        w = DualPoint(y=y, Z=symmetrize(p.C - apply_Astar(p, y)))
         # X is the last record's multiplier, or X0
         before = trace.records[-1].dist_x if trace.records else (
             oracle.dist_primal(X) if oracle else None)
@@ -278,11 +279,15 @@ def solve_dual_alm(p, X0, cfg=None):
 
 
 def solve_ineq_alm(q, z0, cfg=None, x_star=None, f_star=None):
-    """Inexact ALM on a convex QP with affine inequality constraints; x starts at 0."""
+    """Inexact ALM on a convex QP with affine inequality constraints; x starts
+    at 0. A known solution ``x_star`` and value ``f_star`` fill in the
+    ``dist_x`` and ``cost_gap`` columns."""
     cfg = cfg or AlmConfig()
     z = check_array("z0", z0, (q.n_constraints,)).copy()
     if not np.all(z >= 0):
         raise ValueError("z0 must be nonnegative")
+    x_star = None if x_star is None else check_array("x_star", x_star, (q.dim,))
+    f_star = None if f_star is None else check_real("f_star", f_star)
     scale = 2.0 * (1.0 + float(np.linalg.norm(q.c)) + float(np.linalg.norm(q.h)))
 
     def record(x, z, z_new, fields):

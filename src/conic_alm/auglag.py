@@ -64,9 +64,10 @@ study its first Woodbury solve has a backward error near 1e-6 (median
 instead of 469 and about 1.07x the time.
 
 Only the public functions (``eval_L_*``, ``grad_L_*``,
-``dual_gap_lower_bound``) check their input against the problem; the
-oracles and the multiplier steps that ``update()`` builds trust the arrays
-the inner solver hands them (see ``model``).
+``dual_gap_lower_bound``) check their input against the problem, a dual
+point w through ``model.check_dual_point``; the oracles and the multiplier
+steps that ``update()`` builds, plain pairs, trust the arrays the inner
+solver hands them (see ``model``).
 """
 
 import numpy as np
@@ -76,8 +77,8 @@ from .symcone import frob, inner, symmetrize
 
 
 def _check_r(r):
-    if not r > 0:
-        raise ValueError("penalty parameter r must be positive")
+    if not 0 < r < np.inf:
+        raise ValueError(f"r must be a finite positive penalty, got {r!r}")
 
 
 def primal_objective(p, w, r):
@@ -98,14 +99,14 @@ def primal_objective(p, w, r):
         u = y + r * (b - apply(X))
         lam, Q = np.linalg.eigh(Z - r * X)
         pos = np.maximum(lam, 0.0)
-        # the GEMM rounds P off symmetry; update()'s DualPoint(Z=P) needs an
-        # exactly symmetric P
+        # the GEMM rounds P off symmetry; the multiplier Z = P of update()
+        # must be exactly symmetric, as check_dual_point requires
         P = symmetrize((Q * pos) @ Q.T)
         val = float(c @ X.ravel()) + (float(u @ u) + float(pos @ pos) - offset) / (2.0 * r)
         grad = C - adjoint(u) - P
 
         def update():
-            return X, DualPoint(y=u, Z=P, checked=True), float(
+            return X, DualPoint(y=u, Z=P), float(
                 np.sqrt(np.sum((u - y) ** 2) + np.sum((P - Z) ** 2)))
 
         return val, grad, lambda G: newton(p, r, _lm_rho(r, ridge, scale, G), lam, Q, G), update
@@ -113,25 +114,27 @@ def primal_objective(p, w, r):
     return oracle
 
 
-def _primal_at(p, X, w, r):
-    """The primal oracle's output at X, after checking X and w against p."""
-    return primal_objective(p, check_dual_point(p, w), r)(check_matrix(p, X, "X"))
+def _primal_at(p, X, w, r, name="X"):
+    """The checked w and the primal oracle's output at X, after checking X
+    (named ``name``) and w against p."""
+    w = check_dual_point(p, w)
+    return w, primal_objective(p, w, r)(check_matrix(p, X, name))
 
 
 def eval_L_primal(p, X, w, r):
     """Value of the primal-form augmented Lagrangian at (X, w)."""
-    return _primal_at(p, X, w, r)[0]
+    return _primal_at(p, X, w, r)[1][0]
 
 
 def grad_L_primal_X(p, X, w, r):
     """Gradient of L_r in X: C - A*(y + r(b - A(X))) - proj_psd(Z - rX)."""
-    return symmetrize(_primal_at(p, X, w, r)[1])
+    return symmetrize(_primal_at(p, X, w, r)[1][1])
 
 
 def grad_L_primal_w(p, X, w, r):
     """Gradients of L_r in (y, Z): (w+ - w) / r, w+ the multiplier step at X,
     i.e. (b - A(X), (proj_psd(Z - rX) - Z) / r)."""
-    _, _, _, update = _primal_at(p, X, w, r)
+    w, (_, _, _, update) = _primal_at(p, X, w, r)
     u = update()[1]
     return (u.y - w.y) / r, (u.Z - w.Z) / r
 
@@ -402,8 +405,7 @@ def dual_gap_lower_bound(p, w, X_trial, r):
     envelope is a maximum over dual points). Otherwise u is not
     dual-feasible and the bound is -inf.
     """
-    oracle = primal_objective(p, check_dual_point(p, w), r)
-    _, grad, _, update = oracle(check_matrix(p, X_trial, "X_trial"))
+    w, (_, grad, _, update) = _primal_at(p, X_trial, w, r, "X_trial")
     if frob(symmetrize(grad)) > 1e-11 * (1.0 + p.C_norm):
         return -np.inf
     u = update()[1]

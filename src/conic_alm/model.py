@@ -8,20 +8,23 @@ the KKT residual set used to monitor solver runs, instance generators
 around a KKT-certified optimal triple so that ground truth is available
 without an external solver.
 
-The validation boundary: data is checked where it enters the package, at
-the constructors (``SdpProblem``, ``DualPoint``, ``IneqProblem``,
-``KnownSolutionInstance``), the ``solve_*`` drivers, ``eval_L_*`` and
-``grad_L_*``, ``kkt_residuals`` and the CLI. A check raises ``ValueError``
-naming the argument (``X``, ``w.y``, ``w0.Z``, ...). What the solvers build
-from checked data skips the checks: the multiplier steps of the oracles and
-the dual record are ``DualPoint(..., checked=True)``, and the outer loop's
-records call ``kkt_residuals(..., checked=True)``, as ``symcone.dist_psd``
-takes ``checked=True``.
+The validation boundary: data is checked where it enters a computation,
+at the constructors (``SdpProblem``, ``IneqProblem``,
+``KnownSolutionInstance``), the ``solve_*`` drivers, the public functions
+of ``auglag``, ``kkt_residuals`` and the CLI. A check raises ``ValueError``
+naming the argument (``X``, ``w.y``, ``w0.Z``, ``r``, ``p_star``, ...). A
+:class:`DualPoint` is a plain pair; every entry point that takes one
+(``kkt_residuals``, ``eval_L_primal``, ``grad_L_primal_X``,
+``grad_L_primal_w``, ``dual_gap_lower_bound``, ``solve_primal_alm``)
+checks all of it with :func:`check_dual_point`. What the solvers build from
+checked data skips the checks: the oracles' multiplier steps and the dual
+record are plain pairs, and the outer loop's records call
+``kkt_residuals(..., checked=True)``.
 """
 
 import math
 import numbers
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,6 +43,13 @@ def _check_finite(name, value):
         raise ValueError(f"{name} contains non-finite entries")
 
 
+def check_real(name, value):
+    """``value`` as a float; raises, naming it, unless it is a finite real."""
+    if not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
+
+
 def check_array(name, value, shape):
     """``value`` as a float array; raises unless it is finite and of ``shape``."""
     value = np.asarray(value, dtype=float)
@@ -51,20 +61,15 @@ def check_array(name, value, shape):
 def check_matrix(p, M, name):
     """``M`` as a float array; raises, naming it, unless it is a finite,
     exactly symmetric n x n matrix of problem p."""
-    M = check_symmetric(M, name=name)
-    if M.shape != p.C.shape:
-        raise ValueError(f"{name} must have shape {p.C.shape}, got {M.shape}")
-    return M
+    return check_symmetric(check_array(name, M, p.C.shape), name=name)
 
 
-def check_dual_point(p, w):
-    """``w``; raises, naming the part, unless its y and Z have the shapes of
-    problem p (a :class:`DualPoint` checked the rest when it was built)."""
-    for part, shape in (("y", (p.m,)), ("Z", p.C.shape)):
-        got = np.shape(getattr(w, part))
-        if got != shape:
-            raise ValueError(f"w.{part} must have shape {shape}, got {got}")
-    return w
+def check_dual_point(p, w, name="w"):
+    """``w`` as a :class:`DualPoint` of float arrays; raises, naming the part
+    (``w.y``, ``w.Z``), unless y is a finite vector of length m and Z a
+    finite, exactly symmetric n x n matrix of problem p."""
+    return DualPoint(y=check_array(f"{name}.y", w.y, (p.m,)),
+                     Z=check_matrix(p, w.Z, f"{name}.Z"))
 
 
 class DenseOperator:
@@ -256,26 +261,11 @@ def apply_Astar(p, y):
 
 @dataclass(frozen=True)
 class DualPoint:
-    """Dual pair w = (y, Z) for the standard-form SDP.
-
-    Construction checks that y is a finite float vector and Z a finite,
-    exactly symmetric matrix. ``checked=True`` says that both already are
-    float arrays that passed those checks, as the solvers' own iterates do,
-    and skips them.
-    """
+    """Dual pair w = (y, Z) for the standard-form SDP; a plain pair, which
+    the entry points that take one check with :func:`check_dual_point`."""
 
     y: np.ndarray
     Z: np.ndarray
-    checked: InitVar[bool] = False
-
-    def __post_init__(self, checked):
-        if checked:
-            return
-        y = np.asarray(self.y, dtype=float)
-        if y.ndim != 1 or not np.all(np.isfinite(y)):
-            raise ValueError(f"y must be a finite 1-d vector, got shape {y.shape}")
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "Z", check_symmetric(self.Z, name="Z"))
 
     def norm(self):
         return float(np.sqrt(self.y @ self.y + np.sum(self.Z * self.Z)))
@@ -318,14 +308,14 @@ def kkt_residuals(p, X, w, p_star=None, *, checked=False):
 
     eta1: affine feasibility, eta2: X cone feasibility, eta3: dual affine
     feasibility, eta4: Z cone feasibility, eta5: duality gap. ``p_star`` is
-    the primal and the dual optimal value alike. X and the shapes of w are
-    validated here, the rest of w when it was built; ``checked`` says that
-    all of it already was, as for the iterates of the outer loop, and skips
-    the checks.
+    the primal and the dual optimal value alike. X, w and p_star are
+    validated here; ``checked`` says that all of them already were, as for
+    the iterates of the outer loop, and skips the checks.
     """
     if not checked:
         X = check_matrix(p, X, "X")
-        check_dual_point(p, w)
+        w = check_dual_point(p, w)
+        p_star = None if p_star is None else check_real("p_star", p_star)
     y, Z = w.y, w.Z
     cx = inner(p.C, X)
     by = float(p.b @ y)
@@ -372,9 +362,11 @@ class KnownSolutionInstance:
     w_star: DualPoint = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "x_star", check_symmetric(self.x_star, name="x_star"))
-        object.__setattr__(self, "y_star", np.asarray(self.y_star, dtype=float))
-        object.__setattr__(self, "z_star", check_symmetric(self.z_star, name="z_star"))
+        p = self.problem
+        object.__setattr__(self, "x_star", check_matrix(p, self.x_star, "x_star"))
+        object.__setattr__(self, "y_star", check_array("y_star", self.y_star, (p.m,)))
+        object.__setattr__(self, "z_star", check_matrix(p, self.z_star, "z_star"))
+        object.__setattr__(self, "p_star", check_real("p_star", self.p_star))
         self.certify()
         object.__setattr__(self, "w_star", DualPoint(y=self.y_star, Z=self.z_star))
         pu, du = solution_uniqueness(self)
@@ -392,7 +384,7 @@ class KnownSolutionInstance:
             "primal value": abs(inner(p.C, self.x_star) - self.p_star),
             "dual value": abs(float(p.b @ self.y_star) - self.p_star),
         }
-        bad = {k: v for k, v in checks.items() if v > CERTIFY_TOL}
+        bad = {k: v for k, v in checks.items() if not v <= CERTIFY_TOL}
         if bad:
             raise CertificationError(f"certification failed: {bad}")
         return checks
@@ -532,8 +524,6 @@ class IneqProblem:
             raise ValueError("inconsistent dimensions in IneqProblem")
         for name, value in (("c", c), ("G", G), ("h", h)):
             _check_finite(name, value)
-        if not isinstance(self.offset, numbers.Real) or not math.isfinite(self.offset):
-            raise ValueError(f"offset must be a finite real number, got {self.offset!r}")
         nonzero = G != 0.0
         free = ~np.any(Q != 0.0, axis=0)
         shared = np.count_nonzero(nonzero & free, axis=1) > 1
@@ -543,7 +533,7 @@ class IneqProblem:
         G.setflags(write=False)
         object.__setattr__(self, "G", G)
         object.__setattr__(self, "h", h)
-        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "offset", check_real("offset", self.offset))
         for name, mask in (("coupled", ~slack), ("slack", slack)):
             index = np.flatnonzero(mask)
             index.setflags(write=False)

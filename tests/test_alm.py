@@ -355,18 +355,22 @@ class TestOneSolvePerSubproblem:
 
 
 @pytest.mark.parametrize("name,run", [
-    pytest.param("y", lambda p, q: DualPoint(y=np.full(p.m, np.nan), Z=np.zeros((p.n, p.n))),
-                 id="nan-y"),
-    pytest.param("y", lambda p, q: DualPoint(y=np.zeros((p.m, 1)), Z=np.zeros((p.n, p.n))),
-                 id="2d-y"),
+    pytest.param("w0.y", lambda p, q: solve_primal_alm(
+        p, DualPoint(y=np.full(p.m, np.nan), Z=np.zeros((p.n, p.n)))), id="nan-y"),
+    pytest.param("w0.y", lambda p, q: solve_primal_alm(
+        p, DualPoint(y=np.zeros((p.m, 1)), Z=np.zeros((p.n, p.n)))), id="2d-y"),
     pytest.param("w0.y", lambda p, q: solve_primal_alm(
         p, DualPoint(y=np.zeros(p.m + 1), Z=np.zeros((p.n, p.n)))), id="long-y"),
     pytest.param("w0.Z", lambda p, q: solve_primal_alm(
         p, DualPoint(y=np.zeros(p.m), Z=np.zeros((p.n + 1, p.n + 1)))), id="big-Z"),
+    pytest.param("w0.Z", lambda p, q: solve_primal_alm(
+        p, DualPoint(y=np.zeros(p.m), Z=np.diag([1.0, -1.0]))), id="indefinite-Z"),
     pytest.param("X0", lambda p, q: solve_dual_alm(p, np.zeros((p.n + 1, p.n + 1))),
                  id="big-X0"),
     pytest.param("X0", lambda p, q: solve_dual_alm(p, np.full((p.n, p.n), np.nan)),
                  id="nan-X0"),
+    pytest.param("X0", lambda p, q: solve_dual_alm(p, np.diag([1.0, -1.0])),
+                 id="indefinite-X0"),
     pytest.param("z0", lambda p, q: solve_ineq_alm(q, np.zeros(q.n_constraints + 1)),
                  id="long-z0"),
     pytest.param("z0", lambda p, q: solve_ineq_alm(q, np.full(q.n_constraints, np.nan)),
@@ -419,8 +423,8 @@ class TestNewtonSteps:
 
     def test_primal_oracle_is_exactly_symmetric(self, rng):
         # on a dense operator A*(u) and proj_psd come from GEMMs, which can
-        # round a matrix off symmetry; update()'s Z goes into a DualPoint,
-        # which rejects a Z that is not exactly symmetric
+        # round a matrix off symmetry; update()'s Z is the next multiplier,
+        # and check_dual_point rejects a Z that is not exactly symmetric
         p = load_builtin("synth").problem
         assert not isinstance(p.operator, SparseOperator)
         for r in (0.5, 1.0, 8.0):

@@ -1,18 +1,20 @@
 """The validation boundary: public entry points check their input and name
-the bad argument, while the objects that the outer loop builds from checked
-arrays skip the checks."""
+the bad argument, while the outer loop, after its start point, runs no
+check on what it builds from checked arrays."""
 
+import copy
 import re
 
 import numpy as np
 import pytest
 
-from conic_alm import model
-from conic_alm.alm import AlmConfig, solve_dual_alm, solve_primal_alm
+from conic_alm import alm, auglag, model
+from conic_alm.alm import AlmConfig, solve_dual_alm, solve_ineq_alm, solve_primal_alm
 from conic_alm.auglag import (dual_gap_lower_bound, eval_L_dual, eval_L_ineq, eval_L_primal,
                               grad_L_dual_y, grad_L_ineq_x, grad_L_primal_X, grad_L_primal_w)
 from conic_alm.fixtures import maxcut_fixture
-from conic_alm.model import DualPoint, kkt_residuals, svm_instance, zero_dual
+from conic_alm.model import (CertificationError, DualPoint, KnownSolutionInstance,
+                             kkt_residuals, svm_instance, zero_dual)
 
 
 def bad_matrix(n, kind):
@@ -35,16 +37,10 @@ def bad_vector(m, kind):
 ALL = ("asymmetric", "nonfinite", "shape")
 
 
-def unchecked(y, Z):
-    """A DualPoint that skipped its own checks, as a caller's promise."""
-    return DualPoint(y=y, Z=Z, checked=True)
-
-
 # (name in the message, kinds of bad input, entry point at problem p, good
-# multiplier w and bad input). DualPoint checks finiteness and symmetry; its
-# y and Z need not match a problem. The other entry points check the shapes
-# of a DualPoint against the problem and trust it for the rest; the drivers
-# check all of w0.
+# multiplier w and bad input). A DualPoint is a plain pair; every entry point
+# that takes one checks all of it. A test id holds the entry's index, so new
+# entries go at the end.
 MATRIX_ENTRIES = [
     ("X", ALL, lambda p, w, M: kkt_residuals(p, M, w)),
     ("X", ALL, lambda p, w, M: eval_L_primal(p, M, w, 1.0)),
@@ -53,21 +49,24 @@ MATRIX_ENTRIES = [
     ("X", ALL, lambda p, w, M: eval_L_dual(p, np.zeros(p.m), M, 1.0)),
     ("X", ALL, lambda p, w, M: grad_L_dual_y(p, np.zeros(p.m), M, 1.0)),
     ("X_trial", ALL, lambda p, w, M: dual_gap_lower_bound(p, w, M, 1.0)),
-    ("Z", ALL[:2], lambda p, w, M: DualPoint(y=w.y, Z=M)),
-    ("w.Z", ALL[2:], lambda p, w, M: kkt_residuals(p, np.eye(p.n), unchecked(w.y, M))),
-    ("w.Z", ALL[2:], lambda p, w, M: eval_L_primal(p, np.eye(p.n), unchecked(w.y, M), 1.0)),
-    ("w0.Z", ALL, lambda p, w, M: solve_primal_alm(p, unchecked(w.y, M))),
+    ("w.Z", ALL, lambda p, w, M: grad_L_primal_X(p, np.eye(p.n), DualPoint(w.y, M), 1.0)),
+    ("w.Z", ALL, lambda p, w, M: kkt_residuals(p, np.eye(p.n), DualPoint(w.y, M))),
+    ("w.Z", ALL, lambda p, w, M: eval_L_primal(p, np.eye(p.n), DualPoint(w.y, M), 1.0)),
+    ("w0.Z", ALL, lambda p, w, M: solve_primal_alm(p, DualPoint(w.y, M))),
     ("X0", ALL, lambda p, w, M: solve_dual_alm(p, M)),
+    ("w.Z", ALL, lambda p, w, M: grad_L_primal_w(p, np.eye(p.n), DualPoint(w.y, M), 1.0)),
+    ("w.Z", ALL, lambda p, w, M: dual_gap_lower_bound(p, DualPoint(w.y, M), np.eye(p.n), 1.0)),
 ]
 VECTOR_ENTRIES = [
-    ("y", ALL[1:2], lambda p, w, v: DualPoint(y=v, Z=w.Z)),
-    ("w.y", ALL[2:], lambda p, w, v: kkt_residuals(p, np.eye(p.n), unchecked(v, w.Z))),
-    ("w.y", ALL[2:], lambda p, w, v: grad_L_primal_w(p, np.eye(p.n), unchecked(v, w.Z), 1.0)),
-    ("w.y", ALL[2:], lambda p, w, v: dual_gap_lower_bound(p, unchecked(v, w.Z), np.eye(p.n),
+    ("w.y", ALL[1:], lambda p, w, v: eval_L_primal(p, np.eye(p.n), DualPoint(v, w.Z), 1.0)),
+    ("w.y", ALL[1:], lambda p, w, v: kkt_residuals(p, np.eye(p.n), DualPoint(v, w.Z))),
+    ("w.y", ALL[1:], lambda p, w, v: grad_L_primal_w(p, np.eye(p.n), DualPoint(v, w.Z), 1.0)),
+    ("w.y", ALL[1:], lambda p, w, v: dual_gap_lower_bound(p, DualPoint(v, w.Z), np.eye(p.n),
                                                            1.0)),
     ("y", ALL[1:], lambda p, w, v: eval_L_dual(p, v, np.eye(p.n), 1.0)),
     ("y", ALL[1:], lambda p, w, v: grad_L_dual_y(p, v, np.eye(p.n), 1.0)),
-    ("w0.y", ALL[1:], lambda p, w, v: solve_primal_alm(p, unchecked(v, w.Z))),
+    ("w0.y", ALL[1:], lambda p, w, v: solve_primal_alm(p, DualPoint(v, w.Z))),
+    ("w.y", ALL[1:], lambda p, w, v: grad_L_primal_X(p, np.eye(p.n), DualPoint(v, w.Z), 1.0)),
 ]
 
 
@@ -107,24 +106,106 @@ def test_ineq_input_is_checked(name, run, kind):
 @pytest.mark.parametrize("form", ["primal", "dual"])
 def test_loop_runs_no_input_checks(form, monkeypatch):
     # the multipliers of update() and of the dual record, and the residuals
-    # of every record, come from arrays the loop built: after the start
-    # point no DualPoint and no residual runs a check
+    # of every record, come from arrays the loop built: the only check of a
+    # matrix or a dual point is the primal driver's one of w0, before the
+    # first subproblem
     p = maxcut_fixture("maxcut-g1-20")
     start = zero_dual(p) if form == "primal" else np.zeros((p.n, p.n))
-    runs = {"check": 0, "skip": 0}
-    post_init = DualPoint.__post_init__
+    events = []
 
-    def counted(self, checked):
-        runs["skip" if checked else "check"] += 1
-        post_init(self, checked)
+    def spy(module, name):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(DualPoint, "__post_init__", counted)
-    for name in ("check_matrix", "check_dual_point"):
-        monkeypatch.setattr(model, name,
-                            lambda *args, name=name: pytest.fail(f"the loop ran {name}"))
+        def spied(*args, **kwargs):
+            events.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spied)
+
+    for module in (model, auglag, alm):
+        for name in ("check_matrix", "check_dual_point"):
+            if hasattr(module, name):
+                spy(module, name)
+    spy(alm, "minimize_auglag")
     solve = solve_primal_alm if form == "primal" else solve_dual_alm
     trace = solve(p, start, AlmConfig(stop_eps3=1e-5))
     assert trace.converged and len(trace.records) > 5
-    # the primal driver copies w0 into one checked DualPoint
-    assert runs["check"] == (1 if form == "primal" else 0)
-    assert runs["skip"] >= len(trace.records)
+    first = events.index("minimize_auglag")
+    assert set(events[first:]) == {"minimize_auglag"}
+    assert events[:first].count("check_dual_point") == (1 if form == "primal" else 0)
+    # the dual driver checks X0 as a matrix
+    assert events[:first].count("check_matrix") == 1
+
+
+def test_primal_start_point_is_a_copy(toy):
+    # the loop and verify_ppm_alm_link read trace.start_point after the
+    # caller may have changed w0
+    w0 = zero_dual(toy.problem)
+    trace = solve_primal_alm(toy, w0, AlmConfig(max_outer=2))
+    assert not np.shares_memory(trace.start_point.y, w0.y)
+    assert not np.shares_memory(trace.start_point.Z, w0.Z)
+    assert np.array_equal(trace.start_point.y, w0.y)
+    assert np.array_equal(trace.start_point.Z, w0.Z)
+
+
+@pytest.mark.parametrize("r", [0.0, -1.0, np.inf, np.nan])
+@pytest.mark.parametrize("run", [
+    lambda p, q, w, r: eval_L_primal(p, np.eye(p.n), w, r),
+    lambda p, q, w, r: grad_L_primal_X(p, np.eye(p.n), w, r),
+    lambda p, q, w, r: grad_L_primal_w(p, np.eye(p.n), w, r),
+    lambda p, q, w, r: dual_gap_lower_bound(p, w, np.eye(p.n), r),
+    lambda p, q, w, r: eval_L_dual(p, np.zeros(p.m), np.eye(p.n), r),
+    lambda p, q, w, r: grad_L_dual_y(p, np.zeros(p.m), np.eye(p.n), r),
+    lambda p, q, w, r: eval_L_ineq(q, np.zeros(q.dim), np.zeros(q.n_constraints), r),
+    lambda p, q, w, r: grad_L_ineq_x(q, np.zeros(q.dim), np.zeros(q.n_constraints), r),
+], ids=["eval_L_primal", "grad_L_primal_X", "grad_L_primal_w", "dual_gap_lower_bound",
+        "eval_L_dual", "grad_L_dual_y", "eval_L_ineq", "grad_L_ineq_x"])
+def test_penalty_is_checked(run, r, toy):
+    # at r = inf the oracles return NaN, and dual_gap_lower_bound a NaN in
+    # place of a proven bound
+    p = toy.problem
+    q = svm_instance(np.array([[1.0], [-2.0]]), np.array([1.0, -1.0]), lam=1.0)
+    with pytest.raises(ValueError, match="^r must be a finite positive"):
+        run(p, q, zero_dual(p), r)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, "0"], ids=["nan", "inf", "str"])
+def test_kkt_residuals_checks_p_star(bad, toy):
+    # an infinite p_star would scale the gap residual eta5 to 0
+    with pytest.raises(ValueError, match="^p_star must be a finite real"):
+        kkt_residuals(toy.problem, np.eye(2), toy.w_star, p_star=bad)
+
+
+@pytest.mark.parametrize("field,bad", [
+    ("p_star", np.nan), ("p_star", np.inf), ("p_star", "0"),
+    ("y_star", np.full(2, np.nan)), ("y_star", np.zeros(3)),
+    ("x_star", np.eye(3)), ("z_star", np.full((2, 2), np.inf)),
+])
+def test_known_solution_checks_its_truth(field, bad, toy):
+    # NaN > tol is False: certification alone would pass a NaN p_star
+    truth = dict(x_star=toy.x_star, y_star=toy.y_star, z_star=toy.z_star, p_star=toy.p_star)
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        KnownSolutionInstance(problem=toy.problem, **{**truth, field: bad})
+
+
+def test_certify_flags_nan(toy):
+    # certification fails unless every check is a number within tolerance
+    inst = copy.copy(toy)
+    object.__setattr__(inst, "p_star", np.nan)
+    with pytest.raises(CertificationError, match="primal value"):
+        inst.certify()
+
+
+@pytest.mark.parametrize("kwargs,name", [
+    (dict(x_star=np.zeros(3)), "x_star"),
+    (dict(x_star=np.array([np.nan, 0.0])), "x_star"),
+    (dict(f_star=np.nan), "f_star"),
+    (dict(f_star=np.inf), "f_star"),
+    (dict(f_star="0.5"), "f_star"),
+], ids=["long-x_star", "nan-x_star", "nan-f_star", "inf-f_star", "str-f_star"])
+def test_ineq_driver_checks_its_truth(kwargs, name):
+    # unchecked, a wrong-shaped x_star fails after the first subsolve with
+    # an unnamed broadcast error, and a NaN one fills dist_x with NaN
+    q = svm_instance(np.array([[1.0]]), np.array([1.0]), lam=1.0)
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        solve_ineq_alm(q, np.zeros(q.n_constraints), **kwargs)
