@@ -293,7 +293,7 @@ def solve_ineq_alm(q, z0, cfg=None, x_star=None, f_star=None):
     def record(x, z, z_new, fields):
         return IneqIterationRecord(
             x=x.copy(), z=z_new.copy(),
-            residuals=ineq_residuals(q, x, z_new, f_star=f_star),
+            residuals=ineq_residuals(q, x, z_new, f_star=f_star, checked=True),
             dist_x=float(np.linalg.norm(x - x_star)) if x_star is not None else None,
             **fields)
 

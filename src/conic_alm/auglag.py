@@ -76,6 +76,10 @@ from .model import DualPoint, SparseOperator, check_array, check_dual_point, che
 from .symcone import frob, inner, symmetrize
 
 
+# Bound on the bytes of the rotated rows that one chunk of _block_gram forms.
+BLOCK_GRAM_BYTES = 2 ** 24
+
+
 def _check_r(r):
     if not 0 < r < np.inf:
         raise ValueError(f"r must be a finite positive penalty, got {r!r}")
@@ -181,11 +185,31 @@ def _block_gram(op, Q, S, W):
     Only the S rows of each Q' A_i Q meet a nonzero weight, so this is
     R_S diag(w) R_S' with R_S = op.rotated(Q, S) and w = W[S], the
     S x (not S) weights doubled to stand for their mirror images.
+
+    R_S is formed in chunks of the rows S, each of at most BLOCK_GRAM_BYTES
+    (but at least one row), and the chunks' products are summed. Each row
+    of S adds m n entries to R_S, 8 m n bytes, so every problem with
+    n <= 40 (m <= 820) is one chunk, the single product of the whole block;
+    max-cut at n = 320 takes 20 rows a chunk. A sparse operator's
+    ``rotated`` builds an (nnz, rows, n) product first, nnz / m times a
+    chunk's bytes (as many for max-cut).
     """
-    double = np.full(W.shape[0], 2.0)
+    n = W.shape[0]
+    double = np.full(n, 2.0)
     double[S] = 1.0
-    rot = op.rotated(Q, S)
-    return (rot * (W[S] * double).ravel()) @ rot.T
+
+    def weighted(rows):
+        rot = op.rotated(Q, rows)
+        return (rot * (W[rows] * double).ravel()) @ rot.T
+
+    step = max(1, BLOCK_GRAM_BYTES // (8 * op.gram.shape[0] * n))  # rows a chunk
+    start, stop, _ = S.indices(n)
+    if stop - start <= step:
+        return weighted(S)
+    H = weighted(slice(start, start + step))
+    for lo in range(start + step, stop, step):
+        H += weighted(slice(lo, min(lo + step, stop)))
+    return H
 
 
 def _omega(lam):

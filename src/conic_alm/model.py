@@ -11,15 +11,17 @@ without an external solver.
 The validation boundary: data is checked where it enters a computation,
 at the constructors (``SdpProblem``, ``IneqProblem``,
 ``KnownSolutionInstance``), the ``solve_*`` drivers, the public functions
-of ``auglag``, ``kkt_residuals`` and the CLI. A check raises ``ValueError``
-naming the argument (``X``, ``w.y``, ``w0.Z``, ``r``, ``p_star``, ...). A
-:class:`DualPoint` is a plain pair; every entry point that takes one
-(``kkt_residuals``, ``eval_L_primal``, ``grad_L_primal_X``,
-``grad_L_primal_w``, ``dual_gap_lower_bound``, ``solve_primal_alm``)
-checks all of it with :func:`check_dual_point`. What the solvers build from
-checked data skips the checks: the oracles' multiplier steps and the dual
-record are plain pairs, and the outer loop's records call
-``kkt_residuals(..., checked=True)``.
+of ``auglag``, ``kkt_residuals``, ``ineq_residuals`` and the CLI
+(``KnownSolutionInstance.dist_primal``/``dist_dual`` check shapes only).
+A check raises ``ValueError`` naming the argument (``X``, ``w.y``,
+``w0.Z``, ``r``, ``p_star``, ...). A :class:`DualPoint` is a plain pair;
+every entry point that takes one (``kkt_residuals``, ``eval_L_primal``,
+``grad_L_primal_X``, ``grad_L_primal_w``, ``dual_gap_lower_bound``,
+``solve_primal_alm``) checks all of it with :func:`check_dual_point`.
+What the solvers build from checked data skips the checks: the oracles'
+multiplier steps and the dual record are plain pairs, and the outer loop's
+records call ``kkt_residuals(..., checked=True)`` and
+``ineq_residuals(..., checked=True)``.
 """
 
 import math
@@ -50,6 +52,11 @@ def check_real(name, value):
     return float(value)
 
 
+def _check_shape(name, value, like):
+    if np.shape(value) != like.shape:
+        raise ValueError(f"{name} must have shape {like.shape}, got shape {np.shape(value)}")
+
+
 def check_array(name, value, shape):
     """``value`` as a float array; raises unless it is finite and of ``shape``."""
     value = np.asarray(value, dtype=float)
@@ -72,34 +79,52 @@ def check_dual_point(p, w, name="w"):
                      Z=check_matrix(p, w.Z, f"{name}.Z"))
 
 
+def _stack_triplets(mats):
+    """The nonzeros of a C-contiguous (m, n, n) stack as COO triplets (k, row,
+    col, val), both triangles, in matrix-major order (by k, then row, then
+    col)."""
+    n = mats.shape[1]
+    # np.nonzero of a 3-d array is ten times slower than of a flat mask
+    idx = np.flatnonzero(mats != 0.0)
+    k, pos = np.divmod(idx, n * n)
+    row, col = np.divmod(pos, n)
+    return k, row, col, mats.ravel()[idx]
+
+
 class DenseOperator:
     """Constraint operator over the flat (m, n*n) view of the stacked A_i.
 
     Row i of ``flat`` is vec(A_i): A(X) and A*(y) cost one GEMV each,
-    O(m n^2), and the rotated rows one batched product, O(m n^3). ``apply``
-    and ``adjoint`` take leading batch axes (X of shape (..., n, n), y of
-    shape (..., m)) and run one GEMV per item, the product a single item
-    runs; a GEMM over the batch would round differently.
+    O(m n^2), the Gram matrix one GEMM, and the rotated rows one batched
+    product, O(m n^3). ``apply`` and ``adjoint`` take leading batch axes (X
+    of shape (..., n, n), y of shape (..., m)) and run one GEMV per item,
+    the product a single item runs; a GEMM over the batch would round
+    differently. ``mats`` must be C-contiguous, so that ``flat`` is a view.
     """
 
-    def __init__(self, mats, gram):
+    def __init__(self, mats):
         self.mats = mats
-        self.flat = mats.reshape(mats.shape[0], -1)
-        self.gram = gram
+        self.m, self.n = mats.shape[:2]
+        self.flat = mats.reshape(self.m, -1)
+        self.gram = self.flat @ self.flat.T
         self._max_col_norm2 = float(np.max(np.sum(self.flat ** 2, axis=0)))
 
     def apply(self, X):
         return (self.flat @ X.reshape(X.shape[:-2] + (self.flat.shape[1], 1)))[..., 0]
 
     def adjoint(self, y):
-        n = self.mats.shape[1]
-        return np.matmul(y[..., None, :], self.flat).reshape(y.shape[:-1] + (n, n))
+        return np.matmul(y[..., None, :], self.flat).reshape(y.shape[:-1] + (self.n, self.n))
 
     def rotated(self, Q, rows=None):
         """Row i is vec(Q[:, rows]' A_i Q); all of Q' A_i Q when rows is None.
         ``rows`` is a slice of the columns of Q (the Newton solves pass one)."""
         left = Q if rows is None else Q[:, rows]
-        return (left.T @ self.mats @ Q).reshape(self.mats.shape[0], -1)
+        return (left.T @ self.mats @ Q).reshape(self.m, -1)
+
+    def triplets(self):
+        """The nonzeros (k, row, col, val), both triangles, in matrix-major
+        order, as :class:`SparseOperator` holds them."""
+        return _stack_triplets(self.mats)
 
     def max_col_norm2(self):
         """max_j ||A e_j||^2 over the n^2 coordinate matrices e_j."""
@@ -109,28 +134,45 @@ class DenseOperator:
 class SparseOperator:
     """Constraint operator over the nonzeros of the A_i, in COO form.
 
-    Entry t is A_{k_t}[row_t, col_t] = val_t, both triangles stored, in
-    matrix-major order. A(X) and A*(y) cost O(nnz + n^2), and the rotated
-    rows O(nnz |rows| n): nonzero t adds val_t Q[row_t, rows] (x)
-    Q[col_t, :] to row k_t. For max-cut (A_i = e_i e_i') that outer product
-    is the whole row, bitwise equal to the dense operator's. ``apply`` and
-    ``adjoint`` take leading batch axes; item j of a batch sums into its own
-    bins, offset by j times the bin count, in the order of a single item.
+    Built from the triplets (k, row, col, val) of m matrices of order n:
+    entry t is A_{k_t}[row_t, col_t] = val_t, nonzero, both triangles
+    stored, in matrix-major order (by k, then row, then col), every matrix
+    with at least one entry (``SdpProblem`` checks this). No (m, n, n)
+    stack is formed. A(X) and A*(y) cost O(nnz + n^2); the Gram
+    matrix A A* comes from the pairs of nonzeros at a common position, and
+    the rotated rows cost O(nnz |rows| n): nonzero t adds val_t Q[row_t,
+    rows] (x) Q[col_t, :] to row k_t, an (nnz, |rows|, n) product, which is
+    the rows themselves for max-cut (A_i = e_i e_i'), bitwise equal to the
+    dense operator's. ``apply`` and ``adjoint`` take leading batch axes;
+    item j of a batch sums into its own bins, offset by j times the bin
+    count, in the order of a single item.
     """
 
-    def __init__(self, mats, gram):
-        self.m, self.n = mats.shape[:2]
-        # np.nonzero of a 3-d array is ten times slower than of a flat mask
-        idx = np.flatnonzero(mats != 0.0)
-        self.k, rest = np.divmod(idx, self.n * self.n)
-        self.row, self.col = np.divmod(rest, self.n)
-        self.pos = rest  # index row * n + col of each nonzero in vec(A_k)
-        self.val = mats.ravel()[idx]
-        self.gram = gram
-        # first nonzero of each matrix; no A_i is zero, since they are independent
-        self.starts = np.flatnonzero(np.diff(self.k, prepend=-1))
-        self._max_col_norm2 = float(np.max(np.bincount(self.row * self.n + self.col,
-                                                       weights=self.val ** 2)))
+    def __init__(self, m, n, k, row, col, val):
+        self.m, self.n = m, n
+        self.k, self.row, self.col, self.val = k, row, col, val
+        self.pos = row * n + col  # index of each nonzero in vec(A_k)
+        self.starts = np.flatnonzero(np.diff(k, prepend=-1))  # first nonzero of each A_i
+        self.gram = self._gram()
+        self._max_col_norm2 = float(np.max(np.bincount(self.pos, weights=val ** 2,
+                                                       minlength=n * n)))
+
+    def _gram(self):
+        """<A_i, A_j> summed over the pairs (s, t) of nonzeros at a common
+        position, in order of position: O(nnz + pairs) work and memory, and
+        exactly symmetric, since bins (i, j) and (j, i) add the same
+        products in the same order."""
+        order = np.argsort(self.pos, kind="stable")
+        run_start = np.flatnonzero(np.diff(self.pos[order], prepend=-1))
+        run_len = np.diff(np.append(run_start, order.size))
+        # sorted entry s pairs with each of the `width` entries of its run
+        width = np.repeat(run_len, run_len)
+        first = np.repeat(run_start, run_len)
+        left = np.repeat(np.arange(order.size), width)
+        offset = np.arange(left.size) - np.repeat(np.cumsum(width) - width, width)
+        s, t = order[left], order[np.repeat(first, width) + offset]
+        return np.bincount(self.k[s] * self.m + self.k[t], weights=self.val[s] * self.val[t],
+                           minlength=self.m * self.m).reshape(self.m, self.m)
 
     @staticmethod
     def _sum_into(bins, weights, size):
@@ -180,57 +222,119 @@ class SparseOperator:
 
         return R, R_t
 
+    def triplets(self):
+        return self.k, self.row, self.col, self.val
+
     def max_col_norm2(self):
         return self._max_col_norm2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SdpProblem:
     """Standard-form SDP data: minimize <C, X> s.t. <A_i, X> = b_i, X PSD.
 
-    ``constraint_mats`` is stacked with shape (m, n, n) and stored
-    C-contiguous. Construction symmetry-checks every matrix, verifies the
+    ``SdpProblem(C, constraint_mats, b, name)`` takes the A_i as a stack of
+    shape (m, n, n); :meth:`from_triplets` takes their nonzeros and never
+    forms the stack. Construction symmetry-checks every matrix, verifies the
     A_i are numerically linearly independent, and keeps the Gram matrix of
-    that check in ``operator``: a :class:`SparseOperator` when the A_i have
-    at most m n nonzeros in all (max-cut has n), else a
-    :class:`DenseOperator`. ``b_norm`` and ``C_norm`` are ||b|| and ||C||_F,
-    which scale the residuals, the Newton regularization and the diameter
-    bounds; they are computed once here.
+    that check in ``operator``: a :class:`SparseOperator` over the nonzeros
+    when the A_i have at most m n of them in all (max-cut has n), else a
+    :class:`DenseOperator`, which alone holds a C-contiguous stack.
+    ``constraint_mats`` is that stack on a dense problem; on a sparse one
+    each access builds a new (m, n, n) array from the nonzeros, O(m n^2)
+    memory, which the solvers never do. ``b_norm`` and ``C_norm`` are ||b||
+    and ||C||_F, which scale the residuals, the Newton regularization and
+    the diameter bounds; they are computed once here.
     """
 
     C: np.ndarray
-    constraint_mats: np.ndarray
     b: np.ndarray
-    name: str = "sdp"
-    operator: DenseOperator | SparseOperator = field(init=False, repr=False,
-                                                     compare=False)
-    b_norm: float = field(init=False, repr=False, compare=False)
-    C_norm: float = field(init=False, repr=False, compare=False)
+    name: str
+    operator: DenseOperator | SparseOperator = field(repr=False, compare=False)
+    b_norm: float = field(repr=False, compare=False)
+    C_norm: float = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        C = check_symmetric(self.C, name="C")
-        mats = np.ascontiguousarray(self.constraint_mats, dtype=float)
+    def __init__(self, C, constraint_mats, b, name="sdp"):
+        C = check_symmetric(C, name="C")
+        mats = np.ascontiguousarray(constraint_mats, dtype=float)
         if mats.ndim != 3 or mats.shape[1:] != C.shape:
             raise ValueError(f"constraint matrices must have shape (m, {C.shape[0]}, {C.shape[0]})")
         for i, A in enumerate(mats):
             check_symmetric(A, name=f"A_{i + 1}")
-        b = np.asarray(self.b, dtype=float)
-        if b.shape != (mats.shape[0],):
+        m, n = mats.shape[:2]
+        b = np.asarray(b, dtype=float)
+        if b.shape != (m,):
             raise ValueError("b length must match the number of constraint matrices")
         _check_finite("b", b)
-        V = mats.reshape(mats.shape[0], -1)
-        gram = V @ V.T
-        ev = np.linalg.eigvalsh(gram)
+        if np.count_nonzero(mats) <= m * n:
+            operator = SparseOperator(m, n, *_stack_triplets(mats))
+        else:
+            operator = DenseOperator(mats)
+        self._set(C, operator, b, name)
+
+    @classmethod
+    def from_triplets(cls, C, triplets, b, name="sdp"):
+        """The problem whose A_i have the nonzeros (k, row, col, val): A_{k+1}
+        (k from 0) holds val at (row, col), 0-based, both triangles given,
+        in any order. Zero values are dropped; a repeated (k, row, col)
+        raises. m is the length of b. Equal, to the bit, to the problem of
+        the dense stack with these entries, which is formed only when the
+        problem is dense."""
+        C = check_symmetric(C, name="C")
+        n = C.shape[0]
+        k, row, col = (np.asarray(a, dtype=np.int64).ravel() for a in triplets[:3])
+        val = np.asarray(triplets[3], dtype=float).ravel()
+        if not k.shape == row.shape == col.shape == val.shape:
+            raise ValueError("triplets k, row, col and val must have the same length")
+        b = np.asarray(b, dtype=float)
+        if b.ndim != 1 or b.size == 0:
+            raise ValueError(f"b must be a nonempty vector, got shape {b.shape}")
+        _check_finite("b", b)
+        m = b.size
+        for what, index, size in (("matrix", k, m), ("row", row, n), ("column", col, n)):
+            if index.size and not (0 <= index.min() and index.max() < size):
+                raise ValueError(f"{what} index out of range [0, {size})")
+        _check_finite("constraint matrix values", val)
+        keep = val != 0.0
+        k, row, col, val = k[keep], row[keep], col[keep], val[keep]
+        key = (k * n + row) * n + col
+        order = np.argsort(key, kind="stable")
+        k, row, col, val, key = k[order], row[order], col[order], val[order], key[order]
+        if np.any(key[1:] == key[:-1]):
+            raise ValueError("duplicate entry in the constraint triplets")
+        # symmetric iff the mirrored entries, sorted the same way, match
+        mirror = np.argsort((k * n + col) * n + row, kind="stable")
+        bad = (key != (k[mirror] * n + col[mirror]) * n + row[mirror]) | (val != val[mirror])
+        if np.any(bad):
+            raise ValueError(f"A_{int(k[np.argmax(bad)]) + 1} is not symmetric")
+        if k.size <= m * n:
+            operator = SparseOperator(m, n, k, row, col, val)
+        else:
+            mats = np.zeros((m, n, n))
+            mats.reshape(m, -1)[k, row * n + col] = val
+            operator = DenseOperator(mats)
+        problem = cls.__new__(cls)
+        problem._set(C, operator, b, name)
+        return problem
+
+    def _set(self, C, operator, b, name):
+        ev = np.linalg.eigvalsh(operator.gram)
         if ev[0] <= INDEPENDENCE_TOL * max(ev[-1], 1e-300):
             raise ValueError("constraint matrices are numerically linearly dependent")
-        sparse = np.count_nonzero(mats != 0.0) <= mats.shape[0] * mats.shape[1]
-        operator = (SparseOperator if sparse else DenseOperator)(mats, gram)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "constraint_mats", mats)
-        object.__setattr__(self, "operator", operator)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "b_norm", float(np.linalg.norm(b)))
-        object.__setattr__(self, "C_norm", frob(C))
+        for key, value in (("C", C), ("b", b), ("name", name), ("operator", operator),
+                           ("b_norm", float(np.linalg.norm(b))), ("C_norm", frob(C))):
+            object.__setattr__(self, key, value)
+
+    @property
+    def constraint_mats(self):
+        """The (m, n, n) stack of the A_i: stored on a dense problem, built
+        anew from the nonzeros on each access on a sparse one."""
+        op = self.operator
+        if isinstance(op, DenseOperator):
+            return op.mats
+        mats = np.zeros((self.m, self.n, self.n))
+        mats.reshape(self.m, -1)[op.k, op.pos] = op.val
+        return mats
 
     @property
     def n(self):
@@ -390,11 +494,19 @@ class KnownSolutionInstance:
         return checks
 
     def dist_primal(self, X):
-        """Distance from X to the primal solution set; None unless primal_unique."""
-        return frob(np.asarray(X) - self.x_star) if self.primal_unique else None
+        """Distance from X to the primal solution set; None unless primal_unique.
+
+        Only the shape of X is checked: a NaN iterate is at a NaN distance."""
+        X = np.asarray(X)
+        _check_shape("X", X, self.x_star)
+        return frob(X - self.x_star) if self.primal_unique else None
 
     def dist_dual(self, w):
-        """Distance from w to the dual solution set; None unless dual_unique."""
+        """Distance from w to the dual solution set; None unless dual_unique.
+
+        Only the shapes of w.y and w.Z are checked, as in :meth:`dist_primal`."""
+        _check_shape("w.y", w.y, self.y_star)
+        _check_shape("w.Z", w.Z, self.z_star)
         return w.dist(self.w_star) if self.dual_unique else None
 
 
@@ -470,7 +582,9 @@ def synth_known_solution(n, m, rank_x, seed):
 
 
 def maxcut_instance(weights, name="maxcut"):
-    """SDP relaxation of max-cut: C is the weight matrix, constraints fix diag(X) = 1."""
+    """SDP relaxation of max-cut: C is the weight matrix, constraints fix diag(X) = 1.
+
+    Built from the n nonzeros A_i[i, i] = 1, so no (n, n, n) stack is formed."""
     W = np.asarray(weights, dtype=float)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise ValueError("weight matrix must be square")
@@ -480,10 +594,8 @@ def maxcut_instance(weights, name="maxcut"):
     if np.any(np.diag(W) != 0.0):
         raise ValueError("weight matrix must have zero diagonal")
     n = W.shape[0]
-    mats = np.zeros((n, n, n))
-    for i in range(n):
-        mats[i, i, i] = 1.0
-    return SdpProblem(C=W, constraint_mats=mats, b=np.ones(n), name=name)
+    diag = np.arange(n)
+    return SdpProblem.from_triplets(W, (diag, diag, diag, np.ones(n)), np.ones(n), name=name)
 
 
 @dataclass(frozen=True)
@@ -575,8 +687,17 @@ class IneqResidualSet:
                    self.stationarity, self.complementarity)
 
 
-def ineq_residuals(q, x, z, f_star=None):
-    """KKT residuals of (x, z) for the inequality problem q."""
+def ineq_residuals(q, x, z, f_star=None, *, checked=False):
+    """KKT residuals of (x, z) for the inequality problem q.
+
+    x (of length ``q.dim``), z (of length ``q.n_constraints``) and f_star
+    are validated here; ``checked`` says that all of them already were, as
+    for the iterates of the outer loop, and skips the checks.
+    """
+    if not checked:
+        x = check_array("x", x, (q.dim,))
+        z = check_array("z", z, (q.n_constraints,))
+        f_star = None if f_star is None else check_real("f_star", f_star)
     g = q.constraints(x)
     grad_f = q.objective_grad(x)
     feas = float(np.linalg.norm(np.maximum(g, 0.0))) / (1.0 + float(np.linalg.norm(q.h)))

@@ -10,6 +10,9 @@ names the problem; without it the problem is named ``sdpa``. Each
 (matno, i, j) may appear at most once; a repeated entry is
 rejected with both line numbers. Values are written with 17 significant
 digits so a write/read round trip reproduces the float64 data exactly.
+The constraint matrices are read into, and written from, their nonzeros
+(``SdpProblem.from_triplets``, ``operator.triplets()``), so a sparse problem
+never forms an (m, n, n) array; an explicit zero entry is dropped.
 
 As in the SDPA manual's examples, the four header lines read the
 characters ``, ( ) { }`` as blanks (``{48, -8, 20}``, ``(2)``) and may end
@@ -19,7 +22,6 @@ in a comment: a line counts its leading numbers only (``3 = mDIM``).
 import numpy as np
 
 from .model import SdpProblem
-from .symcone import symmetrize
 
 
 class SdpaFormatError(ValueError):
@@ -33,13 +35,17 @@ class SdpaFormatError(ValueError):
 
 
 def sdpa_write(p, path):
-    """Write problem p to path in the single-block SDPA subset."""
+    """Write problem p to path in the single-block SDPA subset, from the
+    nonzeros of its constraint operator (no (m, n, n) stack is formed)."""
     lines = [f'"problem {p.name}', str(p.m), "1", str(p.n)]
     lines.append(" ".join(_fmt(v) for v in p.b))
     # nonzeros of the upper triangles in (matno, i, j) order, C first
-    upper = np.triu(np.concatenate([p.C[None], p.constraint_mats]))
-    lines += [f"{matno} 1 {i + 1} {j + 1} {_fmt(upper[matno, i, j])}"
-              for matno, i, j in zip(*np.nonzero(upper))]
+    upper_C = np.triu(p.C)
+    lines += [f"0 1 {i + 1} {j + 1} {_fmt(upper_C[i, j])}" for i, j in zip(*np.nonzero(upper_C))]
+    k, row, col, val = p.operator.triplets()
+    upper = row <= col
+    lines += [f"{matno + 1} 1 {i + 1} {j + 1} {_fmt(v)}"
+              for matno, i, j, v in zip(k[upper], row[upper], col[upper], val[upper])]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -80,7 +86,8 @@ def sdpa_read(path):
         raise SdpaFormatError(f"expected {m} entries of b, got {len(bvals)}", no)
     b = np.array([_parse_float(v, no, "b entry") for v in bvals])
 
-    mats = np.zeros((m + 1, n, n))
+    C = np.zeros((n, n))
+    entries = []
     seen = {}
     for no, tok in body[4:]:
         parts = tok.split()
@@ -103,10 +110,15 @@ def sdpa_read(path):
         if first != no:
             raise SdpaFormatError(f"duplicate entry for matrix {matno} at ({i}, {j}); "
                                   f"first given on line {first}", no)
-        mats[matno, i - 1, j - 1] = v
-        mats[matno, j - 1, i - 1] = v
-    C = symmetrize(mats[0])
-    return SdpProblem(C=C, constraint_mats=mats[1:], b=b, name=_header_name(raw[0]))
+        if matno == 0:
+            C[i - 1, j - 1] = C[j - 1, i - 1] = v
+            continue
+        # both triangles; SdpProblem.from_triplets drops an explicit 0
+        entries.append((matno - 1, i - 1, j - 1, v))
+        if i != j:
+            entries.append((matno - 1, j - 1, i - 1, v))
+    triplets = tuple(zip(*entries)) if entries else ((), (), (), ())
+    return SdpProblem.from_triplets(C, triplets, b, name=_header_name(raw[0]))
 
 
 _BLANKS = str.maketrans(",(){}", "     ")

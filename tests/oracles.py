@@ -13,7 +13,7 @@ Expected values frozen in the tests were produced by these.
 
 import numpy as np
 
-from conic_alm.model import SparseOperator, apply_Astar
+from conic_alm.model import DenseOperator, SparseOperator, apply_Astar
 from conic_alm.symcone import face_basis, symmetrize
 from conic_alm.theory import PreimageReport, _default_gamma, _ratio_report
 
@@ -138,6 +138,24 @@ def psd_projection_jacobian(M):
 def flat_constraints(p):
     """The (m, n*n) matrix whose row i is vec(A_i)."""
     return p.constraint_mats.reshape(p.m, -1)
+
+
+def both_operators(p):
+    """The sparse and the dense constraint operator of the same data."""
+    return (SparseOperator(p.m, p.n, *p.operator.triplets()),
+            DenseOperator(p.constraint_mats))
+
+
+def dense_sdpa_text(p):
+    """The SDPA text of problem p, written from the dense (m + 1, n, n) stack
+    of C and the A_i: the nonzeros of the upper triangles in (matno, i, j)
+    order."""
+    lines = [f'"problem {p.name}', str(p.m), "1", str(p.n)]
+    lines.append(" ".join(f"{v:.17g}" for v in p.b))
+    upper = np.triu(np.concatenate([p.C[None], p.constraint_mats]))
+    lines += [f"{matno} 1 {i + 1} {j + 1} {upper[matno, i, j]:.17g}"
+              for matno, i, j in zip(*np.nonzero(upper))]
+    return "\n".join(lines) + "\n"
 
 
 def primal_hessian_matrix(p, w, r, X):

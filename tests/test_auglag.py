@@ -10,20 +10,21 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from conic_alm import auglag
 from conic_alm.auglag import (_block_gram, _omega, dual_gap_lower_bound, dual_objective,
                               eval_L_dual, eval_L_ineq, eval_L_primal, grad_L_dual_y,
                               grad_L_ineq_x, grad_L_primal_X, grad_L_primal_w,
                               ineq_objective, primal_objective)
 from conic_alm.fixtures import load_builtin
 from conic_alm.inner import minimize_auglag
-from conic_alm.model import (DenseOperator, DualPoint, IneqProblem, SparseOperator, apply_A,
+from conic_alm.model import (DualPoint, IneqProblem, SparseOperator, apply_A,
                              apply_Astar, svm_instance, synth_known_solution)
 from conic_alm.symcone import frob, inner, symmetrize
 
 from conftest import ineq_subproblems, random_sym, sparse_sdps
-from oracles import (broadcast_omega, divided_differences, dual_hessian_matrix, fd_grad_sym,
-                     fd_grad_vec, flat_constraints, ineq_hessian_matrix,
-                     primal_hessian_matrix)
+from oracles import (both_operators, broadcast_omega, divided_differences,
+                     dual_hessian_matrix, fd_grad_sym, fd_grad_vec, flat_constraints,
+                     ineq_hessian_matrix, primal_hessian_matrix)
 
 
 def rand_dual(rng, p, scale=1.0):
@@ -338,21 +339,32 @@ class TestSdpNewtonSolves:
     def test_block_gram_matches_full_stack(self, p, seed, head, data):
         # R diag(vec W) R' over the full rotated stack, for W vanishing off a
         # head or tail slice of any size (empty and full ones included), on
-        # the dense and the sparse operator of the same data
+        # the dense and the sparse operator of the same data; at n <= 40 the
+        # block is one chunk, and chunks of 1 to 3 rows, forced by a smaller
+        # bound, sum to the same matrix
         rng = np.random.default_rng(seed)
         k = data.draw(st.integers(0, p.n))
+        rows = data.draw(st.integers(1, 3))
         S = slice(0, k) if head else slice(k, None)
         inside = np.zeros(p.n, dtype=bool)
         inside[S] = True
         W = random_sym(rng, p.n) * (inside[:, None] | inside[None, :])
         Q = np.linalg.qr(rng.standard_normal((p.n, p.n)))[0]
-        for op in (DenseOperator(p.constraint_mats, p.operator.gram),
-                   SparseOperator(p.constraint_mats, p.operator.gram)):
+        # 820 = 40 * 41 / 2 independent matrices at most
+        assert auglag.BLOCK_GRAM_BYTES // (8 * 820 * 40) >= 40
+        for op in both_operators(p):
             R = op.rotated(Q)
             reference = (R * W.ravel()) @ R.T
             scale = np.max(np.abs(W)) * np.max(np.sum(R * R, axis=1)) + 1e-300
-            assert_allclose(_block_gram(op, Q, S, W), reference, rtol=0,
-                            atol=1e-13 * p.n * scale)
+            with mock.patch.object(op, "rotated", wraps=op.rotated) as spy:
+                single = _block_gram(op, Q, S, W)
+            assert spy.call_count == 1
+            assert_allclose(single, reference, rtol=0, atol=1e-13 * p.n * scale)
+            with mock.patch.object(auglag, "BLOCK_GRAM_BYTES", rows * 8 * p.m * p.n), \
+                    mock.patch.object(op, "rotated", wraps=op.rotated) as spy:
+                chunked = _block_gram(op, Q, S, W)
+            assert spy.call_count == max(1, -(-np.count_nonzero(inside) // rows))
+            assert_allclose(chunked, single, rtol=0, atol=1e-13 * scale)
 
     @given(certified_subproblems(max_n=4))
     def test_primal_hessian_matches_gradient_differences(self, case):

@@ -14,7 +14,7 @@ from conic_alm.auglag import (dual_gap_lower_bound, eval_L_dual, eval_L_ineq, ev
                               grad_L_dual_y, grad_L_ineq_x, grad_L_primal_X, grad_L_primal_w)
 from conic_alm.fixtures import maxcut_fixture
 from conic_alm.model import (CertificationError, DualPoint, KnownSolutionInstance,
-                             kkt_residuals, svm_instance, zero_dual)
+                             ineq_residuals, kkt_residuals, svm_instance, zero_dual)
 
 
 def bad_matrix(n, kind):
@@ -94,6 +94,8 @@ def test_vector_input_is_checked(name, run, kind, toy):
     ("x", lambda q, v: grad_L_ineq_x(q, v, np.zeros(q.n_constraints), 1.0)),
     ("z", lambda q, v: eval_L_ineq(q, np.zeros(q.dim), v, 1.0)),
     ("z", lambda q, v: grad_L_ineq_x(q, np.zeros(q.dim), v, 1.0)),
+    ("x", lambda q, v: ineq_residuals(q, v, np.zeros(q.n_constraints))),
+    ("z", lambda q, v: ineq_residuals(q, np.zeros(q.dim), v)),
 ])
 @pytest.mark.parametrize("kind", ALL[1:])
 def test_ineq_input_is_checked(name, run, kind):
@@ -103,14 +105,18 @@ def test_ineq_input_is_checked(name, run, kind):
         run(q, bad_vector(size, kind))
 
 
-@pytest.mark.parametrize("form", ["primal", "dual"])
+@pytest.mark.parametrize("form", ["primal", "dual", "ineq"])
 def test_loop_runs_no_input_checks(form, monkeypatch):
     # the multipliers of update() and of the dual record, and the residuals
     # of every record, come from arrays the loop built: the only check of a
     # matrix or a dual point is the primal driver's one of w0, before the
-    # first subproblem
-    p = maxcut_fixture("maxcut-g1-20")
-    start = zero_dual(p) if form == "primal" else np.zeros((p.n, p.n))
+    # first subproblem, and no check of any kind follows it
+    if form == "ineq":
+        p = svm_instance(np.array([[1.0], [-2.0]]), np.array([1.0, -1.0]), lam=1.0)
+        start = np.zeros(p.n_constraints)
+    else:
+        p = maxcut_fixture("maxcut-g1-20")
+        start = zero_dual(p) if form == "primal" else np.zeros((p.n, p.n))
     events = []
 
     def spy(module, name):
@@ -123,18 +129,18 @@ def test_loop_runs_no_input_checks(form, monkeypatch):
         monkeypatch.setattr(module, name, spied)
 
     for module in (model, auglag, alm):
-        for name in ("check_matrix", "check_dual_point"):
+        for name in ("check_matrix", "check_dual_point", "check_array", "check_real"):
             if hasattr(module, name):
                 spy(module, name)
     spy(alm, "minimize_auglag")
-    solve = solve_primal_alm if form == "primal" else solve_dual_alm
+    solve = {"primal": solve_primal_alm, "dual": solve_dual_alm, "ineq": solve_ineq_alm}[form]
     trace = solve(p, start, AlmConfig(stop_eps3=1e-5))
-    assert trace.converged and len(trace.records) > 5
+    assert trace.converged and len(trace.records) > (2 if form == "ineq" else 5)
     first = events.index("minimize_auglag")
     assert set(events[first:]) == {"minimize_auglag"}
     assert events[:first].count("check_dual_point") == (1 if form == "primal" else 0)
     # the dual driver checks X0 as a matrix
-    assert events[:first].count("check_matrix") == 1
+    assert events[:first].count("check_matrix") == (0 if form == "ineq" else 1)
 
 
 def test_primal_start_point_is_a_copy(toy):
@@ -209,3 +215,31 @@ def test_ineq_driver_checks_its_truth(kwargs, name):
     q = svm_instance(np.array([[1.0]]), np.array([1.0]), lam=1.0)
     with pytest.raises(ValueError, match=f"^{name} must be"):
         solve_ineq_alm(q, np.zeros(q.n_constraints), **kwargs)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, "0"], ids=["nan", "inf", "str"])
+def test_ineq_residuals_checks_f_star(bad):
+    # a NaN f_star gave a NaN cost_gap
+    q = svm_instance(np.array([[1.0]]), np.array([1.0]), lam=1.0)
+    with pytest.raises(ValueError, match="^f_star must be a finite real"):
+        ineq_residuals(q, np.zeros(q.dim), np.zeros(q.n_constraints), f_star=bad)
+
+
+@pytest.mark.parametrize("name,run", [
+    ("X", lambda inst: inst.dist_primal(np.eye(3))),
+    ("X", lambda inst: inst.dist_primal(np.zeros(2))),
+    ("w.y", lambda inst: inst.dist_dual(DualPoint(np.zeros(3), np.eye(2)))),
+    ("w.Z", lambda inst: inst.dist_dual(DualPoint(np.zeros(2), np.eye(3)))),
+    ("w.Z", lambda inst: inst.dist_dual(DualPoint(np.zeros(2), np.zeros(2)))),
+], ids=["X-3x3", "X-row", "w.y-long", "w.Z-3x3", "w.Z-row"])
+def test_known_solution_distances_check_shapes(name, run, toy):
+    # a mis-shaped point failed with numpy's broadcast error, or, as a row
+    # of length n, broadcast to a wrong distance
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must have shape"):
+        run(toy)
+
+
+def test_known_solution_distances_take_nan(toy):
+    # only shapes are checked: a NaN iterate is at a NaN distance
+    assert np.isnan(toy.dist_primal(np.full((2, 2), np.nan)))
+    assert np.isnan(toy.dist_dual(DualPoint(np.full(2, np.nan), toy.z_star)))

@@ -46,6 +46,26 @@ class TestSdpProblem:
         with pytest.raises(ValueError, match=message):
             SdpProblem(C=np.eye(2), constraint_mats=mats, b=b)
 
+    @pytest.mark.parametrize("triplets,b,message", [
+        (([0, 0], [0, 1], [1, 0], [1.0, 2.0]), np.ones(1), "A_1 is not symmetric"),
+        (([0, 1], [0, 0], [0, 1], [1.0, 1.0]), np.ones(2), "A_2 is not symmetric"),
+        (([0, 0], [1, 1], [1, 1], [1.0, 1.0]), np.ones(1), "duplicate entry"),
+        (([1], [0], [0], [1.0]), np.ones(1), "matrix index out of range"),
+        (([0], [2], [2], [1.0]), np.ones(1), "row index out of range"),
+        (([0], [0], [-1], [1.0]), np.ones(1), "column index out of range"),
+        (([0], [0], [0], [np.nan]), np.ones(1), "values contains non-finite"),
+        (([0, 0], [0], [0], [1.0]), np.ones(1), "same length"),
+        (([0], [0], [0], [1.0]), np.ones((1, 1)), "b must be a nonempty vector"),
+        (([], [], [], []), np.ones(0), "b must be a nonempty vector"),
+        (([0], [0], [0], [1.0]), np.array([np.inf]), "b contains non-finite"),
+        (([0], [0], [0], [0.0]), np.ones(1), "dependent"),
+    ], ids=["asymmetric-value", "asymmetric-pattern", "duplicate", "matrix-range",
+            "row-range", "column-range", "nonfinite-value", "ragged", "b-2d", "b-empty",
+            "b-nonfinite", "zero-matrix"])
+    def test_from_triplets_rejects(self, triplets, b, message):
+        with pytest.raises(ValueError, match=message):
+            SdpProblem.from_triplets(np.eye(2), triplets, b)
+
     def test_dimensions(self, toy):
         assert toy.problem.n == 2
         assert toy.problem.m == 2

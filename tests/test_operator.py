@@ -13,8 +13,8 @@ from conic_alm.model import (DenseOperator, SdpProblem, SparseOperator, apply_A,
 from conic_alm.symcone import frob, inner, symmetrize
 
 from conftest import sparse_sdps
-from oracles import (apply_A_one, apply_Astar_one, flat_constraints, naive_apply_A,
-                     tensordot_apply_A, tensordot_apply_Astar, tensordot_inner)
+from oracles import (apply_A_one, apply_Astar_one, both_operators, flat_constraints,
+                     naive_apply_A, tensordot_apply_A, tensordot_apply_Astar, tensordot_inner)
 
 REL = 1e-14
 
@@ -75,17 +75,16 @@ def test_maps_match_tensordot_reference(case):
 @given(operator_cases())
 def test_flat_operator_is_a_view(case):
     p, _, _ = case
-    flat = DenseOperator(p.constraint_mats, p.operator.gram).flat
+    mats = p.constraint_mats
+    if isinstance(p.operator, DenseOperator):
+        # a dense problem's stack is the one its operator holds
+        assert mats is p.operator.mats
+    flat = DenseOperator(mats).flat
     assert flat.shape == (p.m, p.n * p.n)
-    assert np.shares_memory(flat, p.constraint_mats)
-    assert p.constraint_mats.flags.c_contiguous
-    for i, A in enumerate(p.constraint_mats):
+    assert np.shares_memory(flat, mats)
+    assert mats.flags.c_contiguous
+    for i, A in enumerate(mats):
         assert np.array_equal(flat[i], A.ravel())
-
-
-def both_operators(p):
-    return (SparseOperator(p.constraint_mats, p.operator.gram),
-            DenseOperator(p.constraint_mats, p.operator.gram))
 
 
 def random_orthogonal(rng, n):
@@ -113,11 +112,17 @@ def test_sparse_operator_matches_dense(p, seed):
     block = rng.random(p.n) < 0.5
     assert np.array_equal(sparse.rotated(Q, block),
                           full.reshape(p.m, p.n, p.n)[:, block].reshape(p.m, -1))
-    # Q is orthogonal, so the rotated rows keep the Gram matrix A A*
-    flat = flat_constraints(p)
-    gram = flat @ flat.T
-    assert np.array_equal(p.operator.gram, gram)
+    # the Gram matrix from the pairs of nonzeros is exactly symmetric and
+    # matches the dense one; Q is orthogonal, so the rotated rows keep it
+    gram = dense.gram
+    assert np.array_equal(sparse.gram, sparse.gram.T)
+    assert_allclose(sparse.gram, gram, rtol=REL, atol=REL * np.max(np.abs(gram)))
     assert_allclose(full @ full.T, gram, rtol=REL, atol=10 * REL * np.max(np.abs(gram)))
+    # the stack (built on access when p is sparse) holds the nonzeros, and
+    # no others
+    mats = p.constraint_mats
+    assert np.count_nonzero(mats) == sparse.val.size
+    assert np.array_equal(mats[sparse.k, sparse.row, sparse.col], sparse.val)
 
 
 def check_rotation(op, p, rng):
@@ -139,16 +144,14 @@ def check_rotation(op, p, rng):
 @given(sparse_sdps(), st.integers(0, 2**32 - 1))
 def test_rotation_maps_match_rotated_rows(p, seed):
     # max-cut draws have one nonzero per A_i, the others one to three
-    check_rotation(SparseOperator(p.constraint_mats, p.operator.gram), p,
-                   np.random.default_rng(seed))
+    check_rotation(both_operators(p)[0], p, np.random.default_rng(seed))
 
 
 @pytest.mark.parametrize("n,m", [(3, 3), (5, 6), (8, 12)])
 def test_rotation_maps_with_dense_matrices(n, m):
     # every A_i full: n^2 nonzeros each, summed per matrix
     p = synth_known_solution(n=n, m=m, rank_x=1, seed=n).problem
-    check_rotation(SparseOperator(p.constraint_mats, p.operator.gram), p,
-                   np.random.default_rng(m))
+    check_rotation(both_operators(p)[0], p, np.random.default_rng(m))
 
 
 @given(st.integers(1, 30), st.integers(0, 2**32 - 1))

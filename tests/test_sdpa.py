@@ -1,5 +1,7 @@
 """File I/O for the single-block SDPA subset."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -7,17 +9,28 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conic_alm.fixtures import maxcut_fixture
-from conic_alm.model import SdpProblem, synth_known_solution
+from conic_alm.model import SdpProblem, SparseOperator, maxcut_instance, synth_known_solution
 from conic_alm.sdpa import SdpaFormatError, sdpa_read, sdpa_write
 from conic_alm.symcone import symmetrize
 
-from conftest import NONFINITE_SDPA
+from conftest import NONFINITE_SDPA, sparse_sdps
+from oracles import dense_sdpa_text
+
+
+def _assert_triplets_equal(p, q):
+    assert type(p.operator) is type(q.operator)
+    for a, b in zip(p.operator.triplets(), q.operator.triplets()):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def _assert_round_trip(p, path):
+    # the writer goes from the nonzeros and writes the bytes of a writer
+    # over the dense stack; the reader gives back the nonzeros bit for bit
     sdpa_write(p, path)
+    assert path.read_bytes() == dense_sdpa_text(p).encode()
     q = sdpa_read(path)
     assert np.array_equal(p.C, q.C)
+    _assert_triplets_equal(p, q)
     assert np.array_equal(p.constraint_mats, q.constraint_mats)
     assert np.array_equal(p.b, q.b)
     assert q.name == p.name
@@ -33,23 +46,56 @@ def test_maxcut_round_trip_bitwise(tmp_path, name):
     _assert_round_trip(maxcut_fixture(name), tmp_path / f"{name}.dat-s")
 
 
-@given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
-       density=st.sampled_from([0.2, 0.5, 1.0]), exponent=st.integers(-100, 100))
-def test_round_trip_property(tmp_path_factory, n, seed, density, exponent):
-    rng = np.random.default_rng(seed)
+@st.composite
+def sdpa_problems(draw):
+    """A random SDP whose C and A_i keep each entry with a drawn density
+    (and their diagonals), values spanning a drawn power of ten."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.2, 0.5, 1.0]))
+    exponent = draw(st.integers(-100, 100))
     m = int(rng.integers(1, n * (n + 1) // 2 + 1))
 
-    def draw():
+    def draw_matrix():
         keep = (rng.random((n, n)) < density) | np.eye(n, dtype=bool)
         M = rng.standard_normal((n, n)) * keep
         return symmetrize(M * 10.0 ** exponent)
 
     try:
-        p = SdpProblem(C=draw(), constraint_mats=np.stack([draw() for _ in range(m)]),
-                       b=rng.standard_normal(m) * 10.0 ** exponent)
+        return SdpProblem(C=draw_matrix(),
+                          constraint_mats=np.stack([draw_matrix() for _ in range(m)]),
+                          b=rng.standard_normal(m) * 10.0 ** exponent)
     except ValueError:
         assume(False)
+
+
+@given(st.one_of(sdpa_problems(), sparse_sdps()))
+def test_round_trip_property(tmp_path_factory, p):
     _assert_round_trip(p, tmp_path_factory.mktemp("rt") / "p.dat-s")
+
+
+def test_sparse_problems_form_no_dense_stack(tmp_path):
+    # max-cut at n = 200 built from its weights, written, and read back: the
+    # (m, n, n) stack would take m n^2 8 bytes = 64 MB, and no step comes
+    # within a tenth of that
+    n = 200
+    W = np.triu(np.random.default_rng(n).random((n, n)) < 0.1, 1).astype(float)
+    W = W + W.T
+    path = tmp_path / "g200.dat-s"
+    steps = {"maxcut_instance": lambda: maxcut_instance(W),
+             "sdpa_write": lambda: sdpa_write(maxcut_instance(W), path),
+             "sdpa_read": lambda: sdpa_read(path)}
+    for name, step in steps.items():
+        tracemalloc.start()
+        try:
+            out = step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * n * n * n * 8, name
+        if out is not None:
+            assert isinstance(out.operator, SparseOperator)
+            assert out.operator.val.size == n
 
 
 def test_duplicate_entry_names_both_lines(tmp_path):
@@ -93,7 +139,9 @@ def test_hand_written_file_matches_toy_constructor(tmp_path, toy):
            "0 1 1 2 -1\n" \
            "0 1 2 2 1\n" \
            "1 1 1 1 1\n" \
-           "2 1 2 2 1\n"
+           "1 1 1 2 0\n" \
+           "2 1 2 2 1\n" \
+           "2 1 1 1 -0.0\n"
     path = tmp_path / "toy.dat-s"
     path.write_text(text)
     p = sdpa_read(path)
@@ -102,6 +150,8 @@ def test_hand_written_file_matches_toy_constructor(tmp_path, toy):
     assert_allclose(p.C, toy.problem.C)
     assert_allclose(p.constraint_mats, toy.problem.constraint_mats)
     assert_allclose(p.b, toy.problem.b)
+    # the explicit zeros are dropped, as a dense fill drops them
+    _assert_triplets_equal(p, toy.problem)
 
 
 def test_problem_name_round_trip(tmp_path, toy):
