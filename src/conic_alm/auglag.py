@@ -48,20 +48,12 @@ The dual Newton matrix R diag(vec Omega) R' (row i of R = vec(Q' A_i Q))
 is formed on every operator from the rows of Q' A_i Q in the eigenvalue
 block {lam > 0} alone, as in SDPNAL+ (Yang, Sun & Toh 2015): Omega vanishes
 off that block, so with k such rows a solve costs O(nnz k n + m^2 k n), and
-k = rank X* near a strictly complementary solution. The primal form's
-Woodbury matrix uses the block {lam <= 0} on a sparse operator; on a dense
-one it keeps the full rotated stack, O(m n^3 + m^2 n^2) per solve, which at
-the n <= 8 of the dense workloads is faster than the block form.
-
-For a small rho the primal Woodbury solve loses digits to cancellation, so
-iterative refinement follows it. On a sparse operator refinement stops
-once the normwise backward error is at rounding level (1e-14), with at most
-two steps (see :func:`_primal_solve_sparse`): of the 167 sparse solves of a
-maxcut-sdp benchmark pass (seed 1), 88 stop after one solve with K and 18
-take both steps. The dense solve keeps two fixed steps: on the certified
-study its first Woodbury solve has a backward error near 1e-6 (median
-1.6e-6) and needs both, and the same stop rule there took 487 Newton steps
-instead of 469 and about 1.07x the time.
+k = rank X* near a strictly complementary solution. The primal Newton
+solve is picked by n alone, on either operator: up to DIRECT_SOLVE_MAX_N
+one LU of the rotated n^2 x n^2 matrix (:func:`_primal_solve_direct`),
+normwise backward stable, with no refinement; above it Woodbury through an
+m x m matrix formed from the block {lam <= 0}, with refinement that stops
+at rounding level (:func:`_primal_solve_block`).
 
 Only the public functions (``eval_L_*``, ``grad_L_*``,
 ``dual_gap_lower_bound``) check their input against the problem, a dual
@@ -72,12 +64,19 @@ solver hands them (see ``model``).
 
 import numpy as np
 
-from .model import DualPoint, SparseOperator, check_array, check_dual_point, check_matrix
+from .model import DualPoint, check_array, check_dual_point, check_matrix
 from .symcone import frob, inner, symmetrize
 
 
 # Bound on the bytes of the rotated rows that one chunk of _block_gram forms.
 BLOCK_GRAM_BYTES = 2 ** 24
+
+# Largest n whose primal Newton solve is the direct LU of order n^2; above
+# it the block solve is faster. Time per solve in us, block / direct (dense
+# synth, m = 1.5 n, r = 1, rho = 1e-6, best of nine batches, one BLAS
+# thread, 2 cores): n = 4: 112 / 35; 8: 115 / 67; 9: 82 / 97; 12: 98 / 455;
+# 20: 152 / 4033; 30: 325 / 29476.
+DIRECT_SOLVE_MAX_N = 8
 
 
 def _check_r(r):
@@ -87,15 +86,15 @@ def _check_r(r):
 
 def primal_objective(p, w, r):
     """Callable X -> (L_r(X, w), grad_X L_r, Newton solve, update) at X sharing
-    one eigendecomposition; the solve is :func:`_primal_solve`, or
-    :func:`_primal_solve_sparse` on a sparse operator."""
+    one eigendecomposition; the solve is :func:`_primal_solve_direct` for
+    n <= DIRECT_SOLVE_MAX_N, else :func:`_primal_solve_block`."""
     _check_r(r)
     op, C, c, b, y, Z = p.operator, p.C, p.C.ravel(), p.b, w.y, w.Z
     apply, adjoint = op.apply, op.adjoint
-    newton = _primal_solve_sparse if isinstance(op, SparseOperator) else _primal_solve
+    newton = _primal_solve_direct if p.n <= DIRECT_SOLVE_MAX_N else _primal_solve_block
     offset = float(y @ y) + inner(Z, Z)
-    # below this rho, I / r is lost to rounding in the m x m system, which
-    # can then be exactly singular
+    # below this rho, rho is lost to rounding in the Newton matrix (I / r in
+    # the block solve's m x m one), which can then be exactly singular
     ridge = 1e-12 * (1.0 + r * (1.0 + op.max_col_norm2()))
     scale = 1.0 + p.C_norm
 
@@ -255,52 +254,40 @@ def _lm_rho(r, ridge, scale, G):
     return max(r * min(1.0, frob(G) / scale) ** 2, ridge)
 
 
-def _primal_solve(p, r, rho, lam, Q, G):
+def _primal_solve_direct(p, r, rho, lam, Q, G):
     """Newton solve of the primal-form subproblem, Z - rX = Q diag(lam) Q'.
 
     Maps G to D with (r A*A + r Pi'(Z - rX) + rho I) D = G, rho from
     :func:`_lm_rho`. In the eigenbasis Q the last two terms act entrywise
-    as F = r Omega + rho, so Woodbury leaves one m x m system,
-    I / r + R diag(1 / vec F) R' with row i of R the flattened Q' A_i Q.
-    K is factored once, as W = K^-1 R diag(1 / vec F), for the Woodbury step
-    and both refinement steps. The n^2 x n^2 Hessian is never formed; one
-    solve costs O(m n^3 + m^2 n^2).
+    as F = r Omega + rho, so the rotated matrix is r R'R + diag(vec F), row
+    i of R the flattened Q' A_i Q, and one LU of order n^2 solves it:
+    O(m n^4 + n^6), no Woodbury step and no refinement.
     """
     rot = p.operator.rotated(Q)
-    F = r * _omega(lam).ravel() + rho
-    scaled = rot / F
-    W = np.linalg.solve(np.eye(p.m) / r + scaled @ rot.T, scaled)
-
-    def woodbury(rhs):
-        return (rhs - (W @ rhs) @ rot) / F
-
-    # two refinement steps: for small rho the Woodbury solve loses digits to
-    # cancellation
-    G_rot = (Q.T @ G @ Q).ravel()
-    D_rot = woodbury(G_rot)
-    for _ in range(2):
-        D_rot = D_rot + woodbury(G_rot - F * D_rot - r * ((rot @ D_rot) @ rot))
-    return _unrotate(Q, D_rot.reshape(p.n, p.n))
+    H = r * (rot.T @ rot)
+    H.flat[::H.shape[0] + 1] += r * _omega(lam).ravel() + rho
+    return _unrotate(Q, np.linalg.solve(H, (Q.T @ G @ Q).ravel()).reshape(p.n, p.n))
 
 
-def _primal_solve_sparse(p, r, rho, lam, Q, G):
-    """:func:`_primal_solve` from the rows {lam <= 0} (a head slice) of each
-    Q' A_i Q, with refinement that stops at rounding level.
+def _primal_solve_block(p, r, rho, lam, Q, G):
+    """:func:`_primal_solve_direct` by Woodbury through one m x m system,
+    I / r + R diag(1 / vec F) R', formed from the rows {lam <= 0} (a head
+    slice) of each Q' A_i Q, with refinement that stops at rounding level.
 
     Omega is 1 on {lam > 0} x {lam > 0}, so 1 / F there is the constant
     1 / (r + rho), and R diag(1 / vec F) R' = Gram / (r + rho) +
     :func:`_block_gram` of W = 1 / F - 1 / (r + rho), which vanishes off the
     head. Every weight is >= 0, so no term cancels another. R and R' come
-    from ``SparseOperator.rotation``, so no m x n^2 stack is formed.
+    from the operator's ``rotation``, so no m x n^2 stack is formed.
 
-    After the Woodbury solve and after the first refinement step the
-    residual E = G - F o D - r R'(R D) is measured, and refinement stops
-    once ||E|| <= 1e-14 (max F ||D|| + ||G||), a normwise backward error at
+    For a small rho the Woodbury solve loses digits to cancellation. After
+    it and after the first refinement step the residual
+    E = G - F o D - r R'(R D) is measured, and refinement stops once
+    ||E|| <= 1e-14 (max F ||D|| + ||G||), a normwise backward error at
     rounding level (Higham, Accuracy and Stability of Numerical Algorithms,
     2002, ch. 12). H is at least diag(F), so max F <= ||H|| and the test is
-    stricter than the true backward error. At most two steps are taken, as
-    in the dense solve; at rho = r the Woodbury solve is usually already
-    done.
+    stricter than the true backward error. At most two steps are taken; at
+    rho = r the Woodbury solve is usually already done.
     """
     op = p.operator
     F = r * _omega(lam) + rho

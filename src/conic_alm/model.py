@@ -121,6 +121,13 @@ class DenseOperator:
         left = Q if rows is None else Q[:, rows]
         return (left.T @ self.mats @ Q).reshape(self.m, -1)
 
+    def rotation(self, Q):
+        """The maps R: V -> A(Q V Q') and R': z -> Q' A*(z) Q, row i of R
+        being vec(Q' A_i Q), without the m x n^2 stack: two n x n GEMMs and
+        one GEMV each."""
+        return (lambda V: self.flat @ (Q @ V @ Q.T).ravel(),
+                lambda z: Q.T @ self.adjoint(z) @ Q)
+
     def triplets(self):
         """The nonzeros (k, row, col, val), both triangles, in matrix-major
         order, as :class:`SparseOperator` holds them."""

@@ -11,14 +11,15 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conic_alm import auglag
-from conic_alm.auglag import (_block_gram, _omega, dual_gap_lower_bound, dual_objective,
-                              eval_L_dual, eval_L_ineq, eval_L_primal, grad_L_dual_y,
-                              grad_L_ineq_x, grad_L_primal_X, grad_L_primal_w,
+from conic_alm.auglag import (_block_gram, _omega, _primal_solve_block, dual_gap_lower_bound,
+                              dual_objective, eval_L_dual, eval_L_ineq, eval_L_primal,
+                              grad_L_dual_y, grad_L_ineq_x, grad_L_primal_X, grad_L_primal_w,
                               ineq_objective, primal_objective)
 from conic_alm.fixtures import load_builtin
 from conic_alm.inner import minimize_auglag
-from conic_alm.model import (DualPoint, IneqProblem, SparseOperator, apply_A,
-                             apply_Astar, svm_instance, synth_known_solution)
+from conic_alm.model import (DenseOperator, DualPoint, IneqProblem, SparseOperator, apply_A,
+                             apply_Astar, maxcut_instance, svm_instance,
+                             synth_known_solution)
 from conic_alm.symcone import frob, inner, symmetrize
 
 from conftest import ineq_subproblems, random_sym, sparse_sdps
@@ -40,13 +41,13 @@ def assert_solves(K, d, g, rtol=1e-9):
 
 @contextlib.contextmanager
 def counted_solves():
-    """Count the calls of np.linalg.solve in the block."""
+    """The shape of the matrix of each np.linalg.solve call in the block."""
     calls = []
     solve = np.linalg.solve
 
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return solve(*args, **kwargs)
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return solve(a, *args, **kwargs)
 
     with mock.patch.object(np.linalg, "solve", counted):
         yield calls
@@ -240,19 +241,32 @@ def spectrum_matrix(rng, n, spectrum):
     return S if spectrum == "positive" else -S
 
 
-def check_primal_solve(p, r, rng, log_scale, spectrum="mixed"):
-    # Z - rX has the drawn spectrum; with spectrum "mixed", Z is a plain draw
+def check_primal_solve(p, r, rng, log_scale, spectrum="mixed", newton=None):
+    # Z - rX has the drawn spectrum; with spectrum "mixed", Z is a plain draw.
+    # The solve is the oracle's, or ``newton`` called with this rho
     w, X = rand_dual(rng, p), random_sym(rng, p.n)
     if spectrum != "mixed":
         w = DualPoint(y=w.y, Z=symmetrize(r * X + spectrum_matrix(rng, p.n, spectrum)))
     G = random_sym(rng, p.n, 10.0 ** log_scale)
-    D = primal_objective(p, w, r)(X)[2](G)
-    assert D.tobytes() == D.T.tobytes()
     floor = 1e-12 * (1.0 + r * (1.0 + np.max(np.sum(flat_constraints(p) ** 2, axis=0))))
     rho = max(r * min(1.0, frob(G) / (1.0 + frob(p.C))) ** 2, floor)
+    if newton is None:
+        D = primal_objective(p, w, r)(X)[2](G)
+    else:
+        D = newton(p, r, rho, *np.linalg.eigh(w.Z - r * X), G)
+    assert D.tobytes() == D.T.tobytes()
     K = primal_hessian_matrix(p, w, r, X) + rho * np.eye(p.n * p.n)
     assert_solves(K, D.ravel(), G.ravel())
     return rho, floor
+
+
+def check_primal_solve_at_floor_and_r(p, r, rng, newton=None):
+    # tiny residuals G put rho at its floor, where the Newton matrix is
+    # nearly singular, and large ones put it at r
+    for log_scale, at_floor in ((-16.0, True), (2.0, False)):
+        for _ in range(3):
+            rho, floor = check_primal_solve(p, r, rng, log_scale, newton=newton)
+            assert rho == (floor if at_floor else r)
 
 
 def check_dual_solve(p, r, rng, log_scale, spectrum="mixed"):
@@ -284,15 +298,40 @@ class TestSdpNewtonSolves:
     @pytest.mark.parametrize("r", [1.0, 10.0])
     def test_primal_solve_acceptance_shapes(self, n, m, rank_x, r):
         # the dense solve at the shapes the certified study runs (n = 6 lies
-        # beyond the drawn strategy's n <= 4): tiny residuals G put rho at its
-        # floor, where the Woodbury step needs its refinement, and large ones
-        # put it at r
+        # beyond the drawn strategy's n <= 4)
         p = synth_known_solution(n=n, m=m, rank_x=rank_x, seed=100 + n - 3).problem
+        check_primal_solve_at_floor_and_r(p, r, np.random.default_rng(n))
+
+    # dense synth shapes above DIRECT_SOLVE_MAX_N, m = 1.5 n
+    @pytest.mark.parametrize("n,m,rank_x", [(9, 13, 4), (10, 15, 5), (11, 16, 5), (12, 18, 6)])
+    @pytest.mark.parametrize("r", [0.3, 1.0, 10.0])
+    def test_block_solve_on_dense_operator(self, n, m, rank_x, r):
+        p = synth_known_solution(n=n, m=m, rank_x=rank_x, seed=n).problem
+        assert isinstance(p.operator, DenseOperator)
+        check_primal_solve_at_floor_and_r(p, r, np.random.default_rng(n), _primal_solve_block)
+
+    @pytest.mark.parametrize("n", [2, 5, 8, 9, 12])
+    def test_primal_solve_is_picked_by_n(self, n):
+        # on either operator: up to DIRECT_SOLVE_MAX_N one LU of order n^2,
+        # above it the block solve and its one to three solves with K
+        W = np.triu(np.ones((n, n)), 1)
+        sparse = maxcut_instance(W + W.T)
+        dense = synth_known_solution(n=n, m=n + 1, rank_x=1, seed=n).problem
+        assert isinstance(sparse.operator, SparseOperator)
+        assert isinstance(dense.operator, DenseOperator)
         rng = np.random.default_rng(n)
-        for log_scale, at_floor in ((-16.0, True), (2.0, False)):
-            for _ in range(3):
-                rho, floor = check_primal_solve(p, r, rng, log_scale)
-                assert rho == (floor if at_floor else r)
+        for p in (sparse, dense):
+            w, X, G = rand_dual(rng, p), random_sym(rng, n), random_sym(rng, n)
+            with mock.patch.object(auglag, "_primal_solve_block",
+                                   wraps=_primal_solve_block) as block:
+                solve = primal_objective(p, w, 1.0)(X)[2]
+                with counted_solves() as calls:
+                    solve(G)
+            if n <= auglag.DIRECT_SOLVE_MAX_N:
+                assert calls == [(n * n, n * n)] and block.call_count == 0
+            else:
+                assert block.call_count == 1
+                assert 1 <= len(calls) <= 3 and set(calls) == {(p.m, p.m)}
 
     @given(certified_subproblems(max_n=4), st.floats(-16.0, 2.0))
     def test_dual_solve(self, case, log_scale):
@@ -303,14 +342,18 @@ class TestSdpNewtonSolves:
     # block empty or full
     @given(sparse_subproblems(), st.floats(-16.0, 2.0), SPECTRA)
     def test_primal_solve_sparse(self, case, log_scale, spectrum):
-        check_primal_solve(*case, log_scale, spectrum)
+        # the oracle's solve (the direct one at the drawn n <= 5) and the
+        # block solve
+        p, r, rng = case
+        for newton in (None, _primal_solve_block):
+            check_primal_solve(p, r, rng, log_scale, spectrum, newton)
 
     @given(sparse_subproblems(), st.floats(-16.0, 2.0), SPECTRA)
     def test_sparse_solve_makes_at_most_three_K_solves(self, case, log_scale, spectrum):
         # the Woodbury solve and at most two refinement steps, each one
         # solve with K; the oracles of check_primal_solve call no solve
         with counted_solves() as calls:
-            check_primal_solve(*case, log_scale, spectrum)
+            check_primal_solve(*case, log_scale, spectrum, newton=_primal_solve_block)
         assert 1 <= len(calls) <= 3
 
     @pytest.mark.parametrize("name", ["maxcut-g1-20", "maxcut-g2-20", "maxcut-g3-20"])

@@ -125,33 +125,41 @@ def test_sparse_operator_matches_dense(p, seed):
     assert np.array_equal(mats[sparse.k, sparse.row, sparse.col], sparse.val)
 
 
-def check_rotation(op, p, rng):
-    """R V = A(Q V Q') and R' z = Q' A*(z) Q from ``op.rotation`` against the
-    rotated rows, R V = rot vec(V) and R' z = rot' z, and their adjointness."""
+def check_rotation(p, rng):
+    """On each of ``both_operators(p)``, R V = A(Q V Q') and R' z = Q' A*(z) Q
+    from ``op.rotation`` against the rotated rows, R V = rot vec(V) and
+    R' z = rot' z, and their adjointness; the dense and the sparse maps
+    agree to rounding."""
     Q = random_orthogonal(rng, p.n)
     V, z = rng.standard_normal((p.n, p.n)), rng.standard_normal(p.m)
-    R, R_t = op.rotation(Q)
-    rot = op.rotated(Q)
-    RV, Rz = R(V), R_t(z)
-    assert RV.shape == (p.m,) and Rz.shape == (p.n, p.n)
     tol = 10 * REL * p.n * frob(flat_constraints(p))
     z_norm = float(np.linalg.norm(z))
-    assert_allclose(RV, rot @ V.ravel(), rtol=0, atol=tol * frob(V))
-    assert_allclose(Rz, (rot.T @ z).reshape(p.n, p.n), rtol=0, atol=tol * z_norm)
-    assert abs(float(RV @ z) - inner(V, Rz)) <= tol * frob(V) * z_norm
+    maps = []
+    for op in both_operators(p):
+        R, R_t = op.rotation(Q)
+        rot = op.rotated(Q)
+        RV, Rz = R(V), R_t(z)
+        assert RV.shape == (p.m,) and Rz.shape == (p.n, p.n)
+        assert_allclose(RV, rot @ V.ravel(), rtol=0, atol=tol * frob(V))
+        assert_allclose(Rz, (rot.T @ z).reshape(p.n, p.n), rtol=0, atol=tol * z_norm)
+        assert abs(float(RV @ z) - inner(V, Rz)) <= tol * frob(V) * z_norm
+        maps.append((RV, Rz))
+    (sparse_RV, sparse_Rz), (dense_RV, dense_Rz) = maps
+    assert_allclose(sparse_RV, dense_RV, rtol=0, atol=tol * frob(V))
+    assert_allclose(sparse_Rz, dense_Rz, rtol=0, atol=tol * z_norm)
 
 
 @given(sparse_sdps(), st.integers(0, 2**32 - 1))
 def test_rotation_maps_match_rotated_rows(p, seed):
     # max-cut draws have one nonzero per A_i, the others one to three
-    check_rotation(both_operators(p)[0], p, np.random.default_rng(seed))
+    check_rotation(p, np.random.default_rng(seed))
 
 
 @pytest.mark.parametrize("n,m", [(3, 3), (5, 6), (8, 12)])
 def test_rotation_maps_with_dense_matrices(n, m):
     # every A_i full: n^2 nonzeros each, summed per matrix
     p = synth_known_solution(n=n, m=m, rank_x=1, seed=n).problem
-    check_rotation(both_operators(p)[0], p, np.random.default_rng(m))
+    check_rotation(p, np.random.default_rng(m))
 
 
 @given(st.integers(1, 30), st.integers(0, 2**32 - 1))
