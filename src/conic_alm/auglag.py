@@ -95,7 +95,7 @@ def primal_objective(p, w, r):
     offset = float(y @ y) + inner(Z, Z)
     # below this rho, rho is lost to rounding in the Newton matrix (I / r in
     # the block solve's m x m one), which can then be exactly singular
-    ridge = 1e-12 * (1.0 + r * (1.0 + op.max_col_norm2()))
+    ridge = 1e-12 * (1.0 + r * (1.0 + op.max_col_norm2))
     scale = 1.0 + p.C_norm
 
     def oracle(X):
@@ -203,9 +203,7 @@ def _block_gram(op, Q, S, W):
 
     step = max(1, BLOCK_GRAM_BYTES // (8 * op.gram.shape[0] * n))  # rows a chunk
     start, stop, _ = S.indices(n)
-    if stop - start <= step:
-        return weighted(S)
-    H = weighted(slice(start, start + step))
+    H = weighted(slice(start, min(start + step, stop)))
     for lo in range(start + step, stop, step):
         H += weighted(slice(lo, min(lo + step, stop)))
     return H

@@ -9,8 +9,9 @@ around a KKT-certified optimal triple so that ground truth is available
 without an external solver.
 
 The validation boundary: data is checked where it enters a computation,
-at the constructors (``SdpProblem``, ``IneqProblem``,
-``KnownSolutionInstance``), the ``solve_*`` drivers, the public functions
+at the constructors (``SdpProblem``, whose two entries share one builder,
+``IneqProblem``, ``KnownSolutionInstance``; each stores read-only copies,
+never the caller's arrays), the ``solve_*`` drivers, the public functions
 of ``auglag``, ``kkt_residuals``, ``ineq_residuals`` and the CLI
 (``KnownSolutionInstance.dist_primal``/``dist_dual`` check shapes only).
 A check raises ``ValueError`` naming the argument (``X``, ``w.y``,
@@ -79,16 +80,29 @@ def check_dual_point(p, w, name="w"):
                      Z=check_matrix(p, w.Z, f"{name}.Z"))
 
 
+def _readonly(value):
+    """A read-only copy of ``value``, which no caller's buffer can change."""
+    value = np.array(value)
+    value.setflags(write=False)
+    return value
+
+
 def _stack_triplets(mats):
-    """The nonzeros of a C-contiguous (m, n, n) stack as COO triplets (k, row,
-    col, val), both triangles, in matrix-major order (by k, then row, then
-    col)."""
+    """The nonzeros (k, row, col, val) of an (m, n, n) stack, both
+    triangles, in matrix-major order (by k, then row, then col)."""
     n = mats.shape[1]
     # np.nonzero of a 3-d array is ten times slower than of a flat mask
     idx = np.flatnonzero(mats != 0.0)
     k, pos = np.divmod(idx, n * n)
     row, col = np.divmod(pos, n)
     return k, row, col, mats.ravel()[idx]
+
+
+def _scatter(m, n, k, pos, val):
+    """The (m, n, n) stack whose A_k holds val at index pos of vec(A_k)."""
+    mats = np.zeros((m, n, n))
+    mats.reshape(m, -1)[k, pos] = val
+    return mats
 
 
 class DenseOperator:
@@ -100,6 +114,7 @@ class DenseOperator:
     of shape (..., n, n), y of shape (..., m)) and run one GEMV per item,
     the product a single item runs; a GEMM over the batch would round
     differently. ``mats`` must be C-contiguous, so that ``flat`` is a view.
+    ``max_col_norm2`` is max_j ||A e_j||^2 over the coordinate matrices e_j.
     """
 
     def __init__(self, mats):
@@ -107,7 +122,7 @@ class DenseOperator:
         self.m, self.n = mats.shape[:2]
         self.flat = mats.reshape(self.m, -1)
         self.gram = self.flat @ self.flat.T
-        self._max_col_norm2 = float(np.max(np.sum(self.flat ** 2, axis=0)))
+        self.max_col_norm2 = float(np.max(np.sum(self.flat ** 2, axis=0)))
 
     def apply(self, X):
         return (self.flat @ X.reshape(X.shape[:-2] + (self.flat.shape[1], 1)))[..., 0]
@@ -133,10 +148,6 @@ class DenseOperator:
         order, as :class:`SparseOperator` holds them."""
         return _stack_triplets(self.mats)
 
-    def max_col_norm2(self):
-        """max_j ||A e_j||^2 over the n^2 coordinate matrices e_j."""
-        return self._max_col_norm2
-
 
 class SparseOperator:
     """Constraint operator over the nonzeros of the A_i, in COO form.
@@ -161,8 +172,8 @@ class SparseOperator:
         self.pos = row * n + col  # index of each nonzero in vec(A_k)
         self.starts = np.flatnonzero(np.diff(k, prepend=-1))  # first nonzero of each A_i
         self.gram = self._gram()
-        self._max_col_norm2 = float(np.max(np.bincount(self.pos, weights=val ** 2,
-                                                       minlength=n * n)))
+        self.max_col_norm2 = float(np.max(np.bincount(self.pos, weights=val ** 2,
+                                                      minlength=n * n)))
 
     def _gram(self):
         """<A_i, A_j> summed over the pairs (s, t) of nonzeros at a common
@@ -232,26 +243,24 @@ class SparseOperator:
     def triplets(self):
         return self.k, self.row, self.col, self.val
 
-    def max_col_norm2(self):
-        return self._max_col_norm2
-
 
 @dataclass(frozen=True, init=False)
 class SdpProblem:
     """Standard-form SDP data: minimize <C, X> s.t. <A_i, X> = b_i, X PSD.
 
     ``SdpProblem(C, constraint_mats, b, name)`` takes the A_i as a stack of
-    shape (m, n, n); :meth:`from_triplets` takes their nonzeros and never
-    forms the stack. Construction symmetry-checks every matrix, verifies the
-    A_i are numerically linearly independent, and keeps the Gram matrix of
-    that check in ``operator``: a :class:`SparseOperator` over the nonzeros
-    when the A_i have at most m n of them in all (max-cut has n), else a
-    :class:`DenseOperator`, which alone holds a C-contiguous stack.
-    ``constraint_mats`` is that stack on a dense problem; on a sparse one
-    each access builds a new (m, n, n) array from the nonzeros, O(m n^2)
-    memory, which the solvers never do. ``b_norm`` and ``C_norm`` are ||b||
-    and ||C||_F, which scale the residuals, the Newton regularization and
-    the diameter bounds; they are computed once here.
+    shape (m, n, n), checks its shape and the length of b, and hands its
+    nonzeros to the builder of :meth:`from_triplets`. That builder alone
+    checks C, b and the A_i, verifies that the A_i are numerically linearly
+    independent, and keeps the Gram matrix of that check in ``operator``: a
+    :class:`SparseOperator` over the nonzeros when the A_i have at most m n
+    of them in all (max-cut has n), else a :class:`DenseOperator` over the
+    stack scattered from them, ``constraint_mats``; on a sparse problem each
+    access to that builds a new stack, which the solvers never do. C, b, the
+    nonzeros or the stack, and the Gram matrix are read-only arrays that the
+    problem owns, never the caller's, so they cannot drift from ``b_norm``
+    and ``C_norm``, ||b|| and ||C||_F, which scale the residuals, the Newton
+    regularization and the diameter bounds.
     """
 
     C: np.ndarray
@@ -262,53 +271,53 @@ class SdpProblem:
     C_norm: float = field(repr=False, compare=False)
 
     def __init__(self, C, constraint_mats, b, name="sdp"):
-        C = check_symmetric(C, name="C")
-        mats = np.ascontiguousarray(constraint_mats, dtype=float)
-        if mats.ndim != 3 or mats.shape[1:] != C.shape:
-            raise ValueError(f"constraint matrices must have shape (m, {C.shape[0]}, {C.shape[0]})")
-        for i, A in enumerate(mats):
-            check_symmetric(A, name=f"A_{i + 1}")
-        m, n = mats.shape[:2]
-        b = np.asarray(b, dtype=float)
-        if b.shape != (m,):
+        mats = np.asarray(constraint_mats, dtype=float)
+        if mats.ndim != 3 or mats.shape[1:] != np.shape(C):
+            raise ValueError(f"constraint matrices must have shape (m, n, n), C {np.shape(C)}")
+        if np.shape(b) != mats.shape[:1]:
             raise ValueError("b length must match the number of constraint matrices")
-        _check_finite("b", b)
-        if np.count_nonzero(mats) <= m * n:
-            operator = SparseOperator(m, n, *_stack_triplets(mats))
-        else:
-            operator = DenseOperator(mats)
-        self._set(C, operator, b, name)
+        self._build(C, _stack_triplets(mats), b, name)
 
     @classmethod
     def from_triplets(cls, C, triplets, b, name="sdp"):
         """The problem whose A_i have the nonzeros (k, row, col, val): A_{k+1}
         (k from 0) holds val at (row, col), 0-based, both triangles given,
-        in any order. Zero values are dropped; a repeated (k, row, col)
-        raises. m is the length of b. Equal, to the bit, to the problem of
-        the dense stack with these entries, which is formed only when the
-        problem is dense."""
+        in any order, integer indices, finite values. A repeated (k, row,
+        col) raises, an explicit zero too; zeros are then dropped. m is the
+        length of b. A stack and its nonzeros give the same problem, to the
+        bit, and the same errors."""
+        problem = cls.__new__(cls)
+        problem._build(C, triplets, b, name)
+        return problem
+
+    def _build(self, C, triplets, b, name):
         C = check_symmetric(C, name="C")
         n = C.shape[0]
-        k, row, col = (np.asarray(a, dtype=np.int64).ravel() for a in triplets[:3])
-        val = np.asarray(triplets[3], dtype=float).ravel()
-        if not k.shape == row.shape == col.shape == val.shape:
-            raise ValueError("triplets k, row, col and val must have the same length")
         b = np.asarray(b, dtype=float)
         if b.ndim != 1 or b.size == 0:
             raise ValueError(f"b must be a nonempty vector, got shape {b.shape}")
         _check_finite("b", b)
         m = b.size
-        for what, index, size in (("matrix", k, m), ("row", row, n), ("column", col, n)):
+        k, row, col, val = (np.asarray(a).ravel() for a in triplets)
+        for label, what, index, size in (("k", "matrix", k, m), ("row", "row", row, n),
+                                         ("col", "column", col, n)):
+            if index.dtype.kind not in "iu" and not np.all(np.floor(index) == index):
+                raise ValueError(f"triplet {label} must hold integers")
             if index.size and not (0 <= index.min() and index.max() < size):
                 raise ValueError(f"{what} index out of range [0, {size})")
-        _check_finite("constraint matrix values", val)
-        keep = val != 0.0
-        k, row, col, val = k[keep], row[keep], col[keep], val[keep]
+        k, row, col = (index.astype(np.int64, copy=False) for index in (k, row, col))
+        val = val.astype(float, copy=False)
+        if not k.shape == row.shape == col.shape == val.shape:
+            raise ValueError("triplets k, row, col and val must have the same length")
+        if not np.all(np.isfinite(val)):
+            raise ValueError(f"A_{k[np.argmin(np.isfinite(val))] + 1} contains non-finite entries")
+        # sorted with the zeros, so that a repeated zero entry is caught
         key = (k * n + row) * n + col
         order = np.argsort(key, kind="stable")
-        k, row, col, val, key = k[order], row[order], col[order], val[order], key[order]
-        if np.any(key[1:] == key[:-1]):
+        if np.any(np.diff(key[order]) == 0):
             raise ValueError("duplicate entry in the constraint triplets")
+        order = order[val[order] != 0.0]
+        k, row, col, val, key = k[order], row[order], col[order], val[order], key[order]
         # symmetric iff the mirrored entries, sorted the same way, match
         mirror = np.argsort((k * n + col) * n + row, kind="stable")
         bad = (key != (k[mirror] * n + col[mirror]) * n + row[mirror]) | (val != val[mirror])
@@ -316,21 +325,19 @@ class SdpProblem:
             raise ValueError(f"A_{int(k[np.argmax(bad)]) + 1} is not symmetric")
         if k.size <= m * n:
             operator = SparseOperator(m, n, k, row, col, val)
+            stored = (k, row, col, val)
         else:
-            mats = np.zeros((m, n, n))
-            mats.reshape(m, -1)[k, row * n + col] = val
-            operator = DenseOperator(mats)
-        problem = cls.__new__(cls)
-        problem._set(C, operator, b, name)
-        return problem
-
-    def _set(self, C, operator, b, name):
+            operator = DenseOperator(_scatter(m, n, k, row * n + col, val))
+            stored = (operator.mats,)
+        for a in stored + (operator.gram,):
+            a.setflags(write=False)
         ev = np.linalg.eigvalsh(operator.gram)
         if ev[0] <= INDEPENDENCE_TOL * max(ev[-1], 1e-300):
             raise ValueError("constraint matrices are numerically linearly dependent")
-        for key, value in (("C", C), ("b", b), ("name", name), ("operator", operator),
-                           ("b_norm", float(np.linalg.norm(b))), ("C_norm", frob(C))):
-            object.__setattr__(self, key, value)
+        for attr, value in (("C", _readonly(C)), ("b", _readonly(b)), ("name", name),
+                            ("operator", operator), ("b_norm", float(np.linalg.norm(b))),
+                            ("C_norm", frob(C))):
+            object.__setattr__(self, attr, value)
 
     @property
     def constraint_mats(self):
@@ -339,9 +346,7 @@ class SdpProblem:
         op = self.operator
         if isinstance(op, DenseOperator):
             return op.mats
-        mats = np.zeros((self.m, self.n, self.n))
-        mats.reshape(self.m, -1)[op.k, op.pos] = op.val
-        return mats
+        return _scatter(self.m, self.n, op.k, op.pos, op.val)
 
     @property
     def n(self):
@@ -460,7 +465,8 @@ class KnownSolutionInstance:
     not passed in: they record whether the respective solution set provably
     collapses to the certified point (see :func:`solution_uniqueness`); on a
     side where it does not, :meth:`dist_primal`/:meth:`dist_dual` return None.
-    ``w_star`` is the pair (y_star, z_star) as a :class:`DualPoint`, built once.
+    ``w_star`` is the pair (y_star, z_star) as a :class:`DualPoint`, built
+    once from the triple's read-only copies, so no verdict can go stale.
     """
 
     problem: SdpProblem
@@ -474,9 +480,10 @@ class KnownSolutionInstance:
 
     def __post_init__(self):
         p = self.problem
-        object.__setattr__(self, "x_star", check_matrix(p, self.x_star, "x_star"))
-        object.__setattr__(self, "y_star", check_array("y_star", self.y_star, (p.m,)))
-        object.__setattr__(self, "z_star", check_matrix(p, self.z_star, "z_star"))
+        for attr, value in (("x_star", check_matrix(p, self.x_star, "x_star")),
+                            ("y_star", check_array("y_star", self.y_star, (p.m,))),
+                            ("z_star", check_matrix(p, self.z_star, "z_star"))):
+            object.__setattr__(self, attr, _readonly(value))
         object.__setattr__(self, "p_star", check_real("p_star", self.p_star))
         self.certify()
         object.__setattr__(self, "w_star", DualPoint(y=self.y_star, Z=self.z_star))
@@ -618,8 +625,8 @@ class IneqProblem:
     solve eliminates J through a diagonal Schur complement (see
     ``auglag.ineq_objective``). The hinge slacks of an svm and the bounds t
     of a lasso are slack-like: svm-random splits into |I| = 10 and
-    |J| = 100, lasso-random into 10 and 10. ``G`` is a read-only copy of the
-    data passed in, so the split cannot go stale.
+    |J| = 100, lasso-random into 10 and 10. Q, c, G, h and the split are
+    read-only copies of the data passed in, so the split cannot go stale.
     """
 
     Q: np.ndarray
@@ -636,7 +643,7 @@ class IneqProblem:
         if np.linalg.eigvalsh(Q)[0] < -1e-9 * (1.0 + frob(Q)):
             raise ValueError("Q must be positive semidefinite")
         c = np.asarray(self.c, dtype=float)
-        G = np.array(self.G, dtype=float)
+        G = np.asarray(self.G, dtype=float)
         h = np.asarray(self.h, dtype=float)
         if c.shape != (Q.shape[0],) or G.ndim != 2 or G.shape[1] != c.shape[0] \
                 or h.shape != (G.shape[0],):
@@ -647,16 +654,10 @@ class IneqProblem:
         free = ~np.any(Q != 0.0, axis=0)
         shared = np.count_nonzero(nonzero & free, axis=1) > 1
         slack = free & ~np.any(nonzero[shared], axis=0)
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "c", c)
-        G.setflags(write=False)
-        object.__setattr__(self, "G", G)
-        object.__setattr__(self, "h", h)
+        for attr, value in (("Q", Q), ("c", c), ("G", G), ("h", h),
+                            ("coupled", np.flatnonzero(~slack)), ("slack", np.flatnonzero(slack))):
+            object.__setattr__(self, attr, _readonly(value))
         object.__setattr__(self, "offset", check_real("offset", self.offset))
-        for name, mask in (("coupled", ~slack), ("slack", slack)):
-            index = np.flatnonzero(mask)
-            index.setflags(write=False)
-            object.__setattr__(self, name, index)
 
     @property
     def dim(self):

@@ -14,8 +14,8 @@ settings.register_profile("conic-alm", derandomize=True, deadline=None, database
 settings.load_profile("conic-alm")
 
 from conic_alm.fixtures import toy_rank1_instance
-from conic_alm.model import (IneqProblem, SdpProblem, lasso_instance, maxcut_instance,
-                             svm_instance, synth_known_solution)
+from conic_alm.model import (DenseOperator, IneqProblem, SdpProblem, lasso_instance,
+                             maxcut_instance, svm_instance, synth_known_solution)
 from conic_alm.symcone import symmetrize
 
 
@@ -41,6 +41,21 @@ NONFINITE_SDPA = [
     pytest.param("2\n1\n2\n1 inf\n1 1 1 1 1.0\n2 1 2 2 1.0\n", 4, id="b-inf"),
     pytest.param("1\n1\n2\n1\n0 1 1 2 nan\n1 1 1 1 1.0\n", 5, id="value-nan"),
 ]
+
+
+def assert_same_problem(p, q):
+    """p and q hold the same SDP: C equal in value (an SDPA file keeps no
+    -0.0), and to the bit the operator type, b, the nonzeros, the stack of a
+    dense problem, the Gram matrix, b_norm, C_norm and max_col_norm2."""
+    assert type(p.operator) is type(q.operator) and np.array_equal(p.C, q.C)
+    pairs = [(p.b, q.b), (p.operator.gram, q.operator.gram)]
+    pairs += zip(p.operator.triplets(), q.operator.triplets())
+    if isinstance(p.operator, DenseOperator):
+        pairs.append((p.operator.mats, q.operator.mats))
+    for a, b in pairs:
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert (p.b_norm, p.C_norm, p.operator.max_col_norm2) \
+        == (q.b_norm, q.C_norm, q.operator.max_col_norm2)
 
 
 def random_sym(rng, n, scale=1.0):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conic_alm.fixtures import load_builtin
-from conic_alm.model import (CertificationError, DualPoint, IneqProblem,
+from conic_alm.model import (CertificationError, DenseOperator, DualPoint, IneqProblem,
                              KnownSolutionInstance, SdpProblem, apply_A, apply_Astar,
                              ineq_residuals,
                              kkt_residuals, lasso_instance, maxcut_instance,
@@ -53,18 +53,63 @@ class TestSdpProblem:
         (([1], [0], [0], [1.0]), np.ones(1), "matrix index out of range"),
         (([0], [2], [2], [1.0]), np.ones(1), "row index out of range"),
         (([0], [0], [-1], [1.0]), np.ones(1), "column index out of range"),
-        (([0], [0], [0], [np.nan]), np.ones(1), "values contains non-finite"),
+        (([0], [0], [0], [np.nan]), np.ones(1), "A_1 contains non-finite"),
+        (([0, 1], [0, 1], [0, 1], [1.0, np.inf]), np.ones(2), "A_2 contains non-finite"),
+        (([0.9, 1.7], [0, 1], [0, 1], [1.0, 1.0]), np.ones(2), "triplet k must hold integers"),
+        (([0, 1], [0, 1.99], [0, 1], [1.0, 1.0]), np.ones(2), "triplet row must hold integers"),
+        (([0, 1], [0, 1], [0, 1.5], [1.0, 1.0]), np.ones(2), "triplet col must hold integers"),
+        (([0, 0, 1], [0, 0, 1], [0, 0, 1], [1.0, 0.0, 1.0]), np.ones(2), "duplicate entry"),
         (([0, 0], [0], [0], [1.0]), np.ones(1), "same length"),
         (([0], [0], [0], [1.0]), np.ones((1, 1)), "b must be a nonempty vector"),
         (([], [], [], []), np.ones(0), "b must be a nonempty vector"),
         (([0], [0], [0], [1.0]), np.array([np.inf]), "b contains non-finite"),
         (([0], [0], [0], [0.0]), np.ones(1), "dependent"),
     ], ids=["asymmetric-value", "asymmetric-pattern", "duplicate", "matrix-range",
-            "row-range", "column-range", "nonfinite-value", "ragged", "b-2d", "b-empty",
-            "b-nonfinite", "zero-matrix"])
+            "row-range", "column-range", "nonfinite-value", "nonfinite-names-matrix",
+            "noninteger-k", "noninteger-row", "noninteger-col", "duplicate-zero", "ragged",
+            "b-2d", "b-empty", "b-nonfinite", "zero-matrix"])
     def test_from_triplets_rejects(self, triplets, b, message):
         with pytest.raises(ValueError, match=message):
             SdpProblem.from_triplets(np.eye(2), triplets, b)
+
+    @pytest.mark.parametrize("C,mats,b,message", [
+        (np.eye(2), [np.eye(2), [[0.0, 1.0], [0.0, 0.0]]], np.ones(2), "^A_2 is not symmetric"),
+        (np.eye(2), [[[1.0, np.inf], [np.inf, 1.0]]], np.ones(1), "^A_1 contains non-finite"),
+        (np.eye(2), [np.eye(2), 2.0 * np.eye(2)], np.ones(2), "dependent"),
+        (np.eye(2), [np.eye(2)], np.array([np.nan]), "^b contains non-finite"),
+        ([[1.0, 2.0], [0.0, 1.0]], [np.eye(2)], np.ones(1), "^C is not symmetric"),
+    ], ids=["asymmetric", "nonfinite", "dependent", "b-nonfinite", "C-asymmetric"])
+    def test_stack_and_its_triplets_raise_alike(self, C, mats, b, message):
+        # one builder checks both entries, so a bad stack and its nonzeros
+        # fail with the same message
+        mats = np.array(mats)
+        k, row, col = np.nonzero(mats)
+        with pytest.raises(ValueError, match=message) as from_stack:
+            SdpProblem(C, mats, b)
+        with pytest.raises(ValueError) as from_triplets:
+            SdpProblem.from_triplets(C, (k, row, col, mats[k, row, col]), b)
+        assert str(from_triplets.value) == str(from_stack.value)
+
+    @pytest.mark.parametrize("mats", [
+        [np.eye(2), [[0.0, 1.0], [1.0, 0.0]]],
+        [[[1.0, 1.0], [1.0, 2.0]], [[2.0, 1.0], [1.0, 1.0]]],
+    ], ids=["sparse", "dense"])
+    def test_keeps_read_only_copies(self, mats):
+        # the caller's arrays, changed after construction, change nothing
+        # that the problem stores, and the stored arrays reject writes
+        C, mats, b = np.array([[2.0, 1.0], [1.0, 3.0]]), np.array(mats), np.array([1.0, 2.0])
+        p = SdpProblem(C, mats, b)
+        op = p.operator
+        dense = isinstance(op, DenseOperator)
+        stored = [p.C, p.b, op.gram] + ([op.mats] if dense else list(op.triplets()))
+        before = [a.copy() for a in stored] + [p.b_norm, p.C_norm, op.max_col_norm2]
+        for a in (C, mats, b):
+            a += 1.0
+        after = [a.copy() for a in stored] + [p.b_norm, p.C_norm, op.max_col_norm2]
+        assert all(np.array_equal(x, y) for x, y in zip(before, after))
+        for a in stored:
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = 0
 
     def test_dimensions(self, toy):
         assert toy.problem.n == 2
@@ -420,17 +465,24 @@ class TestSlackSplit:
         q = load_builtin(name)
         assert (q.coupled.size, q.slack.size) == (coupled, slack)
 
-    def test_keeps_own_copy_of_G(self):
-        # the split is computed from G, so G is a read-only copy, and so are
-        # the split's index arrays
-        G = np.array([[1.0, 0.0, -1.0], [0.0, 0.0, -1.0]])
-        q = IneqProblem(Q=np.diag([1.0, 0.0, 0.0]), c=np.ones(3), G=G, h=-np.ones(2))
+    def test_keeps_read_only_copies(self):
+        # the split is computed from Q and G, so Q, c, G and h are read-only
+        # copies, and so are the split's index arrays: the caller's arrays,
+        # changed after construction, change neither the data nor the split
+        data = dict(Q=np.diag([1.0, 0.0, 0.0]), c=np.ones(3),
+                    G=np.array([[1.0, 0.0, -1.0], [0.0, 0.0, -1.0]]), h=-np.ones(2))
+        q = IneqProblem(**data)
+        before = {name: getattr(q, name).copy() for name in ("Q", "c", "G", "h")}
         assert q.coupled.tolist() == [0] and q.slack.tolist() == [1, 2]
-        G[:] = 5.0
-        assert q.G[0].tolist() == [1.0, 0.0, -1.0]
-        for array in (q.G, q.coupled, q.slack):
+        data["Q"][2, 2] = 1.0
+        for name in ("c", "G", "h"):
+            data[name][:] = 5.0
+        assert q.coupled.tolist() == [0] and q.slack.tolist() == [1, 2]
+        for name, value in before.items():
+            assert np.array_equal(getattr(q, name), value)
+        for array in (q.Q, q.c, q.G, q.h, q.coupled, q.slack):
             with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0
+                array.flat[0] = 0
 
 
 class TestSynthKnownSolution:
@@ -509,6 +561,24 @@ class TestSynthKnownSolution:
         assert inst.dual_unique == (side != "dual")
         assert dists[side] is None
         assert dists["dual" if side == "primal" else "primal"] == 0.0
+
+    def test_keeps_read_only_copies(self, toy):
+        # the caller's arrays, changed after construction, change neither
+        # the certified triple nor its verdicts, and the stored arrays
+        # reject writes
+        x, y, z = toy.x_star.copy(), toy.y_star.copy(), toy.z_star.copy()
+        inst = KnownSolutionInstance(problem=toy.problem, x_star=x, y_star=y, z_star=z,
+                                     p_star=toy.p_star)
+        verdicts = (inst.primal_unique, inst.dual_unique)
+        for a in (x, y, z):
+            a += 1.0
+        inst.certify()
+        assert (inst.primal_unique, inst.dual_unique) == verdicts
+        for stored, value in ((inst.x_star, toy.x_star), (inst.y_star, toy.y_star),
+                              (inst.z_star, toy.z_star)):
+            assert np.array_equal(stored, value)
+            with pytest.raises(ValueError, match="read-only"):
+                stored.flat[0] = 0
 
     @pytest.mark.parametrize("flag", ["primal_unique", "dual_unique"])
     def test_uniqueness_flags_are_not_arguments(self, toy, flag):

@@ -12,7 +12,7 @@ from conic_alm.model import (DenseOperator, SdpProblem, SparseOperator, apply_A,
                              maxcut_instance, synth_known_solution)
 from conic_alm.symcone import frob, inner, symmetrize
 
-from conftest import sparse_sdps
+from conftest import assert_same_problem, sparse_sdps
 from oracles import (apply_A_one, apply_Astar_one, both_operators, flat_constraints,
                      naive_apply_A, tensordot_apply_A, tensordot_apply_Astar, tensordot_inner)
 
@@ -23,8 +23,9 @@ REL = 1e-14
 def operator_cases(draw):
     """A random SDP with a symmetric point X and a multiplier y.
 
-    Half of the constraint stacks arrive in Fortran order, so that the
-    problem has to store its own contiguous copy before taking the flat view.
+    Half of the constraint stacks arrive in Fortran order, so that the stack
+    entry reads the nonzeros of a non-contiguous array; the problem stores
+    its own contiguous stack either way.
     """
     n = draw(st.integers(1, 7))
     m = draw(st.integers(1, n * (n + 1) // 2))
@@ -72,13 +73,25 @@ def test_maps_match_tensordot_reference(case):
         assert abs(inner(A, X) - tensordot_inner(A, X)) <= REL * frob(A) * frob(X)
 
 
+def check_entries_agree(p):
+    """The stack entry, given p's stack, and the triplet entry, given its
+    nonzeros, each build p again, to the bit."""
+    for q in (SdpProblem(p.C, p.constraint_mats, p.b),
+              SdpProblem.from_triplets(p.C, p.operator.triplets(), p.b)):
+        assert_same_problem(p, q)
+        assert q.C.tobytes() == p.C.tobytes()
+
+
 @given(operator_cases())
 def test_flat_operator_is_a_view(case):
     p, _, _ = case
+    check_entries_agree(p)
     mats = p.constraint_mats
     if isinstance(p.operator, DenseOperator):
-        # a dense problem's stack is the one its operator holds
-        assert mats is p.operator.mats
+        # a dense problem's stack is the problem's own, scattered from the
+        # nonzeros and read-only, never the caller's array; its operator
+        # holds it
+        assert mats is p.operator.mats and not mats.flags.writeable
     flat = DenseOperator(mats).flat
     assert flat.shape == (p.m, p.n * p.n)
     assert np.shares_memory(flat, mats)
@@ -93,6 +106,7 @@ def random_orthogonal(rng, n):
 
 @given(sparse_sdps(), st.integers(0, 2**32 - 1))
 def test_sparse_operator_matches_dense(p, seed):
+    check_entries_agree(p)
     sparse, dense = both_operators(p)
     rng = np.random.default_rng(seed)
     X, y = rng.standard_normal((p.n, p.n)), rng.standard_normal(p.m)
@@ -100,7 +114,7 @@ def test_sparse_operator_matches_dense(p, seed):
     assert_allclose(sparse.apply(X), dense.apply(X), rtol=REL, atol=REL * norm_A * frob(X))
     assert_allclose(sparse.adjoint(y), dense.adjoint(y), rtol=REL,
                     atol=REL * norm_A * float(np.linalg.norm(y)))
-    assert sparse.max_col_norm2() == pytest.approx(dense.max_col_norm2(), rel=REL)
+    assert sparse.max_col_norm2 == pytest.approx(dense.max_col_norm2, rel=REL)
     # the rotated rows for a random block of Q, the empty one and all of Q
     Q = random_orthogonal(rng, p.n)
     for rows in (rng.random(p.n) < 0.5, np.zeros(p.n, bool), None):
@@ -184,6 +198,7 @@ def test_selection_rule():
         for m in (1, n, n * (n + 1) // 2):
             p = synth_known_solution(n=n, m=m, rank_x=1, seed=n + m).problem
             assert isinstance(p.operator, DenseOperator)
+            check_entries_agree(p)
     mats = np.zeros((2, 2, 2))
     mats[0, 0, 1] = mats[0, 1, 0] = mats[1, 0, 0] = mats[1, 1, 1] = 1.0
     assert isinstance(SdpProblem(np.eye(2), mats, np.ones(2)).operator, SparseOperator)

@@ -6,21 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
 
 from conic_alm.fixtures import maxcut_fixture
 from conic_alm.model import SdpProblem, SparseOperator, maxcut_instance, synth_known_solution
 from conic_alm.sdpa import SdpaFormatError, sdpa_read, sdpa_write
 from conic_alm.symcone import symmetrize
 
-from conftest import NONFINITE_SDPA, sparse_sdps
+from conftest import NONFINITE_SDPA, assert_same_problem, sparse_sdps
 from oracles import dense_sdpa_text
-
-
-def _assert_triplets_equal(p, q):
-    assert type(p.operator) is type(q.operator)
-    for a, b in zip(p.operator.triplets(), q.operator.triplets()):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def _assert_round_trip(p, path):
@@ -29,10 +22,7 @@ def _assert_round_trip(p, path):
     sdpa_write(p, path)
     assert path.read_bytes() == dense_sdpa_text(p).encode()
     q = sdpa_read(path)
-    assert np.array_equal(p.C, q.C)
-    _assert_triplets_equal(p, q)
-    assert np.array_equal(p.constraint_mats, q.constraint_mats)
-    assert np.array_equal(p.b, q.b)
+    assert_same_problem(p, q)
     assert q.name == p.name
 
 
@@ -147,11 +137,8 @@ def test_hand_written_file_matches_toy_constructor(tmp_path, toy):
     p = sdpa_read(path)
     # a comment that is not a problem header leaves the default name
     assert p.name == "sdpa"
-    assert_allclose(p.C, toy.problem.C)
-    assert_allclose(p.constraint_mats, toy.problem.constraint_mats)
-    assert_allclose(p.b, toy.problem.b)
-    # the explicit zeros are dropped, as a dense fill drops them
-    _assert_triplets_equal(p, toy.problem)
+    # the explicit zeros are dropped, as the stack entry drops them
+    assert_same_problem(p, toy.problem)
 
 
 def test_problem_name_round_trip(tmp_path, toy):
