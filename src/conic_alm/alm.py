@@ -8,7 +8,9 @@ factory, whose subproblem oracle returns value, gradient, Newton solve and
 multiplier step together, a bound on the distance to the subproblem
 minimizer, and the builder of its iteration record and residuals. Every
 subproblem is solved by damped (semismooth) Newton steps with the solve that
-the form's oracle returns.
+the form's oracle returns. A record keeps the arrays the loop built, marked
+read-only (the loop rebinds its iterates and never writes one), so no caller
+can leave its distances and residuals stale.
 
 The penalty sequence grows geometrically up to a finite cap, by default from
 r0 = 1 by x1.4 per outer iteration to 100. The loop's linear rate improves
@@ -35,7 +37,8 @@ from .inner import check_criterion_A, check_criterion_B, minimize_auglag
 # apply_A is unused here but stays a module attribute: perfbench's tracer
 # rebinds alm.apply_A by name
 from .model import (DualPoint, KnownSolutionInstance, apply_A, apply_Astar, check_array,
-                    check_dual_point, check_matrix, check_real, ineq_residuals, kkt_residuals)
+                    check_dual_point, check_matrix, check_real, ineq_residuals, kkt_residuals,
+                    read_only)
 from .symcone import dist_psd, frob, symmetrize
 
 # Below this threshold a certification target is considered unreachable in
@@ -101,7 +104,7 @@ class AlmConfig:
         return self.delta0 * self.decay ** k
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _OuterRecord:
     """Fields every form records for one accepted outer iteration."""
 
@@ -122,7 +125,7 @@ class _OuterRecord:
 
 
 # The iterate fields follow the defaulted dist_x, so they are keyword-only.
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, kw_only=True, eq=False)
 class IterationRecord(_OuterRecord):
     """One accepted outer iteration of an SDP-form run.
 
@@ -138,7 +141,7 @@ class IterationRecord(_OuterRecord):
     dist_w_before: float | None = None
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, kw_only=True, eq=False)
 class IneqIterationRecord(_OuterRecord):
     """One accepted outer iteration of an inequality-form run."""
 
@@ -146,7 +149,7 @@ class IneqIterationRecord(_OuterRecord):
     z: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)
 class AlmTrace:
     """Append-only run record for one solver invocation."""
 
@@ -213,7 +216,7 @@ def _sdp_record(p, oracle, X, w, dist_w_before, fields):
     distances that ``oracle``, when given, reports. The loop built X and w
     from checked data, so the residuals skip the input checks."""
     return IterationRecord(
-        X=X.copy(), y=w.y.copy(), Z=w.Z.copy(),
+        X=read_only(X), y=read_only(w.y), Z=read_only(w.Z),
         residuals=kkt_residuals(p, X, w, p_star=oracle.p_star if oracle else None,
                                 checked=True),
         dist_x=oracle.dist_primal(X) if oracle else None,
@@ -227,8 +230,8 @@ def solve_primal_alm(p, w0, cfg=None):
     ``p`` is an SdpProblem, or a KnownSolutionInstance whose certified
     solution fills in the distance-to-solution columns; X starts at 0.
     Terminates when the KKT residual eps3 drops below ``cfg.stop_eps3`` or
-    after ``cfg.max_outer`` iterations. ``w0`` is checked once and copied;
-    the copy is both the loop's start and ``trace.start_point``.
+    after ``cfg.max_outer`` iterations. ``w0`` is checked and copied once,
+    read-only; the copy is both the loop's start and ``trace.start_point``.
     """
     cfg = cfg or AlmConfig()
     oracle = p if isinstance(p, KnownSolutionInstance) else None
@@ -236,7 +239,7 @@ def solve_primal_alm(p, w0, cfg=None):
     w0 = check_dual_point(p, w0, "w0")
     if dist_psd(w0.Z, checked=True) > 1e-9 * (1.0 + frob(w0.Z)):
         raise ValueError("w0.Z must be positive semidefinite")
-    w0 = DualPoint(y=w0.y.copy(), Z=w0.Z.copy())
+    w0 = DualPoint(*read_only(np.array(w0.y), np.array(w0.Z)))
     trace = AlmTrace(form="primal", problem_name=p.name, config=cfg, start_point=w0)
 
     def record(X, w, w_new, fields):
@@ -260,7 +263,7 @@ def solve_dual_alm(p, X0, cfg=None):
     cfg = cfg or AlmConfig()
     oracle = p if isinstance(p, KnownSolutionInstance) else None
     p = oracle.problem if oracle else p
-    X0 = check_matrix(p, X0, "X0").copy()
+    X0 = read_only(np.array(check_matrix(p, X0, "X0")))
     if dist_psd(X0, checked=True) > 1e-9 * (1.0 + frob(X0)):
         raise ValueError("X0 must be positive semidefinite")
     scale = 2.0 * (1.0 + p.b_norm + p.C_norm)
@@ -275,7 +278,7 @@ def solve_dual_alm(p, X0, cfg=None):
 
     return _outer_loop(trace, cfg, p, auglag.dual_objective,
                        lambda yc: scale + 2.0 * float(np.linalg.norm(yc)),
-                       record, np.zeros(p.m), X0.copy())
+                       record, np.zeros(p.m), X0)
 
 
 def solve_ineq_alm(q, z0, cfg=None, x_star=None, f_star=None):
@@ -283,7 +286,7 @@ def solve_ineq_alm(q, z0, cfg=None, x_star=None, f_star=None):
     at 0. A known solution ``x_star`` and value ``f_star`` fill in the
     ``dist_x`` and ``cost_gap`` columns."""
     cfg = cfg or AlmConfig()
-    z = check_array("z0", z0, (q.n_constraints,)).copy()
+    z = read_only(np.array(check_array("z0", z0, (q.n_constraints,))))
     if not np.all(z >= 0):
         raise ValueError("z0 must be nonnegative")
     x_star = None if x_star is None else check_array("x_star", x_star, (q.dim,))
@@ -292,12 +295,12 @@ def solve_ineq_alm(q, z0, cfg=None, x_star=None, f_star=None):
 
     def record(x, z, z_new, fields):
         return IneqIterationRecord(
-            x=x.copy(), z=z_new.copy(),
+            x=read_only(x), z=read_only(z_new),
             residuals=ineq_residuals(q, x, z_new, f_star=f_star, checked=True),
             dist_x=float(np.linalg.norm(x - x_star)) if x_star is not None else None,
             **fields)
 
-    trace = AlmTrace(form="ineq", problem_name=q.name, config=cfg, start_point=z.copy())
+    trace = AlmTrace(form="ineq", problem_name=q.name, config=cfg, start_point=z)
     return _outer_loop(trace, cfg, q, auglag.ineq_objective,
                        lambda xc: scale + 2.0 * float(np.linalg.norm(xc)),
                        record, np.zeros(q.dim), z)

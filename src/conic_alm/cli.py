@@ -372,9 +372,10 @@ def build_parser():
     bench.add_argument("--form", choices=["primal", "dual", "ineq"], default="primal")
     bench.add_argument("--r-list", required=True, dest="r_list",
                        help="comma-separated penalty values, e.g. 1,5,10")
+    # a fixed-penalty sweep: its own growth and target, AlmConfig's cap and budget
     bench.add_argument("--r-growth", type=float, default=1.0, dest="r_growth")
-    bench.add_argument("--r-max", type=float, default=100.0, dest="r_max")
-    bench.add_argument("--max-outer", type=int, default=500, dest="max_outer")
+    bench.add_argument("--r-max", type=float, default=AlmConfig.r_max, dest="r_max")
+    bench.add_argument("--max-outer", type=int, default=AlmConfig.max_outer, dest="max_outer")
     bench.add_argument("--stop-eps3", type=float, default=1e-5, dest="stop_eps3")
     bench.add_argument("--out", default=".")
     return parser

@@ -52,7 +52,7 @@ class InnerSolveError(RuntimeError):
     """The subproblem produced non-finite values; diagnostics in the message."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InnerResult:
     """Outcome of one subproblem solve.
 

@@ -11,8 +11,9 @@ without an external solver.
 The validation boundary: data is checked where it enters a computation,
 at the constructors (``SdpProblem``, whose two entries share one builder,
 ``IneqProblem``, ``KnownSolutionInstance``; each stores read-only copies,
-never the caller's arrays), the ``solve_*`` drivers, the public functions
-of ``auglag``, ``kkt_residuals``, ``ineq_residuals`` and the CLI
+never the caller's arrays), the ``solve_*`` drivers (each keeps one
+read-only copy of its start), the public functions of ``auglag``,
+``kkt_residuals``, ``ineq_residuals`` and the CLI
 (``KnownSolutionInstance.dist_primal``/``dist_dual`` check shapes only).
 A check raises ``ValueError`` naming the argument (``X``, ``w.y``,
 ``w0.Z``, ``r``, ``p_star``, ...). A :class:`DualPoint` is a plain pair;
@@ -21,8 +22,10 @@ every entry point that takes one (``kkt_residuals``, ``eval_L_primal``,
 ``solve_primal_alm``) checks all of it with :func:`check_dual_point`.
 What the solvers build from checked data skips the checks: the oracles'
 multiplier steps and the dual record are plain pairs, and the outer loop's
-records call ``kkt_residuals(..., checked=True)`` and
-``ineq_residuals(..., checked=True)``.
+records, which keep the arrays the loop built and mark them read-only
+(:func:`read_only`), call ``kkt_residuals(..., checked=True)`` and
+``ineq_residuals(..., checked=True)``. A type that holds arrays compares
+and hashes by identity: an array has no single truth value.
 """
 
 import math
@@ -80,11 +83,11 @@ def check_dual_point(p, w, name="w"):
                      Z=check_matrix(p, w.Z, f"{name}.Z"))
 
 
-def _readonly(value):
-    """A read-only copy of ``value``, which no caller's buffer can change."""
-    value = np.array(value)
-    value.setflags(write=False)
-    return value
+def read_only(*arrays):
+    """Mark ``arrays`` read-only in place; returns them, or the one array."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays[0] if len(arrays) == 1 else arrays
 
 
 def _stack_triplets(mats):
@@ -244,7 +247,7 @@ class SparseOperator:
         return self.k, self.row, self.col, self.val
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class SdpProblem:
     """Standard-form SDP data: minimize <C, X> s.t. <A_i, X> = b_i, X PSD.
 
@@ -256,19 +259,19 @@ class SdpProblem:
     :class:`SparseOperator` over the nonzeros when the A_i have at most m n
     of them in all (max-cut has n), else a :class:`DenseOperator` over the
     stack scattered from them, ``constraint_mats``; on a sparse problem each
-    access to that builds a new stack, which the solvers never do. C, b, the
-    nonzeros or the stack, and the Gram matrix are read-only arrays that the
-    problem owns, never the caller's, so they cannot drift from ``b_norm``
-    and ``C_norm``, ||b|| and ||C||_F, which scale the residuals, the Newton
-    regularization and the diameter bounds.
+    access to that builds a new read-only stack, which the solvers never do.
+    C, b and the operator's arrays (the nonzeros or the stack, the Gram
+    matrix) are read-only and the problem's own, never the caller's, so they
+    cannot drift from ``b_norm`` and ``C_norm``, ||b|| and ||C||_F, which
+    scale the residuals, the Newton regularization and the diameter bounds.
     """
 
     C: np.ndarray
     b: np.ndarray
     name: str
-    operator: DenseOperator | SparseOperator = field(repr=False, compare=False)
-    b_norm: float = field(repr=False, compare=False)
-    C_norm: float = field(repr=False, compare=False)
+    operator: DenseOperator | SparseOperator = field(repr=False)
+    b_norm: float = field(repr=False)
+    C_norm: float = field(repr=False)
 
     def __init__(self, C, constraint_mats, b, name="sdp"):
         mats = np.asarray(constraint_mats, dtype=float)
@@ -291,9 +294,9 @@ class SdpProblem:
         return problem
 
     def _build(self, C, triplets, b, name):
-        C = check_symmetric(C, name="C")
+        C = np.array(check_symmetric(C, name="C"))
         n = C.shape[0]
-        b = np.asarray(b, dtype=float)
+        b = np.array(b, dtype=float)
         if b.ndim != 1 or b.size == 0:
             raise ValueError(f"b must be a nonempty vector, got shape {b.shape}")
         _check_finite("b", b)
@@ -325,18 +328,14 @@ class SdpProblem:
             raise ValueError(f"A_{int(k[np.argmax(bad)]) + 1} is not symmetric")
         if k.size <= m * n:
             operator = SparseOperator(m, n, k, row, col, val)
-            stored = (k, row, col, val)
         else:
             operator = DenseOperator(_scatter(m, n, k, row * n + col, val))
-            stored = (operator.mats,)
-        for a in stored + (operator.gram,):
-            a.setflags(write=False)
+        read_only(C, b, *(a for a in vars(operator).values() if isinstance(a, np.ndarray)))
         ev = np.linalg.eigvalsh(operator.gram)
         if ev[0] <= INDEPENDENCE_TOL * max(ev[-1], 1e-300):
             raise ValueError("constraint matrices are numerically linearly dependent")
-        for attr, value in (("C", _readonly(C)), ("b", _readonly(b)), ("name", name),
-                            ("operator", operator), ("b_norm", float(np.linalg.norm(b))),
-                            ("C_norm", frob(C))):
+        for attr, value in (("C", C), ("b", b), ("name", name), ("operator", operator),
+                            ("b_norm", float(np.linalg.norm(b))), ("C_norm", frob(C))):
             object.__setattr__(self, attr, value)
 
     @property
@@ -346,7 +345,7 @@ class SdpProblem:
         op = self.operator
         if isinstance(op, DenseOperator):
             return op.mats
-        return _scatter(self.m, self.n, op.k, op.pos, op.val)
+        return read_only(_scatter(self.m, self.n, op.k, op.pos, op.val))
 
     @property
     def n(self):
@@ -375,7 +374,7 @@ def apply_Astar(p, y):
     return p.operator.adjoint(y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualPoint:
     """Dual pair w = (y, Z) for the standard-form SDP; a plain pair, which
     the entry points that take one check with :func:`check_dual_point`."""
@@ -454,7 +453,7 @@ class CertificationError(ValueError):
     """A claimed optimal triple failed its KKT certification."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KnownSolutionInstance:
     """An SDP bundled with an optimal triple certified to satisfy KKT.
 
@@ -476,14 +475,14 @@ class KnownSolutionInstance:
     p_star: float
     primal_unique: bool = field(init=False)
     dual_unique: bool = field(init=False)
-    w_star: DualPoint = field(init=False, repr=False, compare=False)
+    w_star: DualPoint = field(init=False, repr=False)
 
     def __post_init__(self):
         p = self.problem
         for attr, value in (("x_star", check_matrix(p, self.x_star, "x_star")),
                             ("y_star", check_array("y_star", self.y_star, (p.m,))),
                             ("z_star", check_matrix(p, self.z_star, "z_star"))):
-            object.__setattr__(self, attr, _readonly(value))
+            object.__setattr__(self, attr, read_only(np.array(value)))
         object.__setattr__(self, "p_star", check_real("p_star", self.p_star))
         self.certify()
         object.__setattr__(self, "w_star", DualPoint(y=self.y_star, Z=self.z_star))
@@ -612,7 +611,7 @@ def maxcut_instance(weights, name="maxcut"):
     return SdpProblem.from_triplets(W, (diag, diag, diag, np.ones(n)), np.ones(n), name=name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IneqProblem:
     """Convex QP with affine inequalities: min 1/2 x'Qx + c'x + offset s.t. Gx + h <= 0.
 
@@ -635,16 +634,14 @@ class IneqProblem:
     h: np.ndarray
     offset: float = 0.0
     name: str = "ineq"
-    coupled: np.ndarray = field(init=False, repr=False, compare=False)
-    slack: np.ndarray = field(init=False, repr=False, compare=False)
+    coupled: np.ndarray = field(init=False, repr=False)
+    slack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        Q = check_symmetric(self.Q, name="Q")
+        Q = np.array(check_symmetric(self.Q, name="Q"))
         if np.linalg.eigvalsh(Q)[0] < -1e-9 * (1.0 + frob(Q)):
             raise ValueError("Q must be positive semidefinite")
-        c = np.asarray(self.c, dtype=float)
-        G = np.asarray(self.G, dtype=float)
-        h = np.asarray(self.h, dtype=float)
+        c, G, h = (np.array(a, dtype=float) for a in (self.c, self.G, self.h))
         if c.shape != (Q.shape[0],) or G.ndim != 2 or G.shape[1] != c.shape[0] \
                 or h.shape != (G.shape[0],):
             raise ValueError("inconsistent dimensions in IneqProblem")
@@ -656,7 +653,7 @@ class IneqProblem:
         slack = free & ~np.any(nonzero[shared], axis=0)
         for attr, value in (("Q", Q), ("c", c), ("G", G), ("h", h),
                             ("coupled", np.flatnonzero(~slack)), ("slack", np.flatnonzero(slack))):
-            object.__setattr__(self, attr, _readonly(value))
+            object.__setattr__(self, attr, read_only(value))
         object.__setattr__(self, "offset", check_real("offset", self.offset))
 
     @property

@@ -177,7 +177,7 @@ def penalty_subgrad(X, rho):
     return symmetrize(-rho * np.outer(p, p))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FaceBasis:
     """Orthonormal split [p1 p2] induced by a PSD matrix Zbar.
 

@@ -11,12 +11,12 @@ and cone-constrained problems above the trace threshold.
 
 Verifiers report counts and extremal ratios instead of asserting; tests and
 the command line decide what counts as failure. All sampling is seeded and
-needs samples >= 1. The quadratic growth and error bound verifiers perturb
-the solution by noise of scale ball_radius / 3 (the error bound verifier
-rescales it so that its root-mean-square norm is 3/4 of ball_radius at every
-dimension), keep the points within ball_radius > 0 of it, and give up with a
-ValueError after 100 draws per requested sample, or after 2000 draws when
-none has landed.
+needs an integer samples >= 1 (and probes, in the preimage check). The
+quadratic growth and error bound verifiers perturb the solution by noise of
+scale ball_radius / 3 (the error bound verifier rescales it so that its
+root-mean-square norm is 3/4 of ball_radius at every dimension), keep the
+points within ball_radius > 0 of it, and give up with a ValueError after 100
+draws per requested sample, or after 2000 draws when none has landed.
 
 The samplers evaluate blocks of at most 256 points (of probes, for the
 preimage check) with the stacked kernels of :mod:`symcone` and
@@ -108,9 +108,13 @@ def _ratio_report(lhs_list, dist2_list, params, violated=None):
                         params=params)
 
 
-def _check_samples(samples):
+def _check_samples(samples, name="samples"):
+    """Raise, naming ``name``, unless ``samples`` is an integer >= 1; a bool
+    is not taken for one."""
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {samples!r}")
     if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+        raise ValueError(f"{name} must be at least 1, got {samples}")
 
 
 def _check_finite(**params):
@@ -179,7 +183,7 @@ def verify_qg_primal(inst, gamma=None, ball_radius=1.0, samples=2000,
     indicator objective the samples are additionally projected onto the PSD
     cone (the inequality is vacuous off the cone); with ``use_penalty`` the
     objective gains rho * max(0, lambda_max(-X)) and rho must exceed
-    tr(z_star).
+    tr(z_star); a rho without ``use_penalty`` is rejected.
     """
     p = inst.problem
     if not inst.primal_unique:
@@ -191,6 +195,8 @@ def verify_qg_primal(inst, gamma=None, ball_radius=1.0, samples=2000,
         gamma = _default_gamma(inst)
     if use_penalty:
         _check_above_trace("rho", rho, inst.z_star, "z_star")
+    elif rho is not None:
+        raise ValueError(f"rho = {rho!r} is used only with use_penalty=True")
 
     def draw(rng, sigma, count):
         X = inst.x_star + _sym_noise(rng, p.n, sigma, count)
@@ -253,7 +259,8 @@ def verify_qg_dual(inst, gamma=None, ball_radius=1.0, samples=2000,
     gamma ||C - A*(y) - Z|| >= kappa dist((y, Z), solution)^2 on
     perturbations corrected onto the dual affine set, with Z projected onto
     the cone in the indicator variant. ``use_penalty`` takes h(Z) =
-    rho max(0, lambda_max(-Z)) and requires rho > tr(x_star).
+    rho max(0, lambda_max(-Z)) and requires rho > tr(x_star); a rho without
+    it is rejected.
 
     With ``y_grid`` the check runs on the affine slice Z = C - A*(y) over the
     given grid of y values (outer product of the grid with itself for m = 2);
@@ -270,6 +277,8 @@ def verify_qg_dual(inst, gamma=None, ball_radius=1.0, samples=2000,
         gamma = 2.0 * (1.0 + float(np.linalg.norm(inst.y_star)) + frob(inst.z_star))
     if use_penalty:
         _check_above_trace("rho", rho, inst.x_star, "x_star")
+    elif rho is not None:
+        raise ValueError(f"rho = {rho!r} is used only with use_penalty=True")
 
     def dual_value(y, Z):
         value = -rowdot(p.b, y)
@@ -379,8 +388,7 @@ def verify_penalty_preimage(zbar, rho, samples=50, probes=100, seed=0):
     zbar = check_symmetric(zbar, name="zbar")
     _check_above_trace("rho", rho, zbar, "zbar")
     _check_samples(samples)
-    if probes < 1:
-        raise ValueError(f"probes must be at least 1, got {probes}")
+    _check_samples(probes, "probes")
     n = zbar.shape[0]
     face = face_basis(zbar)
     rng = np.random.default_rng(seed)

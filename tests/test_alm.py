@@ -1,6 +1,7 @@
 """Outer drivers: convergence, structural identities, the proximal
 correspondence, and rate fitting."""
 
+import copy
 import dataclasses
 import re
 
@@ -16,7 +17,7 @@ from conic_alm.fixtures import load_builtin
 from conic_alm.inner import minimize_auglag
 from conic_alm.model import (DualPoint, SdpProblem, SparseOperator, apply_A, apply_Astar,
                              maxcut_instance, svm_instance, synth_known_solution, zero_dual)
-from conic_alm.symcone import dist_psd, frob, inner, project_psd, symmetrize
+from conic_alm.symcone import dist_psd, face_basis, frob, inner, project_psd, symmetrize
 
 from conftest import random_sym
 
@@ -301,6 +302,89 @@ class TestAllForms:
             assert rec.step_norm == pytest.approx(np.linalg.norm(w - w_prev), rel=1e-12)
             w_prev = w
         assert all(rec.certified for rec in trace.records[:5])
+
+
+def array_holders(toy):
+    """One object of each type that holds arrays, by type name."""
+    p, q = toy.problem, load_builtin("lasso-random")
+    primal = solve_primal_alm(toy, zero_dual(p), AlmConfig(max_outer=2))
+    ineq = solve_ineq_alm(q, np.zeros(q.n_constraints), AlmConfig(max_outer=2))
+    objects = [p, zero_dual(p), toy, q, primal, primal.final, ineq.final,
+               alm._OuterRecord(k=0, r=1.0, eps_k=1.0, delta_k=0.5, inner_iterations=0,
+                                gap_certificate=0.0, certified=True, step_norm=0.0,
+                                residuals=primal.final.residuals),
+               minimize_auglag(primal_objective(p, zero_dual(p), 1.0), np.zeros((2, 2)), 1e-8,
+                               diameter_bound=10.0),
+               face_basis(toy.z_star)]
+    return {type(obj).__name__: obj for obj in objects}
+
+
+ARRAY_HOLDERS = ["SdpProblem", "DualPoint", "KnownSolutionInstance", "IneqProblem",
+                 "AlmTrace", "IterationRecord", "IneqIterationRecord", "_OuterRecord",
+                 "InnerResult", "FaceBasis"]
+
+
+class TestOwnedArrays:
+    @pytest.mark.parametrize("name", ARRAY_HOLDERS)
+    def test_compares_and_hashes_by_identity(self, toy, name):
+        # a generated == would compare the arrays, which have no single truth
+        # value, and a generated hash would hash them
+        a = array_holders(toy)[name]
+        b = copy.copy(a)
+        assert a == a and a != b
+        assert hash(a) == hash(a) and a in [b, a]
+
+    @staticmethod
+    def arrays(point):
+        """The arrays of a record, a DualPoint or a start point."""
+        if isinstance(point, np.ndarray):
+            return [point]
+        return [v for v in vars(point).values() if isinstance(v, np.ndarray)]
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_records_and_start_point_are_read_only(self, form):
+        solve, problem, start = form_run(form)
+        trace = solve(problem, start, AlmConfig(max_outer=3))
+        held = [a for rec in trace.records for a in self.arrays(rec)]
+        assert len(held) == len(trace.records) * (2 if form == "ineq" else 3)
+        for a in held + self.arrays(trace.start_point):
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = 1.0
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_records_keep_the_arrays_the_loop_built(self, form, monkeypatch):
+        # the record holds its solve's minimizer and multiplier step, not copies
+        results = []
+
+        def capture(*args, **kwargs):
+            results.append(minimize_auglag(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(alm, "minimize_auglag", capture)
+        solve, problem, start = form_run(form)
+        trace = solve(problem, start, AlmConfig(max_outer=3))
+        assert len(results) == len(trace.records) == 3
+        for rec, result in zip(trace.records, results):
+            x, w, _ = result.update
+            assert x is result.minimizer
+            if form == "primal":
+                assert rec.X is x and rec.y is w.y and rec.Z is w.Z
+            elif form == "dual":
+                assert rec.y is x and rec.X is w
+            else:
+                assert rec.x is x and rec.z is w
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_start_point_is_a_copy_of_the_callers(self, form):
+        # the caller's start, changed after the call, leaves start_point as it was
+        solve, problem, start = form_run(form)
+        trace = solve(problem, start, AlmConfig(max_outer=1))
+        before = [a.copy() for a in self.arrays(trace.start_point)]
+        for a in self.arrays(start):
+            a += 1.0
+        after = self.arrays(trace.start_point)
+        assert all(np.array_equal(x, y) for x, y in zip(before, after))
+        assert not any(np.shares_memory(x, y) for x in self.arrays(start) for y in after)
 
 
 ONE_SOLVE_RUNS = [("svm-random", "ineq"), ("maxcut-g1-20", "primal"),

@@ -157,6 +157,14 @@ class TestInputErrors:
         args = cli.build_parser().parse_args(["solve", "--builtin", "example-d1"])
         assert cli._config_from_args(args) == AlmConfig()
 
+    def test_bench_defaults_follow_config(self):
+        # the penalty cap and outer budget are AlmConfig's; the growth and
+        # the target are bench's own, for a fixed-penalty sweep
+        args = cli.build_parser().parse_args(["bench", "--builtin", "example-d1",
+                                              "--r-list", "1"])
+        assert (args.r_max, args.max_outer) == (AlmConfig().r_max, AlmConfig().max_outer)
+        assert (args.r_growth, args.stop_eps3) == (1.0, 1e-5)
+
     @pytest.mark.parametrize("argv,names", [
         pytest.param(["solve", "--builtin", "example-d1", "--r0", "-1"], "r0", id="r0"),
         pytest.param(["solve", "--builtin", "example-d1", "--max-outer", "0"], "max_outer",
@@ -188,6 +196,11 @@ class TestInputErrors:
                      id="mu"),
         pytest.param(["verify", "qg-dual", "--builtin", "example-d1", "--penalty", "--rho", "1"],
                      "rho", id="rho"),
+        # without --penalty, --rho would be ignored yet reported
+        pytest.param(["verify", "qg-primal", "--builtin", "example-d1", "--rho", "5"],
+                     "rho = 5.0 is used only with use_penalty=True", id="qg-primal-rho-alone"),
+        pytest.param(["verify", "qg-dual", "--builtin", "example-d1", "--rho", "5"],
+                     "rho = 5.0 is used only with use_penalty=True", id="qg-dual-rho-alone"),
         # --rho 0 reaches the verifiers instead of falling back to the default
         pytest.param(["verify", "no-sharp-growth", "--rho", "0"], "rho",
                      id="no-sharp-growth-rho-0"),

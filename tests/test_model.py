@@ -96,12 +96,14 @@ class TestSdpProblem:
     ], ids=["sparse", "dense"])
     def test_keeps_read_only_copies(self, mats):
         # the caller's arrays, changed after construction, change nothing
-        # that the problem stores, and the stored arrays reject writes
+        # that the problem stores, and the stored arrays reject writes, as
+        # does the stack that a sparse problem's constraint_mats builds
         C, mats, b = np.array([[2.0, 1.0], [1.0, 3.0]]), np.array(mats), np.array([1.0, 2.0])
         p = SdpProblem(C, mats, b)
         op = p.operator
         dense = isinstance(op, DenseOperator)
-        stored = [p.C, p.b, op.gram] + ([op.mats] if dense else list(op.triplets()))
+        stored = [p.C, p.b, op.gram, p.constraint_mats] + (
+            [op.mats] if dense else list(op.triplets()))
         before = [a.copy() for a in stored] + [p.b_norm, p.C_norm, op.max_col_norm2]
         for a in (C, mats, b):
             a += 1.0

@@ -1,6 +1,8 @@
 """Property verifiers: positive checks on certified data plus a negative
 control for each (hypothesis violated => detectable failure)."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -297,6 +299,43 @@ class TestArgumentChecks:
                                 penalty_rho=value)
         with pytest.raises(ValueError, match="mu must be finite"):
             verify_growth_lemma(toy.x_star, toy.z_star, mu=value, samples=50)
+
+    @pytest.mark.parametrize("run", [
+        lambda inst: verify_qg_primal(inst, rho=5.0, samples=10),
+        lambda inst: verify_qg_dual(inst, rho=5.0, samples=10),
+        lambda inst: verify_qg_dual(inst, rho=5.0, y_grid=GRIDS["fig-d1"]),
+    ], ids=["qg-primal", "qg-dual", "qg-dual-grid"])
+    def test_rejects_rho_without_penalty(self, toy, run):
+        # rho would be ignored, yet reported in params
+        with pytest.raises(ValueError, match=r"rho = 5\.0 is used only with use_penalty=True"):
+            run(toy)
+
+    # each sampler's count argument, and a call at a given count
+    COUNTS = {
+        "qg-primal": ("samples", lambda inst, v: verify_qg_primal(inst, samples=v)),
+        "eb-primal": ("samples", lambda inst, v: verify_eb_primal(inst, samples=v)),
+        "qg-dual": ("samples", lambda inst, v: verify_qg_dual(inst, samples=v)),
+        "growth-lemma": ("samples", lambda inst, v: verify_growth_lemma(
+            inst.x_star, inst.z_star, mu=1.0, samples=v)),
+        "trace-bound": ("samples", lambda inst, v: check_trace_bound(samples=v)),
+        "penalty-preimage": ("samples", lambda inst, v: verify_penalty_preimage(
+            inst.z_star, 4.0, samples=v, probes=1)),
+        "penalty-preimage-probes": ("probes", lambda inst, v: verify_penalty_preimage(
+            inst.z_star, 4.0, samples=1, probes=v)),
+    }
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, None, "2"])
+    @pytest.mark.parametrize("name", sorted(COUNTS))
+    def test_rejects_non_integer_count(self, toy, name, value):
+        # as AlmConfig does: a bool is no count, nor is a float of integer value
+        param, run = self.COUNTS[name]
+        with pytest.raises(ValueError, match=rf"^{param} must be an integer, got "
+                                             rf"{re.escape(repr(value))}$"):
+            run(toy, value)
+
+    @pytest.mark.parametrize("name", sorted(COUNTS))
+    def test_accepts_numpy_integer_count(self, toy, name):
+        self.COUNTS[name][1](toy, np.int64(1))
 
     # each verifier with an exact penalty: its parameter, the matrix whose
     # trace is the threshold, and a call at a given penalty
