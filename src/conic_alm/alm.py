@@ -10,7 +10,8 @@ minimizer, and the builder of its iteration record and residuals. Every
 subproblem is solved by damped (semismooth) Newton steps with the solve that
 the form's oracle returns. A record keeps the arrays the loop built, marked
 read-only (the loop rebinds its iterates and never writes one), so no caller
-can leave its distances and residuals stale.
+can leave its distances and residuals stale. Its KKT residuals take the
+cone residual of the loop's PSD projection (Z primal, X dual) as 0.
 
 The penalty sequence grows geometrically up to a finite cap, by default from
 r0 = 1 by x1.4 per outer iteration to 100. The loop's linear rate improves
@@ -211,14 +212,14 @@ def _outer_loop(trace, cfg, p, objective, diameter_of, record, x, w):
     return trace
 
 
-def _sdp_record(p, oracle, X, w, dist_w_before, fields):
+def _sdp_record(p, oracle, X, w, dist_w_before, fields, projected):
     """IterationRecord of the SDP iterate (X, w), with KKT residuals and the
     distances that ``oracle``, when given, reports. The loop built X and w
-    from checked data, so the residuals skip the input checks."""
+    from checked data, and the matrix ``projected`` as a PSD projection."""
     return IterationRecord(
         X=read_only(X), y=read_only(w.y), Z=read_only(w.Z),
         residuals=kkt_residuals(p, X, w, p_star=oracle.p_star if oracle else None,
-                                checked=True),
+                                projected=projected),
         dist_x=oracle.dist_primal(X) if oracle else None,
         dist_w=oracle.dist_dual(w) if oracle else None,
         dist_w_before=dist_w_before, **fields)
@@ -246,7 +247,7 @@ def solve_primal_alm(p, w0, cfg=None):
         # w is the last record's multiplier, or w0
         before = trace.records[-1].dist_w if trace.records else (
             oracle.dist_dual(w) if oracle else None)
-        return _sdp_record(p, oracle, X, w_new, before, fields)
+        return _sdp_record(p, oracle, X, w_new, before, fields, "Z")
 
     return _outer_loop(trace, cfg, p, auglag.primal_objective,
                        lambda Xc: auglag.default_diameter(p, Xc), record,
@@ -274,7 +275,7 @@ def solve_dual_alm(p, X0, cfg=None):
         # X is the last record's multiplier, or X0
         before = trace.records[-1].dist_x if trace.records else (
             oracle.dist_primal(X) if oracle else None)
-        return _sdp_record(p, oracle, X_new, w, before, fields)
+        return _sdp_record(p, oracle, X_new, w, before, fields, "X")
 
     return _outer_loop(trace, cfg, p, auglag.dual_objective,
                        lambda yc: scale + 2.0 * float(np.linalg.norm(yc)),

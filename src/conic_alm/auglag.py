@@ -59,8 +59,12 @@ Only the public functions (``eval_L_*``, ``grad_L_*``,
 ``dual_gap_lower_bound``) check their input against the problem, a dual
 point w through ``model.check_dual_point``; the oracles and the multiplier
 steps that ``update()`` builds, plain pairs, trust the arrays the inner
-solver hands them (see ``model``).
+solver hands them (see ``model``). The oracles and the Newton solves, run
+at every step, use numpy alone: (M + M') / 2, sqrt(g . g), ``.sum()`` and
+``lam.searchsorted``, not the validating ``symcone`` helpers.
 """
+
+import math
 
 import numpy as np
 
@@ -104,13 +108,14 @@ def primal_objective(p, w, r):
         pos = np.maximum(lam, 0.0)
         # the GEMM rounds P off symmetry; the multiplier Z = P of update()
         # must be exactly symmetric, as check_dual_point requires
-        P = symmetrize((Q * pos) @ Q.T)
+        P = (Q * pos) @ Q.T
+        P = (P + P.T) / 2.0
         val = float(c @ X.ravel()) + (float(u @ u) + float(pos @ pos) - offset) / (2.0 * r)
         grad = C - adjoint(u) - P
 
         def update():
-            return X, DualPoint(y=u, Z=P), float(
-                np.sqrt(np.sum((u - y) ** 2) + np.sum((P - Z) ** 2)))
+            return X, DualPoint(y=u, Z=P), math.sqrt(((u - y) ** 2).sum()
+                                                     + ((P - Z) ** 2).sum())
 
         return val, grad, lambda G: newton(p, r, _lm_rho(r, ridge, scale, G), lam, Q, G), update
 
@@ -173,7 +178,7 @@ def dual_objective(p, X, r):
 def _dual_solve(p, r, lam, Q, g):
     """Solve (r R diag(vec Omega) R' + ridge I) d = g; Omega vanishes off the
     rows and columns of {lam > 0}, a tail slice since eigh sorts lam."""
-    tail = slice(np.searchsorted(lam, 0.0, side="right"), None)
+    tail = slice(lam.searchsorted(0.0, side="right"), None)
     return _ridged_solve(r * _block_gram(p.operator, Q, tail, _omega(lam)), g)
 
 
@@ -221,7 +226,7 @@ def _omega(lam):
     H -> Q (Omega o Q'HQ) Q' is an element of the generalized Jacobian of
     proj_psd at M.
     """
-    s = np.searchsorted(lam, 0.0, side="right")
+    s = lam.searchsorted(0.0, side="right")
     omega = np.zeros((lam.shape[0], lam.shape[0]))
     omega[s:, s:] = 1.0
     mixed = lam[s:] / (lam[s:] - lam[:s, None])
@@ -249,7 +254,7 @@ def _lm_rho(r, ridge, scale, G):
     ridge of the other forms with max |diag H| bounded by
     r (1 + max_j ||A e_j||^2).
     """
-    return max(r * min(1.0, frob(G) / scale) ** 2, ridge)
+    return max(r * min(1.0, math.sqrt(np.vdot(G, G)) / scale) ** 2, ridge)
 
 
 def _primal_solve_direct(p, r, rho, lam, Q, G):
@@ -289,7 +294,7 @@ def _primal_solve_block(p, r, rho, lam, Q, G):
     """
     op = p.operator
     F = r * _omega(lam) + rho
-    head = slice(0, np.searchsorted(lam, 0.0, side="right"))
+    head = slice(0, lam.searchsorted(0.0, side="right"))
     K = np.eye(p.m) / r + op.gram / (r + rho) + _block_gram(
         op, Q, head, 1.0 / F - 1.0 / (r + rho))
     R, R_t = op.rotation(Q)
@@ -311,7 +316,8 @@ def _primal_solve_block(p, r, rho, lam, Q, G):
 def _unrotate(Q, D_rot):
     # the exact D is symmetric; dividing by a small rho amplifies the
     # rounding of the rotated stack into a visible antisymmetric part
-    return symmetrize(Q @ D_rot @ Q.T)
+    D = Q @ D_rot @ Q.T
+    return (D + D.T) / 2.0
 
 
 def _dual_at(p, y, X, r):

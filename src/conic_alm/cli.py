@@ -223,6 +223,9 @@ def _run_verifier(name, args):
                                           use_penalty=args.penalty,
                                           rho=args.rho, **kwargs)
         elif name == "eb-primal":
+            if args.penalty or args.rho is not None:
+                raise InputError("eb-primal has no penalty variant: --penalty and --rho "
+                                 "do not apply")
             rep = theory.verify_eb_primal(inst, gamma=args.gamma,
                                           alpha=args.alpha, **kwargs)
         else:
@@ -297,24 +300,19 @@ def cmd_bench(args):
     traces = {r0: _run_solver(instance, args.form, cfg) for r0, cfg in configs.items()}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    all_ok = True
     for r0, trace in traces.items():
         write_trace_csv(trace, out / f"trace-r{_fmt(r0)}.csv")
-        all_ok = all_ok and trace.converged
     n_rows = max(len(t.records) for t in traces.values())
     header = ["k"] + [f"eps3_r{_fmt(r0)}" for r0 in r_values]
     lines = [f"# {TRACE_SCHEMA} comparison", ",".join(header)]
     for k in range(n_rows):
-        row = [str(k)]
-        for r0 in r_values:
-            recs = traces[r0].records
-            row.append(_fmt(recs[k].residuals.eps3) if k < len(recs) else "")
-        lines.append(",".join(row))
+        lines.append(",".join([str(k)] + [_fmt(t.records[k].residuals.eps3)
+                                          if k < len(t.records) else "" for t in traces.values()]))
     (out / "comparison.csv").write_text("\n".join(lines) + "\n")
     for r0 in r_values:
         t = traces[r0]
         print(f"r0={r0:g}: {len(t.records)} iterations, eps3={t.final.residuals.eps3:.3e}")
-    return EXIT_OK if all_ok else EXIT_NOT_CONVERGED
+    return EXIT_OK if all(t.converged for t in traces.values()) else EXIT_NOT_CONVERGED
 
 
 def _add_instance_args(sub):

@@ -43,6 +43,7 @@ the rounding noise there (on the C3 study they left ||g|| between 1e-15 and
 window spent 91 % of the study's Newton steps on such solves).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +73,7 @@ class InnerResult:
 
 
 def _norm(v):
-    return float(np.sqrt(np.vdot(v, v).real))
+    return math.sqrt(np.vdot(v, v))
 
 
 def minimize_auglag(oracle, start, tol, max_iter=10000, diameter_bound=None, accept=None):
@@ -97,7 +98,7 @@ def minimize_auglag(oracle, start, tol, max_iter=10000, diameter_bound=None, acc
         raise ValueError("diameter_bound must be positive and finite")
     x = np.array(start, dtype=float)
     fx, g, solve, update = oracle(x)
-    if not np.isfinite(fx) or not np.all(np.isfinite(g)):
+    if not math.isfinite(fx) or not np.isfinite(g).all():
         raise InnerSolveError(f"objective returned non-finite values at the start point "
                               f"(value={fx!r})")
     # iterates are rebound, never written in place, so best holds x uncopied
@@ -134,8 +135,8 @@ def minimize_auglag(oracle, start, tol, max_iter=10000, diameter_bound=None, acc
             if since_descent > 2:
                 break
         d = solve(g)
-        gd = float(np.vdot(g, d).real)
-        if not (gd > 0 and np.isfinite(gd)):
+        gd = float(np.vdot(g, d))
+        if not (gd > 0 and math.isfinite(gd)):
             # no descent direction: the search cannot move x
             break
         f_cap = fx + 1e-14 * (1.0 + abs(fx))
@@ -143,7 +144,7 @@ def minimize_auglag(oracle, start, tol, max_iter=10000, diameter_bound=None, acc
         while True:
             x_new = x - t * d
             f_new, g_new, solve_new, update_new = oracle(x_new)
-            finite = np.isfinite(f_new)
+            finite = math.isfinite(f_new)
             # value floor: a step that moves the value by less than its
             # rounding is accepted when it cuts ||g||
             floor_move = finite and f_new <= f_cap and _norm(g_new) <= (1.0 - 1e-4) * gn
@@ -151,7 +152,7 @@ def minimize_auglag(oracle, start, tol, max_iter=10000, diameter_bound=None, acc
                 break
             t *= 0.5
             backtracks += 1
-        if not np.isfinite(f_new) or not np.all(np.isfinite(g_new)):
+        if not finite or not np.isfinite(g_new).all():
             raise InnerSolveError(f"objective returned non-finite values at iteration {it} "
                                   f"(value={f_new!r})")
         if (f_new > fx and not floor_move) or x_new.tobytes() == x.tobytes():

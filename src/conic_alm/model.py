@@ -23,9 +23,11 @@ every entry point that takes one (``kkt_residuals``, ``eval_L_primal``,
 What the solvers build from checked data skips the checks: the oracles'
 multiplier steps and the dual record are plain pairs, and the outer loop's
 records, which keep the arrays the loop built and mark them read-only
-(:func:`read_only`), call ``kkt_residuals(..., checked=True)`` and
-``ineq_residuals(..., checked=True)``. A type that holds arrays compares
-and hashes by identity: an array has no single truth value.
+(:func:`read_only`), call ``ineq_residuals(..., checked=True)`` and
+``kkt_residuals(..., projected="Z")`` (primal) or ``projected="X"`` (dual),
+naming the matrix built as a PSD projection, whose cone residual is 0. A
+type that holds arrays compares and hashes by identity: an array has no
+single truth value.
 """
 
 import math
@@ -314,16 +316,21 @@ class SdpProblem:
             raise ValueError("triplets k, row, col and val must have the same length")
         if not np.all(np.isfinite(val)):
             raise ValueError(f"A_{k[np.argmin(np.isfinite(val))] + 1} contains non-finite entries")
-        # sorted with the zeros, so that a repeated zero entry is caught
+        # sorted with the zeros, so that a repeated zero entry is caught; a
+        # strictly increasing key, as a stack's, is sorted and has no repeat
         key = (k * n + row) * n + col
-        order = np.argsort(key, kind="stable")
-        if np.any(np.diff(key[order]) == 0):
-            raise ValueError("duplicate entry in the constraint triplets")
-        order = order[val[order] != 0.0]
-        k, row, col, val, key = k[order], row[order], col[order], val[order], key[order]
+        if not np.all(key[1:] > key[:-1]):
+            order = np.argsort(key, kind="stable")
+            if np.any(np.diff(key[order]) == 0):
+                raise ValueError("duplicate entry in the constraint triplets")
+            k, row, col, val, key = k[order], row[order], col[order], val[order], key[order]
+        nonzero = val != 0.0
+        if not nonzero.all():
+            k, row, col, val, key = (a[nonzero] for a in (k, row, col, val, key))
         # symmetric iff the mirrored entries, sorted the same way, match
-        mirror = np.argsort((k * n + col) * n + row, kind="stable")
-        bad = (key != (k[mirror] * n + col[mirror]) * n + row[mirror]) | (val != val[mirror])
+        mirror_key = (k * n + col) * n + row
+        mirror = np.argsort(mirror_key, kind="stable")
+        bad = (key != mirror_key[mirror]) | (val != val[mirror])
         if np.any(bad):
             raise ValueError(f"A_{int(k[np.argmax(bad)]) + 1} is not symmetric")
         if k.size <= m * n:
@@ -418,29 +425,35 @@ class ResidualSet:
         return max(self.eta1, self.eta2, self.eta3, self.eta4, self.eta5)
 
 
-def kkt_residuals(p, X, w, p_star=None, *, checked=False):
+def kkt_residuals(p, X, w, p_star=None, *, projected=None):
     """Relative KKT residuals of (X, y, Z) for problem p.
 
     eta1: affine feasibility, eta2: X cone feasibility, eta3: dual affine
     feasibility, eta4: Z cone feasibility, eta5: duality gap. ``p_star`` is
     the primal and the dual optimal value alike. X, w and p_star are
-    validated here; ``checked`` says that all of them already were, as for
-    the iterates of the outer loop, and skips the checks.
+    validated here. ``projected`` ("X" or "Z") says that they already were
+    and that the matrix it names is a PSD projection by construction, as in
+    the outer loop's records (Z primal, X dual): its cone residual, which
+    could only measure rounding, is 0.0, and one eigvalsh call gives the other.
     """
-    if not checked:
+    if projected is None:
         X = check_matrix(p, X, "X")
         w = check_dual_point(p, w)
         p_star = None if p_star is None else check_real("p_star", p_star)
+        # LAPACK runs per matrix of a stack: each distance has its own call's bits
+        dist_x, dist_z = dist_psd(np.stack((X, w.Z)), checked=True).tolist()
+    elif projected in ("X", "Z"):
+        dist = dist_psd(w.Z if projected == "X" else X, checked=True)
+        dist_x, dist_z = (0.0, dist) if projected == "X" else (dist, 0.0)
+    else:
+        raise ValueError(f"projected must be None, 'X' or 'Z', got {projected!r}")
     y, Z = w.y, w.Z
-    cx = inner(p.C, X)
-    by = float(p.b @ y)
-    eta1 = float(np.linalg.norm(p.operator.apply(X) - p.b)) / (1.0 + p.b_norm)
-    # one eigvalsh call over the stack; LAPACK runs per matrix, so each
-    # distance has the bits of its own call
-    dist_x, dist_z = dist_psd(np.stack((X, Z)), checked=True)
-    eta2 = float(dist_x) / (1.0 + frob(X))
-    eta3 = frob(p.C - p.operator.adjoint(y) - Z) / (1.0 + p.C_norm)
-    eta4 = float(dist_z) / (1.0 + frob(Z))
+    primal, dual = p.operator.apply(X) - p.b, p.C - p.operator.adjoint(y) - Z
+    cx, by = float(np.vdot(p.C, X)), float(p.b @ y)
+    eta1 = math.sqrt(np.vdot(primal, primal)) / (1.0 + p.b_norm)
+    eta2 = dist_x / (1.0 + math.sqrt(np.vdot(X, X)))
+    eta3 = math.sqrt(np.vdot(dual, dual)) / (1.0 + p.C_norm)
+    eta4 = dist_z / (1.0 + math.sqrt(np.vdot(Z, Z)))
     gap_scale = 1.0 + (abs(p_star) if p_star is not None else abs(by))
     eta5 = abs(cx - by) / gap_scale
     eps1 = abs(cx - p_star) / (1.0 + abs(p_star)) if p_star is not None else None
@@ -733,12 +746,8 @@ def svm_instance(A, labels, lam, name="svm"):
     Q = np.zeros((d + m, d + m))
     Q[:d, :d] = np.eye(d)
     c = np.concatenate([np.zeros(d), lam * np.ones(m)])
-    G = np.zeros((2 * m, d + m))
-    h = np.zeros(2 * m)
-    G[:m, :d] = labels[:, None] * A
-    G[:m, d:] = -np.eye(m)
-    h[:m] = 1.0
-    G[m:, d:] = -np.eye(m)
+    G = np.block([[labels[:, None] * A, -np.eye(m)], [np.zeros((m, d)), -np.eye(m)]])
+    h = np.concatenate([np.ones(m), np.zeros(m)])
     return IneqProblem(Q=Q, c=c, G=G, h=h, name=name)
 
 
@@ -756,10 +765,5 @@ def lasso_instance(A, b, lam, name="lasso"):
     Q = np.zeros((2 * n, 2 * n))
     Q[:n, :n] = symmetrize(A.T @ A)
     c = np.concatenate([-A.T @ b, lam * np.ones(n)])
-    G = np.zeros((2 * n, 2 * n))
-    G[:n, :n] = np.eye(n)
-    G[:n, n:] = -np.eye(n)
-    G[n:, :n] = -np.eye(n)
-    G[n:, n:] = -np.eye(n)
-    h = np.zeros(2 * n)
-    return IneqProblem(Q=Q, c=c, G=G, h=h, offset=0.5 * float(b @ b), name=name)
+    G = np.block([[np.eye(n), -np.eye(n)], [-np.eye(n), -np.eye(n)]])
+    return IneqProblem(Q=Q, c=c, G=G, h=np.zeros(2 * n), offset=0.5 * float(b @ b), name=name)

@@ -265,8 +265,8 @@ def verify_qg_dual(inst, gamma=None, ball_radius=1.0, samples=2000,
     With ``y_grid`` the check runs on the affine slice Z = C - A*(y) over the
     given grid of y values (outer product of the grid with itself for m = 2);
     on the slice the pair is determined by y, so the distance is measured in
-    y alone. This is the regime of the penalized-dual growth plot for the
-    2x2 toy instance.
+    y alone (the regime of the penalized-dual growth plot for the 2x2 toy
+    instance), and samples or ball_radius off their defaults are rejected.
     """
     p = inst.problem
     if not inst.dual_unique:
@@ -287,6 +287,8 @@ def verify_qg_dual(inst, gamma=None, ball_radius=1.0, samples=2000,
         return value
 
     if y_grid is not None:
+        if samples != 2000 or ball_radius != 1.0:
+            raise ValueError("y_grid samples no ball: samples and ball_radius would be ignored")
         if p.m != 2:
             raise ValueError("y_grid sampling needs a problem with m = 2")
         grid = np.asarray(y_grid, dtype=float)

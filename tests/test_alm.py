@@ -387,6 +387,41 @@ class TestOwnedArrays:
         assert not any(np.shares_memory(x, y) for x in self.arrays(start) for y in after)
 
 
+class TestRecordResiduals:
+    """A record decomposes one matrix: the side that the loop built as a PSD
+    projection (Z in the primal form, X in the dual one) reads 0."""
+
+    @pytest.mark.parametrize("form", ["primal", "dual"])
+    def test_one_matrix_per_record(self, form, monkeypatch):
+        matrices = []
+        eigvalsh, residuals = np.linalg.eigvalsh, alm.kkt_residuals
+
+        def counted_eigvalsh(a, *args, **kwargs):
+            matrices.append(1 if a.ndim == 2 else a.shape[0])
+            return eigvalsh(a, *args, **kwargs)
+
+        def counted_residuals(*args, **kwargs):
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+                return residuals(*args, **kwargs)
+
+        monkeypatch.setattr(alm, "kkt_residuals", counted_residuals)
+        solve, problem, start = form_run(form)
+        rec = solve(problem, start, AlmConfig(max_outer=1)).final
+        assert matrices == [1]
+        projected = "eta4" if form == "primal" else "eta2"
+        assert getattr(rec.residuals, projected) == 0.0
+        # the caller's triple is checked and both cones measured: the
+        # projected side at rounding level, every other residual to the bit
+        full = residuals(problem.problem, rec.X, DualPoint(y=rec.y, Z=rec.Z),
+                         p_star=problem.p_star)
+        matrix = rec.Z if form == "primal" else rec.X
+        assert getattr(full, projected) == dist_psd(matrix) / (1.0 + frob(matrix)) <= 1e-15
+        for field in ("eta1", "eta2", "eta3", "eta4", "eta5", "eps1", "eps2"):
+            if field != projected:
+                assert getattr(full, field) == getattr(rec.residuals, field)
+
+
 ONE_SOLVE_RUNS = [("svm-random", "ineq"), ("maxcut-g1-20", "primal"),
                   ("maxcut-g1-20", "dual")]
 

@@ -201,6 +201,22 @@ class TestInputErrors:
                      "rho = 5.0 is used only with use_penalty=True", id="qg-primal-rho-alone"),
         pytest.param(["verify", "qg-dual", "--builtin", "example-d1", "--rho", "5"],
                      "rho = 5.0 is used only with use_penalty=True", id="qg-dual-rho-alone"),
+        # eb-primal has no penalty variant: either flag would be ignored
+        pytest.param(["verify", "eb-primal", "--builtin", "example-d1", "--rho", "5",
+                      "--penalty", "--samples", "10"], "--penalty and --rho do not apply",
+                     id="eb-primal-rho-penalty"),
+        pytest.param(["verify", "eb-primal", "--builtin", "example-d1", "--rho", "5"],
+                     "--penalty and --rho do not apply", id="eb-primal-rho"),
+        pytest.param(["verify", "eb-primal", "--builtin", "example-d1", "--penalty"],
+                     "--penalty and --rho do not apply", id="eb-primal-penalty"),
+        # a grid samples no ball: --samples and --radius would be ignored
+        pytest.param(["verify", "qg-dual", "--builtin", "example-d1", "--grid", "fig-d1",
+                      "--penalty", "--rho", "4", "--samples", "7", "--radius", "0.001"],
+                     "samples and ball_radius would be ignored", id="qg-dual-grid-samples-radius"),
+        pytest.param(["verify", "qg-dual", "--builtin", "example-d1", "--grid", "fig-d1",
+                      "--samples", "7"], "y_grid samples no ball", id="qg-dual-grid-samples"),
+        pytest.param(["verify", "qg-dual", "--builtin", "example-d1", "--grid", "fig-d1",
+                      "--radius", "2"], "y_grid samples no ball", id="qg-dual-grid-radius"),
         # --rho 0 reaches the verifiers instead of falling back to the default
         pytest.param(["verify", "no-sharp-growth", "--rho", "0"], "rho",
                      id="no-sharp-growth-rho-0"),
@@ -387,6 +403,14 @@ class TestVerify:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["violations"] == 0 and report["samples"] == 2000
         assert report["min_ratio"] >= 1.0 - 1e-9
+
+    @pytest.mark.parametrize("verifier", ["qg-primal", "eb-primal", "qg-dual"])
+    def test_ball_defaults(self, verifier, tmp_path):
+        # with neither flag given, the ball samplers draw 2000 points within
+        # radius 1
+        assert run(["verify", verifier, "--builtin", "example-d1", "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["samples"] == 2000 and report["params"]["ball_radius"] == 1.0
 
     def test_qg_dual_grid(self, tmp_path):
         code = run(["verify", "qg-dual", "--builtin", "example-d1", "--rho", "4",

@@ -120,6 +120,31 @@ class TestMinimizeAuglag:
         with pytest.raises(InnerSolveError, match="non-finite values at iteration 2 "):
             minimize_auglag(obj, np.ones(3), tol=1e-12, diameter_bound=1.0)
 
+    @pytest.mark.parametrize("at", ["start", "mid-solve"])
+    @pytest.mark.parametrize("part,bad", [
+        *[pytest.param("value", kind(v), id=f"value-{kind.__name__}-{v}")
+          for kind in (float, np.float64) for v in ("nan", "inf", "-inf")],
+        *[pytest.param("gradient", float(v), id=f"gradient-{v}") for v in ("nan", "inf", "-inf")],
+    ])
+    def test_nonfinite_raises(self, part, bad, at):
+        # the loop tests a Python float or an np.float64 value and every
+        # gradient entry; mid-solve, evaluation 4 is iteration 2's first trial
+        calls = []
+
+        def obj(x):
+            calls.append(1)
+            value, grad = 0.5 * float(x @ x), x.copy()
+            if len(calls) >= (1 if at == "start" else 4):
+                if part == "value":
+                    value = bad
+                else:
+                    grad[0] = bad
+            return value, grad, lambda g: 0.5 * g, no_update
+
+        match = "at the start point" if at == "start" else "at iteration 2 "
+        with pytest.raises(InnerSolveError, match=match):
+            minimize_auglag(obj, np.ones(3), tol=1e-12, diameter_bound=1.0)
+
     def test_requires_diameter(self):
         # a NaN or infinite diameter would give a NaN certificate
         for diameter in (None, 0.0, -1.0, np.nan, np.inf):

@@ -14,7 +14,7 @@ from conic_alm.model import (CertificationError, DenseOperator, DualPoint, IneqP
                              svm_instance, synth_known_solution, zero_dual)
 from conic_alm.symcone import dist_psd, frob, inner, symmetrize
 
-from conftest import ineq_qps, random_sym
+from conftest import assert_same_problem, ineq_qps, random_sym
 from oracles import naive_apply_A, soft_threshold
 
 
@@ -71,6 +71,17 @@ class TestSdpProblem:
     def test_from_triplets_rejects(self, triplets, b, message):
         with pytest.raises(ValueError, match=message):
             SdpProblem.from_triplets(np.eye(2), triplets, b)
+
+    @pytest.mark.parametrize("order", ["sorted", "reversed"])
+    def test_from_triplets_drops_explicit_zeros(self, order):
+        # in key order or not, an explicit zero entry is dropped
+        k, row, col = [0, 0, 0, 1, 1], [0, 0, 1, 0, 1], [0, 1, 1, 0, 1]
+        val = [1.0, 0.0, 2.0, 0.0, 3.0]
+        if order == "reversed":
+            k, row, col, val = k[::-1], row[::-1], col[::-1], val[::-1]
+        p = SdpProblem.from_triplets(np.eye(2), (k, row, col, val), np.ones(2))
+        assert_same_problem(p, SdpProblem(np.eye(2), [np.diag([1.0, 2.0]), np.diag([0.0, 3.0])],
+                                          np.ones(2)))
 
     @pytest.mark.parametrize("C,mats,b,message", [
         (np.eye(2), [np.eye(2), [[0.0, 1.0], [0.0, 0.0]]], np.ones(2), "^A_2 is not symmetric"),
@@ -220,6 +231,28 @@ class TestKktResiduals:
         assert type(res.eta2) is float and type(res.eta4) is float
         assert res.eta2 == dist_psd(X) / (1.0 + frob(X))
         assert res.eta4 == dist_psd(Z) / (1.0 + frob(Z))
+
+    @given(st.integers(1, 10), st.integers(0, 2**32 - 1))
+    def test_projected_side_reads_zero(self, n, seed):
+        # the outer loop's records name the matrix that they built as a PSD
+        # projection: its cone residual reads 0, and every other residual
+        # has the bits of the checked call
+        rng = np.random.default_rng(seed)
+        X, Z = random_sym(rng, n), random_sym(rng, n)
+        p = SdpProblem(C=random_sym(rng, n), constraint_mats=np.eye(n)[None], b=np.ones(1))
+        w = DualPoint(y=rng.standard_normal(1), Z=Z)
+        full = kkt_residuals(p, X, w, p_star=1.0)
+        for projected, zero in (("X", "eta2"), ("Z", "eta4")):
+            res = kkt_residuals(p, X, w, p_star=1.0, projected=projected)
+            assert getattr(res, zero) == 0.0
+            for field in ("eta1", "eta2", "eta3", "eta4", "eta5", "eps1", "eps2"):
+                if field != zero:
+                    assert getattr(res, field) == getattr(full, field)
+
+    def test_rejects_unknown_projected_side(self, certified5):
+        with pytest.raises(ValueError, match="projected must be"):
+            kkt_residuals(certified5.problem, certified5.x_star, certified5.w_star,
+                          projected="W")
 
     def test_norms_computed_once(self, certified5):
         # the residuals' scales are the problem's own ||b|| and ||C||, bit for bit

@@ -75,9 +75,12 @@ def test_maps_match_tensordot_reference(case):
 
 def check_entries_agree(p):
     """The stack entry, given p's stack, and the triplet entry, given its
-    nonzeros, each build p again, to the bit."""
+    nonzeros in order (the builder's unsorted path skipped) or reversed,
+    each build p again, to the bit."""
+    triplets = p.operator.triplets()
     for q in (SdpProblem(p.C, p.constraint_mats, p.b),
-              SdpProblem.from_triplets(p.C, p.operator.triplets(), p.b)):
+              SdpProblem.from_triplets(p.C, triplets, p.b),
+              SdpProblem.from_triplets(p.C, [a[::-1] for a in triplets], p.b)):
         assert_same_problem(p, q)
         assert q.C.tobytes() == p.C.tobytes()
 

@@ -136,6 +136,20 @@ class TestQgDual:
         with pytest.raises(ValueError, match="rho"):
             verify_qg_dual(toy, use_penalty=True, rho=1.0)
 
+    @pytest.mark.parametrize("kwargs", [dict(samples=7), dict(ball_radius=1e-3),
+                                        dict(samples=None), dict(samples=7, ball_radius=2.0)],
+                             ids=["samples", "radius", "samples-none", "both"])
+    def test_grid_rejects_ball_arguments(self, toy, kwargs):
+        # the grid samples no ball, so a sample count or radius off the
+        # defaults would be ignored
+        with pytest.raises(ValueError, match="^y_grid samples no ball: samples and "
+                                             "ball_radius would be ignored"):
+            verify_qg_dual(toy, use_penalty=True, rho=4.0, y_grid=GRIDS["fig-d1"], **kwargs)
+        # the defaults themselves change nothing
+        assert verify_qg_dual(toy, use_penalty=True, rho=4.0, y_grid=GRIDS["fig-d1"],
+                              samples=2000, ball_radius=1.0) == verify_qg_dual(
+            toy, use_penalty=True, rho=4.0, y_grid=GRIDS["fig-d1"])
+
     def test_grid_needs_two_constraints(self, certified5):
         with pytest.raises(ValueError, match="m = 2"):
             verify_qg_dual(certified5, y_grid=np.linspace(-1, 1, 5))
